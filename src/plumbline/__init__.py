@@ -33,9 +33,7 @@ from .elliptic import (
     MarkedEllipticCurve,
     TauPoint,
     TwoTorsionLabel,
-    are_isomorphic,
     normalized_form_value,
-    reduce_to_fundamental_domain,
     two_torsion_representatives,
 )
 from .errors import (
@@ -53,11 +51,7 @@ from .jets import (
     FieldKind,
     Jet,
     JetRing,
-    jet_add,
-    jet_coefficient,
     jet_from_json_dict,
-    jet_mul,
-    jet_vanishes_through_degree,
 )
 from .relations import (
     AsymptoticReport,

@@ -12,8 +12,8 @@ root subtrees all have <= floor((g-1)/2) vertices; a bicentroidal tree
 (g even) is produced once as an unordered pair of rooted halves of g/2
 vertices joined root-to-root.  Children multisets are generated in
 canonical (sorted-code) order, so no isomorphism dedup pass is needed.
-The Pruefer-sequence brute force at the bottom exists purely as an
-independent test oracle.
+The Pruefer-sequence brute force at the bottom is an independent count
+oracle: ``selftest`` runs it for small genus, the tests for genus <= 7.
 """
 
 from __future__ import annotations
@@ -80,9 +80,6 @@ class Alkane:
             adj[i].append(j)
             adj[j].append(i)
         return adj
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
 
     def degrees(self) -> Dict[int, int]:
         deg = {v: 0 for v in range(1, self.genus + 1)}
@@ -313,7 +310,7 @@ def count_alkanes(g: int, cap: int = DEFAULT_GENUS_CAP) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Pruefer brute force (test oracle only; exponential in g)
+# Pruefer brute force (count oracle; exponential in g)
 
 
 def prufer_decode(seq: Sequence[int], n: int) -> List[Edge]:
@@ -368,12 +365,3 @@ def brute_force_alkane_codes(g: int) -> FrozenSet[str]:
 def brute_force_alkane_count(g: int) -> int:
     return len(brute_force_alkane_codes(g))
 
-
-def random_degree_bounded_tree(g: int, rng) -> Alkane:
-    """Rejection-sample a labeled degree-<=4 tree via random Pruefer sequences."""
-    if g <= 2:
-        return Alkane(g, [] if g == 1 else [(1, 2)])
-    while True:
-        seq = [rng.randint(1, g) for _ in range(g - 2)]
-        if max(seq.count(v) for v in set(seq)) <= MAX_CARBON_DEGREE - 1:
-            return Alkane(g, prufer_decode(seq, g))

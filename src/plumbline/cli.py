@@ -2,70 +2,44 @@
 
 JSON goes to stdout (or --out); human-oriented status lines go to stderr.
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or
-configuration error.  All randomness is derived from --seed through
-labelled substreams, so reports are byte-for-byte reproducible.
+configuration error, 3 internal error (a bug in plumbline; the traceback
+goes to stderr).  All randomness is derived from --seed through labelled
+substreams, so reports are byte-for-byte reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+import traceback
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, TypeVar
 
 from . import __version__
-from .alkanes import (
-    Alkane,
-    brute_force_alkane_count,
-    canonical_code,
-    count_alkanes,
-    enumerate_alkanes,
-    is_chain,
-)
+from .alkanes import Alkane, canonical_code, count_alkanes, enumerate_alkanes
+from .checks import CHECKS
 from .curve_periods import (
     CurveBlock,
     PairPlumbing,
     StarConfig,
     TreeConfig,
     TreeEdgeData,
-    banded_locus_dimension,
-    derivative_rank_one_check,
-    is_banded,
-    offdiag_support,
     pair_period_first_order,
     star_period_leading,
     tree_period_first_order,
 )
 from .elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
-from .errors import PlumblineError
+from .errors import FormulaViolationError, PlumblineError
 from .gaussian import GaussianRational
 from .jets import DEFAULT_TOLERANCE, EXACT_FIELD, CoefficientField, FieldKind, JetRing
-from .relations import (
-    all_octic_indices,
-    octic_eval,
-    plucker_to_cone,
-    verify_asymptotic_vanishing,
-)
-from .sampling import (
-    random_grass_frame_minors,
-    random_star_config,
-    random_surface_model,
-    random_tree_config,
-    substream,
-)
-from .surfaces import (
-    build_Pi,
-    dim_K,
-    dim_V_Gamma,
-    dim_W,
-    dim_period_domain,
-    skew_block_rank_one_vanishing,
-    span_dimension_E_Gamma,
-)
+from .relations import verify_asymptotic_vanishing
+from .sampling import random_star_config, random_surface_model, substream
+from .surfaces import dim_K, dim_V_Gamma, dim_W, dim_period_domain, span_dimension_E_Gamma
 
-EXPECTED_COUNTS = [1, 1, 1, 2, 3, 5, 9, 18, 35, 75, 159, 355]  # genus 1..12
+T = TypeVar("T")
 
 
 class ConfigError(Exception):
@@ -73,12 +47,30 @@ class ConfigError(Exception):
 
 
 def _float_field() -> CoefficientField:
-    tol = os.environ.get("PLUMBLINE_TOL")
-    return CoefficientField(FieldKind.COMPLEX_FLOAT, float(tol) if tol else DEFAULT_TOLERANCE)
+    text = os.environ.get("PLUMBLINE_TOL")
+    if not text:
+        return CoefficientField(FieldKind.COMPLEX_FLOAT, DEFAULT_TOLERANCE)
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 < tol < math.inf:
+        raise ConfigError(f"PLUMBLINE_TOL must be a finite number > 0, got {text!r}")
+    return CoefficientField(FieldKind.COMPLEX_FLOAT, tol)
 
 
 def _field(exact: bool) -> CoefficientField:
     return EXACT_FIELD if exact else _float_field()
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -104,15 +96,16 @@ def _parse_value(v, exact: bool):
         raise ConfigError(f"bad numeric value {v!r}: {e}") from e
 
 
+def _parse_label(name: str) -> TwoTorsionLabel:
+    try:
+        return TwoTorsionLabel(name)
+    except ValueError:
+        raise ConfigError(f"unknown 2-torsion label {name!r}") from None
+
+
 def _parse_mark(d: dict, exact: bool) -> Mark:
     point = d["point"]
-    if isinstance(point, str):
-        try:
-            point = TwoTorsionLabel(point)
-        except ValueError:
-            raise ConfigError(f"unknown 2-torsion label {point!r}") from None
-    else:
-        point = _parse_value(point, exact)
+    point = _parse_label(point) if isinstance(point, str) else _parse_value(point, exact)
     return Mark(point, _parse_value(d["c"], exact))
 
 
@@ -122,22 +115,70 @@ def _parse_curve(d: dict, exact: bool) -> MarkedEllipticCurve:
     return MarkedEllipticCurve(tau, marks)
 
 
-def _parse_pair_side(d: dict, exact: bool):
+def _parse_pair_side(d: dict, exact: bool, mark: int):
     if "block" in d:
         block = tuple(tuple(_parse_value(v, exact) for v in row) for row in d["block"])
         omega = tuple(_parse_value(v, exact) for v in d["omega"])
         return CurveBlock(block, omega)
-    return _parse_curve(d, exact)
+    curve = _parse_curve(d, exact)
+    if type(mark) is not int or not 0 <= mark < len(curve.marks):
+        raise ConfigError(f"mark index {mark!r} on a curve with {len(curve.marks)} marks")
+    return curve
 
 
-def _load_config(path: str) -> dict:
+def _parse_pair(cfg: dict, exact: bool) -> PairPlumbing:
+    mark_a, mark_b = cfg.get("mark_a", 0), cfg.get("mark_b", 0)
+    side_a = _parse_pair_side(cfg["curve_a"], exact, mark_a)
+    side_b = _parse_pair_side(cfg["curve_b"], exact, mark_b)
+    return PairPlumbing(side_a, side_b, cfg.get("t", "t"), mark_a, mark_b)
+
+
+def _parse_star(cfg: dict, exact: bool) -> StarConfig:
+    curves = tuple(_parse_curve(c, exact) for c in cfg["curves"])
+    points = tuple(_parse_value(b, exact) for b in cfg["b"])
+    return StarConfig(curves, points, tuple(cfg["vars"]))
+
+
+def _parse_tree(cfg: dict, exact: bool) -> TreeConfig:
+    alkane = Alkane(cfg["genus"], [tuple(e) for e in cfg["edges"]])
+    taus = tuple(TauPoint(_parse_value(t, exact)) for t in cfg["taus"])
+    edge_data = {}
+    for item in cfg["edge_data"]:
+        i, j = sorted(item["edge"])
+        low, high = item["low"], item["high"]
+        edge_data[(i, j)] = TreeEdgeData(
+            var=item["var"],
+            label_low=_parse_label(low["label"]),
+            coeff_low=_parse_value(low["c"], exact),
+            label_high=_parse_label(high["label"]),
+            coeff_high=_parse_value(high["c"], exact),
+        )
+    return TreeConfig(alkane, taus, edge_data)
+
+
+def _read_config(path: str, parse: Callable[[dict, bool], T], exact: bool) -> T:
+    """Load the JSON object at ``path`` and build its configuration.
+
+    A missing key or a value of the wrong shape is a config error: the
+    parse touches only the user's JSON, so nothing it raises is a bug.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must be a JSON object, not {type(cfg).__name__}")
+    try:
+        return parse(cfg, exact)
+    except PlumblineError:
+        raise
+    except KeyError as e:
+        raise ConfigError(f"missing key {e} in {path}") from e
+    except (AttributeError, IndexError, TypeError, ValueError) as e:
+        raise ConfigError(f"malformed config {path}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +188,11 @@ def _load_config(path: str) -> dict:
 def _emit(report: dict, out: Optional[str]) -> None:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ConfigError(f"cannot write report to {out}: {e}") from e
     else:
         sys.stdout.write(text)
 
@@ -187,13 +231,8 @@ def cmd_alkanes_count(args) -> int:
 
 
 def cmd_periods_pair(args) -> int:
-    cfg = _load_config(args.config)
     exact = args.mode_exact
-    side_a = _parse_pair_side(cfg["curve_a"], exact)
-    side_b = _parse_pair_side(cfg["curve_b"], exact)
-    p = PairPlumbing(
-        side_a, side_b, cfg.get("t", "t"), cfg.get("mark_a", 0), cfg.get("mark_b", 0)
-    )
+    p = _read_config(args.config, _parse_pair, exact)
     ring = JetRing((p.t,), args.order, _field(exact))
     m = pair_period_first_order(p, ring)
     _emit({"command": "periods pair", "version": __version__, **m.to_json_dict()}, args.out)
@@ -201,36 +240,18 @@ def cmd_periods_pair(args) -> int:
 
 
 def cmd_periods_star(args) -> int:
-    cfg = _load_config(args.config)
     exact = args.mode_exact
-    curves = tuple(_parse_curve(c, exact) for c in cfg["curves"])
-    points = tuple(_parse_value(b, exact) for b in cfg["b"])
-    variables = tuple(cfg["vars"])
-    s = StarConfig(curves, points, variables)
-    ring = JetRing(variables, max(args.order, 2), _field(exact))
+    s = _read_config(args.config, _parse_star, exact)
+    ring = JetRing(s.variables, max(args.order, 2), _field(exact))
     m = star_period_leading(s, ring)
     _emit({"command": "periods star", "version": __version__, **m.to_json_dict()}, args.out)
     return 0
 
 
 def cmd_periods_tree(args) -> int:
-    cfg = _load_config(args.config)
     exact = args.mode_exact
-    alkane = Alkane(cfg["genus"], [tuple(e) for e in cfg["edges"]])
-    taus = tuple(TauPoint(_parse_value(t, exact)) for t in cfg["taus"])
-    edge_data = {}
-    for item in cfg["edge_data"]:
-        i, j = sorted(item["edge"])
-        low, high = item["low"], item["high"]
-        edge_data[(i, j)] = TreeEdgeData(
-            var=item["var"],
-            label_low=TwoTorsionLabel(low["label"]),
-            coeff_low=_parse_value(low["c"], exact),
-            label_high=TwoTorsionLabel(high["label"]),
-            coeff_high=_parse_value(high["c"], exact),
-        )
-    tc = TreeConfig(alkane, taus, edge_data)
-    variables = tuple(d.var for d in edge_data.values())
+    tc = _read_config(args.config, _parse_tree, exact)
+    variables = tuple(d.var for d in tc.edge_data.values())
     ring = JetRing(variables, args.order, _field(exact))
     m = tree_period_first_order(tc, ring)
     _emit({"command": "periods tree", "version": __version__, **m.to_json_dict()}, args.out)
@@ -332,223 +353,12 @@ def cmd_surfaces_egamma(args) -> int:
 # selftest
 
 
-def _check_alkane_counts(seed: int) -> Tuple[bool, dict]:
-    counts = [count_alkanes(g) for g in range(1, 11)]
-    ok = counts == EXPECTED_COUNTS[:10]
-    oracle = [brute_force_alkane_count(g) for g in range(1, 7)]
-    ok = ok and oracle == EXPECTED_COUNTS[:6]
-    return ok, {"counts": counts, "prufer_oracle": oracle}
-
-
-def _check_cone_vanishing(seed: int, variant: str) -> Tuple[bool, dict]:
-    checked = 0
-    worst = 0
-    ok = True
-    for g in (4, 5):
-        rng = substream(seed, f"selftest:cone:{g}")
-        for _ in range(20):
-            y = random_grass_frame_minors(g, rng)
-            cone = plucker_to_cone(y)
-            for idx in all_octic_indices(g):
-                value = octic_eval(cone, idx, variant=variant)
-                checked += 1
-                if value:
-                    ok = False
-                    worst += 1
-    return ok, {"octics_checked": checked, "nonzero": worst, "variant": variant}
-
-
-def _check_star_on_cone(seed: int, variant: str) -> Tuple[bool, dict]:
-    from .sampling import rand_nonzero_fraction
-
-    ok = True
-    checked = 0
-    for g in (4, 5):
-        for trial in range(5):
-            rng = substream(seed, f"selftest:star:{g}:{trial}")
-            s = random_star_config(g, rng)
-            ring = JetRing(tuple(s.variables), 2, EXACT_FIELD)
-            m = star_period_leading(s, ring)
-            t_vals = [GaussianRational(rand_nonzero_fraction(rng)) for _ in range(g)]
-            entries = {}
-            for i in range(1, g + 1):
-                for j in range(i + 1, g + 1):
-                    exp = [0] * g
-                    exp[i - 1] = 1
-                    exp[j - 1] = 1
-                    coeff = m.entry(i, j).coefficient(exp)
-                    entries[(i, j)] = coeff * t_vals[i - 1] * t_vals[j - 1]
-            for idx in all_octic_indices(g):
-                checked += 1
-                if octic_eval(entries, idx, variant=variant):
-                    ok = False
-    return ok, {"octics_checked": checked, "variant": variant}
-
-
-def _check_jet_vanishing(seed: int) -> Tuple[bool, dict]:
-    ok = True
-    degrees = []
-    for trial in range(2):
-        s = random_star_config(4, substream(seed, f"selftest:jets:{trial}"))
-        rep = verify_asymptotic_vanishing(
-            s, seed=f"{seed}:selftest:jets:perturb:{trial}", order=17
-        )
-        ok = ok and rep.passed
-        degrees.append(rep.min_surviving_degree)
-    s = random_star_config(4, substream(seed, "selftest:jets:neg"))
-    neg = verify_asymptotic_vanishing(
-        s, seed=f"{seed}:selftest:jets:neg", order=17, corrupt_entry=(1, 2)
-    )
-    ok = ok and not neg.passed
-    return ok, {"min_surviving_degrees": degrees, "negative_control_failed": not neg.passed}
-
-
-def _check_branch_patterns(seed: int) -> Tuple[bool, dict]:
-    ok = True
-    tested = 0
-    for g in range(2, 7):
-        for a in enumerate_alkanes(g):
-            rng = substream(seed, f"selftest:branch:{g}:{canonical_code(a)}")
-            tc = random_tree_config(a, rng)
-            ring = JetRing(tuple(d.var for d in tc.edge_data.values()), 1, EXACT_FIELD)
-            m = tree_period_first_order(tc, ring)
-            tested += 1
-            if offdiag_support(m) != frozenset(a.edges):
-                ok = False
-    chain_ok = True
-    for g in range(2, 9):
-        a = Alkane.chain(g)
-        rng = substream(seed, f"selftest:chain:{g}")
-        tc = random_tree_config(a, rng)
-        ring = JetRing(tuple(d.var for d in tc.edge_data.values()), 1, EXACT_FIELD)
-        support = offdiag_support(tree_period_first_order(tc, ring))
-        chain_ok = chain_ok and is_banded(support, 2) and is_chain(a)
-    dims_ok = all(
-        banded_locus_dimension(g, 2) == 2 * g - 1 and banded_locus_dimension(g, 3) == 3 * g - 3
-        for g in range(2, 11)
-    )
-    return ok and chain_ok and dims_ok, {
-        "alkanes_tested": tested,
-        "chain_tridiagonal": chain_ok,
-        "banded_dims": dims_ok,
-    }
-
-
-def _check_rank_one(seed: int) -> Tuple[bool, dict]:
-    ok = True
-    tested = 0
-    for g in range(2, 6):
-        for a in enumerate_alkanes(g):
-            for trial in range(5):
-                rng = substream(seed, f"selftest:rank1:{g}:{canonical_code(a)}:{trial}")
-                tc = random_tree_config(a, rng)
-                ring = JetRing(tuple(d.var for d in tc.edge_data.values()), 1, EXACT_FIELD)
-                m = tree_period_first_order(tc, ring)
-                tested += 1
-                for var in ring.variables:
-                    if not derivative_rank_one_check(m, var):
-                        ok = False
-    return ok, {"assemblies_tested": tested}
-
-
-def _check_surface_dims(seed: int) -> Tuple[bool, dict]:
-    ok = dim_period_domain(1) == 18 and dim_K(4) == 2
-    checked = 0
-    for h in range(1, 13):
-        if dim_W([1] * h) != h + 1:
-            ok = False
-        for a in enumerate_alkanes(h):
-            checked += 1
-            if dim_V_Gamma(a) != 9 * h + 9:
-                ok = False
-    return ok, {"alkanes_checked": checked}
-
-
-def _check_egamma_span(seed: int) -> Tuple[bool, dict]:
-    ok = True
-    models = 0
-    for h in range(2, 7):
-        for a in enumerate_alkanes(h):
-            code = canonical_code(a)
-            for trial in range(10):
-                rng = substream(seed, f"selftest:egamma:{h}:{code}:{trial}")
-                model = random_surface_model(a, rng)
-                models += 1
-                if span_dimension_E_Gamma(model) != h - 1:
-                    ok = False
-    # degenerate control: both chain edges carry the same data concentrated
-    # on the shared middle vertex, so their matrices coincide
-    from .surfaces import EdgeData, SurfaceGraphModel
-
-    a = Alkane.chain(3)
-    model = random_surface_model(a, substream(seed, "selftest:egamma:degenerate"))
-    w_mid = model.edge_data[(1, 2)].omega[1]
-    i_mid = model.edge_data[(1, 2)].i_vectors[1]
-    zero_omega = (Fraction(0),)
-    zero_i = (Fraction(0),) * len(i_mid)
-    dup = {
-        (1, 2): EdgeData((1, 2), (zero_omega, w_mid), (zero_i, i_mid)),
-        (2, 3): EdgeData((2, 3), (w_mid, zero_omega), (i_mid, zero_i)),
-    }
-    dmodel = SurfaceGraphModel(a, model.shapes, model.blocks, dup)
-    degenerate_span = span_dimension_E_Gamma(dmodel)
-    ok = ok and degenerate_span < a.genus - 1
-    return ok, {"models": models, "degenerate_span": degenerate_span}
-
-
-def _check_skew_block(seed: int) -> Tuple[bool, dict]:
-    from .sampling import rand_fraction
-
-    rng = substream(seed, "selftest:skew")
-    counterexamples = 0
-    for trial in range(200):
-        rows, cols, size = 4, 8, 3
-        u = [rand_fraction(rng, -5, 5, 3) for _ in range(rows)]
-        w = [rand_fraction(rng, -5, 5, 3) for _ in range(cols)]
-        if trial % 2 == 0:
-            for c in range(cols - size, cols):
-                w[c] = Fraction(0)  # rank-1 with skew (zero) trailing block
-        m = [[u[r] * w[c] for c in range(cols)] for r in range(rows)]
-        block_rows = list(range(rows - size, rows))
-        block_cols = list(range(cols - size, cols))
-        if not skew_block_rank_one_vanishing(m, block_rows, block_cols):
-            counterexamples += 1
-    pi_ok = True
-    for h in (3, 4):
-        a = Alkane.chain(h)
-        model = random_surface_model(a, substream(seed, f"selftest:skew:pi:{h}"))
-        for edge in a.edges:
-            pi = build_Pi(model, edge)
-            for v in range(1, h + 1):
-                c0 = model.col_offset(v) + model.shapes[v - 1].cols - model.shapes[v - 1].h
-                for r in range(len(pi)):
-                    for c in range(c0, c0 + model.shapes[v - 1].h):
-                        if model.row_offset(v) <= r < model.row_offset(v) + model.shapes[v - 1].rows:
-                            if pi[r][c]:
-                                pi_ok = False
-    return counterexamples == 0 and pi_ok, {
-        "trials": 200,
-        "counterexamples": counterexamples,
-        "pi_trailing_blocks_zero": pi_ok,
-    }
-
-
 def cmd_selftest(args) -> int:
     variant = "printed" if args.inject_corrupted_octic else "corrected"
-    checks = [
-        ("alkane_counts", _check_alkane_counts(args.seed)),
-        ("cone_vanishing", _check_cone_vanishing(args.seed, variant)),
-        ("star_on_cone", _check_star_on_cone(args.seed, variant)),
-        ("jet_vanishing_mod_t9", _check_jet_vanishing(args.seed)),
-        ("branch_patterns", _check_branch_patterns(args.seed)),
-        ("rank_one_derivatives", _check_rank_one(args.seed)),
-        ("surface_dimensions", _check_surface_dims(args.seed)),
-        ("egamma_span", _check_egamma_span(args.seed)),
-        ("skew_block", _check_skew_block(args.seed)),
-    ]
-    results = [
-        {"name": name, "pass": ok, "detail": detail} for name, (ok, detail) in checks
-    ]
+    results = []
+    for name, check in CHECKS:
+        ok, detail = check(args.seed, variant)
+        results.append({"name": name, "pass": ok, "detail": detail})
     failed = sum(1 for r in results if not r["pass"])
     report = {
         "command": "selftest",
@@ -591,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     enum_p.add_argument("--out")
     enum_p.set_defaults(func=cmd_alkanes_enum)
     count_p = alk_sub.add_parser("count")
-    count_p.add_argument("--max", type=int, required=True)
+    count_p.add_argument("--max", type=_positive_int, required=True)
     count_p.add_argument("--out")
     count_p.set_defaults(func=cmd_alkanes_count)
 
@@ -613,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     rel_sub = rel.add_subparsers(dest="subcommand", required=True)
     ver = rel_sub.add_parser("verify")
     ver.add_argument("--genus", type=int, required=True)
-    ver.add_argument("--trials", type=int, default=5)
+    ver.add_argument("--trials", type=_positive_int, default=5)
     ver.add_argument("--order", type=int, default=17)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--out")
@@ -629,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     eg = sur_sub.add_parser("egamma")
     eg.add_argument("--genus", type=int, required=True)
     eg.add_argument("--seed", type=int, default=0)
-    eg.add_argument("--trials", type=int, default=10)
+    eg.add_argument("--trials", type=_positive_int, default=10)
     eg.add_argument("--out")
     eg.set_defaults(func=cmd_surfaces_egamma)
 
@@ -654,12 +464,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as e:
         _say(f"config error: {e}")
         return 2
+    except FormulaViolationError:
+        return _internal_error()
     except PlumblineError as e:
         _say(f"invalid input: {e}")
         return 2
-    except KeyError as e:
-        _say(f"config error: missing key {e}")
-        return 2
+    except Exception:
+        return _internal_error()
+
+
+def _internal_error() -> int:
+    _say("internal error: this is a bug in plumbline, not bad input")
+    traceback.print_exc()
+    return 3
 
 
 if __name__ == "__main__":

@@ -11,33 +11,18 @@ mark only through the normalized-form value 1/c.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Tuple, Union
 
 from .errors import DegenerateDataError, RangeError
 from .gaussian import GaussianRational
-from .jets import DEFAULT_TOLERANCE
 
 ComplexValue = Union[GaussianRational, complex]
-Mat2 = Tuple[Tuple[int, int], Tuple[int, int]]
-
-IDENTITY: Mat2 = ((1, 0), (0, 1))
-
-
-def _re(z: ComplexValue):
-    return z.re if isinstance(z, GaussianRational) else z.real
 
 
 def _im(z: ComplexValue):
     return z.im if isinstance(z, GaussianRational) else z.imag
-
-
-def _abs2(z: ComplexValue):
-    if isinstance(z, GaussianRational):
-        return z.abs2()
-    return z.real * z.real + z.imag * z.imag
 
 
 def _half(z: ComplexValue) -> ComplexValue:
@@ -50,17 +35,6 @@ def _one_half(exact: bool) -> ComplexValue:
     return GaussianRational(Fraction(1, 2)) if exact else complex(0.5)
 
 
-def _matmul(m: Mat2, n: Mat2) -> Mat2:
-    (a, b), (c, d) = m
-    (e, f), (g, h) = n
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-
-
-def apply_moebius(m: Mat2, z: ComplexValue) -> ComplexValue:
-    (a, b), (c, d) = m
-    return (z * a + b) / (z * c + d)
-
-
 @dataclass(frozen=True)
 class TauPoint:
     value: ComplexValue
@@ -68,10 +42,6 @@ class TauPoint:
     def __post_init__(self):
         if _im(self.value) <= 0:
             raise RangeError(f"tau must have positive imaginary part, got {self.value}")
-
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.value, GaussianRational)
 
 
 class TwoTorsionLabel(enum.Enum):
@@ -138,54 +108,3 @@ def two_torsion_representatives(tau: TauPoint) -> List[ComplexValue]:
     """[0, 1/2, tau/2, (1+tau)/2] in the field of tau."""
     t = tau.value
     return [lbl.representative(t) for lbl in TwoTorsionLabel]
-
-
-def reduce_to_fundamental_domain(
-    tau: TauPoint, tolerance: float = DEFAULT_TOLERANCE
-) -> Tuple[TauPoint, Mat2]:
-    """Gauss reduction to |Re| <= 1/2, |tau| >= 1.
-
-    Boundaries are normalized so equality tests are deterministic:
-    Re lands in [-1/2, 1/2), and a point on the unit circle with Re > 0 is
-    inverted to the Re < 0 side.  Returns (tau', M) with M in SL2(Z) and
-    tau' = M.tau.
-    """
-    z = tau.value
-    exact = isinstance(z, GaussianRational)
-    m: Mat2 = IDENTITY
-    one = Fraction(1) if exact else 1.0
-    eps = 0 if exact else tolerance
-
-    while True:
-        re = _re(z)
-        n = math.floor(re + Fraction(1, 2)) if exact else math.floor(re + 0.5)
-        if n:
-            z = z - n
-            m = _matmul(((1, -n), (0, 1)), m)
-        a2 = _abs2(z)
-        if a2 < one - eps:
-            z = -(1 / z)
-            m = _matmul(((0, -1), (1, 0)), m)
-        else:
-            break
-
-    a2 = _abs2(z)
-    on_circle = (a2 == 1) if exact else abs(a2 - 1.0) <= eps
-    if on_circle and _re(z) > eps:
-        z = -(1 / z)
-        m = _matmul(((0, -1), (1, 0)), m)
-    return TauPoint(z), m
-
-
-def are_isomorphic(
-    tau1: TauPoint, tau2: TauPoint, tolerance: float = DEFAULT_TOLERANCE
-) -> bool:
-    r1, _ = reduce_to_fundamental_domain(tau1, tolerance)
-    r2, _ = reduce_to_fundamental_domain(tau2, tolerance)
-    if r1.is_exact and r2.is_exact:
-        return r1.value == r2.value
-    d = complex(r1.value.to_complex() if r1.is_exact else r1.value) - complex(
-        r2.value.to_complex() if r2.is_exact else r2.value
-    )
-    scale = max(1.0, abs(complex(r1.value.to_complex() if r1.is_exact else r1.value)))
-    return abs(d) <= tolerance * scale

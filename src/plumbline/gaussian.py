@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Union
 
 RationalLike = Union[int, Fraction]
-GaussianLike = Union[int, Fraction, "GaussianRational"]
 
 _ZERO = Fraction(0)
 
@@ -37,12 +36,6 @@ class GaussianRational:
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
-
-    @staticmethod
-    def coerce(x: GaussianLike) -> "GaussianRational":
-        if isinstance(x, GaussianRational):
-            return x
-        return GaussianRational(_as_fraction(x, "value"))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -121,9 +114,6 @@ class GaussianRational:
         return self
 
     # -- structure ----------------------------------------------------
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
 
     def abs2(self) -> Fraction:
         """Squared modulus, exact."""

@@ -17,7 +17,6 @@ can be shared freely across threads.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple
@@ -66,11 +65,6 @@ class CoefficientField:
 
     def one(self):
         return GaussianRational(1) if self.is_exact else complex(1)
-
-    def modulus(self, c) -> float:
-        if self.is_exact:
-            return float(c.abs2()) ** 0.5
-        return abs(c)
 
 
 EXACT_FIELD = CoefficientField(FieldKind.EXACT_GAUSSIAN_RATIONAL)
@@ -210,9 +204,6 @@ class Jet:
             degs = [sum(exp) for exp, c in self._terms.items() if abs(c) > tol * scale]
         return min(degs) if degs else None
 
-    def total_degree(self) -> int:
-        return max((sum(exp) for exp in self._terms), default=0)
-
     # -- arithmetic ---------------------------------------------------
 
     def _check_ring(self, other: "Jet"):
@@ -350,10 +341,6 @@ class Jet:
                 terms.append({"exp": list(exp), "re": c.real, "im": c.imag})
         return {"vars": list(self.ring.variables), "order": self.ring.order, "terms": terms}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-
 def jet_from_json_dict(data: dict, field: CoefficientField = EXACT_FIELD) -> Jet:
     ring = JetRing(tuple(data["vars"]), int(data["order"]), field)
     terms = {}
@@ -365,22 +352,3 @@ def jet_from_json_dict(data: dict, field: CoefficientField = EXACT_FIELD) -> Jet
         terms[tuple(t["exp"])] = c
     return ring.jet(terms)
 
-
-# spec-facing functional aliases
-
-def jet_add(a: Jet, b: Jet) -> Jet:
-    a._check_ring(b)
-    return a + b
-
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    a._check_ring(b)
-    return a * b
-
-
-def jet_coefficient(a: Jet, exponents: Iterable[int]):
-    return a.coefficient(exponents)
-
-
-def jet_vanishes_through_degree(a: Jet, d: int, tolerance: float | None = None) -> bool:
-    return a.vanishes_through_degree(d, tolerance)

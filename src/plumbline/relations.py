@@ -101,17 +101,6 @@ class TangentConePoint:
             raise StructureError("diagonal entries of a cone point are zero by convention")
         return self._values[(min(i, j), max(i, j))]
 
-    def pairs(self) -> Dict[Tuple[int, int], object]:
-        return dict(self._values)
-
-    def replacing(self, i: int, j: int, value) -> "TangentConePoint":
-        vals = self.pairs()
-        vals[(min(i, j), max(i, j))] = value
-        return TangentConePoint(self.genus, vals)
-
-    def scaled(self, c) -> "TangentConePoint":
-        return TangentConePoint(self.genus, {p: c * v for p, v in self._values.items()})
-
 
 EntrySource = Union[TangentConePoint, Mapping[Tuple[int, int], object]]
 

@@ -161,10 +161,6 @@ class SurfaceGraphModel:
                 raise StructureError(f"edge data stored under {(i, j)} claims edge {data.edge}")
             data.validate_against(self.shapes[i - 1], self.shapes[j - 1])
 
-    @property
-    def total_genus(self) -> int:
-        return sum(s.h for s in self.shapes)
-
     def row_offset(self, vertex: int) -> int:
         return sum(s.rows for s in self.shapes[: vertex - 1])
 

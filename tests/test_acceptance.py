@@ -1,62 +1,30 @@
 """Acceptance criteria, one test per criterion.
 
-Every check is exact (Gaussian-rational arithmetic) unless stated
-otherwise; each test prints a single PASS/FAIL line and enforces its
-runtime budget.
+Criteria 1-8 run the checks of ``plumbline.checks`` -- the same functions
+``plumbline selftest`` runs -- at the acceptance sizes and seeds below,
+and pin the counts each check reports, so a check that checked less
+cannot pass.  Criterion 1 adds an independent networkx oracle.  Every
+check is exact (Gaussian-rational arithmetic); each test prints a single
+PASS/FAIL line and enforces its runtime budget.
 """
 
 import json
 import time
-from fractions import Fraction
 
 import networkx as nx
 
-from plumbline import (
-    Alkane,
-    EdgeData,
-    GaussianRational,
-    JetRing,
-    Mark,
-    MarkedEllipticCurve,
-    PairPlumbing,
-    SurfaceGraphModel,
-    TauPoint,
-    TwoTorsionLabel,
-    all_octic_indices,
-    banded_locus_dimension,
-    build_Pi,
-    canonical_code,
-    count_alkanes,
-    derivative_rank_one_check,
-    dim_K,
-    dim_V_Gamma,
-    dim_W,
-    dim_period_domain,
-    enumerate_alkanes,
-    is_banded,
-    is_chain,
-    octic_eval,
-    offdiag_support,
-    pair_period_first_order,
-    plucker_to_cone,
-    span_dimension_E_Gamma,
-    star_period_leading,
-    skew_block_rank_one_vanishing,
-    tree_period_first_order,
-    valency_profile,
-    verify_asymptotic_vanishing,
+from plumbline.checks import (
+    check_alkane_counts,
+    check_branch_patterns,
+    check_cone_vanishing,
+    check_egamma_span,
+    check_jet_vanishing,
+    check_rank_one,
+    check_skew_block,
+    check_star_on_cone,
+    check_surface_dims,
 )
-from plumbline.alkanes import brute_force_alkane_count
 from plumbline.cli import main as cli_main
-from plumbline.sampling import (
-    rand_fraction,
-    rand_nonzero_fraction,
-    random_grass_frame_minors,
-    random_star_config,
-    random_surface_model,
-    random_tree_config,
-    substream,
-)
 
 A000602_PREFIX = [1, 1, 1, 2, 3, 5, 9, 18, 35, 75, 159, 355]
 
@@ -83,10 +51,11 @@ class _Budget:
 
 def test_criterion_1_alkane_counts():
     with _Budget("1 alkane counts (oracle + A000602)", 10):
-        counts = [count_alkanes(g) for g in range(1, 13)]
-        assert counts == A000602_PREFIX
+        ok, detail = check_alkane_counts(max_genus=12, oracle_max_genus=7)
+        assert ok, detail
+        assert detail["counts"] == A000602_PREFIX
         # independent oracle A: exhaustive Pruefer brute force where feasible
-        assert [brute_force_alkane_count(g) for g in range(1, 8)] == A000602_PREFIX[:7]
+        assert detail["prufer_oracle"] == A000602_PREFIX[:7]
         # independent oracle B: library free-tree enumerator, degree-filtered
         for g in range(2, 13):
             nx_count = sum(
@@ -94,177 +63,68 @@ def test_criterion_1_alkane_counts():
                 for t in nx.nonisomorphic_trees(g)
                 if max(dict(t.degree()).values()) <= 4
             )
-            assert nx_count == counts[g - 1]
+            assert nx_count == detail["counts"][g - 1]
 
 
 def test_criterion_2_cone_vanishing():
     with _Budget("2 exact cone vanishing (frames + star matrices)", 30):
-        for g in (4, 5, 6):
-            rng = substream(1, f"accept:cone:{g}")
-            octics = all_octic_indices(g)
-            for _ in range(100):
-                cone = plucker_to_cone(random_grass_frame_minors(g, rng))
-                for idx in octics:
-                    assert octic_eval(cone, idx) == 0
-            # star coefficient matrices with random rational t, v, b
-            for trial in range(10):
-                srng = substream(1, f"accept:star:{g}:{trial}")
-                s = random_star_config(g, srng)
-                ring = JetRing(tuple(s.variables), 2)
-                m = star_period_leading(s, ring)
-                t_vals = [GaussianRational(rand_nonzero_fraction(srng)) for _ in range(g)]
-                entries = {}
-                for i in range(1, g + 1):
-                    for j in range(i + 1, g + 1):
-                        exp = [0] * g
-                        exp[i - 1] = 1
-                        exp[j - 1] = 1
-                        entries[(i, j)] = (
-                            m.entry(i, j).coefficient(exp) * t_vals[i - 1] * t_vals[j - 1]
-                        )
-                for idx in octics:
-                    assert octic_eval(entries, idx) == 0
+        # 100 random frames per genus, octics C(g, 4) = 1, 5, 15
+        ok, detail = check_cone_vanishing(1, genera=(4, 5, 6), frames=100)
+        assert ok, detail
+        assert detail["octics_checked"] == 100 * 21
+        # star coefficient matrices with random rational t, v, b
+        ok, detail = check_star_on_cone(1, genera=(4, 5, 6), trials=10)
+        assert ok, detail
+        assert detail["octics_checked"] == 10 * 21
 
 
 def test_criterion_3_mod_t9_jet_vanishing():
     with _Budget("3 mod-T^9 jet vanishing (g=4, order 17, 5 seeds)", 60):
-        for trial in range(5):
-            s = random_star_config(4, substream(2, f"accept:jets:{trial}"))
-            rep = verify_asymptotic_vanishing(
-                s, seed=f"accept:perturb:{trial}", order=17
-            )
-            assert rep.passed, f"octic jet failed to vanish through degree 16 (seed {trial})"
-        s = random_star_config(4, substream(2, "accept:jets:neg"))
-        neg = verify_asymptotic_vanishing(
-            s, seed="accept:neg", order=17, corrupt_entry=(1, 2)
-        )
-        assert not neg.passed
-        assert neg.min_surviving_degree is not None
-        assert neg.min_surviving_degree <= 16
+        ok, detail = check_jet_vanishing(2, trials=5)
+        assert ok, detail
+        assert len(detail["min_surviving_degrees"]) == 5
+        # the corrupted entry survives at degree <= 16
+        assert detail["negative_control_failed"]
 
 
 def test_criterion_4_branch_patterns():
     with _Budget("4 branch patterns (support = edges, tridiagonal chain)", 30):
-        for g in range(1, 9):
-            for a in enumerate_alkanes(g):
-                rng = substream(3, f"accept:branch:{g}:{canonical_code(a)}")
-                tc = random_tree_config(a, rng)
-                ring = JetRing(tuple(d.var for d in tc.edge_data.values()), 1)
-                m = tree_period_first_order(tc, ring)
-                assert offdiag_support(m) == frozenset(a.edges)
-        for g in range(2, 9):
-            chain = Alkane.chain(g)
-            assert is_chain(chain)
-            tc = random_tree_config(chain, substream(3, f"accept:chain:{g}"))
-            ring = JetRing(tuple(d.var for d in tc.edge_data.values()), 1)
-            assert is_banded(offdiag_support(tree_period_first_order(tc, ring)), 2)
-        for g in range(2, 11):
-            assert banded_locus_dimension(g, 2) == 2 * g - 1
-            assert banded_locus_dimension(g, 3) == 3 * g - 3
+        ok, detail = check_branch_patterns(3, genera=range(1, 9))
+        assert ok, detail
+        assert detail["alkanes_tested"] == sum(A000602_PREFIX[:8])
 
 
 def test_criterion_5_rank_one_derivatives():
     with _Budget("5 rank-1 derivatives (pair + tree, g<=6, 20 seeds)", 60):
-        for trial in range(20):
-            rng = substream(4, f"accept:pair:{trial}")
-            ca = MarkedEllipticCurve(
-                TauPoint(GaussianRational(rand_fraction(rng, -2, 2, 3), rand_nonzero_fraction(rng, 1, 3, 2))),
-                (Mark(TwoTorsionLabel.O, GaussianRational(rand_nonzero_fraction(rng))),),
-            )
-            cb = MarkedEllipticCurve(
-                TauPoint(GaussianRational(rand_fraction(rng, -2, 2, 3), rand_nonzero_fraction(rng, 1, 3, 2))),
-                (Mark(TwoTorsionLabel.O, GaussianRational(rand_nonzero_fraction(rng))),),
-            )
-            ring = JetRing(("t",), 1)
-            m = pair_period_first_order(PairPlumbing(ca, cb, "t"), ring)
-            assert derivative_rank_one_check(m, "t")
-        for g in range(2, 7):
-            for a in enumerate_alkanes(g):
-                for trial in range(20):
-                    rng = substream(4, f"accept:tree:{g}:{canonical_code(a)}:{trial}")
-                    tc = random_tree_config(a, rng)
-                    ring = JetRing(tuple(d.var for d in tc.edge_data.values()), 1)
-                    m = tree_period_first_order(tc, ring)
-                    for d in tc.edge_data.values():
-                        assert derivative_rank_one_check(m, d.var)
+        ok, detail = check_rank_one(4, pair_trials=20, genera=range(2, 7), trials=20)
+        assert ok, detail
+        assert detail["pairs_tested"] == 20
+        assert detail["assemblies_tested"] == 20 * sum(A000602_PREFIX[1:6])
 
 
 def test_criterion_6_surface_dimensions():
     with _Budget("6 surface dimension formulas (h<=12)", 30):
-        assert dim_period_domain(1) == 18
-        assert dim_K(4) == 2
-        for h in range(1, 13):
-            assert dim_W([1] * h) == h + 1
-            for a in enumerate_alkanes(h):
-                assert dim_V_Gamma(a) == 9 * h + 9
-                if h >= 2:
-                    p = valency_profile(a)
-                    assert (
-                        sum(n * (18 - 4 * j) for j, n in enumerate(p, start=1)) - (h - 1)
-                        == 9 * h + 9
-                    )
+        ok, detail = check_surface_dims()
+        assert ok, detail
+        assert detail["alkanes_checked"] == sum(A000602_PREFIX)
 
 
 def test_criterion_7_egamma_span():
     with _Budget("7 E_Gamma span (h<=7, 50 seeds each)", 120):
-        for h in range(1, 8):
-            for a in enumerate_alkanes(h):
-                code = canonical_code(a)
-                for trial in range(50):
-                    model = random_surface_model(
-                        a, substream(5, f"accept:span:{h}:{code}:{trial}")
-                    )
-                    assert span_dimension_E_Gamma(model) == h - 1
+        ok, detail = check_egamma_span(5, genera=range(1, 8), trials=50)
+        assert ok, detail
+        assert detail["models"] == 50 * sum(A000602_PREFIX[:7])
         # negative control: both chain edges concentrated on the shared vertex
-        a = Alkane.chain(3)
-        model = random_surface_model(a, substream(5, "accept:span:neg"))
-        w_mid = model.edge_data[(1, 2)].omega[1]
-        i_mid = model.edge_data[(1, 2)].i_vectors[1]
-        zero_w = (Fraction(0),)
-        zero_i = (Fraction(0),) * 15
-        degenerate = SurfaceGraphModel(
-            a,
-            model.shapes,
-            model.blocks,
-            {
-                (1, 2): EdgeData((1, 2), (zero_w, w_mid), (zero_i, i_mid)),
-                (2, 3): EdgeData((2, 3), (w_mid, zero_w), (i_mid, zero_i)),
-            },
-        )
-        assert span_dimension_E_Gamma(degenerate) < 2
+        assert detail["degenerate_span"] < 2
 
 
 def test_criterion_8_skew_block_property():
     with _Budget("8 skew-block property (1000 rank-1 trials)", 60):
-        rng = substream(6, "accept:skew")
-        for trial in range(1000):
-            rows, cols, size = 4, 9, 3
-            u = [rand_fraction(rng, -5, 5, 3) for _ in range(rows)]
-            w = [rand_fraction(rng, -5, 5, 3) for _ in range(cols)]
-            if trial % 3 == 0:
-                for c in range(cols - size, cols):
-                    w[c] = Fraction(0)
-            elif trial % 3 == 1:
-                for r in range(rows - size, rows):
-                    u[r] = Fraction(0)
-            m = [[u[r] * w[c] for c in range(cols)] for r in range(rows)]
-            assert skew_block_rank_one_vanishing(
-                m, list(range(rows - size, rows)), list(range(cols - size, cols))
-            ), "counterexample to skew-symmetric rank-1 vanishing"
-        # constructed edge matrices always have zero trailing blocks
-        for h in range(2, 6):
-            for a in enumerate_alkanes(h):
-                model = random_surface_model(
-                    a, substream(6, f"accept:skew:pi:{h}:{canonical_code(a)}")
-                )
-                for edge in a.edges:
-                    pi = build_Pi(model, edge)
-                    for v in range(1, h + 1):
-                        shape = model.shapes[v - 1]
-                        c0 = model.col_offset(v) + shape.cols - shape.h
-                        for r in range(len(pi)):
-                            for c in range(c0, c0 + shape.h):
-                                assert not pi[r][c]
+        # constructed edge matrices always have zero trailing blocks, h = 2..5
+        ok, detail = check_skew_block(6, trials=1000, pi_genera=range(2, 6))
+        assert ok, detail
+        assert detail["trials"] == 1000
+        assert detail["counterexamples"] == 0
 
 
 def test_criterion_9_determinism_and_exit_codes(tmp_path):

@@ -18,14 +18,24 @@ from plumbline import (
     valency_profile,
 )
 from plumbline.alkanes import (
+    MAX_CARBON_DEGREE,
     alkane_from_code,
     brute_force_alkane_count,
     prufer_decode,
-    random_degree_bounded_tree,
 )
 
 # A000602 (quartic free trees), frozen for genus 1..12
 EXPECTED = [1, 1, 1, 2, 3, 5, 9, 18, 35, 75, 159, 355]
+
+
+def random_degree_bounded_tree(g, rng):
+    """Rejection-sample a labeled degree-<=4 tree via random Pruefer sequences."""
+    if g <= 2:
+        return Alkane(g, [] if g == 1 else [(1, 2)])
+    while True:
+        seq = [rng.randint(1, g) for _ in range(g - 2)]
+        if max(seq.count(v) for v in set(seq)) <= MAX_CARBON_DEGREE - 1:
+            return Alkane(g, prufer_decode(seq, g))
 
 
 def test_counts_match_frozen_sequence():

@@ -1,9 +1,11 @@
 """CLI wiring: exit codes, JSON shapes, determinism."""
 
+import copy
 import json
 
 import pytest
 
+from plumbline import FormulaViolationError
 from plumbline.cli import main
 
 PAIR_CONFIG = {
@@ -40,6 +42,24 @@ TREE_CONFIG = {
         },
     ],
 }
+
+
+def _tree_with_label(label):
+    cfg = copy.deepcopy(TREE_CONFIG)
+    cfg["edge_data"][0]["low"]["label"] = label
+    return cfg
+
+
+# (periods subcommand, config file text); each must exit 2 with a config error
+MALFORMED_CONFIGS = [
+    ("pair", "{not json"),
+    ("pair", json.dumps({"curve_a": PAIR_CONFIG["curve_a"]})),
+    ("tree", json.dumps({**TREE_CONFIG, "edges": [[1, 2, 3], [2, 3]]})),
+    ("tree", json.dumps(_tree_with_label("Bogus"))),
+    ("pair", json.dumps([PAIR_CONFIG])),
+    ("pair", json.dumps({**PAIR_CONFIG, "curve_b": {"tau": ["0", "2"]}})),
+    ("pair", json.dumps({**PAIR_CONFIG, "mark_a": 0.5})),
+]
 
 
 def _run(capsys, argv):
@@ -108,20 +128,55 @@ def test_periods_tree_numeric(tmp_path, capsys):
     assert abs(term["im"] + 1.5707963267948966) < 1e-12  # -2*pi/4
 
 
-def test_missing_config_is_usage_error(capsys):
+def test_missing_config_is_usage_error(tmp_path, capsys):
     code, _ = _run(capsys, ["periods", "tree", "--config", "missing.json"])
     assert code == 2
+    out = tmp_path / "no_such_dir" / "report.json"
+    code = main(["alkanes", "count", "--max", "3", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "config error:" in captured.err
 
 
 def test_malformed_config_is_usage_error(tmp_path, capsys):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text("{not json")
-    code, _ = _run(capsys, ["periods", "pair", "--config", str(cfg)])
-    assert code == 2
-    cfg2 = tmp_path / "incomplete.json"
-    cfg2.write_text(json.dumps({"curve_a": PAIR_CONFIG["curve_a"]}))
-    code2, _ = _run(capsys, ["periods", "pair", "--config", str(cfg2)])
-    assert code2 == 2
+    for n, (command, text) in enumerate(MALFORMED_CONFIGS):
+        cfg = tmp_path / f"bad{n}.json"
+        cfg.write_text(text)
+        code = main(["periods", command, "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), text
+        assert "config error:" in captured.err, text
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["relations", "verify", "--genus", "4", "--trials", "0"],
+        ["relations", "verify", "--genus", "4", "--trials", "-3"],
+        ["surfaces", "egamma", "--genus", "4", "--trials", "0"],
+        ["alkanes", "count", "--max", "0"],
+    ],
+)
+def test_nonpositive_count_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert "positive integer" in captured.err
+
+
+@pytest.mark.parametrize(
+    "error", [FormulaViolationError("closed forms disagree"), KeyError("edge"), ZeroDivisionError()]
+)
+def test_internal_error_exits_3(error, monkeypatch, capsys):
+    def broken(alkane):
+        raise error
+
+    monkeypatch.setattr("plumbline.cli.dim_V_Gamma", broken)
+    code = main(["surfaces", "dims", "--genus", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert "internal error" in captured.err and "Traceback" in captured.err
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -175,10 +230,18 @@ def test_selftest_corrupted_octic_fails(tmp_path):
     assert "cone_vanishing" in failing and "star_on_cone" in failing
 
 
-def test_tolerance_env_override(monkeypatch):
+def test_tolerance_env_override(monkeypatch, capsys):
     from plumbline.cli import _float_field
 
     monkeypatch.setenv("PLUMBLINE_TOL", "1e-6")
     assert _float_field().tolerance == 1e-6
     monkeypatch.delenv("PLUMBLINE_TOL")
     assert _float_field().tolerance == 1e-10
+    # a tolerance that is not a finite number > 0 is a config error
+    argv = ["relations", "verify", "--genus", "4", "--trials", "1", "--numeric"]
+    for bad in ("abc", "nan", "-1", "0", "inf"):
+        monkeypatch.setenv("PLUMBLINE_TOL", bad)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), bad
+        assert "config error: PLUMBLINE_TOL" in captured.err, bad

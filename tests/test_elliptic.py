@@ -1,4 +1,4 @@
-"""Fundamental-domain reduction, marks and 2-torsion."""
+"""Marks, 2-torsion representatives and normalized form values."""
 
 import random
 from fractions import Fraction
@@ -13,114 +13,11 @@ from plumbline import (
     RangeError,
     TauPoint,
     TwoTorsionLabel,
-    are_isomorphic,
     normalized_form_value,
-    reduce_to_fundamental_domain,
     two_torsion_representatives,
 )
-from plumbline.elliptic import apply_moebius
 
 I = GaussianRational(0, 1)
-
-
-def _in_domain_exact(z):
-    re, a2 = z.re, z.abs2()
-    if not (Fraction(-1, 2) <= re < Fraction(1, 2)):
-        return False
-    if a2 < 1:
-        return False
-    if a2 == 1 and re > 0:
-        return False
-    return True
-
-
-def test_translation_example():
-    tau = TauPoint(GaussianRational(5, 1))
-    reduced, m = reduce_to_fundamental_domain(tau)
-    assert reduced.value == I
-    assert m == ((1, -5), (0, 1))
-
-
-def test_inversion_example():
-    tau = TauPoint(GaussianRational(0, Fraction(1, 2)))
-    reduced, m = reduce_to_fundamental_domain(tau)
-    assert reduced.value == GaussianRational(0, 2)
-    assert m == ((0, -1), (1, 0))
-
-
-def test_float_point_lands_in_domain():
-    tau = TauPoint(0.3 + 0.01j)
-    reduced, m = reduce_to_fundamental_domain(tau)
-    z = reduced.value
-    assert -0.5 - 1e-12 <= z.real < 0.5 + 1e-12
-    assert abs(z) >= 1 - 1e-9
-    assert abs(apply_moebius(m, tau.value) - z) < 1e-9
-    (a, b), (c, d) = m
-    assert a * d - b * c == 1
-
-
-def test_reduction_idempotent_and_unimodular():
-    rng = random.Random(12)
-    for _ in range(200):
-        tau = TauPoint(
-            GaussianRational(
-                Fraction(rng.randint(-40, 40), rng.randint(1, 9)),
-                Fraction(rng.randint(1, 30), rng.randint(1, 9)),
-            )
-        )
-        reduced, m = reduce_to_fundamental_domain(tau)
-        (a, b), (c, d) = m
-        assert a * d - b * c == 1
-        assert apply_moebius(m, tau.value) == reduced.value
-        assert _in_domain_exact(reduced.value)
-        again, m2 = reduce_to_fundamental_domain(reduced)
-        assert again.value == reduced.value
-        assert m2 == ((1, 0), (0, 1))
-
-
-def test_boundary_conventions():
-    # Re = 1/2 is folded to -1/2
-    tau = TauPoint(GaussianRational(Fraction(1, 2), 2))
-    reduced, _ = reduce_to_fundamental_domain(tau)
-    assert reduced.value == GaussianRational(Fraction(-1, 2), 2)
-    # unit circle with positive real part flips to the negative side
-    tau2 = TauPoint(GaussianRational(Fraction(3, 5), Fraction(4, 5)))
-    reduced2, m2 = reduce_to_fundamental_domain(tau2)
-    assert _in_domain_exact(reduced2.value)
-    assert apply_moebius(m2, tau2.value) == reduced2.value
-
-
-def test_are_isomorphic_basic():
-    t = TauPoint(I)
-    assert are_isomorphic(t, TauPoint(GaussianRational(1, 1)))  # tau + 1
-    assert are_isomorphic(t, TauPoint(I))  # -1/i = i
-    assert not are_isomorphic(t, TauPoint(GaussianRational(0, 2)))
-
-
-def test_are_isomorphic_equivalence_relation():
-    rng = random.Random(5)
-    points = []
-    for _ in range(8):
-        points.append(
-            TauPoint(
-                GaussianRational(
-                    Fraction(rng.randint(-10, 10), rng.randint(1, 6)),
-                    Fraction(rng.randint(1, 12), rng.randint(1, 6)),
-                )
-            )
-        )
-    for p in points:
-        assert are_isomorphic(p, p)
-    for p in points:
-        for q in points:
-            assert are_isomorphic(p, q) == are_isomorphic(q, p)
-            for r in points:
-                if are_isomorphic(p, q) and are_isomorphic(q, r):
-                    assert are_isomorphic(p, r)
-    # translates are isomorphic
-    for p in points:
-        shifted = TauPoint(p.value + 7)
-        assert are_isomorphic(p, shifted)
 
 
 def test_two_torsion_representatives():
