@@ -16,7 +16,6 @@ from .curve_periods import (
     CurveBlock,
     PairPlumbing,
     PeriodMatrixJet,
-    ScaleMode,
     StarConfig,
     TreeConfig,
     TreeEdgeData,
@@ -55,9 +54,7 @@ from .jets import (
 )
 from .relations import (
     AsymptoticReport,
-    GrassFrame,
     OcticIndex,
-    TangentConePoint,
     all_octic_indices,
     octic_eval,
     plucker_coordinates,

@@ -214,25 +214,25 @@ def _partitions(total: int, max_parts: int, max_part: int) -> Iterator[Tuple[int
             yield (first,) + rest
 
 
+def _forest_codes(total: int, max_children: int, max_size: int) -> Iterator[str]:
+    """Codes of a root joined to a forest of ``total`` vertices: at most
+    max_children rooted subtrees of at most max_size vertices each, whose
+    vertices have <= 3 children.  ``total`` 0 gives the lone root "()"."""
+    for part in _partitions(total, max_children, max_size):
+        pools = [
+            itertools.combinations_with_replacement(_rooted_codes(s, 3), part.count(s))
+            for s in sorted(set(part), reverse=True)
+        ]
+        for combo in itertools.product(*pools):
+            kids = [c for group in combo for c in group]
+            yield "(" + "".join(sorted(kids)) + ")"
+
+
 @functools.lru_cache(maxsize=None)
 def _rooted_codes(n: int, max_children: int) -> Tuple[str, ...]:
     """Canonical codes of rooted trees on n vertices; non-root vertices have
     <= 3 children (degree <= 4 once the parent edge is counted)."""
-    if n == 1:
-        return ("()",)
-    out = []
-    for part in _partitions(n - 1, max_children, n - 1):
-        sizes = sorted(set(part), reverse=True)
-        pools = []
-        for s in sizes:
-            mult = part.count(s)
-            pools.append(
-                list(itertools.combinations_with_replacement(_rooted_codes(s, 3), mult))
-            )
-        for combo in itertools.product(*pools):
-            kids = [c for group in combo for c in group]
-            out.append("(" + "".join(sorted(kids)) + ")")
-    return tuple(out)
+    return tuple(_forest_codes(n - 1, max_children, n - 1))
 
 
 def _root_children(code: str) -> List[str]:
@@ -257,21 +257,8 @@ def _attach(host: str, extra: str) -> str:
 
 @functools.lru_cache(maxsize=None)
 def _free_codes(g: int) -> Tuple[str, ...]:
-    if g == 1:
-        return ("()",)
-    out = []
-    half = (g - 1) // 2
-    for part in _partitions(g - 1, MAX_CARBON_DEGREE, half):
-        sizes = sorted(set(part), reverse=True)
-        pools = []
-        for s in sizes:
-            mult = part.count(s)
-            pools.append(
-                list(itertools.combinations_with_replacement(_rooted_codes(s, 3), mult))
-            )
-        for combo in itertools.product(*pools):
-            kids = [c for group in combo for c in group]
-            out.append("(" + "".join(sorted(kids)) + ")")
+    # unicentroidal: every root subtree holds at most (g-1)//2 vertices
+    out = list(_forest_codes(g - 1, MAX_CARBON_DEGREE, (g - 1) // 2))
     if g % 2 == 0:
         halves = sorted(_rooted_codes(g // 2, 3))
         for c1, c2 in itertools.combinations_with_replacement(halves, 2):

@@ -3,13 +3,16 @@
 Three assemblies are provided:
 
 * pairwise: diag blocks + lambda * t * (u tensor u) with
-  u = [omega_a(a), -omega_b(b)] and lambda = 1/4 in exact units
-  (the transcendental factor 2*pi*i divided out) or 2*pi*i/4 numerically;
+  u = [omega_a(a), -omega_b(b)] and lambda = 2*pi*i/4;
 * star over P^1: off-diagonal (i,j) entry kappa * t_i t_j v_i v_j/(b_i-b_j)^2
-  with kappa = 1/16 or 2*pi*i/16, diagonal first-order corrections dropped
+  with kappa = 2*pi*i/16, diagonal first-order corrections dropped
   (this models only the leading off-diagonal products);
 * tree of elliptic curves along an alkane: one rank-1 pairwise contribution
   per edge, diagonal corrections kept.
+
+The ring's coefficient field alone picks the units: over the exact field
+the transcendental factor 2*pi*i is divided out (lambda = 1/4, kappa =
+1/16), over the float field it is kept.
 
 Everything is modulo the square of the parameter ideal unless a higher
 truncation order is requested for downstream jet work.
@@ -17,43 +20,19 @@ truncation order is requested for downstream jet work.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .alkanes import Alkane, canonical_code
 from .elliptic import MarkedEllipticCurve, TauPoint, TwoTorsionLabel
 from .errors import DegenerateDataError, RangeError, StructureError
-from .gaussian import GaussianRational
-from .jets import Jet, JetRing
+from .jets import CoefficientField, Jet, JetRing
 
 
-class ScaleMode(enum.Enum):
-    EXACT_UNITS = "exact"
-    NUMERIC = "numeric"
-
-
-def _mode_for(ring: JetRing, mode: Optional[ScaleMode]) -> ScaleMode:
-    if mode is None:
-        return ScaleMode.EXACT_UNITS if ring.field.is_exact else ScaleMode.NUMERIC
-    if mode is ScaleMode.NUMERIC and ring.field.is_exact:
-        raise StructureError("numeric scale mode needs the float coefficient field")
-    return mode
-
-
-def _pair_lambda(mode: ScaleMode):
-    """Coefficient of t * (u tensor u); 2*pi*i/4 with the factor optionally removed."""
-    if mode is ScaleMode.EXACT_UNITS:
-        return GaussianRational(Fraction(1, 4))
-    return complex(0.0, math.pi / 2.0)
-
-
-def _star_kappa(mode: ScaleMode):
-    if mode is ScaleMode.EXACT_UNITS:
-        return GaussianRational(Fraction(1, 16))
-    return complex(0.0, math.pi / 8.0)
+def _two_pi_i(field: CoefficientField):
+    """The transcendental factor 2*pi*i, or 1 in exact units, which divide it out."""
+    return field.one() if field.is_exact else complex(0.0, 2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +160,9 @@ class TreeConfig:
 class PeriodMatrixJet:
     """Symmetric matrix of jets; indices are 1-based as in the formulas."""
 
-    __slots__ = ("entries", "scale_mode", "meta")
+    __slots__ = ("entries", "meta")
 
-    def __init__(
-        self,
-        entries: Sequence[Sequence[Jet]],
-        scale_mode: ScaleMode,
-        meta: Optional[dict] = None,
-    ):
+    def __init__(self, entries: Sequence[Sequence[Jet]], meta: Optional[dict] = None):
         rows = [tuple(row) for row in entries]
         g = len(rows)
         if any(len(row) != g for row in rows):
@@ -198,7 +172,6 @@ class PeriodMatrixJet:
                 if rows[i][j] != rows[j][i]:
                     raise StructureError(f"period matrix not symmetric at ({i + 1},{j + 1})")
         object.__setattr__(self, "entries", tuple(rows))
-        object.__setattr__(self, "scale_mode", scale_mode)
         object.__setattr__(self, "meta", dict(meta or {}))
 
     def __setattr__(self, name, value):
@@ -218,7 +191,7 @@ class PeriodMatrixJet:
     def __eq__(self, other):
         if not isinstance(other, PeriodMatrixJet):
             return NotImplemented
-        return self.scale_mode is other.scale_mode and self.entries == other.entries
+        return self.entries == other.entries
 
     def var_coefficient_matrix(self, var: str) -> List[List[object]]:
         """Matrix of coefficients of the degree-1 monomial of ``var``."""
@@ -229,7 +202,7 @@ class PeriodMatrixJet:
         # modulo (t)^2, its off-diagonals being bidegree (1,1))
         d = {
             "genus": self.genus,
-            "mode": self.scale_mode.value,
+            "mode": self.ring.field.mode,
             "entries": [[e.to_json_dict() for e in row] for row in self.entries],
             "support": [
                 list(p) for p in sorted(offdiag_support(self, self.ring.order))
@@ -250,11 +223,8 @@ def _outer_contribution(entries, lam, t_jet: Jet, slots: Sequence[int], values: 
             entries[a][b] = entries[a][b] + t_jet * (lam * va * vb)
 
 
-def pair_period_first_order(
-    p: PairPlumbing, ring: JetRing, mode: Optional[ScaleMode] = None
-) -> PeriodMatrixJet:
+def pair_period_first_order(p: PairPlumbing, ring: JetRing) -> PeriodMatrixJet:
     """diag(tau_a, tau_b) + lambda * t * u tensor u, u = [omega_a(a), -omega_b(b)]."""
-    mode = _mode_for(ring, mode)
     if ring.order < 1:
         raise RangeError("pair plumbing needs truncation order >= 1")
     block_a = _as_block(p.curve_a, p.mark_a)
@@ -272,21 +242,18 @@ def pair_period_first_order(
     u = [coerce(v) for v in block_a.omega_at_point] + [
         -coerce(v) for v in block_b.omega_at_point
     ]
-    lam = coerce(_pair_lambda(mode)) if mode is ScaleMode.EXACT_UNITS else _pair_lambda(mode)
+    lam = _two_pi_i(ring.field) / 4
     _outer_contribution(entries, lam, ring.variable(p.t), range(g), u)
-    return PeriodMatrixJet(entries, mode, {"assembly": "pair"})
+    return PeriodMatrixJet(entries, {"assembly": "pair"})
 
 
-def star_period_leading(
-    s: StarConfig, ring: JetRing, mode: Optional[ScaleMode] = None
-) -> PeriodMatrixJet:
+def star_period_leading(s: StarConfig, ring: JetRing) -> PeriodMatrixJet:
     """Leading off-diagonal products only; diagonal first-order terms are zero."""
-    mode = _mode_for(ring, mode)
     if ring.order < 2:
         raise RangeError("star off-diagonals are bidegree (1,1); need order >= 2")
     g = s.genus
     coerce = ring.field.coerce
-    kappa = coerce(_star_kappa(mode)) if mode is ScaleMode.EXACT_UNITS else _star_kappa(mode)
+    kappa = _two_pi_i(ring.field) / 16
     v = [coerce(c.mark_value(0)) for c in s.curves]
     b = [coerce(x) for x in s.attach_points]
     t = [ring.variable(name) for name in s.variables]
@@ -299,19 +266,16 @@ def star_period_leading(
             off = t[i] * t[j] * (kappa * v[i] * v[j] / (d * d))
             entries[i][j] = off
             entries[j][i] = off
-    return PeriodMatrixJet(entries, mode, {"assembly": "star"})
+    return PeriodMatrixJet(entries, {"assembly": "star"})
 
 
-def tree_period_first_order(
-    c: TreeConfig, ring: JetRing, mode: Optional[ScaleMode] = None
-) -> PeriodMatrixJet:
+def tree_period_first_order(c: TreeConfig, ring: JetRing) -> PeriodMatrixJet:
     """One pairwise rank-1 contribution per alkane edge, diagonal terms kept."""
-    mode = _mode_for(ring, mode)
     if ring.order < 1:
         raise RangeError("tree plumbing needs truncation order >= 1")
     g = c.alkane.genus
     coerce = ring.field.coerce
-    lam = coerce(_pair_lambda(mode)) if mode is ScaleMode.EXACT_UNITS else _pair_lambda(mode)
+    lam = _two_pi_i(ring.field) / 4
     entries = [[ring.zero() for _ in range(g)] for _ in range(g)]
     for i in range(g):
         entries[i][i] = ring.constant(coerce(c.taus[i].value))
@@ -322,16 +286,14 @@ def tree_period_first_order(
         v_j = 1 / coerce(data.coeff_high)
         _outer_contribution(entries, lam, ring.variable(data.var), (i - 1, j - 1), (v_i, -v_j))
     meta = {"assembly": "tree", "alkane_code": canonical_code(c.alkane)}
-    return PeriodMatrixJet(entries, mode, meta)
+    return PeriodMatrixJet(entries, meta)
 
 
 # ---------------------------------------------------------------------------
 # pattern inspection
 
 
-def offdiag_support(
-    m: PeriodMatrixJet, through_degree: int = 1, tolerance: float | None = None
-) -> FrozenSet[Tuple[int, int]]:
+def offdiag_support(m: PeriodMatrixJet, through_degree: int = 1) -> FrozenSet[Tuple[int, int]]:
     """Unordered pairs (i,j), i<j, whose entry has a nonzero coefficient in
     total degree <= through_degree (i.e. is nonzero modulo the next power
     of the parameter ideal)."""
@@ -340,7 +302,7 @@ def offdiag_support(
     g = m.genus
     for i in range(1, g + 1):
         for j in range(i + 1, g + 1):
-            if not m.entry(i, j).vanishes_through_degree(d, tolerance):
+            if not m.entry(i, j).vanishes_through_degree(d):
                 out.add((i, j))
     return frozenset(out)
 
@@ -360,28 +322,20 @@ def banded_locus_dimension(g: int, band: int) -> int:
     return g + sum(max(g - d, 0) for d in range(1, band))
 
 
-def derivative_rank_one_check(
-    m: PeriodMatrixJet, var: str, tolerance: float | None = None
-) -> bool:
-    """All 2x2 minors of the coefficient matrix of ``var`` vanish."""
+def derivative_rank_one_check(m: PeriodMatrixJet, var: str) -> bool:
+    """All 2x2 minors of the coefficient matrix of ``var`` vanish.
+
+    Float field: relative to the square of the matrix's largest modulus.
+    """
     c = m.var_coefficient_matrix(var)
     g = m.genus
     field = m.ring.field
-    if field.is_exact:
-        def minor_is_zero(x):
-            return not x
-    else:
-        scale = max((abs(v) for row in c for v in row), default=0.0)
-        tol = field.tolerance if tolerance is None else tolerance
-        bound = tol * max(scale * scale, 1e-300)
-
-        def minor_is_zero(x):
-            return abs(x) <= bound
-
+    magnitude = field.magnitude(v for row in c for v in row)
+    scale = max(magnitude * magnitude, 1e-300)
     for i in range(g):
         for k in range(i + 1, g):
             for j in range(g):
                 for l in range(j + 1, g):
-                    if not minor_is_zero(c[i][j] * c[k][l] - c[i][l] * c[k][j]):
+                    if not field.negligible(c[i][j] * c[k][l] - c[i][l] * c[k][j], scale):
                         return False
     return True

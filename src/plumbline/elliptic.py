@@ -25,12 +25,6 @@ def _im(z: ComplexValue):
     return z.im if isinstance(z, GaussianRational) else z.imag
 
 
-def _half(z: ComplexValue) -> ComplexValue:
-    if isinstance(z, GaussianRational):
-        return z / 2
-    return z / 2.0
-
-
 def _one_half(exact: bool) -> ComplexValue:
     return GaussianRational(Fraction(1, 2)) if exact else complex(0.5)
 
@@ -58,8 +52,8 @@ class TwoTorsionLabel(enum.Enum):
         if self is TwoTorsionLabel.HALF:
             return half
         if self is TwoTorsionLabel.TAU_HALF:
-            return _half(tau)
-        return half + _half(tau)
+            return tau / 2
+        return half + tau / 2
 
 
 MarkPoint = Union[TwoTorsionLabel, GaussianRational, complex]

@@ -7,8 +7,11 @@ degree exceeds the order.  Two coefficient fields are supported:
 * exact: Gaussian rationals (pairs of big Fractions), arithmetic is exact
   and zero-tests are literal;
 * float: ordinary Python complex, zero-tests are relative to the largest
-  coefficient modulus of the jet being tested (default tolerance 1e-10,
-  overridable per call or via the field).
+  coefficient modulus of the jet being tested (the field's tolerance,
+  default 1e-10).
+
+``CoefficientField.negligible`` is the one zero test; every exact/numeric
+decision downstream reads the ring's field.
 
 Jets are immutable values; all operations return fresh jets, so instances
 can be shared freely across threads.
@@ -42,6 +45,25 @@ class CoefficientField:
     @property
     def is_exact(self) -> bool:
         return self.kind is FieldKind.EXACT_GAUSSIAN_RATIONAL
+
+    @property
+    def mode(self) -> str:
+        """Report label: "exact" (2*pi*i divided out) or "numeric"."""
+        return "exact" if self.is_exact else "numeric"
+
+    def magnitude(self, values: Iterable) -> float:
+        """Largest modulus among ``values``: the scale of a float zero test.
+        0 in the exact field, whose zero test needs no scale."""
+        if self.is_exact:
+            return 0.0
+        return max((abs(x) for x in values), default=0.0)
+
+    def negligible(self, x, scale: float) -> bool:
+        """The zero test: literal in the exact field; in the float field,
+        |x| at most the tolerance times ``scale``."""
+        if self.is_exact:
+            return not x
+        return abs(x) <= self.tolerance * scale
 
     def coerce(self, x):
         """Force ``x`` into the field, refusing lossy conversions."""
@@ -167,42 +189,25 @@ class Jet:
     def constant_term(self):
         return self.coefficient((0,) * len(self.ring.variables))
 
-    def is_zero(self, tolerance: float | None = None) -> bool:
-        if not self._terms:
-            return True
-        if self.ring.field.is_exact:
-            return False
-        return self.vanishes_through_degree(self.ring.order, tolerance)
-
-    def vanishes_through_degree(self, d: int, tolerance: float | None = None) -> bool:
-        """True iff every monomial of total degree <= d has zero coefficient.
-
-        Exact field: literal.  Float field: small relative to the largest
-        coefficient modulus anywhere in the jet.
-        """
+    def vanishes_through_degree(self, d: int) -> bool:
+        """True iff every monomial of total degree <= d has a zero coefficient."""
         if d > self.ring.order:
             raise RangeError(f"degree {d} exceeds truncation order {self.ring.order}")
-        field = self.ring.field
-        if field.is_exact:
-            return all(sum(exp) > d for exp in self._terms)
-        scale = max((abs(c) for c in self._terms.values()), default=0.0)
-        if scale == 0.0:
-            return True
-        tol = field.tolerance if tolerance is None else tolerance
-        return all(sum(exp) > d or abs(c) <= tol * scale for exp, c in self._terms.items())
+        low = self.min_nonzero_degree()
+        return low is None or low > d
 
-    def min_nonzero_degree(self, tolerance: float | None = None) -> int | None:
-        """Smallest total degree carrying a (tolerance-aware) nonzero coefficient."""
+    def min_nonzero_degree(self) -> int | None:
+        """Smallest total degree carrying a nonzero coefficient.
+
+        Float field: nonzero relative to the largest coefficient modulus
+        anywhere in the jet.
+        """
         field = self.ring.field
-        if field.is_exact:
-            degs = [sum(exp) for exp in self._terms]
-        else:
-            scale = max((abs(c) for c in self._terms.values()), default=0.0)
-            if scale == 0.0:
-                return None
-            tol = field.tolerance if tolerance is None else tolerance
-            degs = [sum(exp) for exp, c in self._terms.items() if abs(c) > tol * scale]
-        return min(degs) if degs else None
+        scale = field.magnitude(self._terms.values())
+        return min(
+            (sum(exp) for exp, c in self._terms.items() if not field.negligible(c, scale)),
+            default=None,
+        )
 
     # -- arithmetic ---------------------------------------------------
 

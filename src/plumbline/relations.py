@@ -13,8 +13,9 @@ whose negative part runs over the three splittings of {i,j,k,l} into
 complementary pairs.  This "corrected" form vanishes identically on points
 t_ab = y_ab^-2; a variant whose first negative monomial drops the pair
 {ij,kl} instead ("printed") does not, and is kept purely as a corruption
-control.  Entries may be numbers or jets: with jet entries the vanishing
-can be checked coefficient-by-coefficient through a given total degree.
+control.  Entries are mappings keyed by 1-based pairs (a, b) with a < b,
+whose values may be numbers or jets: with jet entries the vanishing can be
+checked coefficient-by-coefficient through a given total degree.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .curve_periods import ScaleMode, StarConfig, star_period_leading
+from .curve_periods import StarConfig, star_period_leading
 from .errors import DegenerateDataError, RangeError, StructureError
 from .jets import EXACT_FIELD, Jet, JetRing
 
@@ -53,75 +54,10 @@ def all_octic_indices(g: int) -> List[OcticIndex]:
     return [OcticIndex(*q) for q in combinations(range(1, g + 1), 4)]
 
 
-@dataclass(frozen=True)
-class GrassFrame:
-    """2 x g matrix of full rank 2."""
-
-    rows: Tuple[Tuple[object, ...], Tuple[object, ...]]
-
-    def __post_init__(self):
-        r0, r1 = self.rows
-        if len(r0) != len(r1) or len(r0) < 2:
-            raise StructureError("frame needs two rows of equal length >= 2")
-        object.__setattr__(self, "rows", (tuple(r0), tuple(r1)))
-        if all(
-            not (r0[i] * r1[j] - r0[j] * r1[i])
-            for i in range(len(r0))
-            for j in range(i + 1, len(r0))
-        ):
-            raise DegenerateDataError("frame has rank < 2")
-
-    @property
-    def width(self) -> int:
-        return len(self.rows[0])
+Entries = Mapping[Tuple[int, int], object]
 
 
-class TangentConePoint:
-    """Symmetric matrix of off-diagonal values with zero diagonal, keyed by
-    1-based unordered index pairs."""
-
-    __slots__ = ("genus", "_values")
-
-    def __init__(self, genus: int, values: Mapping[Tuple[int, int], object]):
-        object.__setattr__(self, "genus", genus)
-        clean: Dict[Tuple[int, int], object] = {}
-        for (i, j), v in values.items():
-            if i == j:
-                raise StructureError("diagonal entries are identically zero; do not set them")
-            if not (1 <= i <= genus and 1 <= j <= genus):
-                raise RangeError(f"index pair ({i},{j}) outside 1..{genus}")
-            clean[(min(i, j), max(i, j))] = v
-        object.__setattr__(self, "_values", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TangentConePoint is immutable")
-
-    def entry(self, i: int, j: int):
-        if i == j:
-            raise StructureError("diagonal entries of a cone point are zero by convention")
-        return self._values[(min(i, j), max(i, j))]
-
-
-EntrySource = Union[TangentConePoint, Mapping[Tuple[int, int], object]]
-
-
-def _entry_getter(entries: EntrySource) -> Callable[[int, int], object]:
-    if isinstance(entries, TangentConePoint):
-        return entries.entry
-    if hasattr(entries, "entry"):
-        return entries.entry  # PeriodMatrixJet and friends
-    if isinstance(entries, Mapping):
-        def get(i: int, j: int):
-            pair = (min(i, j), max(i, j))
-            if pair in entries:
-                return entries[pair]
-            return entries[(pair[1], pair[0])]
-
-        return get
-    raise StructureError(f"cannot read off-diagonal entries from {type(entries).__name__}")
-
-
-def octic_eval(entries: EntrySource, idx: OcticIndex, variant: str = "corrected"):
+def octic_eval(entries: Entries, idx: OcticIndex, variant: str = "corrected"):
     """Evaluate the degree-8 relation on the six off-diagonal entries of idx.
 
     variant "corrected" is the form that vanishes on the cone; "printed"
@@ -130,10 +66,9 @@ def octic_eval(entries: EntrySource, idx: OcticIndex, variant: str = "corrected"
     """
     if variant not in OCTIC_VARIANTS:
         raise StructureError(f"unknown octic variant {variant!r}")
-    get = _entry_getter(entries)
     i, j, k, l = idx
-    tij, tik, til = get(i, j), get(i, k), get(i, l)
-    tjk, tjl, tkl = get(j, k), get(j, l), get(k, l)
+    tij, tik, til = entries[(i, j)], entries[(i, k)], entries[(i, l)]
+    tjk, tjl, tkl = entries[(j, k)], entries[(j, l)], entries[(k, l)]
     positive = (
         2 * (tij * tkl) * (til * tjk) * (tik * tjl) * (tik * tjl + til * tjk + tij * tkl)
     )
@@ -149,10 +84,10 @@ def octic_eval(entries: EntrySource, idx: OcticIndex, variant: str = "corrected"
     return positive - negative
 
 
-def plucker_coordinates(frame: GrassFrame) -> Dict[Tuple[int, int], object]:
-    """2x2 column minors y_ij, keyed by 1-based (i,j) with i<j."""
-    r0, r1 = frame.rows
-    g = frame.width
+def plucker_coordinates(r0: Sequence, r1: Sequence) -> Dict[Tuple[int, int], object]:
+    """2x2 column minors y_ij of the 2 x g frame (r0, r1), keyed by 1-based
+    (i,j) with i<j."""
+    g = len(r0)
     return {
         (i + 1, j + 1): r0[i] * r1[j] - r0[j] * r1[i]
         for i in range(g)
@@ -160,15 +95,13 @@ def plucker_coordinates(frame: GrassFrame) -> Dict[Tuple[int, int], object]:
     }
 
 
-def plucker_quadric(y: Mapping[Tuple[int, int], object], idx: OcticIndex):
-    get = _entry_getter(y)
+def plucker_quadric(y: Entries, idx: OcticIndex):
     i, j, k, l = idx
-    return get(i, j) * get(k, l) - get(i, k) * get(j, l) + get(i, l) * get(j, k)
+    return y[(i, j)] * y[(k, l)] - y[(i, k)] * y[(j, l)] + y[(i, l)] * y[(j, k)]
 
 
-def plucker_to_cone(y: Mapping[Tuple[int, int], object]) -> TangentConePoint:
+def plucker_to_cone(y: Entries) -> Dict[Tuple[int, int], object]:
     """tau_ij = y_ij^-2 on the chart where every coordinate is nonzero."""
-    genus = max(max(p) for p in y)
     values = {}
     for pair, coord in y.items():
         if not coord:
@@ -178,7 +111,7 @@ def plucker_to_cone(y: Mapping[Tuple[int, int], object]) -> TangentConePoint:
         if isinstance(coord, int):
             coord = Fraction(coord)  # keep integer frames exact
         values[pair] = 1 / (coord * coord)
-    return TangentConePoint(genus, values)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +152,7 @@ def perturbed_star_entries(
     rational linear forms in the ring variables; optionally shift one entry
     off the cone by +1 as a negative control."""
     rng = random.Random(seed)
-    base = star_period_leading(s, ring, ScaleMode.EXACT_UNITS if ring.field.is_exact else None)
+    base = star_period_leading(s, ring)
     g = s.genus
     out: Dict[Tuple[int, int], Jet] = {}
     for i in range(1, g + 1):
@@ -257,21 +190,14 @@ def verify_asymptotic_vanishing(
         raise RangeError("octic relations need genus >= 4")
     ring = JetRing(tuple(s.variables), order, field)
     entries = perturbed_star_entries(s, ring, seed, corrupt_entry)
-    passed = True
-    min_surviving: Optional[int] = None
     octics = all_octic_indices(g)
-    for idx in octics:
-        f = octic_eval(entries, idx)
-        if not f.vanishes_through_degree(MOD_T9_SAFE_DEGREE):
-            passed = False
-        d = f.min_nonzero_degree()
-        if d is not None and (min_surviving is None or d < min_surviving):
-            min_surviving = d
+    degrees = [octic_eval(entries, idx).min_nonzero_degree() for idx in octics]
+    min_surviving = min((d for d in degrees if d is not None), default=None)
     return AsymptoticReport(
         genus=g,
-        mode="exact" if ring.field.is_exact else "numeric",
+        mode=ring.field.mode,
         order=order,
         octics_checked=len(octics),
-        passed=passed,
+        passed=min_surviving is None or min_surviving > MOD_T9_SAFE_DEGREE,
         min_surviving_degree=min_surviving,
     )

@@ -15,6 +15,7 @@ from .alkanes import Alkane
 from .curve_periods import StarConfig, TreeConfig, TreeEdgeData
 from .elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
 from .gaussian import GaussianRational
+from .relations import plucker_coordinates
 from .surfaces import EdgeData, SurfaceBlockShape, SurfaceGraphModel
 
 _LABELS = list(TwoTorsionLabel)
@@ -83,18 +84,8 @@ def random_grass_frame_minors(g: int, rng: random.Random) -> Dict[Tuple[int, int
     every coordinate is nonzero (the cone chart needs all of them)."""
     while True:
         rows = [[rand_fraction(rng, -9, 9, 5) for _ in range(g)] for _ in range(2)]
-        y = {}
-        ok = True
-        for i in range(g):
-            for j in range(i + 1, g):
-                m = rows[0][i] * rows[1][j] - rows[0][j] * rows[1][i]
-                if not m:
-                    ok = False
-                    break
-                y[(i + 1, j + 1)] = m
-            if not ok:
-                break
-        if ok:
+        y = plucker_coordinates(*rows)
+        if all(y.values()):
             return y
 
 

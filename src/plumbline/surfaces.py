@@ -238,17 +238,13 @@ def assemble_surface_period(model: SurfaceGraphModel, ring: JetRing) -> Tuple[Tu
 # exact linear algebra on matrices of rationals
 
 
-def _is_zero(x) -> bool:
-    return not x
-
-
 def matrix_rank_exact(rows: Sequence[Mapping[Tuple[int, int], object]]) -> int:
     """Rank of the span of sparse vectors keyed by arbitrary hashable positions."""
     work = [dict(r) for r in rows]
     rank = 0
     while work:
         row = work.pop(0)
-        row = {k: v for k, v in row.items() if not _is_zero(v)}
+        row = {k: v for k, v in row.items() if v}
         if not row:
             continue
         rank += 1
@@ -256,16 +252,16 @@ def matrix_rank_exact(rows: Sequence[Mapping[Tuple[int, int], object]]) -> int:
         pivot = row[key]
         reduced = []
         for other in work:
-            if key in other and not _is_zero(other[key]):
+            if key in other and other[key]:
                 factor = other[key] / pivot
                 new = dict(other)
                 for k, v in row.items():
                     w = new.get(k)
                     w = -factor * v if w is None else w - factor * v
-                    if _is_zero(w):
-                        new.pop(k, None)
-                    else:
+                    if w:
                         new[k] = w
+                    else:
+                        new.pop(k, None)
                 reduced.append(new)
             else:
                 reduced.append(other)
@@ -278,13 +274,13 @@ def _sparsify(matrix: Sequence[Sequence[object]]) -> Dict[Tuple[int, int], objec
         (r, c): v
         for r, row in enumerate(matrix)
         for c, v in enumerate(row)
-        if not _is_zero(v)
+        if v
     }
 
 
 def dense_rank_exact(matrix: Sequence[Sequence[object]]) -> int:
     return matrix_rank_exact(
-        [{c: v for c, v in enumerate(row) if not _is_zero(v)} for row in matrix]
+        [{c: v for c, v in enumerate(row) if v} for row in matrix]
     )
 
 
@@ -305,10 +301,10 @@ def all_two_by_two_minors_vanish(matrix: Sequence[Sequence[object]]) -> bool:
             rb = rows[b]
             m = len(ra)
             for c in range(m):
-                if _is_zero(ra[c]) and _is_zero(rb[c]):
+                if not ra[c] and not rb[c]:
                     continue
                 for d in range(c + 1, m):
-                    if not _is_zero(ra[c] * rb[d] - ra[d] * rb[c]):
+                    if ra[c] * rb[d] - ra[d] * rb[c]:
                         return False
     return True
 
@@ -329,10 +325,10 @@ def skew_block_rank_one_vanishing(
         raise StructureError("skew block must be square")
     b = [[matrix[r][c] for c in cols] for r in rows]
     n = len(rows)
-    skew = all(b[a][a] == 0 or _is_zero(b[a][a]) for a in range(n)) and all(
-        _is_zero(b[a][c] + b[c][a]) for a in range(n) for c in range(a + 1, n)
+    skew = all(not b[a][a] for a in range(n)) and all(
+        not (b[a][c] + b[c][a]) for a in range(n) for c in range(a + 1, n)
     )
     premise = skew and all_two_by_two_minors_vanish(matrix)
     if not premise:
         return True
-    return all(_is_zero(b[a][c]) for a in range(n) for c in range(n))
+    return all(not b[a][c] for a in range(n) for c in range(n))

@@ -245,3 +245,31 @@ def test_tolerance_env_override(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, ""), bad
         assert "config error: PLUMBLINE_TOL" in captured.err, bad
+
+
+def test_tolerance_env_reaches_zero_tests(monkeypatch, capsys):
+    from plumbline import JetRing, PeriodMatrixJet, derivative_rank_one_check
+    from plumbline.cli import _float_field
+
+    # float octic residues sit far above 1e-30 of their scale, so under that
+    # tolerance the jet check finds survivors below degree 17 and fails
+    argv = ["relations", "verify", "--genus", "4", "--trials", "2", "--seed", "1", "--numeric"]
+    code, report = _run(capsys, argv)
+    assert (code, report["pass"]) == (0, True)
+    monkeypatch.setenv("PLUMBLINE_TOL", "1e-30")
+    code, report = _run(capsys, argv)
+    assert (code, report["pass"]) == (1, False)
+    assert all(t["min_surviving_degree"] <= 16 for t in report["trials"])
+
+    # the t-coefficients [[1, 1], [1, 1 + 1e-8]] have the one 2x2 minor 1e-8:
+    # rank 1 under PLUMBLINE_TOL=1e-6, rank 2 under the default 1e-10
+    def rank_one():
+        ring = JetRing(("t",), 1, _float_field())
+        t = ring.variable("t")
+        entries = [[ring.constant(1j) + t, t], [t, ring.constant(2j) + t * (1 + 1e-8)]]
+        return derivative_rank_one_check(PeriodMatrixJet(entries), "t")
+
+    monkeypatch.setenv("PLUMBLINE_TOL", "1e-6")
+    assert rank_one()
+    monkeypatch.delenv("PLUMBLINE_TOL")
+    assert not rank_one()

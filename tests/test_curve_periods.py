@@ -17,7 +17,6 @@ from plumbline import (
     PairPlumbing,
     PeriodMatrixJet,
     RangeError,
-    ScaleMode,
     StarConfig,
     StructureError,
     TauPoint,
@@ -98,18 +97,10 @@ def test_pair_numeric_mode():
     ca = MarkedEllipticCurve(TauPoint(1j), (Mark(TwoTorsionLabel.O, complex(1)),))
     cb = MarkedEllipticCurve(TauPoint(2j), (Mark(TwoTorsionLabel.O, complex(1)),))
     m = pair_period_first_order(PairPlumbing(ca, cb, "t"), ring)
-    assert m.scale_mode is ScaleMode.NUMERIC
+    assert m.to_json_dict()["mode"] == "numeric"
     lam = complex(0, math.pi / 2)
     assert abs(m.entry(1, 2).coefficient_of_var("t") + lam) < 1e-12
     assert derivative_rank_one_check(m, "t")
-
-
-def test_numeric_mode_requires_float_field():
-    ring = JetRing(("t",), 1)
-    with pytest.raises(StructureError):
-        pair_period_first_order(
-            PairPlumbing(_unit_curve(I), _unit_curve(I), "t"), ring, ScaleMode.NUMERIC
-        )
 
 
 def _star(taus, bs, cs=None):
@@ -208,7 +199,7 @@ def test_tree_order_independence():
         for a, va in u.items():
             for b, vb in u.items():
                 entries[a][b] = entries[a][b] + t * (lam * va * vb)
-    assert PeriodMatrixJet(entries, m.scale_mode) == m
+    assert PeriodMatrixJet(entries) == m
 
 
 def test_tree_star_alkane_pattern():
@@ -272,7 +263,7 @@ def test_rank_one_rejects_identity_pattern():
         [ring.constant(I) + t, ring.zero()],
         [ring.zero(), ring.constant(I) + t],
     ]
-    m = PeriodMatrixJet(entries, ScaleMode.EXACT_UNITS)
+    m = PeriodMatrixJet(entries)
     assert not derivative_rank_one_check(m, "t")
 
 
@@ -291,7 +282,7 @@ def test_repeated_vertex_label_rejected():
 def test_offdiag_support_zero_matrix():
     ring = JetRing(("t",), 1)
     entries = [[ring.zero(), ring.zero()], [ring.zero(), ring.zero()]]
-    assert offdiag_support(PeriodMatrixJet(entries, ScaleMode.EXACT_UNITS)) == frozenset()
+    assert offdiag_support(PeriodMatrixJet(entries)) == frozenset()
 
 
 def test_is_banded():

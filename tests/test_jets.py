@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from plumbline import (
     EXACT_FIELD,
     FLOAT_FIELD,
+    CoefficientField,
+    FieldKind,
     GaussianRational,
     JetRing,
     RangeError,
@@ -87,7 +89,11 @@ def test_float_vanishing_is_relative():
     a = big + tiny
     # 1e-7 is far below 1e-10 * 1e6
     assert a.vanishes_through_degree(1)
-    assert not a.vanishes_through_degree(1, tolerance=1e-16)
+    # but not below 1e-16 * 1e6: the ring's field decides
+    fine = JetRing(("t",), 2, CoefficientField(FieldKind.COMPLEX_FLOAT, 1e-16))
+    b = fine.constant(1e6) * fine.variable("t") ** 2 + fine.constant(1e-7)
+    assert not b.vanishes_through_degree(1)
+    assert b.min_nonzero_degree() == 0
 
 
 def test_ring_mismatch_raises(ring1, ring2):

@@ -9,7 +9,6 @@ from plumbline import (
     DegenerateDataError,
     EXACT_FIELD,
     GaussianRational,
-    GrassFrame,
     JetRing,
     OcticIndex,
     RangeError,
@@ -53,28 +52,27 @@ def test_cone_oracle_corrected_vs_printed():
 
 
 def test_frame_example_minors():
-    f = GrassFrame(((1, 1, 1, 1), (0, 1, 2, 3)))
-    y = plucker_coordinates(f)
+    y = plucker_coordinates((1, 1, 1, 1), (0, 1, 2, 3))
     assert y == {(i, j): j - i for i, j in combinations(range(1, 5), 2)}
     assert plucker_quadric(y, OcticIndex(1, 2, 3, 4)) == 1 * 1 - 2 * 2 + 3 * 1 == 0
 
 
 def test_column_swap_negates_minor():
-    f = GrassFrame(((1, 1, 1, 1), (0, 1, 2, 3)))
-    swapped = GrassFrame(((1, 1, 1, 1), (1, 0, 2, 3)))  # columns 1 <-> 2
-    y, ys = plucker_coordinates(f), plucker_coordinates(swapped)
+    y = plucker_coordinates((1, 1, 1, 1), (0, 1, 2, 3))
+    ys = plucker_coordinates((1, 1, 1, 1), (1, 0, 2, 3))  # columns 1 <-> 2
     assert ys[(1, 2)] == -y[(1, 2)]
 
 
 def test_cone_point_values_frozen():
-    y = plucker_coordinates(GrassFrame(((1, 1, 1, 1), (0, 1, 2, 3))))
-    cone = plucker_to_cone(y)
-    assert cone.entry(1, 2) == Fraction(1)
-    assert cone.entry(1, 3) == Fraction(1, 4)
-    assert cone.entry(1, 4) == Fraction(1, 9)
-    assert cone.entry(2, 3) == Fraction(1)
-    assert cone.entry(2, 4) == Fraction(1, 4)
-    assert cone.entry(3, 4) == Fraction(1)
+    cone = plucker_to_cone(plucker_coordinates((1, 1, 1, 1), (0, 1, 2, 3)))
+    assert cone == {
+        (1, 2): Fraction(1),
+        (1, 3): Fraction(1, 4),
+        (1, 4): Fraction(1, 9),
+        (2, 3): Fraction(1),
+        (2, 4): Fraction(1, 4),
+        (3, 4): Fraction(1),
+    }
     assert octic_eval(cone, OcticIndex(1, 2, 3, 4)) == 0
 
 
@@ -152,9 +150,11 @@ def test_quadric_octic_consistency():
 
 
 def test_degenerate_frames_and_zero_coordinates():
+    rank_one = plucker_coordinates((1, 2, 3), (2, 4, 6))
+    assert not any(rank_one.values())
     with pytest.raises(DegenerateDataError):
-        GrassFrame(((1, 2, 3), (2, 4, 6)))  # rank 1
-    y = plucker_coordinates(GrassFrame(((1, 0, 1, 1), (0, 1, 0, 2))))
+        plucker_to_cone(rank_one)
+    y = plucker_coordinates((1, 0, 1, 1), (0, 1, 0, 2))
     assert y[(1, 3)] == 0
     with pytest.raises(DegenerateDataError):
         plucker_to_cone(y)
@@ -173,8 +173,8 @@ def test_octic_on_star_jet_entries_identically_zero():
     s = random_star_config(4, substream(53, "test:staroct"))
     ring = JetRing(tuple(s.variables), 17, EXACT_FIELD)
     m = star_period_leading(s, ring)
-    f = octic_eval(m, OcticIndex(1, 2, 3, 4))
-    assert f.is_zero()
+    entries = {(i, j): m.entry(i, j) for i, j in combinations(range(1, 5), 2)}
+    assert octic_eval(entries, OcticIndex(1, 2, 3, 4)) == ring.zero()
 
 
 def test_verify_asymptotic_vanishing_passes():
