@@ -33,7 +33,6 @@ from .elliptic import (
     TauPoint,
     TwoTorsionLabel,
     normalized_form_value,
-    two_torsion_representatives,
 )
 from .errors import (
     DegenerateDataError,
@@ -50,7 +49,6 @@ from .jets import (
     FieldKind,
     Jet,
     JetRing,
-    jet_from_json_dict,
 )
 from .relations import (
     AsymptoticReport,
@@ -58,7 +56,6 @@ from .relations import (
     all_octic_indices,
     octic_eval,
     plucker_coordinates,
-    plucker_quadric,
     plucker_to_cone,
     verify_asymptotic_vanishing,
 )
@@ -66,8 +63,6 @@ from .surfaces import (
     EdgeData,
     SurfaceBlockShape,
     SurfaceGraphModel,
-    assemble_surface_period,
-    build_Pi,
     dim_K,
     dim_V_Gamma,
     dim_W,

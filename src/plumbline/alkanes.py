@@ -88,23 +88,10 @@ class Alkane:
             deg[j] += 1
         return deg
 
-    def relabel(self, perm: Dict[int, int]) -> "Alkane":
-        """Apply a vertex bijection {1..g}->{1..g}."""
-        if sorted(perm) != list(range(1, self.genus + 1)) or sorted(perm.values()) != list(
-            range(1, self.genus + 1)
-        ):
-            raise StructureError("relabeling is not a bijection of 1..genus")
-        return Alkane(self.genus, [(perm[i], perm[j]) for i, j in self.edges])
-
     @classmethod
     def chain(cls, g: int) -> "Alkane":
         """The linear alkane with path labeling 1-2-...-g."""
         return cls(g, [(i, i + 1) for i in range(1, g)])
-
-    @classmethod
-    def star(cls, g: int) -> "Alkane":
-        """Center 1 joined to leaves 2..g (needs g <= 5)."""
-        return cls(g, [(1, j) for j in range(2, g + 1)])
 
     def to_json_dict(self) -> dict:
         return {

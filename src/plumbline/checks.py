@@ -53,11 +53,11 @@ from .sampling import (
 from .surfaces import (
     EdgeData,
     SurfaceGraphModel,
-    build_Pi,
     dim_K,
     dim_V_Gamma,
     dim_W,
     dim_period_domain,
+    edge_matrix,
     skew_block_rank_one_vanishing,
     span_dimension_E_Gamma,
 )
@@ -250,7 +250,7 @@ def check_egamma_span(
         (1, 2): EdgeData((1, 2), (zero_w, w_mid), (zero_i, i_mid)),
         (2, 3): EdgeData((2, 3), (w_mid, zero_w), (i_mid, zero_i)),
     }
-    degenerate_span = span_dimension_E_Gamma(SurfaceGraphModel(a, model.shapes, model.blocks, dup))
+    degenerate_span = span_dimension_E_Gamma(SurfaceGraphModel(a, model.shapes, dup))
     ok = ok and degenerate_span < a.genus - 1
     return ok, {"models": models, "degenerate_span": degenerate_span}
 
@@ -283,13 +283,13 @@ def check_skew_block(
         for a in enumerate_alkanes(h):
             rng = substream(seed, f"check:skew:pi:{h}:{canonical_code(a)}")
             model = random_surface_model(a, rng)
+            skew_cols = set()
+            for v, shape in enumerate(model.shapes, start=1):
+                c0 = model.col_offset(v) + shape.cols - shape.h
+                skew_cols.update(range(c0, c0 + shape.h))
             for edge in a.edges:
-                pi = build_Pi(model, edge)
-                for v in range(1, h + 1):
-                    shape = model.shapes[v - 1]
-                    c0 = model.col_offset(v) + shape.cols - shape.h
-                    if any(row[c] for row in pi for c in range(c0, c0 + shape.h)):
-                        pi_ok = False
+                if any(c in skew_cols for _, c in edge_matrix(model, edge)):
+                    pi_ok = False
     return counterexamples == 0 and pi_ok, {
         "trials": trials,
         "counterexamples": counterexamples,

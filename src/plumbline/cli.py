@@ -145,6 +145,8 @@ def _parse_tree(cfg: dict, exact: bool) -> TreeConfig:
     edge_data = {}
     for item in cfg["edge_data"]:
         i, j = sorted(item["edge"])
+        if (i, j) in edge_data:
+            raise ConfigError(f"edge {[i, j]} is listed twice in edge_data")
         low, high = item["low"], item["high"]
         edge_data[(i, j)] = TreeEdgeData(
             var=item["var"],
@@ -332,7 +334,7 @@ def cmd_surfaces_egamma(args) -> int:
                 "span_dims": spans,
                 "expected": h - 1,
                 "pass": ok,
-                "shapes": [[1, 15]] * h,
+                "shapes": [[shape.rows, shape.cols] for shape in model.shapes],
             }
         )
     report = {

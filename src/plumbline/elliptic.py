@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Tuple, Union
+from typing import Tuple, Union
 
 from .errors import DegenerateDataError, RangeError
 from .gaussian import GaussianRational
@@ -96,9 +96,3 @@ class MarkedEllipticCurve:
 
     def mark_value(self, index: int) -> ComplexValue:
         return normalized_form_value(self.marks[index])
-
-
-def two_torsion_representatives(tau: TauPoint) -> List[ComplexValue]:
-    """[0, 1/2, tau/2, (1+tau)/2] in the field of tau."""
-    t = tau.value
-    return [lbl.representative(t) for lbl in TwoTorsionLabel]

@@ -115,10 +115,6 @@ class GaussianRational:
 
     # -- structure ----------------------------------------------------
 
-    def abs2(self) -> Fraction:
-        """Squared modulus, exact."""
-        return self.re * self.re + self.im * self.im
-
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * float(self.im)
 
@@ -154,6 +150,3 @@ def _coerced(x):
     if isinstance(x, (int, Fraction)):
         return GaussianRational(x)
     return NotImplemented
-
-
-GI = GaussianRational(0, 1)

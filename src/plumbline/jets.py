@@ -186,9 +186,6 @@ class Jet:
         exp[self.ring.var_index(name)] = 1
         return self.coefficient(exp)
 
-    def constant_term(self):
-        return self.coefficient((0,) * len(self.ring.variables))
-
     def vanishes_through_degree(self, d: int) -> bool:
         """True iff every monomial of total degree <= d has a zero coefficient."""
         if d > self.ring.order:
@@ -322,19 +319,6 @@ class Jet:
 
     # -- evaluation & serialization ------------------------------------
 
-    def evaluate(self, values: Mapping[str, object]):
-        """Substitute field values for every variable (plain monomial sum)."""
-        field = self.ring.field
-        vals = [field.coerce(values[name]) for name in self.ring.variables]
-        acc = field.zero()
-        for exp, c in self._terms.items():
-            term = c
-            for v, e in zip(vals, exp):
-                for _ in range(e):
-                    term = term * v
-            acc = acc + term
-        return acc
-
     def to_json_dict(self) -> dict:
         field = self.ring.field
         terms = []
@@ -345,15 +329,3 @@ class Jet:
             else:
                 terms.append({"exp": list(exp), "re": c.real, "im": c.imag})
         return {"vars": list(self.ring.variables), "order": self.ring.order, "terms": terms}
-
-def jet_from_json_dict(data: dict, field: CoefficientField = EXACT_FIELD) -> Jet:
-    ring = JetRing(tuple(data["vars"]), int(data["order"]), field)
-    terms = {}
-    for t in data["terms"]:
-        if field.is_exact:
-            c = GaussianRational(Fraction(str(t["re"])), Fraction(str(t["im"])))
-        else:
-            c = complex(float(t["re"]), float(t["im"]))
-        terms[tuple(t["exp"])] = c
-    return ring.jet(terms)
-

@@ -95,11 +95,6 @@ def plucker_coordinates(r0: Sequence, r1: Sequence) -> Dict[Tuple[int, int], obj
     }
 
 
-def plucker_quadric(y: Entries, idx: OcticIndex):
-    i, j, k, l = idx
-    return y[(i, j)] * y[(k, l)] - y[(i, k)] * y[(j, l)] + y[(i, l)] * y[(j, k)]
-
-
 def plucker_to_cone(y: Entries) -> Dict[Tuple[int, int], object]:
     """tau_ij = y_ij^-2 on the chart where every coordinate is nonzero."""
     values = {}

@@ -89,17 +89,8 @@ def random_grass_frame_minors(g: int, rng: random.Random) -> Dict[Tuple[int, int
             return y
 
 
-def random_surface_model(
-    alkane: Alkane, rng: random.Random, h_per_vertex: int = 1
-) -> SurfaceGraphModel:
-    shapes = tuple(SurfaceBlockShape(h_per_vertex) for _ in range(alkane.genus))
-    blocks = tuple(
-        tuple(
-            tuple(rand_fraction(rng, -5, 5, 4) for _ in range(shape.cols))
-            for _ in range(shape.rows)
-        )
-        for shape in shapes
-    )
+def random_surface_model(alkane: Alkane, rng: random.Random) -> SurfaceGraphModel:
+    shapes = tuple(SurfaceBlockShape(1) for _ in range(alkane.genus))
     edge_data = {}
     for (i, j) in alkane.edges:
         sl, sh = shapes[i - 1], shapes[j - 1]
@@ -114,4 +105,4 @@ def random_surface_model(
             + (Fraction(0),) * sh.h,
         )
         edge_data[(i, j)] = EdgeData((i, j), omega, i_vectors)
-    return SurfaceGraphModel(alkane, shapes, blocks, edge_data)
+    return SurfaceGraphModel(alkane, shapes, edge_data)

@@ -1,9 +1,7 @@
 """Surface-side statement-level checks: stratum dimensions, rank-1 edge
-matrices, first-order block assembly, span dimensions, and the
-skew-block vanishing property.
+matrices, span dimensions, and the skew-block vanishing property.
 
-The constant per-vertex blocks and the integral vectors attached to edges
-are synthetic data (random rational or user-supplied): the verifiable
+The omega and I vectors attached to edges are synthetic data (random rational or user-supplied): the verifiable
 content is linear-algebraic -- shapes, ranks, spans and zero patterns --
 and all of it is checked exactly over Gaussian rationals.
 """
@@ -11,12 +9,10 @@ and all of it is checked exactly over Gaussian rationals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from .alkanes import Alkane, canonical_code
 from .errors import FormulaViolationError, RangeError, StructureError
-from .gaussian import GaussianRational
-from .jets import Jet, JetRing
 
 # ---------------------------------------------------------------------------
 # dimension formulas
@@ -143,16 +139,11 @@ class SurfaceGraphModel:
 
     alkane: Alkane
     shapes: Tuple[SurfaceBlockShape, ...]
-    blocks: Tuple[Tuple[Tuple[object, ...], ...], ...]
     edge_data: Mapping[Tuple[int, int], EdgeData]
 
     def __post_init__(self):
-        r = self.alkane.genus
-        if len(self.shapes) != r or len(self.blocks) != r:
-            raise StructureError("one shape and one block per alkane vertex required")
-        for v, (shape, block) in enumerate(zip(self.shapes, self.blocks), start=1):
-            if len(block) != shape.rows or any(len(row) != shape.cols for row in block):
-                raise StructureError(f"block at vertex {v} does not match its shape")
+        if len(self.shapes) != self.alkane.genus:
+            raise StructureError("one shape per alkane vertex required")
         object.__setattr__(self, "edge_data", dict(self.edge_data))
         if set(self.edge_data) != set(self.alkane.edges):
             raise StructureError("edge data keys do not match the alkane's edge set")
@@ -167,71 +158,24 @@ class SurfaceGraphModel:
     def col_offset(self, vertex: int) -> int:
         return sum(s.cols for s in self.shapes[: vertex - 1])
 
-    @property
-    def ambient_shape(self) -> Tuple[int, int]:
-        return (
-            sum(s.rows for s in self.shapes),
-            sum(s.cols for s in self.shapes),
-        )
 
-    def variables(self) -> Tuple[str, ...]:
-        return tuple(f"t{i}_{j}" for i, j in self.alkane.edges)
-
-    def edge_var(self, edge: Tuple[int, int]) -> str:
-        i, j = edge
-        return f"t{i}_{j}"
-
-
-def build_Pi(model: SurfaceGraphModel, edge: Tuple[int, int]) -> List[List[object]]:
-    """The rank-<=1 ambient matrix omega_e tensor I_e of one edge."""
-    data = model.edge_data[tuple(sorted(edge))]
-    i, j = data.edge
-    n_rows, n_cols = model.ambient_shape
-    zero = GaussianRational(0)
-    out = [[zero] * n_cols for _ in range(n_rows)]
-    row_slots = [
-        (model.row_offset(i), data.omega[0]),
-        (model.row_offset(j), data.omega[1]),
+def edge_matrix(model: SurfaceGraphModel, edge: Tuple[int, int]) -> Dict[Tuple[int, int], object]:
+    """The nonzero entries of the rank-<=1 ambient matrix omega_e tensor I_e
+    of one edge {i, j}, i < j, keyed by ambient (row, col)."""
+    data = model.edge_data[edge]
+    rows = [
+        (model.row_offset(v) + a, w)
+        for v, vec in zip(edge, data.omega)
+        for a, w in enumerate(vec)
+        if w
     ]
-    col_slots = [
-        (model.col_offset(i), data.i_vectors[0]),
-        (model.col_offset(j), data.i_vectors[1]),
+    cols = [
+        (model.col_offset(v) + b, x)
+        for v, vec in zip(edge, data.i_vectors)
+        for b, x in enumerate(vec)
+        if x
     ]
-    for r_off, rvec in row_slots:
-        for a, w in enumerate(rvec):
-            if not w:
-                continue
-            for c_off, cvec in col_slots:
-                for b, x in enumerate(cvec):
-                    if x:
-                        out[r_off + a][c_off + b] = w * x
-    return out
-
-
-def assemble_surface_period(model: SurfaceGraphModel, ring: JetRing) -> Tuple[Tuple[Jet, ...], ...]:
-    """Block-diagonal constant part plus sum_e t_e * Pi_e, modulo (t)^2."""
-    if ring.order < 1:
-        raise RangeError("surface assembly needs truncation order >= 1")
-    for edge in model.alkane.edges:
-        ring.var_index(model.edge_var(edge))  # raises on missing variable
-    n_rows, n_cols = model.ambient_shape
-    coerce = ring.field.coerce
-    entries = [[ring.zero() for _ in range(n_cols)] for _ in range(n_rows)]
-    for v in range(1, model.alkane.genus + 1):
-        r0, c0 = model.row_offset(v), model.col_offset(v)
-        for a, row in enumerate(model.blocks[v - 1]):
-            for b, val in enumerate(row):
-                if val:
-                    entries[r0 + a][c0 + b] = ring.constant(coerce(val))
-    # edge processing order must not matter; iterate the mapping as given
-    for edge in model.edge_data:
-        t = ring.variable(model.edge_var(edge))
-        pi = build_Pi(model, edge)
-        for r in range(n_rows):
-            for c in range(n_cols):
-                if pi[r][c]:
-                    entries[r][c] = entries[r][c] + t * coerce(pi[r][c])
-    return tuple(tuple(row) for row in entries)
+    return {(r, c): w * x for r, w in rows for c, x in cols}
 
 
 # ---------------------------------------------------------------------------
@@ -269,27 +213,9 @@ def matrix_rank_exact(rows: Sequence[Mapping[Tuple[int, int], object]]) -> int:
     return rank
 
 
-def _sparsify(matrix: Sequence[Sequence[object]]) -> Dict[Tuple[int, int], object]:
-    return {
-        (r, c): v
-        for r, row in enumerate(matrix)
-        for c, v in enumerate(row)
-        if v
-    }
-
-
-def dense_rank_exact(matrix: Sequence[Sequence[object]]) -> int:
-    return matrix_rank_exact(
-        [{c: v for c, v in enumerate(row) if v} for row in matrix]
-    )
-
-
 def span_dimension_E_Gamma(model: SurfaceGraphModel) -> int:
     """Exact dimension of the linear span of the edge matrices Pi_e."""
-    vectors = []
-    for edge in model.alkane.edges:
-        vectors.append(_sparsify(build_Pi(model, edge)))
-    return matrix_rank_exact(vectors)
+    return matrix_rank_exact([edge_matrix(model, edge) for edge in model.alkane.edges])
 
 
 def all_two_by_two_minors_vanish(matrix: Sequence[Sequence[object]]) -> bool:

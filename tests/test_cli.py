@@ -1,6 +1,7 @@
 """CLI wiring: exit codes, JSON shapes, determinism."""
 
 import copy
+import hashlib
 import json
 
 import pytest
@@ -50,6 +51,19 @@ def _tree_with_label(label):
     return cfg
 
 
+def _tree_with_duplicate_edge():
+    cfg = copy.deepcopy(TREE_CONFIG)
+    cfg["edge_data"].append(
+        {
+            "edge": [2, 1],
+            "var": "t9",
+            "low": {"label": "TauHalf", "c": ["1", "0"]},
+            "high": {"label": "TauHalf", "c": ["1", "0"]},
+        }
+    )
+    return cfg
+
+
 # (periods subcommand, config file text); each must exit 2 with a config error
 MALFORMED_CONFIGS = [
     ("pair", "{not json"),
@@ -59,6 +73,20 @@ MALFORMED_CONFIGS = [
     ("pair", json.dumps([PAIR_CONFIG])),
     ("pair", json.dumps({**PAIR_CONFIG, "curve_b": {"tau": ["0", "2"]}})),
     ("pair", json.dumps({**PAIR_CONFIG, "mark_a": 0.5})),
+    ("tree", json.dumps(_tree_with_duplicate_edge())),
+]
+
+# stdout sha256 of fixed-seed reports: a refactor that keeps the reports
+# byte-identical keeps these
+PINNED_REPORTS = [
+    (
+        ["selftest", "--seed", "0"],
+        "efa3aff707c53a700c96dd9dc8e4ac1ef0896d3744dbe835ff0e12937b2ab395",
+    ),
+    (
+        ["surfaces", "egamma", "--genus", "7", "--trials", "2", "--seed", "0"],
+        "cccdd9a4313b55d9d4ab270d2523bf1515b5a1d015fe9cd95eb5f9f9bc0bb972",
+    ),
 ]
 
 
@@ -212,6 +240,13 @@ def test_surfaces_egamma(capsys):
     assert code == 0
     assert report["pass"] is True
     assert all(r["span_dims"] == [3, 3, 3] for r in report["results"])
+
+
+def test_fixed_seed_reports_pinned(capsys):
+    for argv, digest in PINNED_REPORTS:
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_selftest_deterministic(tmp_path):

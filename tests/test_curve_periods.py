@@ -86,7 +86,7 @@ def test_pair_general_blocks():
     ring = JetRing(("t",), 1)
     m = pair_period_first_order(PairPlumbing(block, _unit_curve(I), "t"), ring)
     assert m.genus == 3
-    assert m.entry(1, 2).constant_term() == GaussianRational(Fraction(1, 5))
+    assert m.entry(1, 2).coefficient((0,)) == GaussianRational(Fraction(1, 5))
     assert derivative_rank_one_check(m, "t")
     # u = [2, -1, -1]: check one cross entry
     assert m.entry(1, 3).coefficient_of_var("t") == GaussianRational(Fraction(1, 4)) * 2 * -1
@@ -138,13 +138,11 @@ def test_star_quadratic_scaling():
     )
     ring = JetRing(("t1", "t2", "t3"), 2)
     m = star_period_leading(s, ring)
-    scale = GaussianRational(Fraction(5, 2))
-    base = {f"t{i}": GaussianRational(Fraction(1, i + 1)) for i in range(1, 4)}
-    scaled = {k: scale * v for k, v in base.items()}
+    # homogeneous of degree 2: scaling every t by s scales the entry by s^2
     for i in range(1, 4):
         for j in range(i + 1, 4):
-            val = m.entry(i, j).evaluate(base)
-            assert m.entry(i, j).evaluate(scaled) == scale * scale * val
+            terms = m.entry(i, j).terms
+            assert terms and all(sum(exp) == 2 for exp in terms)
 
 
 def test_star_coincident_points_rejected():
@@ -203,7 +201,7 @@ def test_tree_order_independence():
 
 
 def test_tree_star_alkane_pattern():
-    alkane = Alkane.star(5)
+    alkane = Alkane(5, [(1, 2), (1, 3), (1, 4), (1, 5)])
     rng = substream(3, "test:star5")
     tc = random_tree_config(alkane, rng)
     m = tree_period_first_order(tc, _ring_for(tc))

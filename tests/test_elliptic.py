@@ -14,14 +14,13 @@ from plumbline import (
     TauPoint,
     TwoTorsionLabel,
     normalized_form_value,
-    two_torsion_representatives,
 )
 
 I = GaussianRational(0, 1)
 
 
 def test_two_torsion_representatives():
-    reps = two_torsion_representatives(TauPoint(I))
+    reps = [label.representative(I) for label in TwoTorsionLabel]
     assert reps == [
         GaussianRational(0),
         GaussianRational(Fraction(1, 2)),

@@ -16,7 +16,6 @@ from plumbline import (
     all_octic_indices,
     octic_eval,
     plucker_coordinates,
-    plucker_quadric,
     plucker_to_cone,
     star_period_leading,
     verify_asymptotic_vanishing,
@@ -27,6 +26,12 @@ from plumbline.sampling import (
     random_star_config,
     substream,
 )
+
+
+def _quadric(y, idx):
+    """The Pluecker quadric y_ij y_kl - y_ik y_jl + y_il y_jk."""
+    i, j, k, l = idx
+    return y[(i, j)] * y[(k, l)] - y[(i, k)] * y[(j, l)] + y[(i, l)] * y[(j, k)]
 
 
 def test_cone_oracle_corrected_vs_printed():
@@ -54,7 +59,7 @@ def test_cone_oracle_corrected_vs_printed():
 def test_frame_example_minors():
     y = plucker_coordinates((1, 1, 1, 1), (0, 1, 2, 3))
     assert y == {(i, j): j - i for i, j in combinations(range(1, 5), 2)}
-    assert plucker_quadric(y, OcticIndex(1, 2, 3, 4)) == 1 * 1 - 2 * 2 + 3 * 1 == 0
+    assert _quadric(y, OcticIndex(1, 2, 3, 4)) == 1 * 1 - 2 * 2 + 3 * 1 == 0
 
 
 def test_column_swap_negates_minor():
@@ -144,7 +149,7 @@ def test_quadric_octic_consistency():
         y[(1, 4)] = (y[(1, 3)] * y[(2, 4)] - y[(1, 2)] * y[(3, 4)]) / y[(2, 3)]
         if not y[(1, 4)]:
             continue
-        assert plucker_quadric(y, OcticIndex(1, 2, 3, 4)) == 0
+        assert _quadric(y, OcticIndex(1, 2, 3, 4)) == 0
         assert octic_eval(plucker_to_cone(y), OcticIndex(1, 2, 3, 4)) == 0
         found += 1
 

@@ -7,14 +7,10 @@ import pytest
 from plumbline import (
     Alkane,
     EdgeData,
-    GaussianRational,
-    JetRing,
     RangeError,
     StructureError,
     SurfaceBlockShape,
     SurfaceGraphModel,
-    assemble_surface_period,
-    build_Pi,
     canonical_code,
     dim_K,
     dim_V_Gamma,
@@ -26,7 +22,7 @@ from plumbline import (
     valency_profile,
 )
 from plumbline.sampling import rand_fraction, random_surface_model, substream
-from plumbline.surfaces import all_two_by_two_minors_vanish, dense_rank_exact, matrix_rank_exact
+from plumbline.surfaces import all_two_by_two_minors_vanish, edge_matrix, matrix_rank_exact
 
 
 def test_dim_period_domain_values():
@@ -47,7 +43,7 @@ def test_dim_K_values():
 
 def test_dim_V_Gamma_examples():
     assert dim_V_Gamma(Alkane.chain(3)) == 36
-    assert dim_V_Gamma(Alkane.star(5)) == 54
+    assert dim_V_Gamma(Alkane(5, [(1, 2), (1, 3), (1, 4), (1, 5)])) == 54
     assert dim_V_Gamma(Alkane(1, [])) == 18
 
 
@@ -84,46 +80,52 @@ def test_block_shape():
         SurfaceBlockShape(0)
 
 
-def _two_vertex_model(omega_pair=((Fraction(1),), (Fraction(-1),))):
+def _two_vertex_model(omega_pair=((Fraction(1),), (Fraction(-1),)), scale=Fraction(1)):
     a = Alkane(2, [(1, 2)])
     shapes = (SurfaceBlockShape(1), SurfaceBlockShape(1))
-    blocks = tuple(
-        tuple(tuple(Fraction(r * 15 + c + 1) for c in range(15)) for r in range(1))
-        for _ in range(2)
-    )
-    ones = tuple(Fraction(1) for _ in range(14)) + (Fraction(0),)
-    edge_data = {(1, 2): EdgeData((1, 2), omega_pair, (ones, ones))}
-    return SurfaceGraphModel(a, shapes, blocks, edge_data)
+    iv = tuple(scale * (c + 1) for c in range(14)) + (Fraction(0),)
+    edge_data = {(1, 2): EdgeData((1, 2), omega_pair, (iv, iv))}
+    return SurfaceGraphModel(a, shapes, edge_data)
+
+
+def _dense_outer(model, edge):
+    """omega_e tensor I_e as a full ambient matrix, for an edge that joins
+    the model's only two vertices."""
+    data = model.edge_data[edge]
+    omega = [w for vec in data.omega for w in vec]
+    i_vec = [x for vec in data.i_vectors for x in vec]
+    return [[w * x for x in i_vec] for w in omega]
+
+
+def _dense(entries, n_rows, n_cols):
+    return [[entries.get((r, c), 0) for c in range(n_cols)] for r in range(n_rows)]
 
 
 def test_build_pi_rank_at_most_one():
     model = _two_vertex_model()
-    pi = build_Pi(model, (1, 2))
-    assert len(pi) == 2 and len(pi[0]) == 30
-    assert all_two_by_two_minors_vanish(pi)
-    assert dense_rank_exact(pi) == 1
+    pi = edge_matrix(model, (1, 2))
+    dense = _dense_outer(model, (1, 2))
+    assert _dense(pi, 2, 30) == dense
+    assert len(pi) == 2 * 28  # two omega entries times 14 nonzero I entries per side
+    assert all(v for v in pi.values())
+    assert all_two_by_two_minors_vanish(dense)
+    rows = [{c: v for (r, c), v in pi.items() if r == row} for row in range(2)]
+    assert matrix_rank_exact(rows) == 1
 
 
 def test_build_pi_zero_omega_gives_zero_matrix():
     model = _two_vertex_model(((Fraction(0),), (Fraction(0),)))
-    pi = build_Pi(model, (1, 2))
-    assert all(not v for row in pi for v in row)
-    assert dense_rank_exact(pi) == 0
+    assert edge_matrix(model, (1, 2)) == {}
+    assert matrix_rank_exact([edge_matrix(model, (1, 2))]) == 0
 
 
 def test_build_pi_scales_linearly():
-    model = _two_vertex_model()
-    base = build_Pi(model, (1, 2))
-    d = model.edge_data[(1, 2)]
     s = Fraction(3, 2)
-    scaled_iv = tuple(tuple(s * x for x in vec) for vec in d.i_vectors)
-    model2 = SurfaceGraphModel(
-        model.alkane, model.shapes, model.blocks, {(1, 2): EdgeData((1, 2), d.omega, scaled_iv)}
-    )
-    pi2 = build_Pi(model2, (1, 2))
-    for r in range(len(base)):
-        for c in range(len(base[0])):
-            assert pi2[r][c] == s * base[r][c]
+    model = _two_vertex_model(scale=s)
+    base = edge_matrix(_two_vertex_model(), (1, 2))
+    scaled = edge_matrix(model, (1, 2))
+    assert scaled == {k: s * v for k, v in base.items()}
+    assert _dense(scaled, 2, 30) == _dense_outer(model, (1, 2))
 
 
 def test_edge_data_trailing_zero_enforced():
@@ -133,47 +135,8 @@ def test_edge_data_trailing_zero_enforced():
         SurfaceGraphModel(
             Alkane(2, [(1, 2)]),
             (SurfaceBlockShape(1), SurfaceBlockShape(1)),
-            tuple(
-                tuple(tuple(Fraction(0) for _ in range(15)) for _ in range(1))
-                for _ in range(2)
-            ),
             {(1, 2): EdgeData((1, 2), ((Fraction(1),), (Fraction(-1),)), (bad, good))},
         )
-
-
-def test_assemble_two_vertex_block_structure():
-    model = _two_vertex_model()
-    ring = JetRing(("t1_2",), 1)
-    m = assemble_surface_period(model, ring)
-    assert len(m) == 2 and len(m[0]) == 30
-    pi = build_Pi(model, (1, 2))
-    for r in range(2):
-        for c in range(30):
-            # t = 0 slice is the block diagonal
-            const = m[r][c].constant_term()
-            in_own_block = (r == 0 and c < 15) or (r == 1 and c >= 15)
-            if in_own_block:
-                assert const == GaussianRational(model.blocks[r][0][c % 15])
-            else:
-                assert not const
-            # derivative in t equals Pi exactly
-            assert m[r][c].coefficient_of_var("t1_2") == GaussianRational(0) + pi[r][c]
-
-
-def test_assemble_order_independent():
-    a = Alkane.chain(4)
-    model = random_surface_model(a, substream(81, "test:asm"))
-    ring = JetRing(model.variables(), 1)
-    m1 = assemble_surface_period(model, ring)
-    # reversed edge_data insertion order must give the identical matrix
-    reordered = SurfaceGraphModel(
-        a,
-        model.shapes,
-        model.blocks,
-        dict(reversed(list(model.edge_data.items()))),
-    )
-    m2 = assemble_surface_period(reordered, ring)
-    assert m1 == m2
 
 
 def test_span_dimension_generic():
@@ -194,7 +157,7 @@ def test_span_dimension_degenerate_duplicate():
         (1, 2): EdgeData((1, 2), (zero_w, w_mid), (zero_i, i_mid)),
         (2, 3): EdgeData((2, 3), (w_mid, zero_w), (i_mid, zero_i)),
     }
-    degenerate = SurfaceGraphModel(a, model.shapes, model.blocks, dup)
+    degenerate = SurfaceGraphModel(a, model.shapes, dup)
     assert span_dimension_E_Gamma(degenerate) == 1 < 2
 
 
@@ -208,13 +171,14 @@ def test_skew_block_on_constructed_pi():
         a = Alkane.chain(h)
         model = random_surface_model(a, substream(91, f"test:skew:{h}"))
         for edge in a.edges:
-            pi = build_Pi(model, edge)
+            entries = edge_matrix(model, edge)
+            pi = _dense(entries, h, 15 * h)
             # each vertex's trailing column within each vertex's row range
             for v in range(1, h + 1):
                 rows = [model.row_offset(v)]
                 cols = [model.col_offset(v) + model.shapes[v - 1].cols - 1]
                 assert skew_block_rank_one_vanishing(pi, rows, cols)
-                assert not pi[rows[0]][cols[0]]
+                assert all(c != cols[0] for _, c in entries)
 
 
 def test_skew_block_zero_matrix():
@@ -264,9 +228,10 @@ def test_rank_helpers():
         {2: Fraction(5)},
     ]
     assert matrix_rank_exact(rows) == 2
-    dense = [
-        [Fraction(1), Fraction(0), Fraction(1)],
-        [Fraction(0), Fraction(1), Fraction(1)],
-        [Fraction(1), Fraction(1), Fraction(2)],
+    # positions may be any hashable key, such as the (row, col) of an edge matrix
+    matrices = [
+        {(0, 0): Fraction(1), (1, 2): Fraction(1)},
+        {(0, 1): Fraction(1), (1, 2): Fraction(1)},
+        {(0, 0): Fraction(1), (0, 1): Fraction(1), (1, 2): Fraction(2)},
     ]
-    assert dense_rank_exact(dense) == 2
+    assert matrix_rank_exact(matrices) == 2
