@@ -20,9 +20,11 @@ can be shared freely across threads.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple
+from functools import reduce
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import RangeError, StructureError
 from .gaussian import GaussianRational
@@ -206,6 +208,15 @@ class Jet:
             default=None,
         )
 
+    def valuation(self) -> int | None:
+        """Lowest total degree among the stored terms; None for the zero jet.
+
+        Unlike ``min_nonzero_degree`` this applies no zero test, so a
+        product's valuation is at least the sum of its factors' valuations
+        in both fields.
+        """
+        return min(map(sum, self._terms), default=None)
+
     # -- arithmetic ---------------------------------------------------
 
     def _check_ring(self, other: "Jet"):
@@ -253,7 +264,13 @@ class Jet:
             other = self._wrap(other)
         except TypeError:
             return NotImplemented
-        order = self.ring.order
+        return self._times(other, self.ring.order)
+
+    __rmul__ = __mul__
+
+    def _times(self, other: "Jet", limit: int) -> "Jet":
+        """The product with every monomial of total degree above ``limit``
+        discarded; ``limit`` is at most the ring order."""
         out: Dict[Exponents, object] = {}
         # iterate over the smaller operand outside for fewer dict rebuilds
         a, b = self._terms, other._terms
@@ -262,7 +279,7 @@ class Jet:
         for ea, ca in a.items():
             da = sum(ea)
             for eb, cb in b.items():
-                if da + sum(eb) > order:
+                if da + sum(eb) > limit:
                     continue
                 exp = tuple(x + y for x, y in zip(ea, eb))
                 c = ca * cb
@@ -273,8 +290,6 @@ class Jet:
                 else:
                     out.pop(exp, None)
         return Jet(self.ring, out)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         if isinstance(scalar, Jet):
@@ -329,3 +344,34 @@ class Jet:
             else:
                 terms.append({"exp": list(exp), "re": c.real, "im": c.imag})
         return {"vars": list(self.ring.variables), "order": self.ring.order, "terms": terms}
+
+
+def lookahead_product(factors: Sequence, reserve: int = 0):
+    """The left-fold product ``((f0 * f1) * f2) * ...`` of jets and numbers.
+
+    Each partial product is truncated at the ring order less the valuations
+    of the factors still to come, less ``reserve``: the degrees by which the
+    caller will still multiply the result.  A product's lowest degree is at
+    least the sum of its factors' valuations, so every discarded monomial
+    would only have fed monomials above the ring order.  The result is the
+    plain product truncated at ``order - reserve``: equal to it over exact
+    Gaussian rationals, and over floats each kept coefficient is the same
+    sum of the same products, whose rounding can differ only where a step's
+    smaller operand changes sides and a monomial collects three or more
+    products.  Without jet factors this is the ordinary product.
+    """
+    anchor = next((f for f in factors if isinstance(f, Jet)), None)
+    if anchor is None:
+        return reduce(operator.mul, factors)
+    ring = anchor.ring
+    jets = [anchor._wrap(f) for f in factors]
+    vals = [f.valuation() for f in jets]
+    if None in vals:
+        return ring.zero()
+    to_come = sum(vals[1:]) + reserve
+    limit = ring.order - to_come
+    partial = Jet(ring, {e: c for e, c in jets[0]._terms.items() if sum(e) <= limit})
+    for f, v in zip(jets[1:], vals[1:]):
+        to_come -= v
+        partial = partial._times(f, ring.order - to_come)
+    return partial

@@ -28,7 +28,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .curve_periods import StarConfig, star_period_leading
 from .errors import DegenerateDataError, RangeError, StructureError
-from .jets import EXACT_FIELD, Jet, JetRing
+from .jets import EXACT_FIELD, Jet, JetRing, lookahead_product
 
 OCTIC_VARIANTS = ("corrected", "printed")
 
@@ -57,6 +57,14 @@ def all_octic_indices(g: int) -> List[OcticIndex]:
 Entries = Mapping[Tuple[int, int], object]
 
 
+def _square(*factors):
+    """(f1*f2*f3*f4)**2, its base truncated knowing that it will be squared."""
+    # numbers and zero jets add no degree; a zero factor makes the base zero
+    reserve = sum(f.valuation() or 0 for f in factors if isinstance(f, Jet))
+    base = lookahead_product(factors, reserve=reserve)
+    return base ** 2
+
+
 def octic_eval(entries: Entries, idx: OcticIndex, variant: str = "corrected"):
     """Evaluate the degree-8 relation on the six off-diagonal entries of idx.
 
@@ -69,18 +77,15 @@ def octic_eval(entries: Entries, idx: OcticIndex, variant: str = "corrected"):
     i, j, k, l = idx
     tij, tik, til = entries[(i, j)], entries[(i, k)], entries[(i, l)]
     tjk, tjl, tkl = entries[(j, k)], entries[(j, l)], entries[(k, l)]
-    positive = (
-        2 * (tij * tkl) * (til * tjk) * (tik * tjl) * (tik * tjl + til * tjk + tij * tkl)
-    )
-    sq_ik_jl__il_jk = (tik * tjl * til * tjk) ** 2
-    sq_ij_kl__ik_jl = (tij * tkl * tik * tjl) ** 2
-    sq_ij_kl__il_jk = (tij * tkl * til * tjk) ** 2
+    ij_kl, il_jk, ik_jl = tij * tkl, til * tjk, tik * tjl
+    positive = lookahead_product((2, ij_kl, il_jk, ik_jl, ik_jl + il_jk + ij_kl))
+    sq_ik_jl__il_jk = _square(tik, tjl, til, tjk)
+    sq_ij_kl__ik_jl = _square(tij, tkl, tik, tjl)
+    sq_ij_kl__il_jk = _square(tij, tkl, til, tjk)
     if variant == "corrected":
         negative = sq_ik_jl__il_jk + sq_ij_kl__ik_jl + sq_ij_kl__il_jk
     else:
-        negative = (
-            (tij * til * tjk * tjl) ** 2 + sq_ik_jl__il_jk + sq_ij_kl__ik_jl
-        )
+        negative = _square(tij, til, tjk, tjl) + sq_ik_jl__il_jk + sq_ij_kl__ik_jl
     return positive - negative
 
 

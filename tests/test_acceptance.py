@@ -13,6 +13,7 @@ import time
 
 import networkx as nx
 
+from plumbline import relations
 from plumbline.checks import (
     check_alkane_counts,
     check_branch_patterns,
@@ -78,13 +79,30 @@ def test_criterion_2_cone_vanishing():
         assert detail["octics_checked"] == 10 * 21
 
 
-def test_criterion_3_mod_t9_jet_vanishing():
-    with _Budget("3 mod-T^9 jet vanishing (g=4, order 17, 5 seeds)", 60):
-        ok, detail = check_jet_vanishing(2, trials=5)
+def test_criterion_3_mod_t9_jet_vanishing(monkeypatch):
+    octics = []
+    original = relations.octic_eval
+
+    def count(entries, idx, *args, **kwargs):
+        f = original(entries, idx, *args, **kwargs)
+        octics.append((len(f.ring.variables), f.min_nonzero_degree()))
+        return f
+
+    monkeypatch.setattr(relations, "octic_eval", count)
+    with _Budget("3 mod-T^9 jet vanishing (g=4 and 7, order 17, 5 seeds each)", 60):
+        ok, detail = check_jet_vanishing(2, genera=(4, 7), trials=5)
         assert ok, detail
-        assert len(detail["min_surviving_degrees"]) == 5
-        # the corrupted entry survives at degree <= 16
+        assert len(detail["min_surviving_degrees"]) == 10
+        # the corrupted entry survives at degree <= 16, at each genus
         assert detail["negative_control_failed"]
+    # g = 7: five configurations of 35 octics, each vanishing through degree
+    # 16 and the smallest surviving degree 17, then the corrupted one
+    assert detail["min_surviving_degrees"][5:] == [17] * 5
+    g7 = [d for g, d in octics if g == 7]
+    assert len(g7) == 6 * 35
+    passing, control = g7[:-35], g7[-35:]
+    assert all(d is None or d >= 17 for d in passing)
+    assert min(d for d in control if d is not None) <= 16
 
 
 def test_criterion_4_branch_patterns():

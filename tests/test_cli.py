@@ -3,10 +3,11 @@
 import copy
 import hashlib
 import json
+import math
 
 import pytest
 
-from plumbline import FormulaViolationError
+from plumbline import FormulaViolationError, relations
 from plumbline.cli import main
 
 PAIR_CONFIG = {
@@ -86,6 +87,10 @@ PINNED_REPORTS = [
     (
         ["surfaces", "egamma", "--genus", "7", "--trials", "2", "--seed", "0"],
         "cccdd9a4313b55d9d4ab270d2523bf1515b5a1d015fe9cd95eb5f9f9bc0bb972",
+    ),
+    (
+        ["relations", "verify", "--genus", "7", "--trials", "1", "--seed", "0"],
+        "e2d2a80f08e9f19d89acb21a67455fd2e3d3a7c09b48a312bb992b1a6263ed8e",
     ),
 ]
 
@@ -247,6 +252,31 @@ def test_fixed_seed_reports_pinned(capsys):
         assert main(argv) == 0, argv
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+@pytest.mark.parametrize("argv", [["--numeric", "--trials", "2"], ["--trials", "1"]])
+def test_octic_probe_contract(monkeypatch, tmp_path, argv):
+    # the benchmark's numeric probe wraps relations.octic_eval the same way
+    # and reads each jet's terms and degree queries
+    kept = []
+    original = relations.octic_eval
+
+    def keep(*args, **kwargs):
+        f = original(*args, **kwargs)
+        kept.append(f)
+        return f
+
+    monkeypatch.setattr(relations, "octic_eval", keep)
+    out = tmp_path / "r.json"
+    argv = ["relations", "verify", "--genus", "7", *argv, "--seed", "3", "--out", str(out)]
+    assert main(argv) == 0
+    report = json.loads(out.read_text())
+    assert len(kept) == len(report["trials"]) * math.comb(7, 4)
+    assert sum(t["octics_checked"] for t in report["trials"]) == len(kept)
+    for f in kept:
+        assert f.ring.order == 17 and len(f.ring.variables) == 7
+        assert f.terms and all(len(e) == 7 and sum(e) >= 16 for e in f.terms)
+        assert f.vanishes_through_degree(16) and f.min_nonzero_degree() == 17
 
 
 def test_selftest_deterministic(tmp_path):

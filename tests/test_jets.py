@@ -12,10 +12,12 @@ from plumbline import (
     CoefficientField,
     FieldKind,
     GaussianRational,
+    Jet,
     JetRing,
     RangeError,
     StructureError,
 )
+from plumbline.jets import lookahead_product
 
 
 def _evaluate(jet, values):
@@ -176,6 +178,79 @@ def test_ring_axioms_exact(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+def test_valuation_examples(ring2):
+    assert ring2.zero().valuation() is None
+    assert ring2.constant(5).valuation() == 0
+    t1, t2 = ring2.variable("t1"), ring2.variable("t2")
+    assert (t1 * t2 + t2).valuation() == 1
+    assert (t1 * t2).valuation() == 2
+
+
+MIXED_RING = JetRing(("x", "y"), 4)
+
+
+@st.composite
+def mixed_jets(draw):
+    """Jets of the order-4 ring whose terms start at a drawn degree, so
+    valuations from 0 up to 4 and the zero jet all occur."""
+    low = draw(st.integers(0, MIXED_RING.order))
+    exps = [e for e in _all_exps(2, MIXED_RING.order) if sum(e) >= low]
+    terms = {}
+    for exp in draw(st.lists(st.sampled_from(exps), max_size=5)):
+        terms[exp] = GaussianRational(draw(_coeffs()), draw(_coeffs()))
+    return MIXED_RING.jet(terms)
+
+
+def _truncated(jet, degree):
+    return jet.ring.jet({e: c for e, c in jet.terms.items() if sum(e) <= degree})
+
+
+@settings(max_examples=120, deadline=None)
+@given(mixed_jets(), mixed_jets())
+def test_valuation_of_sum_and_product(a, b):
+    va, vb = a.valuation(), b.valuation()
+    s = (a + b).valuation()
+    if s is not None:
+        assert s >= min(v for v in (va, vb) if v is not None)
+    p = (a * b).valuation()
+    if p is not None:
+        assert p >= va + vb
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.one_of(mixed_jets(), _coeffs()), min_size=1, max_size=4).filter(
+        lambda fs: any(isinstance(f, Jet) for f in fs)
+    ),
+    st.integers(0, 3),
+)
+def test_lookahead_product_is_truncated_plain_product(factors, reserve):
+    plain = factors[0] if isinstance(factors[0], Jet) else MIXED_RING.constant(factors[0])
+    for f in factors[1:]:
+        plain = plain * f
+    expected = _truncated(plain, MIXED_RING.order - reserve)
+    assert lookahead_product(factors, reserve=reserve) == expected
+    assert lookahead_product(factors) == plain
+
+
+def test_lookahead_product_of_numbers_is_plain():
+    assert lookahead_product((2, Fraction(1, 3), Fraction(3, 4))) == Fraction(1, 2)
+    assert lookahead_product((GaussianRational(0, 1), GaussianRational(0, 1))) == -1
+
+
+def test_lookahead_product_float_matches_plain():
+    ring = JetRing(("x", "y"), 5, FLOAT_FIELD)
+    a = ring.jet({(1, 0): 0.3 + 1j, (0, 1): -1.7, (2, 1): 2.5j})
+    b = ring.jet({(0, 0): 1.1, (1, 1): 0.25 - 0.5j, (0, 3): 3.0})
+    assert lookahead_product((a, b, a)) == a * b * a
+    assert lookahead_product((a, b), reserve=2) == _truncated(a * b, 3)
+
+
+def test_lookahead_product_ring_mismatch_raises(ring1, ring2):
+    with pytest.raises(StructureError):
+        lookahead_product((ring1.variable("t"), ring2.variable("t1")))
 
 
 def _horner_eval(terms, names, values):

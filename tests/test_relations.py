@@ -8,6 +8,7 @@ import pytest
 from plumbline import (
     DegenerateDataError,
     EXACT_FIELD,
+    FLOAT_FIELD,
     GaussianRational,
     JetRing,
     OcticIndex,
@@ -20,6 +21,7 @@ from plumbline import (
     star_period_leading,
     verify_asymptotic_vanishing,
 )
+from plumbline.relations import OCTIC_VARIANTS, perturbed_star_entries
 from plumbline.sampling import (
     rand_nonzero_fraction,
     random_grass_frame_minors,
@@ -32,6 +34,68 @@ def _quadric(y, idx):
     """The Pluecker quadric y_ij y_kl - y_ik y_jl + y_il y_jk."""
     i, j, k, l = idx
     return y[(i, j)] * y[(k, l)] - y[(i, k)] * y[(j, l)] + y[(i, l)] * y[(j, k)]
+
+
+def _octic_plain(entries, idx, variant="corrected"):
+    """The octic with plain operators: every product kept up to the ring
+    order, the oracle for the truncated products of ``octic_eval``."""
+    i, j, k, l = idx
+    tij, tik, til = entries[(i, j)], entries[(i, k)], entries[(i, l)]
+    tjk, tjl, tkl = entries[(j, k)], entries[(j, l)], entries[(k, l)]
+    positive = (
+        2 * (tij * tkl) * (til * tjk) * (tik * tjl) * (tik * tjl + til * tjk + tij * tkl)
+    )
+    sq_ik_jl__il_jk = (tik * tjl * til * tjk) ** 2
+    sq_ij_kl__ik_jl = (tij * tkl * tik * tjl) ** 2
+    sq_ij_kl__il_jk = (tij * tkl * til * tjk) ** 2
+    if variant == "corrected":
+        negative = sq_ik_jl__il_jk + sq_ij_kl__ik_jl + sq_ij_kl__il_jk
+    else:
+        negative = (tij * til * tjk * tjl) ** 2 + sq_ik_jl__il_jk + sq_ij_kl__ik_jl
+    return positive - negative
+
+
+def _star_entries(g, field, seed, corrupt_entry=None):
+    s = random_star_config(g, substream(seed, f"test:plain:{g}"))
+    ring = JetRing(tuple(s.variables), 17, field)
+    return perturbed_star_entries(s, ring, seed, corrupt_entry)
+
+
+def _float_bits(jet):
+    return {e: (c.real.hex(), c.imag.hex()) for e, c in jet.terms.items()}
+
+
+@pytest.mark.parametrize("g", [4, 5, 6])
+def test_octic_eval_matches_plain_oracle_exact(g):
+    for corrupt_entry in (None, (1, 2)):
+        entries = _star_entries(g, EXACT_FIELD, 90 + g, corrupt_entry)
+        for variant in OCTIC_VARIANTS:
+            for idx in all_octic_indices(g):
+                assert octic_eval(entries, idx, variant) == _octic_plain(entries, idx, variant)
+
+
+def test_octic_eval_matches_plain_oracle_float_g7():
+    entries = _star_entries(7, FLOAT_FIELD, 97)
+    for idx in all_octic_indices(7):
+        f, oracle = octic_eval(entries, idx), _octic_plain(entries, idx)
+        assert f.ring.order == 17
+        assert f == oracle
+        # the kept coefficients come from the same float operations
+        assert _float_bits(f) == _float_bits(oracle)
+
+
+@pytest.mark.parametrize("field", [EXACT_FIELD, FLOAT_FIELD])
+def test_octic_eval_matches_plain_oracle_mixed_valuations(field):
+    # a constant-only entry (valuation 0) and a zero entry (no valuation)
+    constant = _star_entries(5, field, 98)
+    ring = constant[(1, 2)].ring
+    constant[(1, 3)] = ring.constant(3)
+    zero = dict(constant)
+    zero[(2, 4)] = ring.zero()
+    for case in (constant, zero):
+        for variant in OCTIC_VARIANTS:
+            for idx in all_octic_indices(5):
+                assert octic_eval(case, idx, variant) == _octic_plain(case, idx, variant)
 
 
 def test_cone_oracle_corrected_vs_printed():
