@@ -5,6 +5,14 @@ Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or
 configuration error, 3 internal error (a bug in plumbline; the traceback
 goes to stderr).  All randomness is derived from --seed through labelled
 substreams, so reports are byte-for-byte reproducible.
+
+Config numbers are read exactly in either mode: ints, "p/q" strings, or
+finite JSON numbers taken as the decimal they print as.  --exact and
+--numeric pick only the jet ring's coefficient field; the float field
+rounds each value once, when an assembly coerces it into the ring.
+Each subcommand returns its report body and whether every check passed;
+``main`` adds the command and version, writes the report and maps the
+outcome to the exit code.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import os
 import sys
 import traceback
 from fractions import Fraction
-from typing import Callable, List, Optional, TypeVar
+from typing import Callable, List, Optional, Tuple, TypeVar
 
 from . import __version__
 from .alkanes import Alkane, canonical_code, count_alkanes, enumerate_alkanes
@@ -74,24 +82,24 @@ def _positive_int(text: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config parsing: every number is read exactly, the ring's field rounds it
 
 
-def _parse_value(v, exact: bool):
+def _parse_part(x) -> Fraction:
+    if isinstance(x, float) and math.isfinite(x):
+        return Fraction(str(x))  # the decimal the JSON number prints as
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
+        return Fraction(x)
+    raise ConfigError(f"expected an int, a 'p/q' string or a finite number, got {x!r}")
+
+
+def _parse_value(v) -> GaussianRational:
     try:
         if isinstance(v, (list, tuple)):
             if len(v) != 2:
                 raise ConfigError(f"complex value needs [re, im], got {v}")
-            if exact:
-                return GaussianRational(Fraction(str(v[0])), Fraction(str(v[1])))
-            return complex(float(Fraction(str(v[0]))), float(Fraction(str(v[1]))))
-        if exact:
-            if isinstance(v, str):
-                return GaussianRational(Fraction(v))
-            if isinstance(v, int):
-                return GaussianRational(v)
-            raise ConfigError(f"exact mode needs 'p/q' strings or ints, got {v!r}")
-        return complex(float(Fraction(str(v))) if isinstance(v, str) else float(v))
+            return GaussianRational(_parse_part(v[0]), _parse_part(v[1]))
+        return GaussianRational(_parse_part(v))
     except (ValueError, ZeroDivisionError) as e:
         raise ConfigError(f"bad numeric value {v!r}: {e}") from e
 
@@ -103,62 +111,69 @@ def _parse_label(name: str) -> TwoTorsionLabel:
         raise ConfigError(f"unknown 2-torsion label {name!r}") from None
 
 
-def _parse_mark(d: dict, exact: bool) -> Mark:
+def _parse_edge(e, path: str) -> Tuple[int, int]:
+    if not (isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e)):
+        raise ConfigError(f"{path} must be a pair of vertex numbers, got {e!r}")
+    return tuple(e)
+
+
+def _parse_mark(d: dict) -> Mark:
     point = d["point"]
-    point = _parse_label(point) if isinstance(point, str) else _parse_value(point, exact)
-    return Mark(point, _parse_value(d["c"], exact))
+    point = _parse_label(point) if isinstance(point, str) else _parse_value(point)
+    return Mark(point, _parse_value(d["c"]))
 
 
-def _parse_curve(d: dict, exact: bool) -> MarkedEllipticCurve:
-    tau = TauPoint(_parse_value(d["tau"], exact))
-    marks = tuple(_parse_mark(m, exact) for m in d.get("marks", []))
+def _parse_curve(d: dict) -> MarkedEllipticCurve:
+    tau = TauPoint(_parse_value(d["tau"]))
+    marks = tuple(_parse_mark(m) for m in d.get("marks", []))
     return MarkedEllipticCurve(tau, marks)
 
 
-def _parse_pair_side(d: dict, exact: bool, mark: int):
+def _parse_pair_side(d: dict, mark: int):
     if "block" in d:
-        block = tuple(tuple(_parse_value(v, exact) for v in row) for row in d["block"])
-        omega = tuple(_parse_value(v, exact) for v in d["omega"])
+        block = tuple(tuple(_parse_value(v) for v in row) for row in d["block"])
+        omega = tuple(_parse_value(v) for v in d["omega"])
         return CurveBlock(block, omega)
-    curve = _parse_curve(d, exact)
+    curve = _parse_curve(d)
     if type(mark) is not int or not 0 <= mark < len(curve.marks):
         raise ConfigError(f"mark index {mark!r} on a curve with {len(curve.marks)} marks")
     return curve
 
 
-def _parse_pair(cfg: dict, exact: bool) -> PairPlumbing:
+def _parse_pair(cfg: dict) -> PairPlumbing:
     mark_a, mark_b = cfg.get("mark_a", 0), cfg.get("mark_b", 0)
-    side_a = _parse_pair_side(cfg["curve_a"], exact, mark_a)
-    side_b = _parse_pair_side(cfg["curve_b"], exact, mark_b)
+    side_a = _parse_pair_side(cfg["curve_a"], mark_a)
+    side_b = _parse_pair_side(cfg["curve_b"], mark_b)
     return PairPlumbing(side_a, side_b, cfg.get("t", "t"), mark_a, mark_b)
 
 
-def _parse_star(cfg: dict, exact: bool) -> StarConfig:
-    curves = tuple(_parse_curve(c, exact) for c in cfg["curves"])
-    points = tuple(_parse_value(b, exact) for b in cfg["b"])
+def _parse_star(cfg: dict) -> StarConfig:
+    curves = tuple(_parse_curve(c) for c in cfg["curves"])
+    points = tuple(_parse_value(b) for b in cfg["b"])
     return StarConfig(curves, points, tuple(cfg["vars"]))
 
 
-def _parse_tree(cfg: dict, exact: bool) -> TreeConfig:
-    alkane = Alkane(cfg["genus"], [tuple(e) for e in cfg["edges"]])
-    taus = tuple(TauPoint(_parse_value(t, exact)) for t in cfg["taus"])
+def _parse_tree(cfg: dict) -> TreeConfig:
+    edges = [_parse_edge(e, f"edges[{k}]") for k, e in enumerate(cfg["edges"])]
+    alkane = Alkane(cfg["genus"], edges)
+    taus = tuple(TauPoint(_parse_value(t)) for t in cfg["taus"])
     edge_data = {}
-    for item in cfg["edge_data"]:
-        i, j = sorted(item["edge"])
+    for k, item in enumerate(cfg["edge_data"]):
+        i, j = sorted(_parse_edge(item["edge"], f"edge_data[{k}].edge"))
         if (i, j) in edge_data:
             raise ConfigError(f"edge {[i, j]} is listed twice in edge_data")
         low, high = item["low"], item["high"]
         edge_data[(i, j)] = TreeEdgeData(
             var=item["var"],
             label_low=_parse_label(low["label"]),
-            coeff_low=_parse_value(low["c"], exact),
+            coeff_low=_parse_value(low["c"]),
             label_high=_parse_label(high["label"]),
-            coeff_high=_parse_value(high["c"], exact),
+            coeff_high=_parse_value(high["c"]),
         )
     return TreeConfig(alkane, taus, edge_data)
 
 
-def _read_config(path: str, parse: Callable[[dict, bool], T], exact: bool) -> T:
+def _read_config(path: str, parse: Callable[[dict], T]) -> T:
     """Load the JSON object at ``path`` and build its configuration.
 
     A missing key or a value of the wrong shape is a config error: the
@@ -174,7 +189,7 @@ def _read_config(path: str, parse: Callable[[dict, bool], T], exact: bool) -> T:
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object, not {type(cfg).__name__}")
     try:
-        return parse(cfg, exact)
+        return parse(cfg)
     except PlumblineError:
         raise
     except KeyError as e:
@@ -204,120 +219,74 @@ def _say(msg: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns the report body and whether every check passed
 
 
-def cmd_alkanes_enum(args) -> int:
+def cmd_alkanes_enum(args):
     alkanes = enumerate_alkanes(args.genus)
-    report = {
-        "command": "alkanes enum",
-        "version": __version__,
+    body = {
         "genus": args.genus,
         "count": len(alkanes),
         "alkanes": [a.to_json_dict() for a in alkanes],
     }
-    _emit(report, args.out)
-    return 0
+    return body, True
 
 
-def cmd_alkanes_count(args) -> int:
-    counts = [count_alkanes(g) for g in range(1, args.max + 1)]
-    report = {
-        "command": "alkanes count",
-        "version": __version__,
-        "max": args.max,
-        "counts": counts,
-    }
-    _emit(report, args.out)
-    return 0
+def cmd_alkanes_count(args):
+    return {"max": args.max, "counts": [count_alkanes(g) for g in range(1, args.max + 1)]}, True
 
 
-def cmd_periods_pair(args) -> int:
-    exact = args.mode_exact
-    p = _read_config(args.config, _parse_pair, exact)
-    ring = JetRing((p.t,), args.order, _field(exact))
-    m = pair_period_first_order(p, ring)
-    _emit({"command": "periods pair", "version": __version__, **m.to_json_dict()}, args.out)
-    return 0
+# periods subcommand -> (config parser, the ring's variables, assembly)
+_PERIODS = {
+    "pair": (_parse_pair, lambda p: (p.t,), pair_period_first_order),
+    "star": (_parse_star, lambda s: s.variables, star_period_leading),
+    "tree": (
+        _parse_tree,
+        lambda c: tuple(d.var for d in c.edge_data.values()),
+        tree_period_first_order,
+    ),
+}
 
 
-def cmd_periods_star(args) -> int:
-    exact = args.mode_exact
-    s = _read_config(args.config, _parse_star, exact)
-    ring = JetRing(s.variables, max(args.order, 2), _field(exact))
-    m = star_period_leading(s, ring)
-    _emit({"command": "periods star", "version": __version__, **m.to_json_dict()}, args.out)
-    return 0
+def cmd_periods(args):
+    parse, variables, assemble = _PERIODS[args.subcommand]
+    config = _read_config(args.config, parse)
+    ring = JetRing(variables(config), args.order, _field(args.mode_exact))
+    return assemble(config, ring).to_json_dict(), True
 
 
-def cmd_periods_tree(args) -> int:
-    exact = args.mode_exact
-    tc = _read_config(args.config, _parse_tree, exact)
-    variables = tuple(d.var for d in tc.edge_data.values())
-    ring = JetRing(variables, args.order, _field(exact))
-    m = tree_period_first_order(tc, ring)
-    _emit({"command": "periods tree", "version": __version__, **m.to_json_dict()}, args.out)
-    return 0
-
-
-def cmd_relations_verify(args) -> int:
-    g = args.genus
+def cmd_relations_verify(args):
+    field = _field(args.mode_exact)
     trials = []
-    all_pass = True
     for trial in range(args.trials):
-        s = random_star_config(g, substream(args.seed, f"relations:config:{trial}"))
-        rep = verify_asymptotic_vanishing(
-            s,
-            seed=f"{args.seed}:relations:perturb:{trial}",
-            order=args.order,
-            field=_field(args.mode_exact),
-        )
-        all_pass = all_pass and rep.passed
-        trials.append(rep.to_json_dict())
-    report = {
-        "command": "relations verify",
-        "version": __version__,
-        "genus": g,
+        s = random_star_config(args.genus, substream(args.seed, f"relations:config:{trial}"))
+        seed = f"{args.seed}:relations:perturb:{trial}"
+        trials.append(verify_asymptotic_vanishing(s, seed=seed, order=args.order, field=field))
+    all_pass = all(rep.passed for rep in trials)
+    _say(f"relations verify: {'PASS' if all_pass else 'FAIL'} ({len(trials)} trials)")
+    body = {
+        "genus": args.genus,
         "seed": args.seed,
-        "trials": trials,
+        "trials": [rep.to_json_dict() for rep in trials],
         "pass": all_pass,
     }
-    _emit(report, args.out)
-    _say(f"relations verify: {'PASS' if all_pass else 'FAIL'} ({len(trials)} trials)")
-    return 0 if all_pass else 1
+    return body, all_pass
 
 
-def cmd_surfaces_dims(args) -> int:
+def cmd_surfaces_dims(args):
     h = args.genus
     alkanes = enumerate_alkanes(h)
-    per_alkane = []
-    for a in alkanes:
-        per_alkane.append(
-            {
-                "alkane": a.to_json_dict(),
-                "h": h,
-                "dims": {
-                    "V_h": dim_period_domain(h),
-                    "V_Gamma": dim_V_Gamma(a),
-                    "W_1h": dim_W([1] * h),
-                },
-            }
-        )
-    report = {
-        "command": "surfaces dims",
-        "version": __version__,
-        "h": h,
-        "K": [dim_K(j) for j in range(5)],
-        "alkanes": per_alkane,
-    }
-    _emit(report, args.out)
-    return 0
+    dims = {"V_h": dim_period_domain(h), "W_1h": dim_W([1] * h)}
+    per_alkane = [
+        {"alkane": a.to_json_dict(), "h": h, "dims": {**dims, "V_Gamma": dim_V_Gamma(a)}}
+        for a in alkanes
+    ]
+    return {"h": h, "K": [dim_K(j) for j in range(5)], "alkanes": per_alkane}, True
 
 
-def cmd_surfaces_egamma(args) -> int:
+def cmd_surfaces_egamma(args):
     h = args.genus
     results = []
-    all_pass = True
     for a in enumerate_alkanes(h):
         code = canonical_code(a)
         spans = []
@@ -325,66 +294,43 @@ def cmd_surfaces_egamma(args) -> int:
             rng = substream(args.seed, f"egamma:{code}:{trial}")
             model = random_surface_model(a, rng)
             spans.append(span_dimension_E_Gamma(model))
-        ok = all(s == h - 1 for s in spans)
-        all_pass = all_pass and ok
         results.append(
             {
                 "alkane_code": code,
                 "h": h,
                 "span_dims": spans,
                 "expected": h - 1,
-                "pass": ok,
+                "pass": all(s == h - 1 for s in spans),
                 "shapes": [[shape.rows, shape.cols] for shape in model.shapes],
             }
         )
-    report = {
-        "command": "surfaces egamma",
-        "version": __version__,
-        "h": h,
-        "seed": args.seed,
-        "trials": args.trials,
-        "results": results,
-        "pass": all_pass,
-    }
-    _emit(report, args.out)
+    all_pass = all(r["pass"] for r in results)
     _say(f"surfaces egamma: {'PASS' if all_pass else 'FAIL'}")
-    return 0 if all_pass else 1
+    body = {"h": h, "seed": args.seed, "trials": args.trials, "results": results, "pass": all_pass}
+    return body, all_pass
 
 
-# ---------------------------------------------------------------------------
-# selftest
-
-
-def cmd_selftest(args) -> int:
+def cmd_selftest(args):
     variant = "printed" if args.inject_corrupted_octic else "corrected"
     results = []
     for name, check in CHECKS:
         ok, detail = check(args.seed, variant)
         results.append({"name": name, "pass": ok, "detail": detail})
     failed = sum(1 for r in results if not r["pass"])
-    report = {
-        "command": "selftest",
-        "version": __version__,
+    for r in results:
+        _say(f"  {'PASS' if r['pass'] else 'FAIL'}  {r['name']}")
+    _say(f"selftest: {len(results) - failed}/{len(results)} checks passed")
+    body = {
         "seed": args.seed,
         "octic_variant": variant,
         "checks": results,
         "summary": {"total": len(results), "passed": len(results) - failed, "failed": failed},
     }
-    _emit(report, args.out)
-    for r in results:
-        _say(f"  {'PASS' if r['pass'] else 'FAIL'}  {r['name']}")
-    _say(f"selftest: {len(results) - failed}/{len(results)} checks passed")
-    return 0 if failed == 0 else 1
+    return body, failed == 0
 
 
 # ---------------------------------------------------------------------------
 # argument wiring
-
-
-def _add_mode_flags(p: argparse.ArgumentParser) -> None:
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--exact", dest="mode_exact", action="store_true", default=True)
-    group.add_argument("--numeric", dest="mode_exact", action="store_false")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,60 +340,55 @@ def build_parser() -> argparse.ArgumentParser:
         "alkane branch patterns and the octic asymptotic relations.",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    # options shared by several subcommands, declared once as parent parsers
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    mode = argparse.ArgumentParser(add_help=False)
+    group = mode.add_mutually_exclusive_group()
+    group.add_argument("--exact", dest="mode_exact", action="store_true", default=True)
+    group.add_argument("--numeric", dest="mode_exact", action="store_false")
     sub = parser.add_subparsers(dest="command", required=True)
 
     alk = sub.add_parser("alkanes", help="enumerate or count alkanes")
     alk_sub = alk.add_subparsers(dest="subcommand", required=True)
-    enum_p = alk_sub.add_parser("enum")
+    enum_p = alk_sub.add_parser("enum", parents=[out])
     enum_p.add_argument("--genus", type=int, required=True)
-    enum_p.add_argument("--out")
     enum_p.set_defaults(func=cmd_alkanes_enum)
-    count_p = alk_sub.add_parser("count")
+    count_p = alk_sub.add_parser("count", parents=[out])
     count_p.add_argument("--max", type=_positive_int, required=True)
-    count_p.add_argument("--out")
     count_p.set_defaults(func=cmd_alkanes_count)
 
     per = sub.add_parser("periods", help="assemble first-order period matrices")
     per_sub = per.add_subparsers(dest="subcommand", required=True)
-    for name, func, default_order in (
-        ("pair", cmd_periods_pair, 1),
-        ("star", cmd_periods_star, 2),
-        ("tree", cmd_periods_tree, 1),
-    ):
-        p = per_sub.add_parser(name)
+    for name, default_order in (("pair", 1), ("star", 2), ("tree", 1)):
+        p = per_sub.add_parser(name, parents=[out, mode])
         p.add_argument("--config", required=True)
         p.add_argument("--order", type=int, default=default_order)
-        p.add_argument("--out")
-        _add_mode_flags(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_periods)
 
     rel = sub.add_parser("relations", help="verify the octic asymptotic relations")
     rel_sub = rel.add_subparsers(dest="subcommand", required=True)
-    ver = rel_sub.add_parser("verify")
+    ver = rel_sub.add_parser("verify", parents=[out, seed, mode])
     ver.add_argument("--genus", type=int, required=True)
     ver.add_argument("--trials", type=_positive_int, default=5)
     ver.add_argument("--order", type=int, default=17)
-    ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--out")
-    _add_mode_flags(ver)
     ver.set_defaults(func=cmd_relations_verify)
 
     sur = sub.add_parser("surfaces", help="surface-side dimensions and spans")
     sur_sub = sur.add_subparsers(dest="subcommand", required=True)
-    dims = sur_sub.add_parser("dims")
+    dims = sur_sub.add_parser("dims", parents=[out])
     dims.add_argument("--genus", type=int, required=True)
-    dims.add_argument("--out")
     dims.set_defaults(func=cmd_surfaces_dims)
-    eg = sur_sub.add_parser("egamma")
+    eg = sur_sub.add_parser("egamma", parents=[out, seed])
     eg.add_argument("--genus", type=int, required=True)
-    eg.add_argument("--seed", type=int, default=0)
     eg.add_argument("--trials", type=_positive_int, default=10)
-    eg.add_argument("--out")
     eg.set_defaults(func=cmd_surfaces_egamma)
 
-    st = sub.add_parser("selftest", help="run the full verification suite at default sizes")
-    st.add_argument("--seed", type=int, default=0)
-    st.add_argument("--out")
+    st = sub.add_parser(
+        "selftest", parents=[out, seed], help="run the full verification suite at default sizes"
+    )
     st.add_argument(
         "--inject-corrupted-octic",
         action="store_true",
@@ -459,10 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
     try:
-        return args.func(args)
+        body, passed = args.func(args)
+        _emit({"command": command, "version": __version__, **body}, args.out)
     except ConfigError as e:
         _say(f"config error: {e}")
         return 2
@@ -473,6 +415,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except Exception:
         return _internal_error()
+    return 0 if passed else 1
 
 
 def _internal_error() -> int:

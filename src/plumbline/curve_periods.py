@@ -282,8 +282,8 @@ def tree_period_first_order(c: TreeConfig, ring: JetRing) -> PeriodMatrixJet:
     # iterate the mapping, not the sorted edge list: the result must not
     # depend on the order the plumbings are performed in
     for (i, j), data in c.edge_data.items():
-        v_i = 1 / coerce(data.coeff_low)
-        v_j = 1 / coerce(data.coeff_high)
+        v_i = coerce(1 / data.coeff_low)
+        v_j = coerce(1 / data.coeff_high)
         _outer_contribution(entries, lam, ring.variable(data.var), (i - 1, j - 1), (v_i, -v_j))
     meta = {"assembly": "tree", "alkane_code": canonical_code(c.alkane)}
     return PeriodMatrixJet(entries, meta)

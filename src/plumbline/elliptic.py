@@ -1,11 +1,12 @@
 """Elliptic curves as upper-half-plane points with marked points.
 
-The curve E_tau = C/(Z.tau + Z) is represented purely by tau (exact
-Gaussian rational or complex float, with Im > 0).  A mark is a point
-(either a 2-torsion label or a generic representative in the fundamental
-cell) together with the leading coefficient c of the chosen local
-coordinate w = c*(z - a) + O((z - a)^2); the plumbing formulas consume the
-mark only through the normalized-form value 1/c.
+The curve E_tau = C/(Z.tau + Z) is represented purely by tau, an exact
+Gaussian rational with Im > 0.  A mark is a point (either a 2-torsion
+label or a generic representative in the fundamental cell) together with
+the leading coefficient c of the chosen local coordinate
+w = c*(z - a) + O((z - a)^2); the plumbing formulas consume the mark only
+through the normalized-form value 1/c.  Every value here is exact; a
+float is made only where a jet ring's coefficient field coerces one.
 """
 
 from __future__ import annotations
@@ -18,23 +19,13 @@ from typing import Tuple, Union
 from .errors import DegenerateDataError, RangeError
 from .gaussian import GaussianRational
 
-ComplexValue = Union[GaussianRational, complex]
-
-
-def _im(z: ComplexValue):
-    return z.im if isinstance(z, GaussianRational) else z.imag
-
-
-def _one_half(exact: bool) -> ComplexValue:
-    return GaussianRational(Fraction(1, 2)) if exact else complex(0.5)
-
 
 @dataclass(frozen=True)
 class TauPoint:
-    value: ComplexValue
+    value: GaussianRational
 
     def __post_init__(self):
-        if _im(self.value) <= 0:
+        if self.value.im <= 0:
             raise RangeError(f"tau must have positive imaginary part, got {self.value}")
 
 
@@ -44,32 +35,30 @@ class TwoTorsionLabel(enum.Enum):
     TAU_HALF = "TauHalf"
     HALF_PLUS_TAU_HALF = "HalfPlusTauHalf"
 
-    def representative(self, tau: ComplexValue) -> ComplexValue:
-        exact = isinstance(tau, GaussianRational)
-        half = _one_half(exact)
+    def representative(self, tau: GaussianRational) -> GaussianRational:
         if self is TwoTorsionLabel.O:
-            return GaussianRational(0) if exact else 0j
+            return GaussianRational(0)
         if self is TwoTorsionLabel.HALF:
-            return half
+            return GaussianRational(Fraction(1, 2))
         if self is TwoTorsionLabel.TAU_HALF:
             return tau / 2
-        return half + tau / 2
+        return (tau + 1) / 2
 
 
-MarkPoint = Union[TwoTorsionLabel, GaussianRational, complex]
+MarkPoint = Union[TwoTorsionLabel, GaussianRational]
 
 
 @dataclass(frozen=True)
 class Mark:
     point: MarkPoint
-    coord_leading_coeff: ComplexValue
+    coord_leading_coeff: GaussianRational
 
     def __post_init__(self):
         if not self.coord_leading_coeff:
             raise DegenerateDataError("local coordinate with zero leading coefficient")
 
 
-def normalized_form_value(m: Mark) -> ComplexValue:
+def normalized_form_value(m: Mark) -> GaussianRational:
     """Value of the normalized 1-form against the local coordinate: 1/c."""
     return 1 / m.coord_leading_coeff
 
@@ -94,5 +83,5 @@ class MarkedEllipticCurve:
                         f"marks {i} and {j} sit at the same point {reps[i]}"
                     )
 
-    def mark_value(self, index: int) -> ComplexValue:
+    def mark_value(self, index: int) -> GaussianRational:
         return normalized_form_value(self.marks[index])

@@ -68,7 +68,8 @@ class CoefficientField:
         return abs(x) <= self.tolerance * scale
 
     def coerce(self, x):
-        """Force ``x`` into the field, refusing lossy conversions."""
+        """Force ``x`` into the field: the exact field refuses floats, the
+        float field rounds once and refuses a value beyond float range."""
         if self.is_exact:
             if isinstance(x, GaussianRational):
                 return x
@@ -78,10 +79,13 @@ class CoefficientField:
                 f"exact field cannot absorb {type(x).__name__}; "
                 "convert floats explicitly if that is really intended"
             )
-        if isinstance(x, GaussianRational):
-            return x.to_complex()
-        if isinstance(x, (int, float, complex, Fraction)):
-            return complex(x)
+        try:
+            if isinstance(x, GaussianRational):
+                return x.to_complex()
+            if isinstance(x, (int, float, complex, Fraction)):
+                return complex(x)
+        except OverflowError as e:
+            raise RangeError(f"value beyond the float field's range: {e}") from None
         raise TypeError(f"cannot coerce {type(x).__name__} into the float field")
 
     def zero(self):

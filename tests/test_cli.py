@@ -6,9 +6,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plumbline import FormulaViolationError, relations
-from plumbline.cli import main
+from plumbline.cli import _float_field, _parse_value, main
 
 PAIR_CONFIG = {
     "t": "t",
@@ -65,16 +66,34 @@ def _tree_with_duplicate_edge():
     return cfg
 
 
-# (periods subcommand, config file text); each must exit 2 with a config error
+def _tree_with_edge_data_edge(edge):
+    cfg = copy.deepcopy(TREE_CONFIG)
+    cfg["edge_data"][1]["edge"] = edge
+    return cfg
+
+
+def _pair_with_c(c):
+    cfg = copy.deepcopy(PAIR_CONFIG)
+    cfg["curve_a"]["marks"][0]["c"] = c
+    return cfg
+
+
+# (periods subcommand, config file text, stderr fragment after "config error:");
+# each must exit 2 with that config error in both modes
 MALFORMED_CONFIGS = [
-    ("pair", "{not json"),
-    ("pair", json.dumps({"curve_a": PAIR_CONFIG["curve_a"]})),
-    ("tree", json.dumps({**TREE_CONFIG, "edges": [[1, 2, 3], [2, 3]]})),
-    ("tree", json.dumps(_tree_with_label("Bogus"))),
-    ("pair", json.dumps([PAIR_CONFIG])),
-    ("pair", json.dumps({**PAIR_CONFIG, "curve_b": {"tau": ["0", "2"]}})),
-    ("pair", json.dumps({**PAIR_CONFIG, "mark_a": 0.5})),
-    ("tree", json.dumps(_tree_with_duplicate_edge())),
+    ("pair", "{not json", ""),
+    ("pair", json.dumps({"curve_a": PAIR_CONFIG["curve_a"]}), ""),
+    ("tree", json.dumps({**TREE_CONFIG, "edges": [[1, 2, 3], [2, 3]]}), "edges[0]"),
+    ("tree", json.dumps(_tree_with_edge_data_edge([2, "3"])), "edge_data[1].edge"),
+    ("tree", json.dumps(_tree_with_label("Bogus")), ""),
+    ("pair", json.dumps([PAIR_CONFIG]), ""),
+    ("pair", json.dumps({**PAIR_CONFIG, "curve_b": {"tau": ["0", "2"]}}), ""),
+    ("pair", json.dumps({**PAIR_CONFIG, "mark_a": 0.5}), ""),
+    ("tree", json.dumps(_tree_with_duplicate_edge()), ""),
+    ("star", json.dumps({**STAR_CONFIG, "b": [0, math.inf]}), "inf"),
+    ("star", json.dumps({**STAR_CONFIG, "b": [math.nan, 1]}), "nan"),
+    ("pair", json.dumps(_pair_with_c(True)), "True"),
+    ("pair", json.dumps(_pair_with_c([1, False])), "False"),
 ]
 
 # stdout sha256 of fixed-seed reports: a refactor that keeps the reports
@@ -172,13 +191,55 @@ def test_missing_config_is_usage_error(tmp_path, capsys):
 
 
 def test_malformed_config_is_usage_error(tmp_path, capsys):
-    for n, (command, text) in enumerate(MALFORMED_CONFIGS):
+    for n, (command, text, fragment) in enumerate(MALFORMED_CONFIGS):
         cfg = tmp_path / f"bad{n}.json"
         cfg.write_text(text)
-        code = main(["periods", command, "--config", str(cfg)])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (2, ""), text
-        assert "config error:" in captured.err, text
+        for mode in ("--exact", "--numeric"):
+            code = main(["periods", command, "--config", str(cfg), mode])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, ""), (mode, text)
+            assert "config error:" in captured.err, (mode, text)
+            assert fragment in captured.err.split("config error:", 1)[1], (mode, text)
+
+
+def test_value_beyond_float_range_is_usage_error(tmp_path, capsys):
+    cfg = copy.deepcopy(PAIR_CONFIG)
+    cfg["curve_a"]["tau"] = ["0", "1" + "0" * 400]
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(cfg))
+    code = main(["periods", "pair", "--config", str(path), "--numeric"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "invalid input:" in captured.err and "float" in captured.err
+    # the same value is an ordinary exact Gaussian rational
+    code, report = _run(capsys, ["periods", "pair", "--config", str(path)])
+    assert code == 0
+    assert report["entries"][0][0]["terms"][0]["im"] == "1" + "0" * 400
+
+
+def test_star_below_order_2_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "star.json"
+    cfg.write_text(json.dumps(STAR_CONFIG))
+    code = main(["periods", "star", "--config", str(cfg), "--order", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "invalid input:" in captured.err and "order >= 2" in captured.err
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False).map(lambda x: x + 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite, finite)
+def test_numeric_config_values_keep_their_floats(x, y):
+    # a JSON number is read as the decimal it prints as and rounded once by
+    # the float field, so it comes back as the float it was; x + 0.0 drops
+    # the sign of a zero, which a rational cannot carry
+    field = _float_field()
+    for value, old in ((x, complex(x)), ([x, y], complex(x, y))):
+        new = field.coerce(_parse_value(value))
+        assert (new.real.hex(), new.imag.hex()) == (old.real.hex(), old.imag.hex())
+
 
 
 @pytest.mark.parametrize(
@@ -296,8 +357,6 @@ def test_selftest_corrupted_octic_fails(tmp_path):
 
 
 def test_tolerance_env_override(monkeypatch, capsys):
-    from plumbline.cli import _float_field
-
     monkeypatch.setenv("PLUMBLINE_TOL", "1e-6")
     assert _float_field().tolerance == 1e-6
     monkeypatch.delenv("PLUMBLINE_TOL")
@@ -314,7 +373,6 @@ def test_tolerance_env_override(monkeypatch, capsys):
 
 def test_tolerance_env_reaches_zero_tests(monkeypatch, capsys):
     from plumbline import JetRing, PeriodMatrixJet, derivative_rank_one_check
-    from plumbline.cli import _float_field
 
     # float octic residues sit far above 1e-30 of their scale, so under that
     # tolerance the jet check finds survivors below degree 17 and fails

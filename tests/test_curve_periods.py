@@ -93,9 +93,10 @@ def test_pair_general_blocks():
 
 
 def test_pair_numeric_mode():
+    # the curves stay exact; the float ring rounds their values as it takes them
     ring = JetRing(("t",), 1, FLOAT_FIELD)
-    ca = MarkedEllipticCurve(TauPoint(1j), (Mark(TwoTorsionLabel.O, complex(1)),))
-    cb = MarkedEllipticCurve(TauPoint(2j), (Mark(TwoTorsionLabel.O, complex(1)),))
+    ca = _unit_curve(I)
+    cb = _unit_curve(GaussianRational(0, 2))
     m = pair_period_first_order(PairPlumbing(ca, cb, "t"), ring)
     assert m.to_json_dict()["mode"] == "numeric"
     lam = complex(0, math.pi / 2)
