@@ -295,7 +295,8 @@ def check_skew_block(
                 c0 = model.col_offset(v) + shape.cols - shape.h
                 skew_cols.update(range(c0, c0 + shape.h))
             for edge in a.edges:
-                if any(c in skew_cols for _, c in edge_matrix(model, edge)):
+                _, entries = edge_matrix(model, edge)
+                if any(c in skew_cols for _, c in entries):
                     pi_ok = False
     return counterexamples == 0 and pi_ok, {
         "trials": trials,

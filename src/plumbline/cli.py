@@ -90,18 +90,19 @@ def _parse_part(x) -> Fraction:
         return Fraction(str(x))  # the decimal the JSON number prints as
     if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
-    raise ConfigError(f"expected an int, a 'p/q' string or a finite number, got {x!r}")
+    raise ValueError("expected an int, a 'p/q' string or a finite number")
 
 
-def _parse_value(v) -> GaussianRational:
+def _parse_value(v, path: str) -> GaussianRational:
+    """The exact value of the config field at JSON path ``path``."""
     try:
         if isinstance(v, (list, tuple)):
             if len(v) != 2:
-                raise ConfigError(f"complex value needs [re, im], got {v}")
+                raise ValueError("a complex value needs [re, im]")
             return GaussianRational(_parse_part(v[0]), _parse_part(v[1]))
         return GaussianRational(_parse_part(v))
     except (ValueError, ZeroDivisionError) as e:
-        raise ConfigError(f"bad numeric value {v!r}: {e}") from e
+        raise ConfigError(f"{path}: bad numeric value {v!r}: {e}") from e
 
 
 def _parse_label(name: str) -> TwoTorsionLabel:
@@ -117,24 +118,30 @@ def _parse_edge(e, path: str) -> Tuple[int, int]:
     return tuple(e)
 
 
-def _parse_mark(d: dict) -> Mark:
+def _parse_mark(d: dict, path: str) -> Mark:
     point = d["point"]
-    point = _parse_label(point) if isinstance(point, str) else _parse_value(point)
-    return Mark(point, _parse_value(d["c"]))
+    if isinstance(point, str):
+        point = _parse_label(point)
+    else:
+        point = _parse_value(point, f"{path}.point")
+    return Mark(point, _parse_value(d["c"], f"{path}.c"))
 
 
-def _parse_curve(d: dict) -> MarkedEllipticCurve:
-    tau = TauPoint(_parse_value(d["tau"]))
-    marks = tuple(_parse_mark(m) for m in d.get("marks", []))
+def _parse_curve(d: dict, path: str) -> MarkedEllipticCurve:
+    tau = TauPoint(_parse_value(d["tau"], f"{path}.tau"))
+    marks = tuple(_parse_mark(m, f"{path}.marks[{k}]") for k, m in enumerate(d.get("marks", [])))
     return MarkedEllipticCurve(tau, marks)
 
 
-def _parse_pair_side(d: dict, mark: int):
+def _parse_pair_side(d: dict, mark: int, path: str):
     if "block" in d:
-        block = tuple(tuple(_parse_value(v) for v in row) for row in d["block"])
-        omega = tuple(_parse_value(v) for v in d["omega"])
+        block = tuple(
+            tuple(_parse_value(v, f"{path}.block[{r}][{c}]") for c, v in enumerate(row))
+            for r, row in enumerate(d["block"])
+        )
+        omega = tuple(_parse_value(v, f"{path}.omega[{k}]") for k, v in enumerate(d["omega"]))
         return CurveBlock(block, omega)
-    curve = _parse_curve(d)
+    curve = _parse_curve(d, path)
     if type(mark) is not int or not 0 <= mark < len(curve.marks):
         raise ConfigError(f"mark index {mark!r} on a curve with {len(curve.marks)} marks")
     return curve
@@ -142,21 +149,21 @@ def _parse_pair_side(d: dict, mark: int):
 
 def _parse_pair(cfg: dict) -> PairPlumbing:
     mark_a, mark_b = cfg.get("mark_a", 0), cfg.get("mark_b", 0)
-    side_a = _parse_pair_side(cfg["curve_a"], mark_a)
-    side_b = _parse_pair_side(cfg["curve_b"], mark_b)
+    side_a = _parse_pair_side(cfg["curve_a"], mark_a, "curve_a")
+    side_b = _parse_pair_side(cfg["curve_b"], mark_b, "curve_b")
     return PairPlumbing(side_a, side_b, cfg.get("t", "t"), mark_a, mark_b)
 
 
 def _parse_star(cfg: dict) -> StarConfig:
-    curves = tuple(_parse_curve(c) for c in cfg["curves"])
-    points = tuple(_parse_value(b) for b in cfg["b"])
+    curves = tuple(_parse_curve(c, f"curves[{k}]") for k, c in enumerate(cfg["curves"]))
+    points = tuple(_parse_value(b, f"b[{k}]") for k, b in enumerate(cfg["b"]))
     return StarConfig(curves, points, tuple(cfg["vars"]))
 
 
 def _parse_tree(cfg: dict) -> TreeConfig:
     edges = [_parse_edge(e, f"edges[{k}]") for k, e in enumerate(cfg["edges"])]
     alkane = Alkane(cfg["genus"], edges)
-    taus = tuple(TauPoint(_parse_value(t)) for t in cfg["taus"])
+    taus = tuple(TauPoint(_parse_value(t, f"taus[{k}]")) for k, t in enumerate(cfg["taus"]))
     edge_data = {}
     for k, item in enumerate(cfg["edge_data"]):
         i, j = sorted(_parse_edge(item["edge"], f"edge_data[{k}].edge"))
@@ -166,9 +173,9 @@ def _parse_tree(cfg: dict) -> TreeConfig:
         edge_data[(i, j)] = TreeEdgeData(
             var=item["var"],
             label_low=_parse_label(low["label"]),
-            coeff_low=_parse_value(low["c"]),
+            coeff_low=_parse_value(low["c"], f"edge_data[{k}].low.c"),
             label_high=_parse_label(high["label"]),
-            coeff_high=_parse_value(high["c"]),
+            coeff_high=_parse_value(high["c"], f"edge_data[{k}].high.c"),
         )
     return TreeConfig(alkane, taus, edge_data)
 

@@ -217,10 +217,15 @@ class PeriodMatrixJet:
 
 
 def _outer_contribution(entries, lam, t_jet: Jet, slots: Sequence[int], values: Sequence[object]):
-    """Add lam * t * (u tensor u) where u has ``values`` in ``slots`` (0-based)."""
-    for a, va in zip(slots, values):
-        for b, vb in zip(slots, values):
-            entries[a][b] = entries[a][b] + t_jet * (lam * va * vb)
+    """Add lam * t * (u tensor u) where u has ``values`` in ``slots`` (0-based).
+
+    Each unordered slot pair gets one product, written to both (a, b) and
+    (b, a): float products taken in the two orders can round apart.
+    """
+    pairs = list(zip(slots, values))
+    for n, (a, va) in enumerate(pairs):
+        for b, vb in pairs[n:]:
+            entries[a][b] = entries[b][a] = entries[a][b] + t_jet * (lam * va * vb)
 
 
 def pair_period_first_order(p: PairPlumbing, ring: JetRing) -> PeriodMatrixJet:
@@ -263,6 +268,10 @@ def star_period_leading(s: StarConfig, ring: JetRing) -> PeriodMatrixJet:
     for i in range(g):
         for j in range(i + 1, g):
             d = b[i] - b[j]
+            if not d * d:  # distinct float points whose squared distance underflows
+                raise RangeError(
+                    f"value beyond the float field's range: (b{i + 1} - b{j + 1})^2 underflows to 0"
+                )
             off = t[i] * t[j] * (kappa * v[i] * v[j] / (d * d))
             entries[i][j] = off
             entries[j][i] = off

@@ -1,15 +1,20 @@
 """Surface-side statement-level checks: stratum dimensions, rank-1 edge
 matrices, span dimensions, and the skew-block vanishing property.
 
-The omega and I vectors attached to edges are synthetic data (random rational or user-supplied): the verifiable
-content is linear-algebraic -- shapes, ranks, spans and zero patterns --
-and all of it is checked exactly over Gaussian rationals.
+The omega and I vectors attached to edges are synthetic data (random
+rational or user-supplied): the verifiable content is linear-algebraic --
+shapes, ranks, spans and zero patterns -- and all of it is checked
+exactly.  The edge matrices and the span rank run on Python ints: each
+edge's omega and I are cleared of their denominators once, and the rank
+eliminates fraction-free.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple
+import math
+from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .alkanes import Alkane, canonical_code
 from .errors import FormulaViolationError, RangeError, StructureError
@@ -96,7 +101,8 @@ class EdgeData:
     ``i_vectors`` are the per-vertex integral vectors, of the full column
     width of each block; the trailing h coordinates (the skew block) are
     required to be zero, and callers modelling additional vanishing
-    integrals simply supply more zeros.
+    integrals simply supply more zeros.  Every entry is an int or a
+    ``Fraction``.
     """
 
     edge: Tuple[int, int]
@@ -140,6 +146,9 @@ class SurfaceGraphModel:
     alkane: Alkane
     shapes: Tuple[SurfaceBlockShape, ...]
     edge_data: Mapping[Tuple[int, int], EdgeData]
+    # ambient row and column offset of each vertex's block, vertex 1 first
+    _row_offsets: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _col_offsets: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.shapes) != self.alkane.genus:
@@ -151,71 +160,93 @@ class SurfaceGraphModel:
             if data.edge != (i, j):
                 raise StructureError(f"edge data stored under {(i, j)} claims edge {data.edge}")
             data.validate_against(self.shapes[i - 1], self.shapes[j - 1])
+        rows = accumulate((s.rows for s in self.shapes), initial=0)
+        cols = accumulate((s.cols for s in self.shapes), initial=0)
+        object.__setattr__(self, "_row_offsets", tuple(rows))
+        object.__setattr__(self, "_col_offsets", tuple(cols))
 
     def row_offset(self, vertex: int) -> int:
-        return sum(s.rows for s in self.shapes[: vertex - 1])
+        return self._row_offsets[vertex - 1]
 
     def col_offset(self, vertex: int) -> int:
-        return sum(s.cols for s in self.shapes[: vertex - 1])
+        return self._col_offsets[vertex - 1]
 
 
-def edge_matrix(model: SurfaceGraphModel, edge: Tuple[int, int]) -> Dict[Tuple[int, int], object]:
-    """The nonzero entries of the rank-<=1 ambient matrix omega_e tensor I_e
-    of one edge {i, j}, i < j, keyed by ambient (row, col)."""
-    data = model.edge_data[edge]
-    rows = [
-        (model.row_offset(v) + a, w)
-        for v, vec in zip(edge, data.omega)
-        for a, w in enumerate(vec)
-        if w
-    ]
-    cols = [
-        (model.col_offset(v) + b, x)
-        for v, vec in zip(edge, data.i_vectors)
-        for b, x in enumerate(vec)
+def _cleared(
+    offsets: Iterable[int], vectors: Sequence[Sequence[object]]
+) -> Tuple[int, List[Tuple[int, int]]]:
+    """Scale the per-vertex rational ``vectors`` to integers by the lcm d > 0
+    of their denominators: d and the nonzero scaled entries, each keyed by
+    its vertex offset plus its index."""
+    d = math.lcm(*(x.denominator for vec in vectors for x in vec))
+    return d, [
+        (off + k, x.numerator * (d // x.denominator))
+        for off, vec in zip(offsets, vectors)
+        for k, x in enumerate(vec)
         if x
     ]
-    return {(r, c): w * x for r, w in rows for c, x in cols}
+
+
+def edge_matrix(
+    model: SurfaceGraphModel, edge: Tuple[int, int]
+) -> Tuple[int, Dict[Tuple[int, int], int]]:
+    """The rank-<=1 ambient matrix omega_e tensor I_e of one edge {i, j},
+    i < j, as ``(d, entries)``: Pi_e = entries / d with d > 0, and
+    ``entries`` holds the nonzero integers keyed by ambient (row, col)."""
+    data = model.edge_data[edge]
+    d_omega, rows = _cleared(map(model.row_offset, edge), data.omega)
+    d_i, cols = _cleared(map(model.col_offset, edge), data.i_vectors)
+    return d_omega * d_i, {(r, c): w * x for r, w in rows for c, x in cols}
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra on matrices of rationals
+# exact linear algebra on sparse rational rows
 
 
-def matrix_rank_exact(rows: Sequence[Mapping[Tuple[int, int], object]]) -> int:
-    """Rank of the span of sparse vectors keyed by arbitrary hashable positions."""
-    work = [dict(r) for r in rows]
+def _primitive(row: Dict[object, int]) -> Dict[object, int]:
+    """An integer row without its zero entries, divided by its content."""
+    row = {k: v for k, v in row.items() if v}
+    g = math.gcd(*row.values())
+    return {k: v // g for k, v in row.items()} if g > 1 else row
+
+
+def matrix_rank_exact(rows: Sequence[Mapping[object, object]]) -> int:
+    """Rank of the span of sparse int or Fraction vectors keyed by arbitrary
+    hashable, mutually comparable positions.
+
+    Each row is cleared to integers once; elimination is then
+    fraction-free, each new row divided by the gcd of its entries.
+    """
+    work = []
+    for r in rows:
+        d = math.lcm(*(v.denominator for v in r.values()))
+        row = _primitive({k: v.numerator * (d // v.denominator) for k, v in r.items()})
+        if row:
+            work.append(row)
     rank = 0
     while work:
         row = work.pop(0)
-        row = {k: v for k, v in row.items() if v}
-        if not row:
-            continue
         rank += 1
         key = min(row)
-        pivot = row[key]
+        p = row[key]
         reduced = []
         for other in work:
-            if key in other and other[key]:
-                factor = other[key] / pivot
-                new = dict(other)
+            b = other.get(key)
+            if b:
+                new = {k: p * v for k, v in other.items()}
                 for k, v in row.items():
-                    w = new.get(k)
-                    w = -factor * v if w is None else w - factor * v
-                    if w:
-                        new[k] = w
-                    else:
-                        new.pop(k, None)
-                reduced.append(new)
-            else:
+                    new[k] = new.get(k, 0) - b * v
+                other = _primitive(new)
+            if other:
                 reduced.append(other)
         work = reduced
     return rank
 
 
 def span_dimension_E_Gamma(model: SurfaceGraphModel) -> int:
-    """Exact dimension of the linear span of the edge matrices Pi_e."""
-    return matrix_rank_exact([edge_matrix(model, edge) for edge in model.alkane.edges])
+    """Exact dimension of the linear span of the edge matrices Pi_e; the
+    span of entries / d is that of the integer entries."""
+    return matrix_rank_exact([edge_matrix(model, edge)[1] for edge in model.alkane.edges])
 
 
 def all_two_by_two_minors_vanish(matrix: Sequence[Sequence[object]]) -> bool:

@@ -47,12 +47,6 @@ TREE_CONFIG = {
 }
 
 
-def _tree_with_label(label):
-    cfg = copy.deepcopy(TREE_CONFIG)
-    cfg["edge_data"][0]["low"]["label"] = label
-    return cfg
-
-
 def _tree_with_duplicate_edge():
     cfg = copy.deepcopy(TREE_CONFIG)
     cfg["edge_data"].append(
@@ -66,17 +60,18 @@ def _tree_with_duplicate_edge():
     return cfg
 
 
-def _tree_with_edge_data_edge(edge):
-    cfg = copy.deepcopy(TREE_CONFIG)
-    cfg["edge_data"][1]["edge"] = edge
+def _with(config, path, value):
+    """A copy of ``config`` with the field at key path ``path`` set to ``value``."""
+    cfg = copy.deepcopy(config)
+    *parents, last = path
+    target = cfg
+    for key in parents:
+        target = target[key]
+    target[last] = value
     return cfg
 
 
-def _pair_with_c(c):
-    cfg = copy.deepcopy(PAIR_CONFIG)
-    cfg["curve_a"]["marks"][0]["c"] = c
-    return cfg
-
+PAIR_C = ["curve_a", "marks", 0, "c"]  # the key path of curve_a's mark value
 
 # (periods subcommand, config file text, stderr fragment after "config error:");
 # each must exit 2 with that config error in both modes
@@ -84,16 +79,39 @@ MALFORMED_CONFIGS = [
     ("pair", "{not json", ""),
     ("pair", json.dumps({"curve_a": PAIR_CONFIG["curve_a"]}), ""),
     ("tree", json.dumps({**TREE_CONFIG, "edges": [[1, 2, 3], [2, 3]]}), "edges[0]"),
-    ("tree", json.dumps(_tree_with_edge_data_edge([2, "3"])), "edge_data[1].edge"),
-    ("tree", json.dumps(_tree_with_label("Bogus")), ""),
+    (
+        "tree",
+        json.dumps(_with(TREE_CONFIG, ["edge_data", 1, "edge"], [2, "3"])),
+        "edge_data[1].edge",
+    ),
+    ("tree", json.dumps(_with(TREE_CONFIG, ["edge_data", 0, "low", "label"], "Bogus")), ""),
     ("pair", json.dumps([PAIR_CONFIG]), ""),
     ("pair", json.dumps({**PAIR_CONFIG, "curve_b": {"tau": ["0", "2"]}}), ""),
     ("pair", json.dumps({**PAIR_CONFIG, "mark_a": 0.5}), ""),
     ("tree", json.dumps(_tree_with_duplicate_edge()), ""),
     ("star", json.dumps({**STAR_CONFIG, "b": [0, math.inf]}), "inf"),
     ("star", json.dumps({**STAR_CONFIG, "b": [math.nan, 1]}), "nan"),
-    ("pair", json.dumps(_pair_with_c(True)), "True"),
-    ("pair", json.dumps(_pair_with_c([1, False])), "False"),
+    ("pair", json.dumps(_with(PAIR_CONFIG, PAIR_C, True)), "True"),
+    ("pair", json.dumps(_with(PAIR_CONFIG, PAIR_C, [1, False])), "False"),
+    ("tree", json.dumps(_with(TREE_CONFIG, ["taus", 0], {"a": 1})), "taus[0]: "),
+    (
+        "tree",
+        json.dumps(_with(TREE_CONFIG, ["edge_data", 1, "high", "c"], "1/0")),
+        "edge_data[1].high.c: ",
+    ),
+    ("star", json.dumps(_with(STAR_CONFIG, ["b", 1], "one")), "b[1]: "),
+    (
+        "star",
+        json.dumps(_with(STAR_CONFIG, ["curves", 1, "marks", 0, "c"], [1])),
+        "curves[1].marks[0].c: ",
+    ),
+    ("pair", json.dumps(_with(PAIR_CONFIG, ["curve_a", "tau"], None)), "curve_a.tau: "),
+    ("pair", json.dumps(_with(PAIR_CONFIG, PAIR_C, {"re": 1})), "curve_a.marks[0].c: "),
+    (
+        "pair",
+        json.dumps(_with(PAIR_CONFIG, ["curve_b", "marks", 0, "c"], [1, 2, 3])),
+        "curve_b.marks[0].c: ",
+    ),
 ]
 
 # stdout sha256 of fixed-seed reports: a refactor that keeps the reports
@@ -110,6 +128,10 @@ PINNED_REPORTS = [
     (
         ["relations", "verify", "--genus", "7", "--trials", "1", "--seed", "0"],
         "e2d2a80f08e9f19d89acb21a67455fd2e3d3a7c09b48a312bb992b1a6263ed8e",
+    ),
+    (
+        ["surfaces", "egamma", "--genus", "11", "--trials", "1", "--seed", "0"],
+        "ed49bc4f6f0ed2048107fed1fc3900455a5fa642011c2bebba3e9157ee16e856",
     ),
 ]
 
@@ -159,6 +181,20 @@ def test_periods_star(tmp_path, capsys):
     assert code == 0
     e12 = report["entries"][0][1]
     assert e12["terms"] == [{"exp": [1, 1], "re": "1/16", "im": "0"}]
+
+
+def test_periods_pair_is_symmetric_in_both_modes(tmp_path, capsys):
+    # float products of the two mark values taken in the two orders round
+    # apart; each off-diagonal pair is one product written to both cells
+    cfg = tmp_path / "pair.json"
+    config = _with(PAIR_CONFIG, PAIR_C, [0.3, 0.7])
+    config["curve_b"]["marks"][0]["c"] = [1.1, 0.4]
+    cfg.write_text(json.dumps(config))
+    for mode in ("--exact", "--numeric"):
+        code, report = _run(capsys, ["periods", "pair", "--config", str(cfg), mode])
+        assert code == 0, mode
+        entries = report["entries"]
+        assert entries[0][1] == entries[1][0] and entries[0][1]["terms"], mode
 
 
 def test_periods_tree(tmp_path, capsys):
@@ -215,6 +251,16 @@ def test_value_beyond_float_range_is_usage_error(tmp_path, capsys):
     code, report = _run(capsys, ["periods", "pair", "--config", str(path)])
     assert code == 0
     assert report["entries"][0][0]["terms"][0]["im"] == "1" + "0" * 400
+    # distinct star points whose float squared distance underflows to 0
+    star = _with(STAR_CONFIG, ["b"], ["0", "1e-200"])
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(star))
+    code = main(["periods", "star", "--config", str(path), "--numeric"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "invalid input: value beyond the float field's range" in captured.err
+    code, _ = _run(capsys, ["periods", "star", "--config", str(path)])
+    assert code == 0
 
 
 def test_star_below_order_2_is_usage_error(tmp_path, capsys):
@@ -237,7 +283,7 @@ def test_numeric_config_values_keep_their_floats(x, y):
     # the sign of a zero, which a rational cannot carry
     field = _float_field()
     for value, old in ((x, complex(x)), ([x, y], complex(x, y))):
-        new = field.coerce(_parse_value(value))
+        new = field.coerce(_parse_value(value, "x"))
         assert (new.real.hex(), new.imag.hex()) == (old.real.hex(), old.imag.hex())
 
 

@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from plumbline import checks
 from plumbline import (
     Alkane,
     EdgeData,
@@ -101,31 +103,41 @@ def _dense(entries, n_rows, n_cols):
     return [[entries.get((r, c), 0) for c in range(n_cols)] for r in range(n_rows)]
 
 
+def _pi(model, edge):
+    """Pi_e from ``edge_matrix``'s integer entries and denominator, checked
+    against the dense omega_e tensor I_e entry by entry, as Fractions."""
+    d, entries = edge_matrix(model, edge)
+    assert d > 0 and all(type(v) is int for v in entries.values())
+    pi = {k: Fraction(v, d) for k, v in entries.items()}
+    dense = _dense_outer(model, edge)
+    nonzero = {(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row) if v}
+    assert pi == nonzero
+    assert _dense(pi, len(dense), len(dense[0])) == dense
+    return pi
+
+
 def test_build_pi_rank_at_most_one():
-    model = _two_vertex_model()
-    pi = edge_matrix(model, (1, 2))
-    dense = _dense_outer(model, (1, 2))
-    assert _dense(pi, 2, 30) == dense
+    model = _two_vertex_model(((Fraction(2, 3),), (Fraction(-5, 4),)), Fraction(7, 6))
+    pi = _pi(model, (1, 2))
     assert len(pi) == 2 * 28  # two omega entries times 14 nonzero I entries per side
-    assert all(v for v in pi.values())
-    assert all_two_by_two_minors_vanish(dense)
+    assert all_two_by_two_minors_vanish(_dense_outer(model, (1, 2)))
     rows = [{c: v for (r, c), v in pi.items() if r == row} for row in range(2)]
     assert matrix_rank_exact(rows) == 1
 
 
 def test_build_pi_zero_omega_gives_zero_matrix():
     model = _two_vertex_model(((Fraction(0),), (Fraction(0),)))
-    assert edge_matrix(model, (1, 2)) == {}
-    assert matrix_rank_exact([edge_matrix(model, (1, 2))]) == 0
+    assert _pi(model, (1, 2)) == {}
+    assert edge_matrix(model, (1, 2))[1] == {}
+    assert matrix_rank_exact([edge_matrix(model, (1, 2))[1]]) == 0
 
 
 def test_build_pi_scales_linearly():
     s = Fraction(3, 2)
     model = _two_vertex_model(scale=s)
-    base = edge_matrix(_two_vertex_model(), (1, 2))
-    scaled = edge_matrix(model, (1, 2))
+    base = _pi(_two_vertex_model(), (1, 2))
+    scaled = _pi(model, (1, 2))
     assert scaled == {k: s * v for k, v in base.items()}
-    assert _dense(scaled, 2, 30) == _dense_outer(model, (1, 2))
 
 
 def test_edge_data_trailing_zero_enforced():
@@ -171,7 +183,7 @@ def test_skew_block_on_constructed_pi():
         a = Alkane.chain(h)
         model = random_surface_model(a, substream(91, f"test:skew:{h}"))
         for edge in a.edges:
-            entries = edge_matrix(model, edge)
+            _, entries = edge_matrix(model, edge)
             pi = _dense(entries, h, 15 * h)
             # each vertex's trailing column within each vertex's row range
             for v in range(1, h + 1):
@@ -235,3 +247,84 @@ def test_rank_helpers():
         {(0, 0): Fraction(1), (0, 1): Fraction(1), (1, 2): Fraction(2)},
     ]
     assert matrix_rank_exact(matrices) == 2
+
+
+def _rank_fraction_oracle(rows):
+    """Gaussian elimination over Fractions: the rank oracle."""
+    work = [dict(r) for r in rows]
+    rank = 0
+    while work:
+        row = work.pop(0)
+        row = {k: v for k, v in row.items() if v}
+        if not row:
+            continue
+        rank += 1
+        key = min(row)
+        pivot = row[key]
+        reduced = []
+        for other in work:
+            if key in other and other[key]:
+                factor = Fraction(other[key]) / pivot
+                new = dict(other)
+                for k, v in row.items():
+                    w = new.get(k)
+                    w = -factor * v if w is None else w - factor * v
+                    if w:
+                        new[k] = w
+                    else:
+                        new.pop(k, None)
+                reduced.append(new)
+            else:
+                reduced.append(other)
+        work = reduced
+    return rank
+
+
+_BIG = 2**70
+_entries = st.one_of(
+    st.integers(-_BIG, _BIG),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
+)
+_sparse_rows = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 4)), _entries, max_size=8
+)
+
+
+@st.composite
+def _rational_rows(draw):
+    """Sparse rows with zero rows, duplicates, scaled copies and sums of
+    other rows mixed in, in a drawn order."""
+    rows = draw(st.lists(_sparse_rows, max_size=6))
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["zero", "duplicate", "scaled", "sum"]))
+        if kind == "zero" or not rows:
+            rows.append(draw(st.sampled_from([{}, {(0, 0): 0}, {(1, 3): Fraction(0)}])))
+            continue
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        if kind == "duplicate":
+            rows.append(dict(a))
+        elif kind == "scaled":
+            s = draw(_entries.filter(bool))
+            rows.append({k: s * v for k, v in a.items()})
+        else:
+            rows.append({k: a.get(k, 0) + b.get(k, 0) for k in a.keys() | b.keys()})
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_rows())
+def test_rank_matches_fraction_oracle(rows):
+    before = [dict(r) for r in rows]
+    assert matrix_rank_exact(rows) == _rank_fraction_oracle(rows)
+    assert rows == before  # the input rows are left as they were
+
+
+def test_egamma_span_check_fails_when_its_control_does_not(monkeypatch):
+    ok, detail = checks.check_egamma_span(0, genera=(2, 3), trials=1)
+    assert ok and detail == {"models": 2, "degenerate_span": 1}
+    # a span that reads h-1 for every model, the degenerate control included,
+    # must fail the check
+    monkeypatch.setattr(checks, "span_dimension_E_Gamma", lambda model: model.alkane.genus - 1)
+    ok, detail = checks.check_egamma_span(0, genera=(2, 3), trials=1)
+    assert not ok and detail["degenerate_span"] == 2
