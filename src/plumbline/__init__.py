@@ -61,7 +61,6 @@ from .relations import (
 )
 from .surfaces import (
     EdgeData,
-    SurfaceBlockShape,
     SurfaceGraphModel,
     dim_K,
     dim_V_Gamma,

@@ -45,7 +45,14 @@ from .gaussian import GaussianRational
 from .jets import DEFAULT_TOLERANCE, EXACT_FIELD, CoefficientField, FieldKind, JetRing
 from .relations import verify_asymptotic_vanishing
 from .sampling import random_star_config, random_surface_model, substream
-from .surfaces import dim_K, dim_V_Gamma, dim_W, dim_period_domain, span_dimension_E_Gamma
+from .surfaces import (
+    BLOCK_COLS,
+    dim_K,
+    dim_V_Gamma,
+    dim_W,
+    dim_period_domain,
+    span_dimension_E_Gamma,
+)
 
 T = TypeVar("T")
 
@@ -119,6 +126,8 @@ def _parse_edge(e, path: str) -> Tuple[int, int]:
 
 
 def _parse_mark(d: dict, path: str) -> Mark:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path} must be an object with point and c, got {d!r}")
     point = d["point"]
     if isinstance(point, str):
         point = _parse_label(point)
@@ -129,7 +138,10 @@ def _parse_mark(d: dict, path: str) -> Mark:
 
 def _parse_curve(d: dict, path: str) -> MarkedEllipticCurve:
     tau = TauPoint(_parse_value(d["tau"], f"{path}.tau"))
-    marks = tuple(_parse_mark(m, f"{path}.marks[{k}]") for k, m in enumerate(d.get("marks", [])))
+    marks = d.get("marks", [])
+    if not isinstance(marks, list):
+        raise ConfigError(f"{path}.marks must be a list of marks, got {marks!r}")
+    marks = tuple(_parse_mark(m, f"{path}.marks[{k}]") for k, m in enumerate(marks))
     return MarkedEllipticCurve(tau, marks)
 
 
@@ -308,7 +320,7 @@ def cmd_surfaces_egamma(args):
                 "span_dims": spans,
                 "expected": h - 1,
                 "pass": all(s == h - 1 for s in spans),
-                "shapes": [[shape.rows, shape.cols] for shape in model.shapes],
+                "shapes": [[1, BLOCK_COLS]] * h,
             }
         )
     all_pass = all(r["pass"] for r in results)

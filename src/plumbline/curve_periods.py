@@ -20,6 +20,7 @@ truncation order is requested for downstream jet work.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -58,15 +59,6 @@ class CurveBlock:
                 if self.tau_block[i][j] != self.tau_block[j][i]:
                     raise StructureError("tau block must be symmetric")
 
-    @property
-    def genus(self) -> int:
-        return len(self.tau_block)
-
-    @classmethod
-    def from_marked_curve(cls, curve: MarkedEllipticCurve, mark_index: int) -> "CurveBlock":
-        v = curve.mark_value(mark_index)
-        return cls(((curve.tau.value,),), (v,))
-
 
 PairSide = Union[CurveBlock, MarkedEllipticCurve]
 
@@ -74,7 +66,7 @@ PairSide = Union[CurveBlock, MarkedEllipticCurve]
 def _as_block(side: PairSide, mark_index: int) -> CurveBlock:
     if isinstance(side, CurveBlock):
         return side
-    return CurveBlock.from_marked_curve(side, mark_index)
+    return CurveBlock(((side.tau.value,),), (side.mark_value(mark_index),))
 
 
 @dataclass(frozen=True)
@@ -157,36 +149,34 @@ class TreeConfig:
 # the matrix-of-jets carrier
 
 
+def _upper_pairs(g: int):
+    return ((i, j) for i in range(1, g + 1) for j in range(i, g + 1))
+
+
 class PeriodMatrixJet:
-    """Symmetric matrix of jets; indices are 1-based as in the formulas."""
+    """Symmetric matrix of jets, stored once per unordered pair: ``entries``
+    maps each 1-based (i, j) with i <= j to its jet."""
 
-    __slots__ = ("entries", "meta")
+    __slots__ = ("genus", "entries", "meta")
 
-    def __init__(self, entries: Sequence[Sequence[Jet]], meta: Optional[dict] = None):
-        rows = [tuple(row) for row in entries]
-        g = len(rows)
-        if any(len(row) != g for row in rows):
-            raise StructureError("period matrix must be square")
-        for i in range(g):
-            for j in range(i + 1, g):
-                if rows[i][j] != rows[j][i]:
-                    raise StructureError(f"period matrix not symmetric at ({i + 1},{j + 1})")
-        object.__setattr__(self, "entries", tuple(rows))
+    def __init__(self, entries: Mapping[Tuple[int, int], Jet], meta: Optional[dict] = None):
+        entries = dict(entries)
+        g = max((j for _, j in entries), default=0)
+        if g < 1 or set(entries) != set(_upper_pairs(g)):
+            raise StructureError("period matrix needs one jet per pair (i, j), 1 <= i <= j <= g")
+        object.__setattr__(self, "genus", g)
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "meta", dict(meta or {}))
 
     def __setattr__(self, name, value):
         raise AttributeError("PeriodMatrixJet is immutable")
 
     @property
-    def genus(self) -> int:
-        return len(self.entries)
-
-    @property
     def ring(self) -> JetRing:
-        return self.entries[0][0].ring
+        return self.entries[(1, 1)].ring
 
     def entry(self, i: int, j: int) -> Jet:
-        return self.entries[i - 1][j - 1]
+        return self.entries[(min(i, j), max(i, j))]
 
     def __eq__(self, other):
         if not isinstance(other, PeriodMatrixJet):
@@ -195,15 +185,17 @@ class PeriodMatrixJet:
 
     def var_coefficient_matrix(self, var: str) -> List[List[object]]:
         """Matrix of coefficients of the degree-1 monomial of ``var``."""
-        return [[e.coefficient_of_var(var) for e in row] for row in self.entries]
+        g = range(1, self.genus + 1)
+        return [[self.entry(i, j).coefficient_of_var(var) for j in g] for i in g]
 
     def to_json_dict(self) -> dict:
         # the report shows the full stored support (a star matrix is invisible
         # modulo (t)^2, its off-diagonals being bidegree (1,1))
+        g = range(1, self.genus + 1)
         d = {
             "genus": self.genus,
             "mode": self.ring.field.mode,
-            "entries": [[e.to_json_dict() for e in row] for row in self.entries],
+            "entries": [[self.entry(i, j).to_json_dict() for j in g] for i in g],
             "support": [
                 list(p) for p in sorted(offdiag_support(self, self.ring.order))
             ],
@@ -216,16 +208,26 @@ class PeriodMatrixJet:
 # assemblies
 
 
-def _outer_contribution(entries, lam, t_jet: Jet, slots: Sequence[int], values: Sequence[object]):
-    """Add lam * t * (u tensor u) where u has ``values`` in ``slots`` (0-based).
+def _block_diagonal(ring: JetRing, blocks: Sequence[Sequence[Sequence[object]]]):
+    """The constant block-diagonal matrix of the symmetric ``blocks``, each
+    value coerced into the ring: one jet per pair (i, j), i <= j."""
+    entries = {p: ring.zero() for p in _upper_pairs(sum(map(len, blocks)))}
+    start = 0
+    for block in blocks:
+        for a, row in enumerate(block):
+            for b in range(a, len(block)):
+                entries[(start + a + 1, start + b + 1)] = ring.constant(ring.field.coerce(row[b]))
+        start += len(block)
+    return entries
 
-    Each unordered slot pair gets one product, written to both (a, b) and
-    (b, a): float products taken in the two orders can round apart.
-    """
+
+def _outer_contribution(entries, lam, t_jet: Jet, slots: Sequence[int], values: Sequence[object]):
+    """Add lam * t * (u tensor u) where u has ``values`` in the increasing
+    1-based ``slots``: one product per pair (a, b), a <= b."""
     pairs = list(zip(slots, values))
     for n, (a, va) in enumerate(pairs):
         for b, vb in pairs[n:]:
-            entries[a][b] = entries[b][a] = entries[a][b] + t_jet * (lam * va * vb)
+            entries[(a, b)] = entries[(a, b)] + t_jet * (lam * va * vb)
 
 
 def pair_period_first_order(p: PairPlumbing, ring: JetRing) -> PeriodMatrixJet:
@@ -234,21 +236,13 @@ def pair_period_first_order(p: PairPlumbing, ring: JetRing) -> PeriodMatrixJet:
         raise RangeError("pair plumbing needs truncation order >= 1")
     block_a = _as_block(p.curve_a, p.mark_a)
     block_b = _as_block(p.curve_b, p.mark_b)
-    ga, gb = block_a.genus, block_b.genus
-    g = ga + gb
     coerce = ring.field.coerce
-    entries = [[ring.zero() for _ in range(g)] for _ in range(g)]
-    for i in range(ga):
-        for j in range(ga):
-            entries[i][j] = ring.constant(coerce(block_a.tau_block[i][j]))
-    for i in range(gb):
-        for j in range(gb):
-            entries[ga + i][ga + j] = ring.constant(coerce(block_b.tau_block[i][j]))
+    entries = _block_diagonal(ring, (block_a.tau_block, block_b.tau_block))
     u = [coerce(v) for v in block_a.omega_at_point] + [
         -coerce(v) for v in block_b.omega_at_point
     ]
     lam = _two_pi_i(ring.field) / 4
-    _outer_contribution(entries, lam, ring.variable(p.t), range(g), u)
+    _outer_contribution(entries, lam, ring.variable(p.t), range(1, len(u) + 1), u)
     return PeriodMatrixJet(entries, {"assembly": "pair"})
 
 
@@ -262,9 +256,7 @@ def star_period_leading(s: StarConfig, ring: JetRing) -> PeriodMatrixJet:
     v = [coerce(c.mark_value(0)) for c in s.curves]
     b = [coerce(x) for x in s.attach_points]
     t = [ring.variable(name) for name in s.variables]
-    entries = [[ring.zero() for _ in range(g)] for _ in range(g)]
-    for i in range(g):
-        entries[i][i] = ring.constant(coerce(s.curves[i].tau.value))
+    entries = _block_diagonal(ring, [((c.tau.value,),) for c in s.curves])
     for i in range(g):
         for j in range(i + 1, g):
             d = b[i] - b[j]
@@ -272,9 +264,12 @@ def star_period_leading(s: StarConfig, ring: JetRing) -> PeriodMatrixJet:
                 raise RangeError(
                     f"value beyond the float field's range: (b{i + 1} - b{j + 1})^2 underflows to 0"
                 )
-            off = t[i] * t[j] * (kappa * v[i] * v[j] / (d * d))
-            entries[i][j] = off
-            entries[j][i] = off
+            coeff = kappa * v[i] * v[j] / (d * d)
+            if not (ring.field.is_exact or cmath.isfinite(coeff)):
+                raise RangeError(
+                    f"value beyond the float field's range: star entry ({i + 1},{j + 1}) overflows"
+                )
+            entries[(i + 1, j + 1)] = t[i] * t[j] * coeff
     return PeriodMatrixJet(entries, {"assembly": "star"})
 
 
@@ -282,18 +277,15 @@ def tree_period_first_order(c: TreeConfig, ring: JetRing) -> PeriodMatrixJet:
     """One pairwise rank-1 contribution per alkane edge, diagonal terms kept."""
     if ring.order < 1:
         raise RangeError("tree plumbing needs truncation order >= 1")
-    g = c.alkane.genus
     coerce = ring.field.coerce
     lam = _two_pi_i(ring.field) / 4
-    entries = [[ring.zero() for _ in range(g)] for _ in range(g)]
-    for i in range(g):
-        entries[i][i] = ring.constant(coerce(c.taus[i].value))
+    entries = _block_diagonal(ring, [((tau.value,),) for tau in c.taus])
     # iterate the mapping, not the sorted edge list: the result must not
     # depend on the order the plumbings are performed in
     for (i, j), data in c.edge_data.items():
         v_i = coerce(1 / data.coeff_low)
         v_j = coerce(1 / data.coeff_high)
-        _outer_contribution(entries, lam, ring.variable(data.var), (i - 1, j - 1), (v_i, -v_j))
+        _outer_contribution(entries, lam, ring.variable(data.var), (i, j), (v_i, -v_j))
     meta = {"assembly": "tree", "alkane_code": canonical_code(c.alkane)}
     return PeriodMatrixJet(entries, meta)
 
@@ -307,13 +299,9 @@ def offdiag_support(m: PeriodMatrixJet, through_degree: int = 1) -> FrozenSet[Tu
     total degree <= through_degree (i.e. is nonzero modulo the next power
     of the parameter ideal)."""
     d = min(through_degree, m.ring.order)
-    out = set()
-    g = m.genus
-    for i in range(1, g + 1):
-        for j in range(i + 1, g + 1):
-            if not m.entry(i, j).vanishes_through_degree(d):
-                out.add((i, j))
-    return frozenset(out)
+    return frozenset(
+        (i, j) for (i, j), e in m.entries.items() if i < j and not e.vanishes_through_degree(d)
+    )
 
 
 def is_banded(pattern: Iterable[Tuple[int, int]], band: int) -> bool:

@@ -16,7 +16,7 @@ from .curve_periods import StarConfig, TreeConfig, TreeEdgeData
 from .elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
 from .gaussian import GaussianRational
 from .relations import plucker_coordinates
-from .surfaces import EdgeData, SurfaceBlockShape, SurfaceGraphModel
+from .surfaces import BLOCK_COLS, EdgeData, SurfaceGraphModel
 
 _LABELS = list(TwoTorsionLabel)
 
@@ -90,19 +90,12 @@ def random_grass_frame_minors(g: int, rng: random.Random) -> Dict[Tuple[int, int
 
 
 def random_surface_model(alkane: Alkane, rng: random.Random) -> SurfaceGraphModel:
-    shapes = tuple(SurfaceBlockShape(1) for _ in range(alkane.genus))
     edge_data = {}
     for (i, j) in alkane.edges:
-        sl, sh = shapes[i - 1], shapes[j - 1]
-        omega = (
-            tuple(rand_nonzero_fraction(rng, -5, 5, 4) for _ in range(sl.rows)),
-            tuple(-rand_nonzero_fraction(rng, -5, 5, 4) for _ in range(sh.rows)),
-        )
-        i_vectors = (
-            tuple(rand_fraction(rng, -5, 5, 4) for _ in range(sl.cols - sl.h))
-            + (Fraction(0),) * sl.h,
-            tuple(rand_fraction(rng, -5, 5, 4) for _ in range(sh.cols - sh.h))
-            + (Fraction(0),) * sh.h,
+        omega = (rand_nonzero_fraction(rng, -5, 5, 4), -rand_nonzero_fraction(rng, -5, 5, 4))
+        i_vectors = tuple(
+            tuple(rand_fraction(rng, -5, 5, 4) for _ in range(BLOCK_COLS - 1)) + (Fraction(0),)
+            for _ in range(2)
         )
         edge_data[(i, j)] = EdgeData((i, j), omega, i_vectors)
-    return SurfaceGraphModel(alkane, shapes, edge_data)
+    return SurfaceGraphModel(alkane, edge_data)

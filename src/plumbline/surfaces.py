@@ -1,20 +1,22 @@
-"""Surface-side statement-level checks: stratum dimensions, rank-1 edge
-matrices, span dimensions, and the skew-block vanishing property.
+"""Surface-side statement-level checks on the W_{1^h} model: stratum
+dimensions, rank-1 edge matrices, span dimensions, and the skew-block
+vanishing property.
 
-The omega and I vectors attached to edges are synthetic data (random
-rational or user-supplied): the verifiable content is linear-algebraic --
-shapes, ranks, spans and zero patterns -- and all of it is checked
-exactly.  The edge matrices and the span rank run on Python ints: each
-edge's omega and I are cleared of their denominators once, and the rank
+Every vertex block is a genus-1 elliptic block, one ambient row wide
+and BLOCK_COLS columns wide, so an edge carries two omega scalars and two
+I vectors.  These are synthetic data (random rational or user-supplied):
+the verifiable content is linear-algebraic -- ranks, spans and zero
+patterns -- and all of it is checked exactly.  The edge matrices and
+every rank run on Python ints: each edge's omega and I are cleared of
+their denominators once, and the one rank routine, ``matrix_rank_exact``,
 eliminates fraction-free.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import accumulate
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Sequence, Tuple
 
 from .alkanes import Alkane, canonical_code
 from .errors import FormulaViolationError, RangeError, StructureError
@@ -65,126 +67,60 @@ def dim_W(h_parts: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# block shapes and edge data
+# genus-1 blocks and edge data
 
-
-@dataclass(frozen=True)
-class SurfaceBlockShape:
-    h: int
-
-    def __post_init__(self):
-        if self.h < 1:
-            raise RangeError(f"block genus must be >= 1, got {self.h}")
-
-    @property
-    def rows(self) -> int:
-        return self.h
-
-    @property
-    def cols(self) -> int:
-        # 11h+8 with the h x 4 zero block discarded
-        return 11 * self.h + 4
-
-
-def _as_vector(x) -> Tuple[object, ...]:
-    if isinstance(x, (list, tuple)):
-        return tuple(x)
-    return (x,)
+# Columns of a genus-1 block: 11h+8 for h = 1, less the h x 4 zero block.
+# Vertex v owns ambient row v-1 and the BLOCK_COLS columns from
+# BLOCK_COLS*(v-1); the last of these is the block's skew column.
+BLOCK_COLS = 15
 
 
 @dataclass(frozen=True)
 class EdgeData:
     """Data of one configuration edge {i,j}, i < j.
 
-    ``omega`` is the signed pair ([omega_i(P_ij)], [-omega_j(P_ji)]) as
-    per-vertex vectors; a bare number is accepted for a genus-1 block.
-    ``i_vectors`` are the per-vertex integral vectors, of the full column
-    width of each block; the trailing h coordinates (the skew block) are
-    required to be zero, and callers modelling additional vanishing
-    integrals simply supply more zeros.  Every entry is an int or a
-    ``Fraction``.
+    ``omega`` is the signed pair (omega_i(P_ij), -omega_j(P_ji)) of
+    scalars.  ``i_vectors`` are the two per-vertex integral vectors, each
+    BLOCK_COLS wide, whose last (skew) coordinate is required to be zero;
+    callers modelling additional vanishing integrals simply supply more
+    zeros.  Every entry is an int or a ``Fraction``.
     """
 
     edge: Tuple[int, int]
-    omega: Tuple[Tuple[object, ...], Tuple[object, ...]]
+    omega: Tuple[object, object]
     i_vectors: Tuple[Tuple[object, ...], Tuple[object, ...]]
 
     def __post_init__(self):
         i, j = self.edge
         if i >= j:
             raise StructureError(f"edge must be stored low-high, got {self.edge}")
-        object.__setattr__(self, "omega", tuple(_as_vector(v) for v in self.omega))
         object.__setattr__(self, "i_vectors", tuple(tuple(v) for v in self.i_vectors))
-
-    def validate_against(self, shape_low: SurfaceBlockShape, shape_high: SurfaceBlockShape):
-        for side, shape, name in (
-            (0, shape_low, "low"),
-            (1, shape_high, "high"),
-        ):
-            if len(self.omega[side]) != shape.rows:
-                raise StructureError(
-                    f"omega vector on the {name} side has length {len(self.omega[side])}, "
-                    f"block genus is {shape.h}"
-                )
-            iv = self.i_vectors[side]
-            if len(iv) != shape.cols:
+        for name, iv in zip(("low", "high"), self.i_vectors):
+            if len(iv) != BLOCK_COLS:
                 raise StructureError(
                     f"I vector on the {name} side has length {len(iv)}, "
-                    f"block width is {shape.cols}"
+                    f"block width is {BLOCK_COLS}"
                 )
-            if any(iv[-shape.h + k] for k in range(shape.h)):
+            if iv[-1]:
                 raise StructureError(
-                    f"trailing {shape.h} coordinates of the {name}-side I vector "
-                    "must vanish (skew block)"
+                    f"last coordinate of the {name}-side I vector must vanish (skew block)"
                 )
 
 
 @dataclass(frozen=True)
 class SurfaceGraphModel:
-    """Alkane-shaped configuration of surface blocks with per-edge data."""
+    """Alkane-shaped configuration of genus-1 surface blocks with per-edge data."""
 
     alkane: Alkane
-    shapes: Tuple[SurfaceBlockShape, ...]
     edge_data: Mapping[Tuple[int, int], EdgeData]
-    # ambient row and column offset of each vertex's block, vertex 1 first
-    _row_offsets: Tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _col_offsets: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.shapes) != self.alkane.genus:
-            raise StructureError("one shape per alkane vertex required")
         object.__setattr__(self, "edge_data", dict(self.edge_data))
         if set(self.edge_data) != set(self.alkane.edges):
             raise StructureError("edge data keys do not match the alkane's edge set")
         for (i, j), data in self.edge_data.items():
             if data.edge != (i, j):
                 raise StructureError(f"edge data stored under {(i, j)} claims edge {data.edge}")
-            data.validate_against(self.shapes[i - 1], self.shapes[j - 1])
-        rows = accumulate((s.rows for s in self.shapes), initial=0)
-        cols = accumulate((s.cols for s in self.shapes), initial=0)
-        object.__setattr__(self, "_row_offsets", tuple(rows))
-        object.__setattr__(self, "_col_offsets", tuple(cols))
-
-    def row_offset(self, vertex: int) -> int:
-        return self._row_offsets[vertex - 1]
-
-    def col_offset(self, vertex: int) -> int:
-        return self._col_offsets[vertex - 1]
-
-
-def _cleared(
-    offsets: Iterable[int], vectors: Sequence[Sequence[object]]
-) -> Tuple[int, List[Tuple[int, int]]]:
-    """Scale the per-vertex rational ``vectors`` to integers by the lcm d > 0
-    of their denominators: d and the nonzero scaled entries, each keyed by
-    its vertex offset plus its index."""
-    d = math.lcm(*(x.denominator for vec in vectors for x in vec))
-    return d, [
-        (off + k, x.numerator * (d // x.denominator))
-        for off, vec in zip(offsets, vectors)
-        for k, x in enumerate(vec)
-        if x
-    ]
 
 
 def edge_matrix(
@@ -194,13 +130,23 @@ def edge_matrix(
     i < j, as ``(d, entries)``: Pi_e = entries / d with d > 0, and
     ``entries`` holds the nonzero integers keyed by ambient (row, col)."""
     data = model.edge_data[edge]
-    d_omega, rows = _cleared(map(model.row_offset, edge), data.omega)
-    d_i, cols = _cleared(map(model.col_offset, edge), data.i_vectors)
-    return d_omega * d_i, {(r, c): w * x for r, w in rows for c, x in cols}
+    d_omega, rows = _cleared({v - 1: w for v, w in zip(edge, data.omega)})
+    offsets = (BLOCK_COLS * (v - 1) for v in edge)
+    d_i, cols = _cleared(
+        {c + k: x for c, vec in zip(offsets, data.i_vectors) for k, x in enumerate(vec)}
+    )
+    return d_omega * d_i, {(r, c): w * x for r, w in rows.items() for c, x in cols.items()}
 
 
 # ---------------------------------------------------------------------------
 # exact linear algebra on sparse rational rows
+
+
+def _cleared(row: Mapping[object, object]) -> Tuple[int, Dict[object, int]]:
+    """The lcm d > 0 of the denominators of a sparse int or Fraction row,
+    and d times its nonzero entries, as ints."""
+    d = math.lcm(*(v.denominator for v in row.values()))
+    return d, {k: v.numerator * (d // v.denominator) for k, v in row.items() if v}
 
 
 def _primitive(row: Dict[object, int]) -> Dict[object, int]:
@@ -219,8 +165,7 @@ def matrix_rank_exact(rows: Sequence[Mapping[object, object]]) -> int:
     """
     work = []
     for r in rows:
-        d = math.lcm(*(v.denominator for v in r.values()))
-        row = _primitive({k: v.numerator * (d // v.denominator) for k, v in r.items()})
+        row = _primitive(_cleared(r)[1])
         if row:
             work.append(row)
     rank = 0
@@ -249,23 +194,6 @@ def span_dimension_E_Gamma(model: SurfaceGraphModel) -> int:
     return matrix_rank_exact([edge_matrix(model, edge)[1] for edge in model.alkane.edges])
 
 
-def all_two_by_two_minors_vanish(matrix: Sequence[Sequence[object]]) -> bool:
-    rows = [list(r) for r in matrix]
-    n = len(rows)
-    for a in range(n):
-        ra = rows[a]
-        for b in range(a + 1, n):
-            rb = rows[b]
-            m = len(ra)
-            for c in range(m):
-                if not ra[c] and not rb[c]:
-                    continue
-                for d in range(c + 1, m):
-                    if ra[c] * rb[d] - ra[d] * rb[c]:
-                        return False
-    return True
-
-
 def skew_block_rank_one_vanishing(
     matrix: Sequence[Sequence[object]],
     block_rows: Sequence[int],
@@ -285,7 +213,7 @@ def skew_block_rank_one_vanishing(
     skew = all(not b[a][a] for a in range(n)) and all(
         not (b[a][c] + b[c][a]) for a in range(n) for c in range(a + 1, n)
     )
-    premise = skew and all_two_by_two_minors_vanish(matrix)
+    premise = skew and matrix_rank_exact([dict(enumerate(row)) for row in matrix]) <= 1
     if not premise:
         return True
     return all(not b[a][c] for a in range(n) for c in range(n))

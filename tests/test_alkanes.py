@@ -1,11 +1,14 @@
-"""Alkane enumeration against three independent oracles, plus code invariance."""
+"""Alkane enumeration against the frozen A000602 counts and three independent
+count oracles (Pruefer, networkx, Otter), plus code invariance."""
 
 import itertools
+import json
 import random
 
 import networkx as nx
 import pytest
 
+from plumbline import checks
 from plumbline import (
     Alkane,
     RangeError,
@@ -23,6 +26,7 @@ from plumbline.alkanes import (
     brute_force_alkane_count,
     prufer_decode,
 )
+from plumbline.cli import main
 
 # A000602 (quartic free trees), frozen for genus 1..12
 EXPECTED = [1, 1, 1, 2, 3, 5, 9, 18, 35, 75, 159, 355]
@@ -57,6 +61,19 @@ def test_counts_match_prufer_brute_force_small():
     assert [brute_force_alkane_count(g) for g in range(1, 8)] == EXPECTED[:7]
 
 
+def test_alkane_count_check_fails_when_its_oracle_does(monkeypatch):
+    ok, detail = checks.check_alkane_counts(max_genus=6, oracle_max_genus=5)
+    assert ok and detail["prufer_oracle"] == EXPECTED[:5]
+    # an oracle that is off by one must fail the check, enumerated counts
+    # notwithstanding
+    def off_by_one(g):
+        return brute_force_alkane_count(g) + 1
+
+    monkeypatch.setattr(checks, "brute_force_alkane_count", off_by_one)
+    ok, detail = checks.check_alkane_counts(max_genus=6, oracle_max_genus=5)
+    assert not ok and detail["counts"] == EXPECTED[:6]
+
+
 def _networkx_quartic_tree_count(n: int) -> int:
     if n == 1:
         return 1
@@ -71,6 +88,51 @@ def _networkx_quartic_tree_count(n: int) -> int:
 
 def test_counts_match_networkx_oracle():
     assert [_networkx_quartic_tree_count(g) for g in range(1, 13)] == EXPECTED
+
+
+def _otter_alkane_counts(max_n: int):
+    """A000602 for n = 1..max_n from Polya's cycle indices and Otter's
+    dissimilarity theorem, as power series truncated after x^max_n.
+
+    r counts alkyl radicals (rooted trees whose nodes have at most three
+    children; r[0] = 1 is a hydrogen): R = 1 + x Z(S3; R).  A tree rooted
+    at a carbon is a multiset of four radicals, x Z(S4; R); one rooted at
+    a bond is an unordered pair of nonempty radicals, Z(S2; R - 1).
+    Otter: unrooted = carbon-rooted - bond-rooted + symmetric bonds, and
+    the symmetric bonds are R(x^2) - 1.
+    """
+    n = max_n + 1
+
+    def mul(*series):
+        out = [1] + [0] * max_n
+        for s in series:
+            out = [sum(out[i] * s[k - i] for i in range(k + 1)) for k in range(n)]
+        return out
+
+    def at_power(s, p):  # s(x^p)
+        return [s[k // p] if k % p == 0 else 0 for k in range(n)]
+
+    r = [1] + [0] * max_n
+    for k in range(1, n):
+        r2, r3 = at_power(r, 2), at_power(r, 3)
+        z3 = [a + 3 * b + 2 * c for a, b, c in zip(mul(r, r, r), mul(r, r2), r3)]
+        r[k] = z3[k - 1] // 6
+    r2, r3, r4 = at_power(r, 2), at_power(r, 3), at_power(r, 4)
+    z4 = [
+        a + 6 * b + 3 * c + 8 * d + 6 * e
+        for a, b, c, d, e in zip(mul(r, r, r, r), mul(r, r, r2), mul(r2, r2), mul(r, r3), r4)
+    ]
+    radicals = [0] + r[1:]
+    z2 = [a - b for a, b in zip(mul(radicals, radicals), [0] + r2[1:])]
+    return [z4[k - 1] // 24 - z2[k] // 2 for k in range(1, n)]
+
+
+def test_counts_match_otter_recurrence(capsys):
+    otter = _otter_alkane_counts(16)
+    assert otter[:12] == EXPECTED
+    assert otter[12:] == [802, 1858, 4347, 10359]
+    assert main(["alkanes", "count", "--max", "16"]) == 0
+    assert json.loads(capsys.readouterr().out)["counts"] == otter
 
 
 def test_enumerate_genus_one():

@@ -112,6 +112,16 @@ MALFORMED_CONFIGS = [
         json.dumps(_with(PAIR_CONFIG, ["curve_b", "marks", 0, "c"], [1, 2, 3])),
         "curve_b.marks[0].c: ",
     ),
+    (
+        "star",
+        json.dumps(_with(STAR_CONFIG, ["curves", 0, "marks"], [{"point": "O", "c": 1}, 3])),
+        "curves[0].marks[1] must be an object",
+    ),
+    (
+        "star",
+        json.dumps(_with(STAR_CONFIG, ["curves", 1, "marks"], {"point": "O"})),
+        "curves[1].marks must be a list",
+    ),
 ]
 
 # stdout sha256 of fixed-seed reports: a refactor that keeps the reports
@@ -251,16 +261,19 @@ def test_value_beyond_float_range_is_usage_error(tmp_path, capsys):
     code, report = _run(capsys, ["periods", "pair", "--config", str(path)])
     assert code == 0
     assert report["entries"][0][0]["terms"][0]["im"] == "1" + "0" * 400
-    # distinct star points whose float squared distance underflows to 0
-    star = _with(STAR_CONFIG, ["b"], ["0", "1e-200"])
-    path = tmp_path / "star.json"
-    path.write_text(json.dumps(star))
-    code = main(["periods", "star", "--config", str(path), "--numeric"])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
-    assert "invalid input: value beyond the float field's range" in captured.err
-    code, _ = _run(capsys, ["periods", "star", "--config", str(path)])
-    assert code == 0
+    # distinct star points whose float squared distance underflows to 0, and
+    # one whose squared distance is subnormal, so the entry overflows
+    for b, fragment in (("1e-200", "underflows to 0"), ("1e-160", "star entry (1,2) overflows")):
+        star = _with(STAR_CONFIG, ["b"], ["0", b])
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps(star))
+        code = main(["periods", "star", "--config", str(path), "--numeric"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), b
+        assert "invalid input: value beyond the float field's range" in captured.err, b
+        assert fragment in captured.err, b
+        code, _ = _run(capsys, ["periods", "star", "--config", str(path)])
+        assert code == 0, b
 
 
 def test_star_below_order_2_is_usage_error(tmp_path, capsys):
@@ -364,7 +377,7 @@ def test_fixed_seed_reports_pinned(capsys):
 @pytest.mark.parametrize("argv", [["--numeric", "--trials", "2"], ["--trials", "1"]])
 def test_octic_probe_contract(monkeypatch, tmp_path, argv):
     # the benchmark's numeric probe wraps relations.octic_eval the same way
-    # and reads each jet's terms and degree queries
+    # and reads each jet's terms, degree queries and field tolerance
     kept = []
     original = relations.octic_eval
 
@@ -382,8 +395,25 @@ def test_octic_probe_contract(monkeypatch, tmp_path, argv):
     assert sum(t["octics_checked"] for t in report["trials"]) == len(kept)
     for f in kept:
         assert f.ring.order == 17 and len(f.ring.variables) == 7
+        assert f.ring.field.tolerance == 1e-10
         assert f.terms and all(len(e) == 7 and sum(e) >= 16 for e in f.terms)
         assert f.vanishes_through_degree(16) and f.min_nonzero_degree() == 17
+
+
+def test_perfbench_control_contract():
+    # the benchmark's negative control calls these names outside the CLI,
+    # in this way
+    from plumbline.jets import DEFAULT_TOLERANCE, CoefficientField, FieldKind
+    from plumbline.relations import verify_asymptotic_vanishing
+    from plumbline.sampling import random_star_config, substream
+
+    seed = 3
+    field = CoefficientField(FieldKind.COMPLEX_FLOAT, DEFAULT_TOLERANCE)
+    s = random_star_config(7, substream(seed, "perfbench:control"))
+    rep = verify_asymptotic_vanishing(
+        s, f"{seed}:perfbench:control", corrupt_entry=(1, 2), field=field
+    )
+    assert rep.passed is False
 
 
 def test_selftest_deterministic(tmp_path):
@@ -435,7 +465,11 @@ def test_tolerance_env_reaches_zero_tests(monkeypatch, capsys):
     def rank_one():
         ring = JetRing(("t",), 1, _float_field())
         t = ring.variable("t")
-        entries = [[ring.constant(1j) + t, t], [t, ring.constant(2j) + t * (1 + 1e-8)]]
+        entries = {
+            (1, 1): ring.constant(1j) + t,
+            (1, 2): t,
+            (2, 2): ring.constant(2j) + t * (1 + 1e-8),
+        }
         return derivative_rank_one_check(PeriodMatrixJet(entries), "t")
 
     monkeypatch.setenv("PLUMBLINE_TOL", "1e-6")

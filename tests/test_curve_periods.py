@@ -188,16 +188,17 @@ def test_tree_order_independence():
     assert tree_period_first_order(reversed_config, ring) == m
     # and against a test-side assembly processing edges in reverse
     lam = GaussianRational(Fraction(1, 4))
-    entries = [[ring.zero() for _ in range(3)] for _ in range(3)]
-    for i, tau in enumerate(tc.taus):
-        entries[i][i] = ring.constant(tau.value)
+    entries = {(a, b): ring.zero() for a in range(1, 4) for b in range(a, 4)}
+    for i, tau in enumerate(tc.taus, start=1):
+        entries[(i, i)] = ring.constant(tau.value)
     for (i, j) in reversed(tc.alkane.edges):
         d = tc.edge_data[(i, j)]
-        u = {i - 1: 1 / d.coeff_low, j - 1: -(1 / d.coeff_high)}
+        u = {i: 1 / d.coeff_low, j: -(1 / d.coeff_high)}
         t = ring.variable(d.var)
         for a, va in u.items():
             for b, vb in u.items():
-                entries[a][b] = entries[a][b] + t * (lam * va * vb)
+                if a <= b:
+                    entries[(a, b)] = entries[(a, b)] + t * (lam * va * vb)
     assert PeriodMatrixJet(entries) == m
 
 
@@ -258,10 +259,7 @@ def test_tree_rank_one_all_edges():
 def test_rank_one_rejects_identity_pattern():
     ring = JetRing(("t",), 1)
     t = ring.variable("t")
-    entries = [
-        [ring.constant(I) + t, ring.zero()],
-        [ring.zero(), ring.constant(I) + t],
-    ]
+    entries = {(1, 1): ring.constant(I) + t, (1, 2): ring.zero(), (2, 2): ring.constant(I) + t}
     m = PeriodMatrixJet(entries)
     assert not derivative_rank_one_check(m, "t")
 
@@ -280,8 +278,19 @@ def test_repeated_vertex_label_rejected():
 
 def test_offdiag_support_zero_matrix():
     ring = JetRing(("t",), 1)
-    entries = [[ring.zero(), ring.zero()], [ring.zero(), ring.zero()]]
+    entries = {(1, 1): ring.zero(), (1, 2): ring.zero(), (2, 2): ring.zero()}
     assert offdiag_support(PeriodMatrixJet(entries)) == frozenset()
+
+
+def test_period_matrix_stores_each_pair_once():
+    ring = JetRing(("t",), 1)
+    t = ring.variable("t")
+    m = PeriodMatrixJet({(1, 1): t, (1, 2): t * 2, (2, 2): t * 3})
+    assert m.genus == 2 and m.entry(2, 1) is m.entry(1, 2)
+    # a lower-triangle key, a missing pair or no entry at all is refused
+    for entries in ({(1, 1): t, (2, 1): t, (2, 2): t}, {(1, 1): t, (2, 2): t}, {}):
+        with pytest.raises(StructureError):
+            PeriodMatrixJet(entries)
 
 
 def test_is_banded():

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from plumbline import checks
 from plumbline import (
     DegenerateDataError,
     EXACT_FIELD,
@@ -262,6 +263,21 @@ def test_verify_negative_control():
     rep = verify_asymptotic_vanishing(s, seed=101, order=17, corrupt_entry=(1, 2))
     assert not rep.passed
     assert rep.min_surviving_degree is not None and rep.min_surviving_degree <= 16
+
+
+def test_jet_vanishing_check_fails_when_its_control_does_not(monkeypatch):
+    ok, detail = checks.check_jet_vanishing(0, trials=1)
+    assert ok and detail["negative_control_failed"] is True
+    # a negative control that passes, its corrupted entry dropped, must fail
+    # the check
+    original = checks.verify_asymptotic_vanishing
+    monkeypatch.setattr(
+        checks,
+        "verify_asymptotic_vanishing",
+        lambda s, seed, corrupt_entry=None: original(s, seed=seed),
+    )
+    ok, detail = checks.check_jet_vanishing(0, trials=1)
+    assert not ok and detail["negative_control_failed"] is False
 
 
 def test_verify_order_range():

@@ -11,7 +11,6 @@ from plumbline import (
     EdgeData,
     RangeError,
     StructureError,
-    SurfaceBlockShape,
     SurfaceGraphModel,
     canonical_code,
     dim_K,
@@ -24,7 +23,7 @@ from plumbline import (
     valency_profile,
 )
 from plumbline.sampling import rand_fraction, random_surface_model, substream
-from plumbline.surfaces import all_two_by_two_minors_vanish, edge_matrix, matrix_rank_exact
+from plumbline.surfaces import BLOCK_COLS, edge_matrix, matrix_rank_exact
 
 
 def test_dim_period_domain_values():
@@ -74,29 +73,33 @@ def test_dim_W_values():
 
 
 def test_block_shape():
-    s = SurfaceBlockShape(1)
-    assert (s.rows, s.cols) == (1, 15)
-    s3 = SurfaceBlockShape(3)
-    assert (s3.rows, s3.cols) == (3, 37)
-    with pytest.raises(RangeError):
-        SurfaceBlockShape(0)
+    # a genus-1 block has 11h+8 columns, less the h x 4 zero block
+    assert BLOCK_COLS == 11 * 1 + 4
+    good = (Fraction(1),) * 14 + (Fraction(0),)
+    for width in (14, 16):
+        bad = (Fraction(1),) * (width - 1) + (Fraction(0),)
+        with pytest.raises(StructureError, match="block width is 15"):
+            EdgeData((1, 2), (Fraction(1), Fraction(-1)), (good, bad))
 
 
-def _two_vertex_model(omega_pair=((Fraction(1),), (Fraction(-1),)), scale=Fraction(1)):
+def _two_vertex_model(omega_pair=(Fraction(1), Fraction(-1)), scale=Fraction(1)):
     a = Alkane(2, [(1, 2)])
-    shapes = (SurfaceBlockShape(1), SurfaceBlockShape(1))
     iv = tuple(scale * (c + 1) for c in range(14)) + (Fraction(0),)
     edge_data = {(1, 2): EdgeData((1, 2), omega_pair, (iv, iv))}
-    return SurfaceGraphModel(a, shapes, edge_data)
+    return SurfaceGraphModel(a, edge_data)
 
 
 def _dense_outer(model, edge):
     """omega_e tensor I_e as a full ambient matrix, for an edge that joins
     the model's only two vertices."""
     data = model.edge_data[edge]
-    omega = [w for vec in data.omega for w in vec]
+    omega = list(data.omega)
     i_vec = [x for vec in data.i_vectors for x in vec]
     return [[w * x for x in i_vec] for w in omega]
+
+
+def _sparse(matrix):
+    return [dict(enumerate(row)) for row in matrix]
 
 
 def _dense(entries, n_rows, n_cols):
@@ -117,16 +120,16 @@ def _pi(model, edge):
 
 
 def test_build_pi_rank_at_most_one():
-    model = _two_vertex_model(((Fraction(2, 3),), (Fraction(-5, 4),)), Fraction(7, 6))
+    model = _two_vertex_model((Fraction(2, 3), Fraction(-5, 4)), Fraction(7, 6))
     pi = _pi(model, (1, 2))
     assert len(pi) == 2 * 28  # two omega entries times 14 nonzero I entries per side
-    assert all_two_by_two_minors_vanish(_dense_outer(model, (1, 2)))
+    assert matrix_rank_exact(_sparse(_dense_outer(model, (1, 2)))) == 1
     rows = [{c: v for (r, c), v in pi.items() if r == row} for row in range(2)]
     assert matrix_rank_exact(rows) == 1
 
 
 def test_build_pi_zero_omega_gives_zero_matrix():
-    model = _two_vertex_model(((Fraction(0),), (Fraction(0),)))
+    model = _two_vertex_model((Fraction(0), Fraction(0)))
     assert _pi(model, (1, 2)) == {}
     assert edge_matrix(model, (1, 2))[1] == {}
     assert matrix_rank_exact([edge_matrix(model, (1, 2))[1]]) == 0
@@ -143,12 +146,8 @@ def test_build_pi_scales_linearly():
 def test_edge_data_trailing_zero_enforced():
     bad = tuple(Fraction(1) for _ in range(15))  # nonzero in the skew slot
     good = tuple(Fraction(1) for _ in range(14)) + (Fraction(0),)
-    with pytest.raises(StructureError):
-        SurfaceGraphModel(
-            Alkane(2, [(1, 2)]),
-            (SurfaceBlockShape(1), SurfaceBlockShape(1)),
-            {(1, 2): EdgeData((1, 2), ((Fraction(1),), (Fraction(-1),)), (bad, good))},
-        )
+    with pytest.raises(StructureError, match="skew block"):
+        EdgeData((1, 2), (Fraction(1), Fraction(-1)), (bad, good))
 
 
 def test_span_dimension_generic():
@@ -163,13 +162,12 @@ def test_span_dimension_degenerate_duplicate():
     model = random_surface_model(a, substream(87, "test:span:dup"))
     w_mid = model.edge_data[(1, 2)].omega[1]
     i_mid = model.edge_data[(1, 2)].i_vectors[1]
-    zero_w = (Fraction(0),)
     zero_i = (Fraction(0),) * 15
     dup = {
-        (1, 2): EdgeData((1, 2), (zero_w, w_mid), (zero_i, i_mid)),
-        (2, 3): EdgeData((2, 3), (w_mid, zero_w), (i_mid, zero_i)),
+        (1, 2): EdgeData((1, 2), (Fraction(0), w_mid), (zero_i, i_mid)),
+        (2, 3): EdgeData((2, 3), (w_mid, Fraction(0)), (i_mid, zero_i)),
     }
-    degenerate = SurfaceGraphModel(a, model.shapes, dup)
+    degenerate = SurfaceGraphModel(a, dup)
     assert span_dimension_E_Gamma(degenerate) == 1 < 2
 
 
@@ -185,10 +183,10 @@ def test_skew_block_on_constructed_pi():
         for edge in a.edges:
             _, entries = edge_matrix(model, edge)
             pi = _dense(entries, h, 15 * h)
-            # each vertex's trailing column within each vertex's row range
+            # vertex v owns row v-1; its skew column is the last of its 15
             for v in range(1, h + 1):
-                rows = [model.row_offset(v)]
-                cols = [model.col_offset(v) + model.shapes[v - 1].cols - 1]
+                rows = [v - 1]
+                cols = [15 * v - 1]
                 assert skew_block_rank_one_vanishing(pi, rows, cols)
                 assert all(c != cols[0] for _, c in entries)
 
@@ -223,13 +221,13 @@ def test_skew_block_detects_violation_in_principle():
         [Fraction(0), Fraction(1)],
         [Fraction(-1), Fraction(0)],
     ]
-    assert not all_two_by_two_minors_vanish(m)
+    assert matrix_rank_exact(_sparse(m)) == 2
     assert skew_block_rank_one_vanishing(m, [0, 1], [0, 1])
     # and a hand-made matrix that *claims* rank 1 with nonzero skew block is
     # impossible; forcing one (rank 2) is correctly reported as no violation,
     # while a genuinely rank-1 skew block must be zero:
     rank1 = [[Fraction(2), Fraction(4)], [Fraction(1), Fraction(2)]]
-    assert all_two_by_two_minors_vanish(rank1)
+    assert matrix_rank_exact(_sparse(rank1)) == 1
     assert skew_block_rank_one_vanishing(rank1, [0, 1], [0, 1])  # block not skew
 
 
