@@ -119,6 +119,12 @@ def _parse_label(name: str) -> TwoTorsionLabel:
         raise ConfigError(f"unknown 2-torsion label {name!r}") from None
 
 
+def _parse_list(v, path: str, what: str) -> list:
+    if not isinstance(v, list):
+        raise ConfigError(f"{path} must be a list of {what}, got {v!r}")
+    return v
+
+
 def _parse_edge(e, path: str) -> Tuple[int, int]:
     if not (isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e)):
         raise ConfigError(f"{path} must be a pair of vertex numbers, got {e!r}")
@@ -138,20 +144,23 @@ def _parse_mark(d: dict, path: str) -> Mark:
 
 def _parse_curve(d: dict, path: str) -> MarkedEllipticCurve:
     tau = TauPoint(_parse_value(d["tau"], f"{path}.tau"))
-    marks = d.get("marks", [])
-    if not isinstance(marks, list):
-        raise ConfigError(f"{path}.marks must be a list of marks, got {marks!r}")
+    marks = _parse_list(d.get("marks", []), f"{path}.marks", "marks")
     marks = tuple(_parse_mark(m, f"{path}.marks[{k}]") for k, m in enumerate(marks))
     return MarkedEllipticCurve(tau, marks)
 
 
 def _parse_pair_side(d: dict, mark: int, path: str):
     if "block" in d:
+        rows = _parse_list(d["block"], f"{path}.block", "rows")
         block = tuple(
-            tuple(_parse_value(v, f"{path}.block[{r}][{c}]") for c, v in enumerate(row))
-            for r, row in enumerate(d["block"])
+            tuple(
+                _parse_value(v, f"{path}.block[{r}][{c}]")
+                for c, v in enumerate(_parse_list(row, f"{path}.block[{r}]", "numbers"))
+            )
+            for r, row in enumerate(rows)
         )
-        omega = tuple(_parse_value(v, f"{path}.omega[{k}]") for k, v in enumerate(d["omega"]))
+        omega = _parse_list(d["omega"], f"{path}.omega", "numbers")
+        omega = tuple(_parse_value(v, f"{path}.omega[{k}]") for k, v in enumerate(omega))
         return CurveBlock(block, omega)
     curve = _parse_curve(d, path)
     if type(mark) is not int or not 0 <= mark < len(curve.marks):

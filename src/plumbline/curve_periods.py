@@ -221,13 +221,21 @@ def _block_diagonal(ring: JetRing, blocks: Sequence[Sequence[Sequence[object]]])
     return entries
 
 
+def _finite(field: CoefficientField, x, what: str):
+    """``x``, refused when a float product has left the float field's range."""
+    if not (field.is_exact or cmath.isfinite(x)):
+        raise RangeError(f"value beyond the float field's range: {what} overflows")
+    return x
+
+
 def _outer_contribution(entries, lam, t_jet: Jet, slots: Sequence[int], values: Sequence[object]):
     """Add lam * t * (u tensor u) where u has ``values`` in the increasing
     1-based ``slots``: one product per pair (a, b), a <= b."""
     pairs = list(zip(slots, values))
     for n, (a, va) in enumerate(pairs):
         for b, vb in pairs[n:]:
-            entries[(a, b)] = entries[(a, b)] + t_jet * (lam * va * vb)
+            coeff = _finite(t_jet.ring.field, lam * va * vb, f"entry ({a},{b})")
+            entries[(a, b)] = entries[(a, b)] + t_jet * coeff
 
 
 def pair_period_first_order(p: PairPlumbing, ring: JetRing) -> PeriodMatrixJet:
@@ -265,10 +273,7 @@ def star_period_leading(s: StarConfig, ring: JetRing) -> PeriodMatrixJet:
                     f"value beyond the float field's range: (b{i + 1} - b{j + 1})^2 underflows to 0"
                 )
             coeff = kappa * v[i] * v[j] / (d * d)
-            if not (ring.field.is_exact or cmath.isfinite(coeff)):
-                raise RangeError(
-                    f"value beyond the float field's range: star entry ({i + 1},{j + 1}) overflows"
-                )
+            coeff = _finite(ring.field, coeff, f"star entry ({i + 1},{j + 1})")
             entries[(i + 1, j + 1)] = t[i] * t[j] * coeff
     return PeriodMatrixJet(entries, {"assembly": "star"})
 

@@ -4,14 +4,24 @@ A jet lives in a ring with a fixed ordered variable list and a total-degree
 truncation order; every product silently discards monomials whose total
 degree exceeds the order.  Two coefficient fields are supported:
 
-* exact: Gaussian rationals (pairs of big Fractions), arithmetic is exact
-  and zero-tests are literal;
+* exact: Gaussian rationals, arithmetic is exact and zero-tests are
+  literal;
 * float: ordinary Python complex, zero-tests are relative to the largest
   coefficient modulus of the jet being tested (the field's tolerance,
   default 1e-10).
 
-``CoefficientField.negligible`` is the one zero test; every exact/numeric
-decision downstream reads the ring's field.
+A jet stores its coefficients as (re, im) pairs over one positive integer
+denominator, as FLINT's ``fmpq_poly`` does: Gaussian integers over a common
+denominator in the exact field, float pairs over 1 in the float field.
+Products multiply the denominators and sums rescale both jets to the lcm
+of theirs, so one loop serves both fields and exact arithmetic runs on
+Python ints, with no Fraction in it.  Field values (``GaussianRational`` or
+``complex``) are made only where a coefficient leaves the jet: ``terms``,
+``coefficient``, ``to_json_dict``, equality and hashing.
+
+``CoefficientField.negligible`` is the one zero test of field values; on
+the stored integers the exact test is the same literal one.  Every
+exact/numeric decision downstream reads the ring's field.
 
 Jets are immutable values; all operations return fresh jets, so instances
 can be shared freely across threads.
@@ -24,6 +34,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import RangeError, StructureError
@@ -32,6 +43,7 @@ from .gaussian import GaussianRational
 DEFAULT_TOLERANCE = 1e-10
 
 Exponents = Tuple[int, ...]
+Pair = Tuple  # (re, im): two ints in the exact field, two floats in the float field
 
 
 class FieldKind(enum.Enum):
@@ -88,6 +100,28 @@ class CoefficientField:
             raise RangeError(f"value beyond the float field's range: {e}") from None
         raise TypeError(f"cannot coerce {type(x).__name__} into the float field")
 
+    def pack(self, x) -> Tuple[Pair, int]:
+        """``x`` forced into the field, as a jet stores it: an (re, im) pair
+        over a positive denominator, the least one in the exact field and 1
+        in the float field."""
+        if not self.is_exact:
+            x = self.coerce(x)
+            return (x.real, x.imag), 1
+        if type(x) is int:  # the common scalar, kept off Fraction
+            return (x, 0), 1
+        x = self.coerce(x)
+        re, im = x.re, x.im
+        den = lcm(re.denominator, im.denominator)
+        pair = re.numerator * (den // re.denominator), im.numerator * (den // im.denominator)
+        return pair, den
+
+    def unpack(self, pair: Pair, den: int):
+        """The field value of a stored pair over ``den``."""
+        re, im = pair
+        if self.is_exact:
+            return GaussianRational(Fraction(re, den), Fraction(im, den))
+        return complex(re, im)
+
     def zero(self):
         return GaussianRational(0) if self.is_exact else 0j
 
@@ -125,17 +159,14 @@ class JetRing:
         return self.constant(1)
 
     def constant(self, c) -> "Jet":
-        c = self.field.coerce(c)
-        if not c:
-            return Jet(self, {})
-        return Jet(self, {(0,) * len(self.variables): c})
+        return self._packed({(0,) * len(self.variables): c})
 
     def variable(self, name: str) -> "Jet":
         if self.order < 1:
             raise RangeError("ring of order 0 holds no degree-1 monomials")
         exp = [0] * len(self.variables)
         exp[self.var_index(name)] = 1
-        return Jet(self, {tuple(exp): self.field.coerce(1)})
+        return self._packed({tuple(exp): 1})
 
     def jet(self, terms: Mapping[Exponents, object]) -> "Jet":
         """Build a jet from an exponent->coefficient mapping, validating degrees."""
@@ -147,10 +178,20 @@ class JetRing:
                 raise StructureError(f"bad exponent vector {exp} for {n} variables")
             if sum(exp) > self.order:
                 raise RangeError(f"monomial {exp} exceeds truncation order {self.order}")
-            c = self.field.coerce(c)
-            if c:
-                clean[exp] = c
-        return Jet(self, clean)
+            clean[exp] = c
+        return self._packed(clean)
+
+    def _packed(self, values: Mapping[Exponents, object]) -> "Jet":
+        """The jet of the nonzero ``values``, each forced into the field,
+        over the lcm of their denominators."""
+        packed = {}
+        den = 1
+        for exp, x in values.items():
+            pair, d = self.field.pack(x)
+            if pair[0] or pair[1]:
+                packed[exp] = pair, d
+                den = lcm(den, d)
+        return Jet(self, {exp: _scaled(pair, den // d) for exp, (pair, d) in packed.items()}, den)
 
     def linear_form(self, coeffs: Mapping[str, object], constant=0) -> "Jet":
         """Constant + sum of coeff*variable, a convenience for unit factors."""
@@ -160,14 +201,21 @@ class JetRing:
         return out
 
 
+def _scaled(pair: Pair, factor: int) -> Pair:
+    return pair if factor == 1 else (pair[0] * factor, pair[1] * factor)
+
+
 class Jet:
     """Immutable sparse truncated polynomial over its ring's field."""
 
-    __slots__ = ("ring", "_terms")
+    __slots__ = ("ring", "_terms", "_den")
 
-    def __init__(self, ring: JetRing, terms: Dict[Exponents, object]):
+    def __init__(self, ring: JetRing, terms: Dict[Exponents, Pair], den: int = 1):
+        """``terms`` maps exponents to nonzero (re, im) pairs, each divided
+        by the positive ``den``; the ring's constructors pack field values."""
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_terms", dict(terms))
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Jet is immutable")
@@ -176,7 +224,8 @@ class Jet:
 
     @property
     def terms(self) -> Dict[Exponents, object]:
-        return dict(self._terms)
+        unpack, den = self.ring.field.unpack, self._den
+        return {exp: unpack(c, den) for exp, c in self._terms.items()}
 
     def coefficient(self, exponents: Iterable[int]):
         exp = tuple(exponents)
@@ -184,7 +233,8 @@ class Jet:
             raise StructureError(
                 f"exponent vector of length {len(exp)} against {len(self.ring.variables)} variables"
             )
-        return self._terms.get(exp, self.ring.field.zero())
+        c = self._terms.get(exp)
+        return self.ring.field.zero() if c is None else self.ring.field.unpack(c, self._den)
 
     def coefficient_of_var(self, name: str):
         """Coefficient of the degree-1 monomial of a single variable."""
@@ -202,15 +252,17 @@ class Jet:
     def min_nonzero_degree(self) -> int | None:
         """Smallest total degree carrying a nonzero coefficient.
 
-        Float field: nonzero relative to the largest coefficient modulus
-        anywhere in the jet.
+        Exact field: literal, on the stored integers.  Float field: nonzero
+        relative to the largest coefficient modulus anywhere in the jet.
         """
         field = self.ring.field
-        scale = field.magnitude(self._terms.values())
-        return min(
-            (sum(exp) for exp, c in self._terms.items() if not field.negligible(c, scale)),
-            default=None,
-        )
+        if field.is_exact:
+            nonzero = (exp for exp, (re, im) in self._terms.items() if re or im)
+        else:
+            values = self.terms
+            scale = field.magnitude(values.values())
+            nonzero = (exp for exp, c in values.items() if not field.negligible(c, scale))
+        return min(map(sum, nonzero), default=None)
 
     def valuation(self) -> int | None:
         """Lowest total degree among the stored terms; None for the zero jet.
@@ -238,15 +290,23 @@ class Jet:
             other = self._wrap(other)
         except TypeError:
             return NotImplemented
-        terms = dict(self._terms)
-        for exp, c in other._terms.items():
+        a, b, den = self._terms, other._terms, self._den
+        if other._den != den:
+            den = lcm(den, other._den)
+            a = {exp: _scaled(c, den // self._den) for exp, c in a.items()}
+            b = {exp: _scaled(c, den // other._den) for exp, c in b.items()}
+        terms = dict(a)
+        for exp, (br, bi) in b.items():
             s = terms.get(exp)
-            s = c if s is None else s + c
-            if s:
-                terms[exp] = s
+            if s is None:
+                terms[exp] = br, bi
+                continue
+            re, im = s[0] + br, s[1] + bi
+            if re or im:
+                terms[exp] = re, im
             else:
-                terms.pop(exp, None)
-        return Jet(self.ring, terms)
+                del terms[exp]
+        return Jet(self.ring, terms, den)
 
     __radd__ = __add__
 
@@ -261,7 +321,8 @@ class Jet:
         return (-self) + other
 
     def __neg__(self):
-        return Jet(self.ring, {exp: -c for exp, c in self._terms.items()})
+        terms = {exp: (-re, -im) for exp, (re, im) in self._terms.items()}
+        return Jet(self.ring, terms, self._den)
 
     def __mul__(self, other):
         try:
@@ -275,25 +336,29 @@ class Jet:
     def _times(self, other: "Jet", limit: int) -> "Jet":
         """The product with every monomial of total degree above ``limit``
         discarded; ``limit`` is at most the ring order."""
-        out: Dict[Exponents, object] = {}
+        out: Dict[Exponents, Pair] = {}
         # iterate over the smaller operand outside for fewer dict rebuilds
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
-        for ea, ca in a.items():
-            da = sum(ea)
-            for eb, cb in b.items():
-                if da + sum(eb) > limit:
+        inner = [(eb, sum(eb), br, bi) for eb, (br, bi) in b.items()]
+        for ea, (ar, ai) in a.items():
+            room = limit - sum(ea)
+            for eb, db, br, bi in inner:
+                if db > room:
                     continue
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                c = ca * cb
+                exp = tuple(map(operator.add, ea, eb))
+                # the complex product, in the order CPython takes it
+                re = ar * br - ai * bi
+                im = ar * bi + ai * br
                 s = out.get(exp)
-                s = c if s is None else s + c
-                if s:
-                    out[exp] = s
-                else:
-                    out.pop(exp, None)
-        return Jet(self.ring, out)
+                if s is not None:
+                    re, im = s[0] + re, s[1] + im
+                if re or im:
+                    out[exp] = re, im
+                elif s is not None:
+                    del out[exp]
+        return Jet(self.ring, out, self._den * other._den)
 
     def __truediv__(self, scalar):
         if isinstance(scalar, Jet):
@@ -301,38 +366,46 @@ class Jet:
         c = self.ring.field.coerce(scalar)
         if not c:
             raise ZeroDivisionError("jet division by zero scalar")
-        return Jet(self.ring, {exp: v / c for exp, v in self._terms.items()})
+        return self.ring._packed({exp: v / c for exp, v in self.terms.items()})
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        result = self.ring.one()
+        if n == 0:
+            return self.ring.one()
+        # square up to the lowest set bit, which starts the result
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        result = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 result = result * base
-            base = base * base if n > 1 else base
             n >>= 1
         return result
 
     def __eq__(self, other):
         if not isinstance(other, Jet):
             return NotImplemented
-        return self.ring == other.ring and self._terms == other._terms
+        return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self._terms.items())))
+        return hash((self.ring, frozenset(self.terms.items())))
 
     def __repr__(self):
         if not self._terms:
             return "Jet(0)"
         names = self.ring.variables
+        terms = self.terms
         bits = []
-        for exp in sorted(self._terms, key=lambda e: (sum(e), e)):
+        for exp in sorted(terms, key=lambda e: (sum(e), e)):
             mono = "*".join(
                 f"{n}^{e}" if e > 1 else n for n, e in zip(names, exp) if e
             )
-            c = self._terms[exp]
+            c = terms[exp]
             bits.append(f"({c})*{mono}" if mono else f"({c})")
         return "Jet(" + " + ".join(bits) + ")"
 
@@ -340,9 +413,10 @@ class Jet:
 
     def to_json_dict(self) -> dict:
         field = self.ring.field
+        values = self.terms
         terms = []
-        for exp in sorted(self._terms):
-            c = self._terms[exp]
+        for exp in sorted(values):
+            c = values[exp]
             if field.is_exact:
                 terms.append({"exp": list(exp), "re": str(c.re), "im": str(c.im)})
             else:
@@ -374,7 +448,8 @@ def lookahead_product(factors: Sequence, reserve: int = 0):
         return ring.zero()
     to_come = sum(vals[1:]) + reserve
     limit = ring.order - to_come
-    partial = Jet(ring, {e: c for e, c in jets[0]._terms.items() if sum(e) <= limit})
+    first = jets[0]
+    partial = Jet(ring, {e: c for e, c in first._terms.items() if sum(e) <= limit}, first._den)
     for f, v in zip(jets[1:], vals[1:]):
         to_come -= v
         partial = partial._times(f, ring.order - to_come)

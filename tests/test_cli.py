@@ -73,6 +73,11 @@ def _with(config, path, value):
 
 PAIR_C = ["curve_a", "marks", 0, "c"]  # the key path of curve_a's mark value
 
+BLOCK_PAIR_CONFIG = {
+    "curve_a": {"block": [["1"]], "omega": ["1"]},
+    "curve_b": {"block": [["2"]], "omega": ["1"]},
+}
+
 # (periods subcommand, config file text, stderr fragment after "config error:");
 # each must exit 2 with that config error in both modes
 MALFORMED_CONFIGS = [
@@ -122,6 +127,22 @@ MALFORMED_CONFIGS = [
         json.dumps(_with(STAR_CONFIG, ["curves", 1, "marks"], {"point": "O"})),
         "curves[1].marks must be a list",
     ),
+    # a string is not read one character at a time
+    (
+        "pair",
+        json.dumps(_with(BLOCK_PAIR_CONFIG, ["curve_a", "block"], ["1"])),
+        "curve_a.block[0] must be a list",
+    ),
+    (
+        "pair",
+        json.dumps(_with(BLOCK_PAIR_CONFIG, ["curve_a", "block"], "1")),
+        "curve_a.block must be a list",
+    ),
+    (
+        "pair",
+        json.dumps(_with(BLOCK_PAIR_CONFIG, ["curve_a", "omega"], "1")),
+        "curve_a.omega must be a list",
+    ),
 ]
 
 # stdout sha256 of fixed-seed reports: a refactor that keeps the reports
@@ -142,6 +163,36 @@ PINNED_REPORTS = [
     (
         ["surfaces", "egamma", "--genus", "11", "--trials", "1", "--seed", "0"],
         "ed49bc4f6f0ed2048107fed1fc3900455a5fa642011c2bebba3e9157ee16e856",
+    ),
+    (
+        ["relations", "verify", "--genus", "12", "--trials", "1", "--seed", "0"],
+        "bfde2173db9e9fb3eba70988e739bfbd2bd115fa90e7e3849cdfcb3192738508",
+    ),
+    # the README configs (PAIR_CONFIG, STAR_CONFIG, TREE_CONFIG), which print
+    # exact and float jet coefficients; run where the test writes them
+    (
+        ["periods", "pair", "--config", "pair.json", "--exact"],
+        "94277fb4f1d5bd5acb8ea916e23caa43262f0284033397d4a6777f6bff76de49",
+    ),
+    (
+        ["periods", "pair", "--config", "pair.json", "--numeric"],
+        "9c5265ed59436c9fd12c73cf9cb2ceef50ef0469fac0bc279e50b9cbde3fb220",
+    ),
+    (
+        ["periods", "star", "--config", "star.json", "--exact"],
+        "fc6ebe8a05e147161a115dc7e7841f372634c67b077ff55232122738d595b7c0",
+    ),
+    (
+        ["periods", "star", "--config", "star.json", "--numeric"],
+        "bcea7f7d7e36340ee3e5863efb2220f6e64b9c80cecdcfdd50470f69bf5970d9",
+    ),
+    (
+        ["periods", "tree", "--config", "tree.json", "--exact"],
+        "f5d47737c45140f1789a339cfb0a2330a71f5b0f3ae886211e121a5d902b152f",
+    ),
+    (
+        ["periods", "tree", "--config", "tree.json", "--numeric"],
+        "eb16de87301f50b106bbf264431824aff2b722f6aae7786521d1c6ab92b13f9b",
     ),
 ]
 
@@ -261,6 +312,25 @@ def test_value_beyond_float_range_is_usage_error(tmp_path, capsys):
     code, report = _run(capsys, ["periods", "pair", "--config", str(path)])
     assert code == 0
     assert report["entries"][0][0]["terms"][0]["im"] == "1" + "0" * 400
+    # pair and tree marks whose values 1/c = 1e200 overflow the float
+    # products lam * v_a * v_b; exact mode prints them
+    pair = copy.deepcopy(PAIR_CONFIG)
+    for side in ("curve_a", "curve_b"):
+        pair[side]["marks"][0]["c"] = ["1e-200", "0"]
+    tree = _with(TREE_CONFIG, ["edge_data", 0, "low", "c"], ["1e-200", "0"])
+    tree["edge_data"][0]["high"]["c"] = ["1e-200", "0"]
+    for command, config in (("pair", pair), ("tree", tree)):
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(config))
+        code = main(["periods", command, "--config", str(path), "--numeric"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), command
+        assert "invalid input: value beyond the float field's range" in captured.err, command
+        assert "entry (1,1) overflows" in captured.err, command
+        code, report = _run(capsys, ["periods", command, "--config", str(path), "--exact"])
+        assert code == 0, command
+        (term,) = report["entries"][0][0]["terms"][1:]
+        assert term == {"exp": [1] + [0] * (len(term["exp"]) - 1), "re": "25" + "0" * 398, "im": "0"}
     # distinct star points whose float squared distance underflows to 0, and
     # one whose squared distance is subnormal, so the entry overflows
     for b, fragment in (("1e-200", "underflows to 0"), ("1e-160", "star entry (1,2) overflows")):
@@ -367,7 +437,10 @@ def test_surfaces_egamma(capsys):
     assert all(r["span_dims"] == [3, 3, 3] for r in report["results"])
 
 
-def test_fixed_seed_reports_pinned(capsys):
+def test_fixed_seed_reports_pinned(tmp_path, monkeypatch, capsys):
+    for name, config in (("pair", PAIR_CONFIG), ("star", STAR_CONFIG), ("tree", TREE_CONFIG)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
+    monkeypatch.chdir(tmp_path)
     for argv, digest in PINNED_REPORTS:
         assert main(argv) == 0, argv
         out = capsys.readouterr().out

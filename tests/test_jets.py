@@ -345,3 +345,119 @@ def test_evaluate_float_close_to_exact():
     exact = _evaluate(a, vals)
     expected = (1 + 2 * (1 / 3) - (-2 / 5)) ** 2
     assert math.isclose(exact.to_complex().real, expected, rel_tol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# exact jets store Gaussian integers over one denominator per jet; their
+# values must be those of a dict-of-Fraction oracle
+
+
+def _wide_coeffs():
+    # denominators up to 60, so the jets of one example rarely share one
+    return st.fractions(min_value=Fraction(-50), max_value=Fraction(50), max_denominator=60)
+
+
+@st.composite
+def jets_with_oracle(draw):
+    """A jet of MIXED_RING and its oracle: exponents to (re, im) Fractions."""
+    oracle = draw(
+        st.dictionaries(
+            st.sampled_from(_all_exps(2, MIXED_RING.order)),
+            st.tuples(_wide_coeffs(), _wide_coeffs()),
+            max_size=6,
+        )
+    )
+    jet = MIXED_RING.jet({e: GaussianRational(re, im) for e, (re, im) in oracle.items()})
+    return jet, {e: v for e, v in oracle.items() if v != (0, 0)}
+
+
+def _values(jet):
+    return {e: (c.re, c.im) for e, c in jet.terms.items()}
+
+
+def _o_add(a, b):
+    out = dict(a)
+    for e, (re, im) in b.items():
+        r0, i0 = out.get(e, (0, 0))
+        out[e] = (r0 + re, i0 + im)
+    return {e: v for e, v in out.items() if v != (0, 0)}
+
+
+def _o_neg(a):
+    return {e: (-re, -im) for e, (re, im) in a.items()}
+
+
+def _o_mul(a, b, limit):
+    out = {}
+    for ea, (ar, ai) in a.items():
+        for eb, (br, bi) in b.items():
+            if sum(ea) + sum(eb) <= limit:
+                e = tuple(x + y for x, y in zip(ea, eb))
+                r0, i0 = out.get(e, (0, 0))
+                out[e] = (r0 + ar * br - ai * bi, i0 + ar * bi + ai * br)
+    return {e: v for e, v in out.items() if v != (0, 0)}
+
+
+def _o_div(a, q):
+    qr, qi = q
+    norm = qr * qr + qi * qi
+    return {e: ((re * qr + im * qi) / norm, (im * qr - re * qi) / norm) for e, (re, im) in a.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    jets_with_oracle(),
+    jets_with_oracle(),
+    jets_with_oracle(),
+    st.tuples(_wide_coeffs(), _wide_coeffs()).filter(lambda q: q != (0, 0)),
+    st.integers(0, MIXED_RING.order),
+)
+def test_exact_jets_match_fraction_oracle(a, b, c, q, reserve):
+    (ja, oa), (jb, ob), (jc, oc) = a, b, c
+    order = MIXED_RING.order
+    product = _o_mul(oa, ob, order)
+    assert _values(ja * jb) == product
+    assert _values(lookahead_product((ja, jb), reserve=reserve)) == _o_mul(oa, ob, order - reserve)
+    assert _values(lookahead_product((ja, jb, jc))) == _o_mul(product, oc, order)
+    assert _values(ja + jb) == _o_add(oa, ob)
+    assert _values(ja - jb) == _o_add(oa, _o_neg(ob))
+    assert _values(-ja) == _o_neg(oa)
+    assert _values(ja / GaussianRational(*q)) == _o_div(oa, q)
+    # the same value reached over the lcm of two denominators
+    round_trip = (ja + jb) - jb
+    assert round_trip == ja and hash(round_trip) == hash(ja)
+    printed = {tuple(t["exp"]): (t["re"], t["im"]) for t in (ja * jb).to_json_dict()["terms"]}
+    assert printed == {e: (str(re), str(im)) for e, (re, im) in product.items()}
+
+
+def test_equal_values_over_different_denominators():
+    a = MIXED_RING.jet(
+        {(0, 0): GaussianRational(Fraction(1, 2), Fraction(-3, 4)), (1, 2): Fraction(5, 6)}
+    )
+    x5 = MIXED_RING.variable("x") * Fraction(1, 5)
+    for same in (a * Fraction(3, 7) * Fraction(7, 3), (a + x5) - x5):
+        assert same._den != a._den  # stored over another denominator
+        assert same == a and hash(same) == hash(a)
+        assert same.terms == a.terms
+        assert same.to_json_dict() == a.to_json_dict()
+    assert a.to_json_dict()["terms"] == [
+        {"exp": [0, 0], "re": "1/2", "im": "-3/4"},
+        {"exp": [1, 2], "re": "5/6", "im": "0"},
+    ]
+
+
+def test_pow_multiplies_only_by_powers_of_the_base(monkeypatch):
+    x = MIXED_RING.variable("x") * Fraction(2, 3) + MIXED_RING.variable("y") + 1
+    plain = [MIXED_RING.one()]
+    for _ in range(6):
+        plain.append(plain[-1] * x)
+    calls = []
+    times = Jet._times
+    monkeypatch.setattr(
+        Jet, "_times", lambda self, other, limit: calls.append(limit) or times(self, other, limit)
+    )
+    # squarings to the top bit, one product per further set bit, none by one
+    for n, products in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (6, 3)):
+        calls.clear()
+        assert x ** n == plain[n]
+        assert len(calls) == products, n

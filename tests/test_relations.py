@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from plumbline import checks
+from plumbline import checks, relations
 from plumbline import (
     DegenerateDataError,
     EXACT_FIELD,
@@ -291,3 +291,25 @@ def test_verify_genus_five():
     rep = verify_asymptotic_vanishing(s, seed=7, order=17)
     assert rep.passed
     assert rep.octics_checked == 5
+
+
+def test_octic_loop_runs_without_gaussian_rational_arithmetic(monkeypatch):
+    # exact jets keep Gaussian integers over one denominator: once the
+    # entries are built, the octic check neither adds nor multiplies
+    # GaussianRational values, nor makes one
+    def forbidden(*args):
+        raise AssertionError("GaussianRational used in the octic loop")
+
+    build = relations.perturbed_star_entries
+
+    def build_then_forbid(*args, **kwargs):
+        entries = build(*args, **kwargs)
+        for name in ("__init__", "__add__", "__radd__", "__mul__", "__rmul__"):
+            monkeypatch.setattr(GaussianRational, name, forbidden)
+        return entries
+
+    monkeypatch.setattr(relations, "perturbed_star_entries", build_then_forbid)
+    s = random_star_config(5, substream(71, "test:g5"))
+    rep = verify_asymptotic_vanishing(s, seed=7, order=17, field=EXACT_FIELD)
+    assert GaussianRational.__mul__ is forbidden
+    assert rep.passed and rep.octics_checked == 5 and rep.min_surviving_degree == 17
