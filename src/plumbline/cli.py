@@ -125,6 +125,12 @@ def _parse_list(v, path: str, what: str) -> list:
     return v
 
 
+def _parse_name(v, path: str) -> str:
+    if not isinstance(v, str):
+        raise ConfigError(f"{path} must be a variable name, got {v!r}")
+    return v
+
+
 def _parse_edge(e, path: str) -> Tuple[int, int]:
     if not (isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e)):
         raise ConfigError(f"{path} must be a pair of vertex numbers, got {e!r}")
@@ -172,27 +178,33 @@ def _parse_pair(cfg: dict) -> PairPlumbing:
     mark_a, mark_b = cfg.get("mark_a", 0), cfg.get("mark_b", 0)
     side_a = _parse_pair_side(cfg["curve_a"], mark_a, "curve_a")
     side_b = _parse_pair_side(cfg["curve_b"], mark_b, "curve_b")
-    return PairPlumbing(side_a, side_b, cfg.get("t", "t"), mark_a, mark_b)
+    return PairPlumbing(side_a, side_b, _parse_name(cfg.get("t", "t"), "t"), mark_a, mark_b)
 
 
 def _parse_star(cfg: dict) -> StarConfig:
-    curves = tuple(_parse_curve(c, f"curves[{k}]") for k, c in enumerate(cfg["curves"]))
-    points = tuple(_parse_value(b, f"b[{k}]") for k, b in enumerate(cfg["b"]))
-    return StarConfig(curves, points, tuple(cfg["vars"]))
+    curves = _parse_list(cfg["curves"], "curves", "curves")
+    curves = tuple(_parse_curve(c, f"curves[{k}]") for k, c in enumerate(curves))
+    points = _parse_list(cfg["b"], "b", "numbers")
+    points = tuple(_parse_value(b, f"b[{k}]") for k, b in enumerate(points))
+    names = _parse_list(cfg["vars"], "vars", "variable names")
+    names = tuple(_parse_name(v, f"vars[{k}]") for k, v in enumerate(names))
+    return StarConfig(curves, points, names)
 
 
 def _parse_tree(cfg: dict) -> TreeConfig:
-    edges = [_parse_edge(e, f"edges[{k}]") for k, e in enumerate(cfg["edges"])]
+    edges = _parse_list(cfg["edges"], "edges", "vertex pairs")
+    edges = [_parse_edge(e, f"edges[{k}]") for k, e in enumerate(edges)]
     alkane = Alkane(cfg["genus"], edges)
-    taus = tuple(TauPoint(_parse_value(t, f"taus[{k}]")) for k, t in enumerate(cfg["taus"]))
+    taus = _parse_list(cfg["taus"], "taus", "numbers")
+    taus = tuple(TauPoint(_parse_value(t, f"taus[{k}]")) for k, t in enumerate(taus))
     edge_data = {}
-    for k, item in enumerate(cfg["edge_data"]):
+    for k, item in enumerate(_parse_list(cfg["edge_data"], "edge_data", "edge objects")):
         i, j = sorted(_parse_edge(item["edge"], f"edge_data[{k}].edge"))
         if (i, j) in edge_data:
             raise ConfigError(f"edge {[i, j]} is listed twice in edge_data")
         low, high = item["low"], item["high"]
         edge_data[(i, j)] = TreeEdgeData(
-            var=item["var"],
+            var=_parse_name(item["var"], f"edge_data[{k}].var"),
             label_low=_parse_label(low["label"]),
             coeff_low=_parse_value(low["c"], f"edge_data[{k}].low.c"),
             label_high=_parse_label(high["label"]),

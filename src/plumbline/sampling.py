@@ -3,13 +3,21 @@
 All randomized verification flows derive their draws from labelled
 substreams of one master seed, so adding a new check never shifts the
 draws of an existing one and reports are byte-for-byte reproducible.
+
+Each integer is drawn as CPython's ``randint(lo, hi)`` draws it,
+``lo + r`` with ``r = getrandbits(k)`` for ``k = (hi - lo + 1).bit_length()``
+redrawn while ``r > hi - lo``, so every draw and the generator state after
+it are those of ``randint``.  Each Fraction comes from one table built at
+import; a Fraction is immutable, so handing the same object to every
+caller is safe.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, Tuple
 
 from .alkanes import Alkane
 from .curve_periods import StarConfig, TreeConfig, TreeEdgeData
@@ -26,8 +34,31 @@ def substream(seed: int, label: str) -> random.Random:
     return random.Random(f"{seed}:{label}")
 
 
+# every (numerator, denominator) the samplers draw: |n| <= 12, d <= 9
+_FRACTIONS = MappingProxyType(
+    {(n, d): Fraction(n, d) for n in range(-12, 13) for d in range(1, 10)}
+)
+
+
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A draw from [0, n), n > 0, exactly as ``random.Random._randbelow``."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def rand_fraction(rng: random.Random, lo: int = -9, hi: int = 9, max_den: int = 9) -> Fraction:
-    return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
+    """``Fraction(rng.randint(lo, hi), rng.randint(1, max_den))``, with the
+    same draws."""
+    getrandbits = rng.getrandbits
+    n = lo + _below(getrandbits, hi - lo + 1)
+    d = 1 + _below(getrandbits, max_den)
+    try:
+        return _FRACTIONS[n, d]
+    except KeyError:
+        return Fraction(n, d)
 
 
 def rand_nonzero_fraction(rng: random.Random, lo: int = -9, hi: int = 9, max_den: int = 9) -> Fraction:
@@ -90,12 +121,16 @@ def random_grass_frame_minors(g: int, rng: random.Random) -> Dict[Tuple[int, int
 
 
 def random_surface_model(alkane: Alkane, rng: random.Random) -> SurfaceGraphModel:
+    zero = _FRACTIONS[0, 1]
     edge_data = {}
     for (i, j) in alkane.edges:
-        omega = (rand_nonzero_fraction(rng, -5, 5, 4), -rand_nonzero_fraction(rng, -5, 5, 4))
-        i_vectors = tuple(
-            tuple(rand_fraction(rng, -5, 5, 4) for _ in range(BLOCK_COLS - 1)) + (Fraction(0),)
+        w_low = rand_nonzero_fraction(rng, -5, 5, 4)
+        w_high = rand_nonzero_fraction(rng, -5, 5, 4)
+        # the table holds -w_high too, so the sign costs no new Fraction
+        omega = (w_low, _FRACTIONS[-w_high.numerator, w_high.denominator])
+        i_vectors = [
+            [rand_fraction(rng, -5, 5, 4) for _ in range(BLOCK_COLS - 1)] + [zero]
             for _ in range(2)
-        )
+        ]
         edge_data[(i, j)] = EdgeData((i, j), omega, i_vectors)
     return SurfaceGraphModel(alkane, edge_data)

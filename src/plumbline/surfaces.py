@@ -8,8 +8,9 @@ I vectors.  These are synthetic data (random rational or user-supplied):
 the verifiable content is linear-algebraic -- ranks, spans and zero
 patterns -- and all of it is checked exactly.  The edge matrices and
 every rank run on Python ints: each edge's omega and I are cleared of
-their denominators once, and the one rank routine, ``matrix_rank_exact``,
-eliminates fraction-free.
+their denominators once, and one elimination core, behind
+``matrix_rank_exact`` and ``span_dimension_E_Gamma``, eliminates
+fraction-free.
 """
 
 from __future__ import annotations
@@ -123,19 +124,33 @@ class SurfaceGraphModel:
                 raise StructureError(f"edge data stored under {(i, j)} claims edge {data.edge}")
 
 
+def _edge_sides(
+    model: SurfaceGraphModel, edge: Tuple[int, int]
+) -> Tuple[Tuple[int, Dict[int, int]], Tuple[int, Dict[int, int]]]:
+    """The omega side and the I side of edge {i, j}, i < j, each cleared to
+    integers as ``(d, entries)``: omega keyed by ambient row, I by ambient
+    column."""
+    data = model.edge_data[edge]
+    omega = _cleared({v - 1: w for v, w in zip(edge, data.omega)})
+    offsets = (BLOCK_COLS * (v - 1) for v in edge)
+    i_side = _cleared(
+        {c + k: x for c, vec in zip(offsets, data.i_vectors) for k, x in enumerate(vec)}
+    )
+    return omega, i_side
+
+
+def _outer(rows: Dict[int, int], cols: Dict[int, int]) -> Dict[Tuple[int, int], int]:
+    return {(r, c): w * x for r, w in rows.items() for c, x in cols.items()}
+
+
 def edge_matrix(
     model: SurfaceGraphModel, edge: Tuple[int, int]
 ) -> Tuple[int, Dict[Tuple[int, int], int]]:
     """The rank-<=1 ambient matrix omega_e tensor I_e of one edge {i, j},
     i < j, as ``(d, entries)``: Pi_e = entries / d with d > 0, and
     ``entries`` holds the nonzero integers keyed by ambient (row, col)."""
-    data = model.edge_data[edge]
-    d_omega, rows = _cleared({v - 1: w for v, w in zip(edge, data.omega)})
-    offsets = (BLOCK_COLS * (v - 1) for v in edge)
-    d_i, cols = _cleared(
-        {c + k: x for c, vec in zip(offsets, data.i_vectors) for k, x in enumerate(vec)}
-    )
-    return d_omega * d_i, {(r, c): w * x for r, w in rows.items() for c, x in cols.items()}
+    (d_omega, rows), (d_i, cols) = _edge_sides(model, edge)
+    return d_omega * d_i, _outer(rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +160,12 @@ def edge_matrix(
 def _cleared(row: Mapping[object, object]) -> Tuple[int, Dict[object, int]]:
     """The lcm d > 0 of the denominators of a sparse int or Fraction row,
     and d times its nonzero entries, as ints."""
-    d = math.lcm(*(v.denominator for v in row.values()))
-    return d, {k: v.numerator * (d // v.denominator) for k, v in row.items() if v}
+    d = math.lcm(*[v.denominator for v in row.values()])
+    return d, {k: n * (d // v.denominator) for k, v in row.items() if (n := v.numerator)}
 
 
 def _primitive(row: Dict[object, int]) -> Dict[object, int]:
-    """An integer row without its zero entries, divided by its content."""
-    row = {k: v for k, v in row.items() if v}
+    """An integer row with no zero entries, divided by its content."""
     g = math.gcd(*row.values())
     return {k: v // g for k, v in row.items()} if g > 1 else row
 
@@ -160,19 +174,29 @@ def matrix_rank_exact(rows: Sequence[Mapping[object, object]]) -> int:
     """Rank of the span of sparse int or Fraction vectors keyed by arbitrary
     hashable, mutually comparable positions.
 
-    Each row is cleared to integers once; elimination is then
-    fraction-free, each new row divided by the gcd of its entries.
+    Each row is cleared to integers and divided by its content once; the
+    elimination is then fraction-free.
     """
-    work = []
-    for r in rows:
-        row = _primitive(_cleared(r)[1])
-        if row:
-            work.append(row)
+    return _primitive_rank([row for row in (_primitive(_cleared(r)[1]) for r in rows) if row])
+
+
+def _primitive_rank(work: list) -> int:
+    """Rank of nonzero primitive integer rows (no zero entries, content 1),
+    by fraction-free elimination, each new row divided by its content.
+    Consumes ``work``; the row dicts are left as they were.
+
+    The pivot is the largest key of the last row.  For the edge rows of an
+    alkane labelled with each parent below its children and its edges
+    sorted, as ``enumerate_alkanes`` gives them, that key lies in the
+    child vertex's columns whenever the edge's I vector there is nonzero,
+    and no remaining edge touches those columns, so such a row needs no
+    row operation.
+    """
     rank = 0
     while work:
-        row = work.pop(0)
+        row = work.pop()
         rank += 1
-        key = min(row)
+        key = max(row)
         p = row[key]
         reduced = []
         for other in work:
@@ -181,7 +205,7 @@ def matrix_rank_exact(rows: Sequence[Mapping[object, object]]) -> int:
                 new = {k: p * v for k, v in other.items()}
                 for k, v in row.items():
                     new[k] = new.get(k, 0) - b * v
-                other = _primitive(new)
+                other = _primitive({k: v for k, v in new.items() if v})
             if other:
                 reduced.append(other)
         work = reduced
@@ -189,9 +213,20 @@ def matrix_rank_exact(rows: Sequence[Mapping[object, object]]) -> int:
 
 
 def span_dimension_E_Gamma(model: SurfaceGraphModel) -> int:
-    """Exact dimension of the linear span of the edge matrices Pi_e; the
-    span of entries / d is that of the integer entries."""
-    return matrix_rank_exact([edge_matrix(model, edge)[1] for edge in model.alkane.edges])
+    """Exact dimension of the linear span of the edge matrices Pi_e.
+
+    Each edge enters the elimination as the primitive integer row
+    w tensor c, with w and c its omega and I sides cleared and divided by
+    their contents: the content of an outer product is the product of the
+    contents (Gauss's lemma), so that row is primitive as it stands.
+    """
+    work = []
+    for edge in model.alkane.edges:
+        (_, rows), (_, cols) = _edge_sides(model, edge)
+        rows, cols = _primitive(rows), _primitive(cols)
+        if rows and cols:
+            work.append(_outer(rows, cols))
+    return _primitive_rank(work)
 
 
 def skew_block_rank_one_vanishing(

@@ -1,7 +1,9 @@
 """CLI wiring: exit codes, JSON shapes, determinism."""
 
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import math
 
@@ -142,6 +144,21 @@ MALFORMED_CONFIGS = [
         "pair",
         json.dumps(_with(BLOCK_PAIR_CONFIG, ["curve_a", "omega"], "1")),
         "curve_a.omega must be a list",
+    ),
+    ("star", json.dumps({**STAR_CONFIG, "b": "01"}), "b must be a list"),
+    ("star", json.dumps({**STAR_CONFIG, "vars": "ab"}), "vars must be a list"),
+    ("star", json.dumps({**STAR_CONFIG, "curves": "ab"}), "curves must be a list"),
+    ("tree", json.dumps({**TREE_CONFIG, "taus": "123"}), "taus must be a list"),
+    ("tree", json.dumps({**TREE_CONFIG, "edges": "12"}), "edges must be a list"),
+    ("tree", json.dumps({**TREE_CONFIG, "edge_data": "e"}), "edge_data must be a list"),
+    # a variable name that is not a string
+    ("star", json.dumps({**STAR_CONFIG, "vars": [{"a": 1}, "t2"]}), "vars[0] must be a variable"),
+    ("star", json.dumps({**STAR_CONFIG, "vars": [1, 2]}), "vars[0] must be a variable"),
+    ("pair", json.dumps({**PAIR_CONFIG, "t": ["t"]}), "t must be a variable"),
+    (
+        "tree",
+        json.dumps(_with(TREE_CONFIG, ["edge_data", 1, "var"], {"a": 1})),
+        "edge_data[1].var must be a variable",
     ),
 ]
 
@@ -297,6 +314,77 @@ def test_malformed_config_is_usage_error(tmp_path, capsys):
             assert (code, captured.out) == (2, ""), (mode, text)
             assert "config error:" in captured.err, (mode, text)
             assert fragment in captured.err.split("config error:", 1)[1], (mode, text)
+
+
+def _paths(node, path=()):
+    """Every key path below the root of a JSON value, with the value there."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from _paths(value, path + (key,))
+
+
+def _mutations(config):
+    """The (path, kind) mutations that apply to ``config``: drop a key, turn a
+    list into a string, turn a number or a name into a bool or an object."""
+    for path, value in _paths(config):
+        if isinstance(path[-1], str):
+            yield path, "drop"
+        if isinstance(value, list):
+            yield path, "string"
+        elif not isinstance(value, dict):
+            yield path, "bool"
+            yield path, "object"
+
+
+def _mutate(config, path, kind):
+    cfg = copy.deepcopy(config)
+    *parents, last = path
+    target = cfg
+    for key in parents:
+        target = target[key]
+    if kind == "drop":
+        del target[last]
+    elif kind == "string":
+        target[last] = "".join(map(str, target[last]))
+    elif kind == "bool":
+        target[last] = True
+    else:
+        target[last] = {"re": target[last]}
+    return cfg
+
+
+_FUZZ_CONFIGS = [
+    ("pair", PAIR_CONFIG),
+    ("pair", BLOCK_PAIR_CONFIG),
+    ("star", STAR_CONFIG),
+    ("tree", TREE_CONFIG),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_FUZZ_CONFIGS), st.sampled_from(["--exact", "--numeric"]), st.data())
+def test_mutated_configs_keep_the_exit_contract(tmp_path_factory, command_config, mode, data):
+    command, config = command_config
+    for _ in range(data.draw(st.integers(1, 3))):
+        mutations = list(_mutations(config))
+        if not mutations:
+            break
+        config = _mutate(config, *data.draw(st.sampled_from(mutations)))
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    path.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["periods", command, "--config", str(path), mode])
+    # 3 marks an internal error; 1 needs a report, so a check did run
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert (code == 2) == (out.getvalue() == "")
+    if code != 2:
+        json.loads(out.getvalue())
 
 
 def test_value_beyond_float_range_is_usage_error(tmp_path, capsys):

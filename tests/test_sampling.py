@@ -1,0 +1,175 @@
+"""The samplers draw exactly what ``randint`` and ``Fraction`` drew.
+
+The reports print span values and pass flags, which almost any draw
+reproduces, so their pinned hashes cannot see a changed stream.  The
+``randint`` + ``Fraction`` samplers are kept here as the oracle: each
+sampler must give equal values and leave the generator in an equal state.
+"""
+
+import inspect
+import re
+from fractions import Fraction
+from typing import Dict
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from plumbline import checks, sampling
+from plumbline.alkanes import enumerate_alkanes
+from plumbline.curve_periods import StarConfig, TreeConfig, TreeEdgeData
+from plumbline.elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
+from plumbline.gaussian import GaussianRational
+from plumbline.relations import plucker_coordinates
+from plumbline.sampling import (
+    rand_fraction,
+    rand_nonzero_fraction,
+    random_grass_frame_minors,
+    random_star_config,
+    random_surface_model,
+    random_tree_config,
+    substream,
+)
+from plumbline.surfaces import BLOCK_COLS, EdgeData, SurfaceGraphModel
+
+# ---------------------------------------------------------------------------
+# the oracle: the samplers as they were written on randint and Fraction
+
+
+def _fraction_oracle(rng, lo=-9, hi=9, max_den=9):
+    return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
+
+
+def _nonzero_oracle(rng, lo=-9, hi=9, max_den=9):
+    while True:
+        f = _fraction_oracle(rng, lo, hi, max_den)
+        if f:
+            return f
+
+
+def _tau_oracle(rng):
+    return TauPoint(
+        GaussianRational(_fraction_oracle(rng, -3, 3, 4), _nonzero_oracle(rng, 1, 4, 3))
+    )
+
+
+def _star_oracle(g, rng):
+    curves = []
+    for _ in range(g):
+        c = _nonzero_oracle(rng, -6, 6, 6)
+        curves.append(
+            MarkedEllipticCurve(_tau_oracle(rng), (Mark(TwoTorsionLabel.O, GaussianRational(c)),))
+        )
+    points = []
+    while len(points) < g:
+        b = _fraction_oracle(rng, -12, 12, 6)
+        if all(b != p for p in points):
+            points.append(b)
+    variables = tuple(f"t{i}" for i in range(1, g + 1))
+    return StarConfig(tuple(curves), tuple(GaussianRational(b) for b in points), variables)
+
+
+def _tree_oracle(alkane, rng):
+    labels = list(TwoTorsionLabel)
+    taus = tuple(_tau_oracle(rng) for _ in range(alkane.genus))
+    used = {v: 0 for v in range(1, alkane.genus + 1)}
+    edge_data = {}
+    for (i, j) in alkane.edges:
+        label_i, label_j = labels[used[i]], labels[used[j]]
+        used[i] += 1
+        used[j] += 1
+        edge_data[(i, j)] = TreeEdgeData(
+            var=f"t{i}_{j}",
+            label_low=label_i,
+            coeff_low=GaussianRational(_nonzero_oracle(rng, -6, 6, 6)),
+            label_high=label_j,
+            coeff_high=GaussianRational(_nonzero_oracle(rng, -6, 6, 6)),
+        )
+    return TreeConfig(alkane, taus, edge_data)
+
+
+def _grass_oracle(g, rng) -> Dict:
+    while True:
+        rows = [[_fraction_oracle(rng, -9, 9, 5) for _ in range(g)] for _ in range(2)]
+        y = plucker_coordinates(*rows)
+        if all(y.values()):
+            return y
+
+
+def _surface_oracle(alkane, rng):
+    edge_data = {}
+    for (i, j) in alkane.edges:
+        omega = (_nonzero_oracle(rng, -5, 5, 4), -_nonzero_oracle(rng, -5, 5, 4))
+        i_vectors = tuple(
+            tuple(_fraction_oracle(rng, -5, 5, 4) for _ in range(BLOCK_COLS - 1)) + (Fraction(0),)
+            for _ in range(2)
+        )
+        edge_data[(i, j)] = EdgeData((i, j), omega, i_vectors)
+    return SurfaceGraphModel(alkane, edge_data)
+
+
+# ---------------------------------------------------------------------------
+
+_ALKANES = [a for h in range(1, 8) for a in enumerate_alkanes(h)]
+_SAMPLERS = {
+    "surface": (random_surface_model, _surface_oracle, st.sampled_from(_ALKANES)),
+    "star": (random_star_config, _star_oracle, st.integers(2, 8)),
+    "tree": (random_tree_config, _tree_oracle, st.sampled_from(_ALKANES)),
+    "grass": (random_grass_frame_minors, _grass_oracle, st.integers(4, 8)),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_SAMPLERS)), st.integers(0, 2**32), st.text(max_size=12), st.data())
+def test_samplers_match_randint_oracle(name, seed, label, data):
+    sampler, oracle, arg = _SAMPLERS[name]
+    x = data.draw(arg)
+    rng, rng_oracle = substream(seed, label), substream(seed, label)
+    assert sampler(x, rng) == oracle(x, rng_oracle)
+    assert rng.getstate() == rng_oracle.getstate()
+
+
+def _call_ranges():
+    """Every (lo, hi, max_den) that the package passes to ``rand_fraction``
+    or ``rand_nonzero_fraction``, read from the call sites."""
+    call = re.compile(r"rand_(?:nonzero_)?fraction\((rng[^)]*)\)")
+    ranges = set()
+    for module in (sampling, checks):
+        for args in call.findall(inspect.getsource(module)):
+            if args.startswith("rng:") or args == "rng, lo, hi, max_den":
+                continue  # the definitions and the nonzero sampler's own draw
+            bounds = args.split(", ")[1:]  # int() fails on a bound that is not a literal
+            ranges.add(tuple(map(int, bounds)) if bounds else (-9, 9, 9))
+    return sorted(ranges)
+
+
+_EDGE_RANGES = [(1, 1, 1), (0, 0, 1), (-12, -12, 1), (12, 12, 9), (0, 1, 2), (-4, 4, 3), (1, 8, 8)]
+
+
+def test_call_ranges_are_read():
+    ranges = _call_ranges()
+    assert {(-5, 5, 4), (-12, 12, 6), (-9, 9, 9), (1, 3, 2)} <= set(ranges)
+    assert all(-12 <= lo <= hi <= 12 and 1 <= max_den <= 9 for lo, hi, max_den in ranges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.text(max_size=12))
+def test_rand_fraction_matches_randint(seed, label):
+    # out-of-table bounds draw the same way and build their Fraction
+    for lo, hi, max_den in _call_ranges() + _EDGE_RANGES + [(-20, 20, 11)]:
+        rng, rng_oracle = substream(seed, label), substream(seed, label)
+        for _ in range(20):
+            got = rand_fraction(rng, lo, hi, max_den)
+            assert got == Fraction(rng_oracle.randint(lo, hi), rng_oracle.randint(1, max_den))
+            assert type(got) is Fraction
+        if lo or hi:
+            got = rand_nonzero_fraction(rng, lo, hi, max_den)
+            assert got == _nonzero_oracle(rng_oracle, lo, hi, max_den)
+        assert rng.getstate() == rng_oracle.getstate()
+
+
+@pytest.mark.parametrize("lo, hi, max_den", _call_ranges() + _EDGE_RANGES)
+def test_fraction_table_covers_the_call_ranges(lo, hi, max_den):
+    for n in range(lo, hi + 1):
+        for d in range(1, max_den + 1):
+            f = sampling._FRACTIONS[n, d]
+            assert type(f) is Fraction and f == Fraction(n, d)

@@ -1,9 +1,10 @@
 """Surface-side dimensions, rank-1 edge matrices, spans, skew blocks."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plumbline import checks
 from plumbline import (
@@ -23,7 +24,7 @@ from plumbline import (
     valency_profile,
 )
 from plumbline.sampling import rand_fraction, random_surface_model, substream
-from plumbline.surfaces import BLOCK_COLS, edge_matrix, matrix_rank_exact
+from plumbline.surfaces import BLOCK_COLS, _outer, _primitive, edge_matrix, matrix_rank_exact
 
 
 def test_dim_period_domain_values():
@@ -316,6 +317,91 @@ def test_rank_matches_fraction_oracle(rows):
     before = [dict(r) for r in rows]
     assert matrix_rank_exact(rows) == _rank_fraction_oracle(rows)
     assert rows == before  # the input rows are left as they were
+
+
+def _degenerate(model, kind, edge):
+    """``model`` with the data of one edge made degenerate in one way."""
+    zero, zero_i = Fraction(0), (Fraction(0),) * BLOCK_COLS
+    data = model.edge_data[edge]
+    w_high, i_high = data.omega[1], data.i_vectors[1]
+    edge_data = dict(model.edge_data)
+    if kind == "zero omega side":
+        edge_data[edge] = EdgeData(edge, (zero, w_high), data.i_vectors)
+    elif kind == "zero omega":
+        edge_data[edge] = EdgeData(edge, (zero, zero), data.i_vectors)
+    elif kind == "zero I vector":
+        edge_data[edge] = EdgeData(edge, data.omega, (zero_i, i_high))
+    elif kind == "zero I":
+        edge_data[edge] = EdgeData(edge, data.omega, (zero_i, zero_i))
+    else:
+        # check_egamma_span's control: the data of this edge, concentrated on
+        # its high vertex, copied onto another edge at that vertex
+        j = edge[1]
+        other = next((e for e in model.alkane.edges if e != edge and j in e), None)
+        if other is None:
+            return model
+        edge_data[edge] = EdgeData(edge, (zero, w_high), (zero_i, i_high))
+        if other[0] == j:
+            edge_data[other] = EdgeData(other, (w_high, zero), (i_high, zero_i))
+        else:
+            edge_data[other] = EdgeData(other, (zero, w_high), (zero_i, i_high))
+    return SurfaceGraphModel(model.alkane, edge_data)
+
+
+_ALKANES_UP_TO_6 = [a for h in range(1, 7) for a in enumerate_alkanes(h)]
+_DEGENERACIES = ["zero omega side", "zero omega", "zero I vector", "zero I", "duplicate"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(_ALKANES_UP_TO_6),
+    st.integers(0, 2**32),
+    st.lists(st.tuples(st.sampled_from(_DEGENERACIES), st.integers(0, 10)), max_size=3),
+)
+@example(Alkane(1, []), 0, [])
+@example(Alkane.chain(3), 87, [("duplicate", 0)])
+def test_span_matches_fraction_oracle_on_degenerate_models(alkane, seed, degeneracies):
+    model = random_surface_model(alkane, substream(seed, "test:span:oracle"))
+    for kind, k in degeneracies:
+        if alkane.edges:
+            model = _degenerate(model, kind, alkane.edges[k % len(alkane.edges)])
+    rows = [
+        {key: Fraction(v, d) for key, v in entries.items()}
+        for d, entries in (edge_matrix(model, e) for e in alkane.edges)
+    ]
+    assert span_dimension_E_Gamma(model) == _rank_fraction_oracle(rows)
+
+
+_int_vectors = st.lists(st.integers(-(2**70), 2**70), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_vectors, _int_vectors)
+def test_content_of_outer_product(w, c):
+    # Gauss's lemma, which lets span_dimension_E_Gamma skip the content of
+    # each edge row: content(w tensor c) = content(w) content(c)
+    assert math.gcd(*(x * y for x in w for y in c)) == math.gcd(*w) * math.gcd(*c)
+    rows = {r: x for r, x in enumerate(w) if x}
+    cols = {k: y for k, y in enumerate(c) if y}
+    assert _primitive(_outer(rows, cols)) == _outer(_primitive(rows), _primitive(cols))
+
+
+def test_surface_models_and_spans_build_no_fraction(monkeypatch):
+    # the samplers share the Fractions of sampling's import-time table, and
+    # the span works on ints, so neither builds a Fraction
+    alkanes = enumerate_alkanes(6)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Fraction built in the surface model or span loop")
+
+    monkeypatch.setattr(Fraction, "__new__", forbidden)
+    spans = [
+        span_dimension_E_Gamma(random_surface_model(a, substream(97, f"test:nofrac:{k}")))
+        for k, a in enumerate(alkanes)
+    ]
+    with pytest.raises(AssertionError, match="Fraction built"):
+        Fraction(1, 2)
+    assert spans == [5] * len(alkanes)
 
 
 def test_egamma_span_check_fails_when_its_control_does_not(monkeypatch):
