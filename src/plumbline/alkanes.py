@@ -103,19 +103,6 @@ class Alkane:
         }
 
 
-@dataclass(frozen=True)
-class ValencyProfile:
-    """Counts of vertices bonded to 1, 2, 3, 4 other carbons."""
-
-    g1: int
-    g2: int
-    g3: int
-    g4: int
-
-    def __iter__(self):
-        return iter((self.g1, self.g2, self.g3, self.g4))
-
-
 # ---------------------------------------------------------------------------
 # canonical codes
 
@@ -170,11 +157,12 @@ def canonical_code(a: Alkane) -> str:
     return min(_rooted_code(adj, c) for c in _centroids(a))
 
 
-def valency_profile(a: Alkane) -> ValencyProfile:
+def valency_profile(a: Alkane) -> Tuple[int, int, int, int]:
+    """Counts of vertices bonded to 1, 2, 3, 4 other carbons."""
     counts = [0, 0, 0, 0, 0]
     for d in a.degrees().values():
         counts[d] += 1
-    return ValencyProfile(*counts[1:])
+    return tuple(counts[1:])
 
 
 def hydrogen_count(a: Alkane) -> int:

@@ -40,7 +40,7 @@ from .curve_periods import (
     tree_period_first_order,
 )
 from .elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
-from .errors import FormulaViolationError, PlumblineError
+from .errors import PlumblineError
 from .gaussian import GaussianRational
 from .jets import DEFAULT_TOLERANCE, EXACT_FIELD, CoefficientField, FieldKind, JetRing
 from .relations import verify_asymptotic_vanishing
@@ -125,6 +125,12 @@ def _parse_list(v, path: str, what: str) -> list:
     return v
 
 
+def _parse_object(v, path: str, what: str) -> dict:
+    if not isinstance(v, dict):
+        raise ConfigError(f"{path} must be an object with {what}, got {v!r}")
+    return v
+
+
 def _parse_name(v, path: str) -> str:
     if not isinstance(v, str):
         raise ConfigError(f"{path} must be a variable name, got {v!r}")
@@ -137,9 +143,8 @@ def _parse_edge(e, path: str) -> Tuple[int, int]:
     return tuple(e)
 
 
-def _parse_mark(d: dict, path: str) -> Mark:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path} must be an object with point and c, got {d!r}")
+def _parse_mark(d, path: str) -> Mark:
+    d = _parse_object(d, path, "point and c")
     point = d["point"]
     if isinstance(point, str):
         point = _parse_label(point)
@@ -148,14 +153,16 @@ def _parse_mark(d: dict, path: str) -> Mark:
     return Mark(point, _parse_value(d["c"], f"{path}.c"))
 
 
-def _parse_curve(d: dict, path: str) -> MarkedEllipticCurve:
+def _parse_curve(d, path: str) -> MarkedEllipticCurve:
+    d = _parse_object(d, path, "tau and marks")
     tau = TauPoint(_parse_value(d["tau"], f"{path}.tau"))
     marks = _parse_list(d.get("marks", []), f"{path}.marks", "marks")
     marks = tuple(_parse_mark(m, f"{path}.marks[{k}]") for k, m in enumerate(marks))
     return MarkedEllipticCurve(tau, marks)
 
 
-def _parse_pair_side(d: dict, mark: int, path: str):
+def _parse_pair_side(d, mark: int, path: str):
+    d = _parse_object(d, path, "tau and marks, or block and omega")
     if "block" in d:
         rows = _parse_list(d["block"], f"{path}.block", "rows")
         block = tuple(
@@ -199,16 +206,19 @@ def _parse_tree(cfg: dict) -> TreeConfig:
     taus = tuple(TauPoint(_parse_value(t, f"taus[{k}]")) for k, t in enumerate(taus))
     edge_data = {}
     for k, item in enumerate(_parse_list(cfg["edge_data"], "edge_data", "edge objects")):
-        i, j = sorted(_parse_edge(item["edge"], f"edge_data[{k}].edge"))
+        path = f"edge_data[{k}]"
+        item = _parse_object(item, path, "edge, var, low and high")
+        i, j = sorted(_parse_edge(item["edge"], f"{path}.edge"))
         if (i, j) in edge_data:
             raise ConfigError(f"edge {[i, j]} is listed twice in edge_data")
-        low, high = item["low"], item["high"]
+        low = _parse_object(item["low"], f"{path}.low", "label and c")
+        high = _parse_object(item["high"], f"{path}.high", "label and c")
         edge_data[(i, j)] = TreeEdgeData(
-            var=_parse_name(item["var"], f"edge_data[{k}].var"),
+            var=_parse_name(item["var"], f"{path}.var"),
             label_low=_parse_label(low["label"]),
-            coeff_low=_parse_value(low["c"], f"edge_data[{k}].low.c"),
+            coeff_low=_parse_value(low["c"], f"{path}.low.c"),
             label_high=_parse_label(high["label"]),
-            coeff_high=_parse_value(high["c"], f"edge_data[{k}].high.c"),
+            coeff_high=_parse_value(high["c"], f"{path}.high.c"),
         )
     return TreeConfig(alkane, taus, edge_data)
 
@@ -448,8 +458,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as e:
         _say(f"config error: {e}")
         return 2
-    except FormulaViolationError:
-        return _internal_error()
     except PlumblineError as e:
         _say(f"invalid input: {e}")
         return 2

@@ -18,9 +18,3 @@ class DegenerateDataError(PlumblineError, ValueError):
     coincident attachment points, rank-deficient frame, zero Pluecker
     coordinate)."""
 
-
-class FormulaViolationError(PlumblineError, RuntimeError):
-    """An internal cross-check between two formulas that must agree failed.
-
-    This firing means a bug, never a bad input.
-    """

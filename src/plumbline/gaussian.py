@@ -93,20 +93,6 @@ class GaussianRational:
             return NotImplemented
         return other / self
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return (GaussianRational(1) / self) ** (-n)
-        result = GaussianRational(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 

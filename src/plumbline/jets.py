@@ -360,33 +360,6 @@ class Jet:
                     del out[exp]
         return Jet(self.ring, out, self._den * other._den)
 
-    def __truediv__(self, scalar):
-        if isinstance(scalar, Jet):
-            return NotImplemented
-        c = self.ring.field.coerce(scalar)
-        if not c:
-            raise ZeroDivisionError("jet division by zero scalar")
-        return self.ring._packed({exp: v / c for exp, v in self.terms.items()})
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        if n == 0:
-            return self.ring.one()
-        # square up to the lowest set bit, which starts the result
-        base = self
-        while not n & 1:
-            base = base * base
-            n >>= 1
-        result = base
-        n >>= 1
-        while n:
-            base = base * base
-            if n & 1:
-                result = result * base
-            n >>= 1
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, Jet):
             return NotImplemented

@@ -33,39 +33,25 @@ from .jets import EXACT_FIELD, Jet, JetRing, lookahead_product
 OCTIC_VARIANTS = ("corrected", "printed")
 
 
-@dataclass(frozen=True)
-class OcticIndex:
-    i: int
-    j: int
-    k: int
-    l: int
-
-    def __post_init__(self):
-        if not (self.i < self.j < self.k < self.l):
-            raise StructureError(f"octic indices must be strictly increasing, got {self}")
-        if self.i < 1:
-            raise RangeError("octic indices are 1-based")
-
-    def __iter__(self):
-        return iter((self.i, self.j, self.k, self.l))
-
-
-def all_octic_indices(g: int) -> List[OcticIndex]:
-    return [OcticIndex(*q) for q in combinations(range(1, g + 1), 4)]
+def all_octic_indices(g: int) -> List[Tuple[int, int, int, int]]:
+    """Every quadruple 1 <= i < j < k < l <= g, in lexicographic order."""
+    return list(combinations(range(1, g + 1), 4))
 
 
 Entries = Mapping[Tuple[int, int], object]
 
 
 def _square(*factors):
-    """(f1*f2*f3*f4)**2, its base truncated knowing that it will be squared."""
+    """The square of f1*f2*f3*f4: the factors are folded with their own
+    valuations reserved, since the base will meet itself once more, and
+    the base is then multiplied by itself once."""
     # numbers and zero jets add no degree; a zero factor makes the base zero
     reserve = sum(f.valuation() or 0 for f in factors if isinstance(f, Jet))
     base = lookahead_product(factors, reserve=reserve)
-    return base ** 2
+    return base * base
 
 
-def octic_eval(entries: Entries, idx: OcticIndex, variant: str = "corrected"):
+def octic_eval(entries: Entries, idx: Tuple[int, int, int, int], variant: str = "corrected"):
     """Evaluate the degree-8 relation on the six off-diagonal entries of idx.
 
     variant "corrected" is the form that vanishes on the cone; "printed"

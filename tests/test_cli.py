@@ -6,11 +6,15 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plumbline import FormulaViolationError, relations
+from plumbline import relations
 from plumbline.cli import _float_field, _parse_value, main
 
 PAIR_CONFIG = {
@@ -159,6 +163,23 @@ MALFORMED_CONFIGS = [
         "tree",
         json.dumps(_with(TREE_CONFIG, ["edge_data", 1, "var"], {"a": 1})),
         "edge_data[1].var must be a variable",
+    ),
+    # a list element or a side that should be an object
+    ("star", json.dumps({**STAR_CONFIG, "curves": ["x", "y"]}), "curves[0] must be an object"),
+    ("star", json.dumps(_with(STAR_CONFIG, ["curves", 1], 7)), "curves[1] must be an object"),
+    ("pair", json.dumps({**PAIR_CONFIG, "curve_a": 5}), "curve_a must be an object"),
+    ("pair", json.dumps({**PAIR_CONFIG, "curve_b": "x"}), "curve_b must be an object"),
+    ("pair", json.dumps({**BLOCK_PAIR_CONFIG, "curve_b": [["1"]]}), "curve_b must be an object"),
+    ("tree", json.dumps({**TREE_CONFIG, "edge_data": ["e"]}), "edge_data[0] must be an object"),
+    (
+        "tree",
+        json.dumps(_with(TREE_CONFIG, ["edge_data", 0, "low"], 1)),
+        "edge_data[0].low must be an object",
+    ),
+    (
+        "tree",
+        json.dumps(_with(TREE_CONFIG, ["edge_data", 1, "high"], ["O", 1])),
+        "edge_data[1].high must be an object",
     ),
 ]
 
@@ -477,7 +498,7 @@ def test_nonpositive_count_is_usage_error(argv, capsys):
 
 
 @pytest.mark.parametrize(
-    "error", [FormulaViolationError("closed forms disagree"), KeyError("edge"), ZeroDivisionError()]
+    "error", [TypeError("not a config error here"), KeyError("edge"), ZeroDivisionError()]
 )
 def test_internal_error_exits_3(error, monkeypatch, capsys):
     def broken(alkane):
@@ -488,6 +509,20 @@ def test_internal_error_exits_3(error, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
     assert "internal error" in captured.err and "Traceback" in captured.err
+
+
+def test_failed_dimension_identity_exits_1(monkeypatch, capsys):
+    # dim V_Gamma = 9h+9 is checked in one place, and a miss there is a
+    # failed verification, not an internal error
+    from plumbline import checks
+
+    monkeypatch.setattr(checks, "dim_V_Gamma", lambda alkane: 9 * alkane.genus + 10)
+    ok, detail = checks.check_surface_dims()
+    assert ok is False and detail["alkanes_checked"] > 0
+    code, report = _run(capsys, ["selftest", "--seed", "0"])
+    assert code == 1
+    failing = [c["name"] for c in report["checks"] if not c["pass"]]
+    assert failing == ["surface_dimensions"]
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -609,7 +644,8 @@ def test_tolerance_env_override(monkeypatch, capsys):
 
 
 def test_tolerance_env_reaches_zero_tests(monkeypatch, capsys):
-    from plumbline import JetRing, PeriodMatrixJet, derivative_rank_one_check
+    from plumbline.curve_periods import PeriodMatrixJet, derivative_rank_one_check
+    from plumbline.jets import JetRing
 
     # float octic residues sit far above 1e-30 of their scale, so under that
     # tolerance the jet check finds survivors below degree 17 and fails
@@ -637,3 +673,77 @@ def test_tolerance_env_reaches_zero_tests(monkeypatch, capsys):
     assert rank_one()
     monkeypatch.delenv("PLUMBLINE_TOL")
     assert not rank_one()
+
+
+# ---------------------------------------------------------------------------
+# argv mutations: each must end in 0, 1 or 2, never in a traceback
+
+ARGV_BASES = [
+    ["alkanes", "enum", "--genus", "4"],
+    ["alkanes", "count", "--max", "5"],
+    ["relations", "verify", "--genus", "4", "--trials", "1", "--order", "17"],
+    ["surfaces", "dims", "--genus", "3"],
+    ["surfaces", "egamma", "--genus", "4", "--trials", "1"],
+    ["periods", "pair", "--config", "pair.json", "--order", "1"],
+    ["periods", "star", "--config", "star.json", "--order", "2"],
+    ["periods", "tree", "--config", "tree.json", "--order", "1"],
+    ["selftest", "--seed", "0"],
+]
+
+# flag -> values it must refuse; "." is the working directory
+BAD_VALUES = {
+    "--genus": ["0", "-3"],
+    "--trials": ["0", "x"],
+    "--order": ["-1"],
+    "--config": [".", "/dev/null"],
+}
+
+# one order below what each command needs
+LOW_ORDER = {"verify": "16", "pair": "0", "star": "1", "tree": "0"}
+
+
+def _argv_mutations():
+    for base in ARGV_BASES:
+        flags = [k for k, a in enumerate(base) if a.startswith("--")]
+        for k in flags:
+            flag, value = base[k], base[k + 1]
+            yield base[:k + 1] + base[k + 2:]  # the flag without its value
+            yield base + [flag, value]  # the flag repeated
+            bad = list(BAD_VALUES.get(flag, ()))
+            if flag == "--genus" and base[0] in ("alkanes", "surfaces"):
+                bad.append("17")  # past the enumerated range
+            if flag == "--order":
+                bad.append(LOW_ORDER[base[1]])
+            for v in bad:
+                yield base[:k + 1] + [v] + base[k + 2:]
+        yield base + ["--out", "."]
+
+
+@pytest.mark.parametrize("argv", list(_argv_mutations()), ids=" ".join)
+def test_mutated_argv_keeps_the_exit_contract(argv, tmp_path, monkeypatch):
+    for name, config in (("pair", PAIR_CONFIG), ("star", STAR_CONFIG), ("tree", TREE_CONFIG)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
+    monkeypatch.chdir(tmp_path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse refuses the usage
+            code = e.code
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_reports_do_not_depend_on_the_hash_seed(hash_seed):
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(SRC)}
+    for argv, digest in PINNED_REPORTS[:2]:
+        run = subprocess.run(
+            [sys.executable, "-m", "plumbline.cli", *argv],
+            capture_output=True, env=env, timeout=120, check=False,
+        )
+        assert run.returncode == 0, run.stderr
+        assert hashlib.sha256(run.stdout).hexdigest() == digest, argv

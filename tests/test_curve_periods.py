@@ -5,34 +5,26 @@ from fractions import Fraction
 
 import pytest
 
-from plumbline import (
-    Alkane,
+from plumbline.alkanes import Alkane, canonical_code, enumerate_alkanes
+from plumbline.curve_periods import (
     CurveBlock,
-    DegenerateDataError,
-    FLOAT_FIELD,
-    GaussianRational,
-    JetRing,
-    Mark,
-    MarkedEllipticCurve,
     PairPlumbing,
     PeriodMatrixJet,
-    RangeError,
     StarConfig,
-    StructureError,
-    TauPoint,
     TreeConfig,
     TreeEdgeData,
-    TwoTorsionLabel,
     banded_locus_dimension,
-    canonical_code,
     derivative_rank_one_check,
-    enumerate_alkanes,
     is_banded,
     offdiag_support,
     pair_period_first_order,
     star_period_leading,
     tree_period_first_order,
 )
+from plumbline.elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
+from plumbline.errors import DegenerateDataError, RangeError, StructureError
+from plumbline.gaussian import GaussianRational
+from plumbline.jets import FLOAT_FIELD, JetRing
 from plumbline.sampling import random_tree_config, substream
 
 I = GaussianRational(0, 1)

@@ -5,16 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from plumbline import (
-    DegenerateDataError,
-    GaussianRational,
+from plumbline.elliptic import (
     Mark,
     MarkedEllipticCurve,
-    RangeError,
     TauPoint,
     TwoTorsionLabel,
     normalized_form_value,
 )
+from plumbline.errors import DegenerateDataError, RangeError
+from plumbline.gaussian import GaussianRational
 
 I = GaussianRational(0, 1)
 

@@ -1,28 +1,25 @@
 """Octic relations: exact cone vanishing, homogeneity, jet verification."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from plumbline import checks, relations
-from plumbline import (
-    DegenerateDataError,
-    EXACT_FIELD,
-    FLOAT_FIELD,
-    GaussianRational,
-    JetRing,
-    OcticIndex,
-    RangeError,
-    StructureError,
+from plumbline.curve_periods import star_period_leading
+from plumbline.errors import DegenerateDataError, RangeError
+from plumbline.gaussian import GaussianRational
+from plumbline.jets import EXACT_FIELD, FLOAT_FIELD, JetRing
+from plumbline.relations import (
+    OCTIC_VARIANTS,
     all_octic_indices,
     octic_eval,
+    perturbed_star_entries,
     plucker_coordinates,
     plucker_to_cone,
-    star_period_leading,
     verify_asymptotic_vanishing,
 )
-from plumbline.relations import OCTIC_VARIANTS, perturbed_star_entries
 from plumbline.sampling import (
     rand_nonzero_fraction,
     random_grass_frame_minors,
@@ -37,6 +34,10 @@ def _quadric(y, idx):
     return y[(i, j)] * y[(k, l)] - y[(i, k)] * y[(j, l)] + y[(i, l)] * y[(j, k)]
 
 
+def _sq(x):
+    return x * x
+
+
 def _octic_plain(entries, idx, variant="corrected"):
     """The octic with plain operators: every product kept up to the ring
     order, the oracle for the truncated products of ``octic_eval``."""
@@ -46,13 +47,13 @@ def _octic_plain(entries, idx, variant="corrected"):
     positive = (
         2 * (tij * tkl) * (til * tjk) * (tik * tjl) * (tik * tjl + til * tjk + tij * tkl)
     )
-    sq_ik_jl__il_jk = (tik * tjl * til * tjk) ** 2
-    sq_ij_kl__ik_jl = (tij * tkl * tik * tjl) ** 2
-    sq_ij_kl__il_jk = (tij * tkl * til * tjk) ** 2
+    sq_ik_jl__il_jk = _sq(tik * tjl * til * tjk)
+    sq_ij_kl__ik_jl = _sq(tij * tkl * tik * tjl)
+    sq_ij_kl__il_jk = _sq(tij * tkl * til * tjk)
     if variant == "corrected":
         negative = sq_ik_jl__il_jk + sq_ij_kl__ik_jl + sq_ij_kl__il_jk
     else:
-        negative = (tij * til * tjk * tjl) ** 2 + sq_ik_jl__il_jk + sq_ij_kl__ik_jl
+        negative = _sq(tij * til * tjk * tjl) + sq_ik_jl__il_jk + sq_ij_kl__ik_jl
     return positive - negative
 
 
@@ -124,7 +125,7 @@ def test_cone_oracle_corrected_vs_printed():
 def test_frame_example_minors():
     y = plucker_coordinates((1, 1, 1, 1), (0, 1, 2, 3))
     assert y == {(i, j): j - i for i, j in combinations(range(1, 5), 2)}
-    assert _quadric(y, OcticIndex(1, 2, 3, 4)) == 1 * 1 - 2 * 2 + 3 * 1 == 0
+    assert _quadric(y, (1, 2, 3, 4)) == 1 * 1 - 2 * 2 + 3 * 1 == 0
 
 
 def test_column_swap_negates_minor():
@@ -143,17 +144,17 @@ def test_cone_point_values_frozen():
         (2, 4): Fraction(1, 4),
         (3, 4): Fraction(1),
     }
-    assert octic_eval(cone, OcticIndex(1, 2, 3, 4)) == 0
+    assert octic_eval(cone, (1, 2, 3, 4)) == 0
 
 
 def test_octic_on_all_ones():
     ones = {(i, j): 1 for i, j in combinations(range(1, 5), 2)}
-    assert octic_eval(ones, OcticIndex(1, 2, 3, 4)) == 2 * 1 * 3 - 3 == 3
+    assert octic_eval(ones, (1, 2, 3, 4)) == 2 * 1 * 3 - 3 == 3
 
 
 def test_homogeneity_degree_eight():
     rng = substream(31, "test:homog")
-    idx = OcticIndex(1, 2, 3, 4)
+    idx = (1, 2, 3, 4)
     for _ in range(30):
         m = {
             (i, j): GaussianRational(rand_nonzero_fraction(rng), rand_nonzero_fraction(rng))
@@ -161,7 +162,7 @@ def test_homogeneity_degree_eight():
         }
         c = GaussianRational(rand_nonzero_fraction(rng))
         scaled = {p: c * v for p, v in m.items()}
-        assert octic_eval(scaled, idx) == c ** 8 * octic_eval(m, idx)
+        assert octic_eval(scaled, idx) == math.prod([c] * 8) * octic_eval(m, idx)
 
 
 def test_symbolic_degree_count():
@@ -174,7 +175,7 @@ def test_symbolic_degree_count():
         for i, j in combinations(range(1, 5), 2)
     }
     for variant in ("corrected", "printed"):
-        f = octic_eval(entries, OcticIndex(1, 2, 3, 4), variant=variant)
+        f = octic_eval(entries, (1, 2, 3, 4), variant=variant)
         assert all(sum(e) == 8 for e in f.terms)
 
 
@@ -195,7 +196,7 @@ def test_off_cone_matrices_fail():
             (i, j): GaussianRational(rand_nonzero_fraction(rng), rand_nonzero_fraction(rng))
             for i, j in combinations(range(1, 5), 2)
         }
-        if octic_eval(m, OcticIndex(1, 2, 3, 4)):
+        if octic_eval(m, (1, 2, 3, 4)):
             nonzero += 1
     assert nonzero == 100
 
@@ -214,8 +215,8 @@ def test_quadric_octic_consistency():
         y[(1, 4)] = (y[(1, 3)] * y[(2, 4)] - y[(1, 2)] * y[(3, 4)]) / y[(2, 3)]
         if not y[(1, 4)]:
             continue
-        assert _quadric(y, OcticIndex(1, 2, 3, 4)) == 0
-        assert octic_eval(plucker_to_cone(y), OcticIndex(1, 2, 3, 4)) == 0
+        assert _quadric(y, (1, 2, 3, 4)) == 0
+        assert octic_eval(plucker_to_cone(y), (1, 2, 3, 4)) == 0
         found += 1
 
 
@@ -231,11 +232,16 @@ def test_degenerate_frames_and_zero_coordinates():
 
 
 def test_octic_index_validation():
-    with pytest.raises(StructureError):
-        OcticIndex(2, 1, 3, 4)
-    with pytest.raises(StructureError):
-        OcticIndex(1, 1, 3, 4)
+    # plain 4-tuples, strictly increasing and 1-based, each quadruple once
+    assert all_octic_indices(3) == []
+    assert all_octic_indices(4) == [(1, 2, 3, 4)]
     assert len(all_octic_indices(6)) == 15
+    for g in range(4, 9):
+        indices = all_octic_indices(g)
+        assert len(indices) == math.comb(g, 4) and indices == sorted(set(indices))
+        for i, j, k, l in indices:
+            assert 1 <= i < j < k < l <= g
+        assert all(type(idx) is tuple for idx in indices)
 
 
 def test_octic_on_star_jet_entries_identically_zero():
@@ -244,7 +250,7 @@ def test_octic_on_star_jet_entries_identically_zero():
     ring = JetRing(tuple(s.variables), 17, EXACT_FIELD)
     m = star_period_leading(s, ring)
     entries = {(i, j): m.entry(i, j) for i, j in combinations(range(1, 5), 2)}
-    assert octic_eval(entries, OcticIndex(1, 2, 3, 4)) == ring.zero()
+    assert octic_eval(entries, (1, 2, 3, 4)) == ring.zero()
 
 
 def test_verify_asymptotic_vanishing_passes():

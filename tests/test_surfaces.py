@@ -7,21 +7,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from plumbline import checks
-from plumbline import (
-    Alkane,
+from plumbline.alkanes import Alkane, canonical_code, enumerate_alkanes, valency_profile
+from plumbline.errors import RangeError, StructureError
+from plumbline.surfaces import (
     EdgeData,
-    RangeError,
-    StructureError,
     SurfaceGraphModel,
-    canonical_code,
     dim_K,
     dim_V_Gamma,
     dim_W,
     dim_period_domain,
-    enumerate_alkanes,
     skew_block_rank_one_vanishing,
     span_dimension_E_Gamma,
-    valency_profile,
 )
 from plumbline.sampling import rand_fraction, random_surface_model, substream
 from plumbline.surfaces import BLOCK_COLS, _outer, _primitive, edge_matrix, matrix_rank_exact
