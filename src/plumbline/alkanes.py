@@ -26,7 +26,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 from .errors import RangeError, StructureError
 
 MAX_CARBON_DEGREE = 4
-DEFAULT_GENUS_CAP = 16
+GENUS_CAP = 16  # the largest genus enumerated
 
 Edge = Tuple[int, int]
 
@@ -258,16 +258,16 @@ def alkane_from_code(code: str) -> Alkane:
     return Alkane(g, edges)
 
 
-def enumerate_alkanes(g: int, cap: int = DEFAULT_GENUS_CAP) -> List[Alkane]:
+def enumerate_alkanes(g: int) -> List[Alkane]:
     """One labeled representative per isomorphism class, sorted by code."""
-    if not 1 <= g <= cap:
-        raise RangeError(f"genus {g} outside 1..{cap}")
+    if not 1 <= g <= GENUS_CAP:
+        raise RangeError(f"genus {g} outside 1..{GENUS_CAP}")
     return [alkane_from_code(code) for code in _free_codes(g)]
 
 
-def count_alkanes(g: int, cap: int = DEFAULT_GENUS_CAP) -> int:
-    if not 1 <= g <= cap:
-        raise RangeError(f"genus {g} outside 1..{cap}")
+def count_alkanes(g: int) -> int:
+    if not 1 <= g <= GENUS_CAP:
+        raise RangeError(f"genus {g} outside 1..{GENUS_CAP}")
     return len(_free_codes(g))
 
 

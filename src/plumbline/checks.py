@@ -149,7 +149,7 @@ def check_jet_vanishing(
 
 def _tree_assembly(alkane: Alkane, rng):
     tc = random_tree_config(alkane, rng)
-    ring = JetRing(tuple(d.var for d in tc.edge_data.values()), 1)
+    ring = JetRing(tc.variables, 1)
     return tc, tree_period_first_order(tc, ring)
 
 

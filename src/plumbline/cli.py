@@ -201,7 +201,10 @@ def _parse_star(cfg: dict) -> StarConfig:
 def _parse_tree(cfg: dict) -> TreeConfig:
     edges = _parse_list(cfg["edges"], "edges", "vertex pairs")
     edges = [_parse_edge(e, f"edges[{k}]") for k, e in enumerate(edges)]
-    alkane = Alkane(cfg["genus"], edges)
+    genus = cfg["genus"]
+    if type(genus) is not int:
+        raise ConfigError(f"genus must be a whole number, got {genus!r}")
+    alkane = Alkane(genus, edges)
     taus = _parse_list(cfg["taus"], "taus", "numbers")
     taus = tuple(TauPoint(_parse_value(t, f"taus[{k}]")) for k, t in enumerate(taus))
     edge_data = {}
@@ -286,22 +289,19 @@ def cmd_alkanes_count(args):
     return {"max": args.max, "counts": [count_alkanes(g) for g in range(1, args.max + 1)]}, True
 
 
-# periods subcommand -> (config parser, the ring's variables, assembly)
+# periods subcommand -> (config parser, the ring's variables, truncation order,
+# assembly); pair and tree matrices are first order, star entries bidegree (1,1)
 _PERIODS = {
-    "pair": (_parse_pair, lambda p: (p.t,), pair_period_first_order),
-    "star": (_parse_star, lambda s: s.variables, star_period_leading),
-    "tree": (
-        _parse_tree,
-        lambda c: tuple(d.var for d in c.edge_data.values()),
-        tree_period_first_order,
-    ),
+    "pair": (_parse_pair, lambda p: (p.t,), 1, pair_period_first_order),
+    "star": (_parse_star, lambda s: s.variables, 2, star_period_leading),
+    "tree": (_parse_tree, lambda c: c.variables, 1, tree_period_first_order),
 }
 
 
 def cmd_periods(args):
-    parse, variables, assemble = _PERIODS[args.subcommand]
+    parse, variables, order, assemble = _PERIODS[args.subcommand]
     config = _read_config(args.config, parse)
-    ring = JetRing(variables(config), args.order, _field(args.mode_exact))
+    ring = JetRing(variables(config), order, _field(args.mode_exact))
     return assemble(config, ring).to_json_dict(), True
 
 
@@ -311,7 +311,7 @@ def cmd_relations_verify(args):
     for trial in range(args.trials):
         s = random_star_config(args.genus, substream(args.seed, f"relations:config:{trial}"))
         seed = f"{args.seed}:relations:perturb:{trial}"
-        trials.append(verify_asymptotic_vanishing(s, seed=seed, order=args.order, field=field))
+        trials.append(verify_asymptotic_vanishing(s, seed=seed, field=field))
     all_pass = all(rep.passed for rep in trials)
     _say(f"relations verify: {'PASS' if all_pass else 'FAIL'} ({len(trials)} trials)")
     body = {
@@ -412,10 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     per = sub.add_parser("periods", help="assemble first-order period matrices")
     per_sub = per.add_subparsers(dest="subcommand", required=True)
-    for name, default_order in (("pair", 1), ("star", 2), ("tree", 1)):
+    for name in _PERIODS:
         p = per_sub.add_parser(name, parents=[out, mode])
         p.add_argument("--config", required=True)
-        p.add_argument("--order", type=int, default=default_order)
         p.set_defaults(func=cmd_periods)
 
     rel = sub.add_parser("relations", help="verify the octic asymptotic relations")
@@ -423,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver = rel_sub.add_parser("verify", parents=[out, seed, mode])
     ver.add_argument("--genus", type=int, required=True)
     ver.add_argument("--trials", type=_positive_int, default=5)
-    ver.add_argument("--order", type=int, default=17)
     ver.set_defaults(func=cmd_relations_verify)
 
     sur = sub.add_parser("surfaces", help="surface-side dimensions and spans")

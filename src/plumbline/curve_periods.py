@@ -14,8 +14,8 @@ The ring's coefficient field alone picks the units: over the exact field
 the transcendental factor 2*pi*i is divided out (lambda = 1/4, kappa =
 1/16), over the float field it is kept.
 
-Everything is modulo the square of the parameter ideal unless a higher
-truncation order is requested for downstream jet work.
+Pair and tree matrices are first order, modulo the square of the parameter
+ideal; star off-diagonals have bidegree (1,1), so a star needs order 2.
 """
 
 from __future__ import annotations
@@ -144,6 +144,10 @@ class TreeConfig:
             if len(set(labels)) != len(labels):
                 raise StructureError(f"repeated 2-torsion attachment label at vertex {v}")
 
+    @property
+    def variables(self) -> Tuple[str, ...]:
+        return tuple(d.var for d in self.edge_data.values())
+
 
 # ---------------------------------------------------------------------------
 # the matrix-of-jets carrier
@@ -196,9 +200,7 @@ class PeriodMatrixJet:
             "genus": self.genus,
             "mode": self.ring.field.mode,
             "entries": [[self.entry(i, j).to_json_dict() for j in g] for i in g],
-            "support": [
-                list(p) for p in sorted(offdiag_support(self, self.ring.order))
-            ],
+            "support": [list(p) for p in sorted(offdiag_support(self))],
         }
         d.update(self.meta)
         return d
@@ -299,13 +301,10 @@ def tree_period_first_order(c: TreeConfig, ring: JetRing) -> PeriodMatrixJet:
 # pattern inspection
 
 
-def offdiag_support(m: PeriodMatrixJet, through_degree: int = 1) -> FrozenSet[Tuple[int, int]]:
-    """Unordered pairs (i,j), i<j, whose entry has a nonzero coefficient in
-    total degree <= through_degree (i.e. is nonzero modulo the next power
-    of the parameter ideal)."""
-    d = min(through_degree, m.ring.order)
+def offdiag_support(m: PeriodMatrixJet) -> FrozenSet[Tuple[int, int]]:
+    """Unordered pairs (i,j), i<j, whose entry is a nonzero jet."""
     return frozenset(
-        (i, j) for (i, j), e in m.entries.items() if i < j and not e.vanishes_through_degree(d)
+        (i, j) for (i, j), e in m.entries.items() if i < j and e.min_nonzero_degree() is not None
     )
 
 

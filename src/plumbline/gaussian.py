@@ -96,9 +96,6 @@ class GaussianRational:
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
-    def __pos__(self):
-        return self
-
     # -- structure ----------------------------------------------------
 
     def to_complex(self) -> complex:

@@ -105,13 +105,13 @@ def plucker_to_cone(y: Entries) -> Dict[Tuple[int, int], object]:
 
 
 MOD_T9_SAFE_DEGREE = 16  # octic monomials have parameter degree 16; corrections start later
+ORDER = MOD_T9_SAFE_DEGREE + 1  # the smallest ring that can report the first survivor
 
 
 @dataclass(frozen=True)
 class AsymptoticReport:
     genus: int
     mode: str
-    order: int
     octics_checked: int
     passed: bool
     min_surviving_degree: Optional[int]
@@ -120,7 +120,7 @@ class AsymptoticReport:
         return {
             "g": self.genus,
             "mode": self.mode,
-            "order": self.order,
+            "order": ORDER,
             "octics_checked": self.octics_checked,
             "all_vanish_through": MOD_T9_SAFE_DEGREE,
             "pass": self.passed,
@@ -158,7 +158,6 @@ def perturbed_star_entries(
 def verify_asymptotic_vanishing(
     s: StarConfig,
     seed: int,
-    order: int = 17,
     corrupt_entry: Optional[Tuple[int, int]] = None,
     field=EXACT_FIELD,
 ) -> AsymptoticReport:
@@ -169,12 +168,10 @@ def verify_asymptotic_vanishing(
     the corrections from the units begin at degree 17; the minimum actually
     surviving degree is reported, never asserted.
     """
-    if order < MOD_T9_SAFE_DEGREE + 1:
-        raise RangeError(f"order must be >= {MOD_T9_SAFE_DEGREE + 1}, got {order}")
     g = s.genus
     if g < 4:
         raise RangeError("octic relations need genus >= 4")
-    ring = JetRing(tuple(s.variables), order, field)
+    ring = JetRing(tuple(s.variables), ORDER, field)
     entries = perturbed_star_entries(s, ring, seed, corrupt_entry)
     octics = all_octic_indices(g)
     degrees = [octic_eval(entries, idx).min_nonzero_degree() for idx in octics]
@@ -182,7 +179,6 @@ def verify_asymptotic_vanishing(
     return AsymptoticReport(
         genus=g,
         mode=ring.field.mode,
-        order=order,
         octics_checked=len(octics),
         passed=min_surviving is None or min_surviving > MOD_T9_SAFE_DEGREE,
         min_surviving_degree=min_surviving,

@@ -22,6 +22,7 @@ from typing import Callable, Dict, Tuple
 from .alkanes import Alkane
 from .curve_periods import StarConfig, TreeConfig, TreeEdgeData
 from .elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
+from .errors import RangeError
 from .gaussian import GaussianRational
 from .relations import plucker_coordinates
 from .surfaces import BLOCK_COLS, EdgeData, SurfaceGraphModel
@@ -75,7 +76,13 @@ def rand_tau(rng: random.Random) -> TauPoint:
     )
 
 
+# the distinct attachment points a star can draw: n/d with |n| <= 12, d <= 6
+STAR_POINTS = len({_FRACTIONS[n, d] for n in range(-12, 13) for d in range(1, 7)})
+
+
 def random_star_config(g: int, rng: random.Random) -> StarConfig:
+    if g > STAR_POINTS:
+        raise RangeError(f"genus {g} needs {g} distinct star points; there are {STAR_POINTS}")
     curves = []
     for _ in range(g):
         c = rand_nonzero_fraction(rng, -6, 6, 6)

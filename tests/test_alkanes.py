@@ -166,7 +166,8 @@ def test_genus_out_of_range():
         enumerate_alkanes(0)
     with pytest.raises(RangeError):
         enumerate_alkanes(17)
-    assert count_alkanes(17, cap=20) > 0
+    with pytest.raises(RangeError):
+        count_alkanes(17)
 
 
 def test_canonical_code_relabeling_invariance():

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -181,6 +182,11 @@ MALFORMED_CONFIGS = [
         json.dumps(_with(TREE_CONFIG, ["edge_data", 1, "high"], ["O", 1])),
         "edge_data[1].high must be an object",
     ),
+    # a genus that is not a whole number, a bool included
+    *(
+        ("tree", json.dumps({**TREE_CONFIG, "genus": g}), "genus must be a whole number")
+        for g in ("3", 3.0, None, [3], True)
+    ),
 ]
 
 # stdout sha256 of fixed-seed reports: a refactor that keeps the reports
@@ -231,6 +237,22 @@ PINNED_REPORTS = [
     (
         ["periods", "tree", "--config", "tree.json", "--numeric"],
         "eb16de87301f50b106bbf264431824aff2b722f6aae7786521d1c6ab92b13f9b",
+    ),
+    (
+        ["alkanes", "count", "--max", "16"],
+        "d55d7228b576a7eb2aba9c81642f2506a0b01d3ca3e05c7c99ac4501341601c4",
+    ),
+    (
+        ["alkanes", "enum", "--genus", "8"],
+        "d41c7aafadd967fa74afa4b455eacb41e8e38ecf7a779039f2c906c8cce3c5a0",
+    ),
+    (
+        ["surfaces", "dims", "--genus", "6"],
+        "b494027c748d4ff5ec037bc29ffbc371968c054913543e3e12b84a176c1bd1de",
+    ),
+    (
+        ["relations", "verify", "--genus", "7", "--trials", "3", "--seed", "5", "--numeric"],
+        "a30ef0ae48148a19864c6737e85c5936a8c2d310088bd4894e7799a23efb1199",
     ),
 ]
 
@@ -455,13 +477,22 @@ def test_value_beyond_float_range_is_usage_error(tmp_path, capsys):
         assert code == 0, b
 
 
-def test_star_below_order_2_is_usage_error(tmp_path, capsys):
-    cfg = tmp_path / "star.json"
-    cfg.write_text(json.dumps(STAR_CONFIG))
-    code = main(["periods", "star", "--config", str(cfg), "--order", "1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["periods", "pair", "--config", "pair.json", "--order", "1"],
+        ["periods", "star", "--config", "star.json", "--order", "2"],
+        ["periods", "tree", "--config", "tree.json", "--order", "1"],
+        ["relations", "verify", "--genus", "4", "--order", "17"],
+    ],
+)
+def test_order_is_not_an_option(argv, capsys):
+    # each statement fixes its own truncation order
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
-    assert "invalid input:" in captured.err and "order >= 2" in captured.err
+    assert (exc.value.code, captured.out) == (2, "")
+    assert "unrecognized arguments: --order" in captured.err
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False).map(lambda x: x + 0.0)
@@ -535,12 +566,24 @@ def test_unknown_flag_exits_2(capsys):
 def test_relations_verify_small(capsys):
     code, report = _run(
         capsys,
-        ["relations", "verify", "--genus", "4", "--trials", "2", "--order", "17", "--seed", "3"],
+        ["relations", "verify", "--genus", "4", "--trials", "2", "--seed", "3"],
     )
     assert code == 0
     assert report["pass"] is True
     assert len(report["trials"]) == 2
-    assert all(t["octics_checked"] == 1 for t in report["trials"])
+    assert all(t["octics_checked"] == 1 and t["order"] == 17 for t in report["trials"])
+
+
+def test_star_genus_beyond_its_points_is_usage_error():
+    # a star draws distinct attachment points from 93 values, so genus 94 is
+    # refused before any draw; the timeout turns a draw loop into a failure
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argv = [sys.executable, "-m", "plumbline.cli", "relations", "verify", "--genus", "94"]
+    start = time.perf_counter()
+    run = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=10, check=False)
+    assert time.perf_counter() - start < 1
+    assert (run.returncode, run.stdout) == (2, "")
+    assert "invalid input:" in run.stderr and "93" in run.stderr
 
 
 def test_surfaces_dims(capsys):
@@ -681,12 +724,12 @@ def test_tolerance_env_reaches_zero_tests(monkeypatch, capsys):
 ARGV_BASES = [
     ["alkanes", "enum", "--genus", "4"],
     ["alkanes", "count", "--max", "5"],
-    ["relations", "verify", "--genus", "4", "--trials", "1", "--order", "17"],
+    ["relations", "verify", "--genus", "4", "--trials", "1"],
     ["surfaces", "dims", "--genus", "3"],
     ["surfaces", "egamma", "--genus", "4", "--trials", "1"],
-    ["periods", "pair", "--config", "pair.json", "--order", "1"],
-    ["periods", "star", "--config", "star.json", "--order", "2"],
-    ["periods", "tree", "--config", "tree.json", "--order", "1"],
+    ["periods", "pair", "--config", "pair.json"],
+    ["periods", "star", "--config", "star.json"],
+    ["periods", "tree", "--config", "tree.json"],
     ["selftest", "--seed", "0"],
 ]
 
@@ -694,12 +737,8 @@ ARGV_BASES = [
 BAD_VALUES = {
     "--genus": ["0", "-3"],
     "--trials": ["0", "x"],
-    "--order": ["-1"],
     "--config": [".", "/dev/null"],
 }
-
-# one order below what each command needs
-LOW_ORDER = {"verify": "16", "pair": "0", "star": "1", "tree": "0"}
 
 
 def _argv_mutations():
@@ -712,11 +751,10 @@ def _argv_mutations():
             bad = list(BAD_VALUES.get(flag, ()))
             if flag == "--genus" and base[0] in ("alkanes", "surfaces"):
                 bad.append("17")  # past the enumerated range
-            if flag == "--order":
-                bad.append(LOW_ORDER[base[1]])
             for v in bad:
                 yield base[:k + 1] + [v] + base[k + 2:]
         yield base + ["--out", "."]
+        yield base + ["--order", "17"]  # an option no command takes
 
 
 @pytest.mark.parametrize("argv", list(_argv_mutations()), ids=" ".join)
@@ -747,3 +785,17 @@ def test_reports_do_not_depend_on_the_hash_seed(hash_seed):
         )
         assert run.returncode == 0, run.stderr
         assert hashlib.sha256(run.stdout).hexdigest() == digest, argv
+
+
+def test_pinned_reports_script_reads_this_table():
+    # tools/pinned_reports.py reruns the table under other interpreters; it
+    # reads the table and the configs from this file, not from a copy
+    import importlib.util
+
+    path = SRC.parent / "tools" / "pinned_reports.py"
+    spec = importlib.util.spec_from_file_location("pinned_reports", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    table = script.read_table(Path(__file__))
+    assert table["PINNED_REPORTS"] == PINNED_REPORTS
+    assert [table[name] for name in script.CONFIGS] == [PAIR_CONFIG, STAR_CONFIG, TREE_CONFIG]

@@ -35,7 +35,7 @@ def _unit_curve(tau):
 
 
 def _ring_for(config):
-    return JetRing(tuple(d.var for d in config.edge_data.values()), 1)
+    return JetRing(config.variables, 1)
 
 
 def test_pair_frozen_example():

@@ -8,7 +8,7 @@ import pytest
 
 from plumbline import checks, relations
 from plumbline.curve_periods import star_period_leading
-from plumbline.errors import DegenerateDataError, RangeError
+from plumbline.errors import DegenerateDataError
 from plumbline.gaussian import GaussianRational
 from plumbline.jets import EXACT_FIELD, FLOAT_FIELD, JetRing
 from plumbline.relations import (
@@ -255,18 +255,18 @@ def test_octic_on_star_jet_entries_identically_zero():
 
 def test_verify_asymptotic_vanishing_passes():
     s = random_star_config(4, substream(59, "test:verify"))
-    rep = verify_asymptotic_vanishing(s, seed=101, order=17)
+    rep = verify_asymptotic_vanishing(s, seed=101)
     assert rep.passed
     assert rep.octics_checked == 1
     assert rep.min_surviving_degree is None or rep.min_surviving_degree >= 17
     d = rep.to_json_dict()
     assert d["all_vanish_through"] == 16
-    assert d["g"] == 4
+    assert d["g"] == 4 and d["order"] == 17
 
 
 def test_verify_negative_control():
     s = random_star_config(4, substream(61, "test:neg"))
-    rep = verify_asymptotic_vanishing(s, seed=101, order=17, corrupt_entry=(1, 2))
+    rep = verify_asymptotic_vanishing(s, seed=101, corrupt_entry=(1, 2))
     assert not rep.passed
     assert rep.min_surviving_degree is not None and rep.min_surviving_degree <= 16
 
@@ -286,15 +286,9 @@ def test_jet_vanishing_check_fails_when_its_control_does_not(monkeypatch):
     assert not ok and detail["negative_control_failed"] is False
 
 
-def test_verify_order_range():
-    s = random_star_config(4, substream(67, "test:range"))
-    with pytest.raises(RangeError):
-        verify_asymptotic_vanishing(s, seed=1, order=16)
-
-
 def test_verify_genus_five():
     s = random_star_config(5, substream(71, "test:g5"))
-    rep = verify_asymptotic_vanishing(s, seed=7, order=17)
+    rep = verify_asymptotic_vanishing(s, seed=7)
     assert rep.passed
     assert rep.octics_checked == 5
 
@@ -316,6 +310,6 @@ def test_octic_loop_runs_without_gaussian_rational_arithmetic(monkeypatch):
 
     monkeypatch.setattr(relations, "perturbed_star_entries", build_then_forbid)
     s = random_star_config(5, substream(71, "test:g5"))
-    rep = verify_asymptotic_vanishing(s, seed=7, order=17, field=EXACT_FIELD)
+    rep = verify_asymptotic_vanishing(s, seed=7, field=EXACT_FIELD)
     assert GaussianRational.__mul__ is forbidden
     assert rep.passed and rep.octics_checked == 5 and rep.min_surviving_degree == 17

@@ -128,6 +128,16 @@ def test_samplers_match_randint_oracle(name, seed, label, data):
     assert rng.getstate() == rng_oracle.getstate()
 
 
+def test_star_genus_is_bounded_by_its_points():
+    # a star draws distinct points n/d, |n| <= 12, d <= 6; with all 93 of
+    # them it still draws as the oracle does (the CLI test refuses 94)
+    points = {Fraction(n, d) for n in range(-12, 13) for d in range(1, 7)}
+    assert sampling.STAR_POINTS == len(points) == 93
+    rng, rng_oracle = substream(0, "star:bound"), substream(0, "star:bound")
+    assert random_star_config(93, rng) == _star_oracle(93, rng_oracle)
+    assert rng.getstate() == rng_oracle.getstate()
+
+
 def _call_ranges():
     """Every (lo, hi, max_den) that the package passes to ``rand_fraction``
     or ``rand_nonzero_fraction``, read from the call sites."""
