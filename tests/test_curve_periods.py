@@ -149,6 +149,12 @@ def test_star_needs_order_two():
         star_period_leading(s, JetRing(("t1", "t2"), 1))
 
 
+def test_pair_needs_order_one():
+    p = PairPlumbing(_unit_curve(I), _unit_curve(GaussianRational(0, 2)), "t")
+    with pytest.raises(RangeError, match="pair plumbing needs truncation order >= 1"):
+        pair_period_first_order(p, JetRing(("t",), 0))
+
+
 def _chain3_unit_config():
     alkane = Alkane.chain(3)
     taus = (TauPoint(I), TauPoint(GaussianRational(0, 2)), TauPoint(GaussianRational(0, 3)))
@@ -167,6 +173,12 @@ def test_tree_chain_pattern():
     assert offdiag_support(m) == frozenset({(1, 2), (2, 3)})
     assert m.entry(1, 3).vanishes_through_degree(1)
     assert m.entry(1, 2) == ring.variable("t1") * GaussianRational(Fraction(-1, 4))
+
+
+def test_tree_needs_order_one():
+    tc = _chain3_unit_config()
+    with pytest.raises(RangeError, match="tree plumbing needs truncation order >= 1"):
+        tree_period_first_order(tc, JetRing(tc.variables, 0))
 
 
 def test_tree_order_independence():
