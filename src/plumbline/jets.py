@@ -19,6 +19,26 @@ Python ints, with no Fraction in it.  Field values (``GaussianRational`` or
 ``complex``) are made only where a coefficient leaves the jet: ``terms``,
 ``coefficient``, ``to_json_dict``, equality and hashing.
 
+A jet keys each term by one int that packs its monomial, as Monagan and
+Pearce's packed exponent vectors do ("Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", ISSAC 2007).  The ring fixes a
+field width ``width = max(1, order.bit_length())`` bits, enough for any
+exponent up to the order, and ``shift = width * len(variables)``.  The key
+of exponents ``e`` is
+
+    (sum(e) << shift) + e[0] + (e[1] << width) + (e[2] << 2*width) + ...
+
+so the total degree sits above the exponent fields and ``key >> shift``
+reads it.  The key of a monomial product is the sum of the factors' keys,
+and the degrees add with them.  No field carries into the next one: a
+product keeps a pair of terms only if its degree is at most the limit,
+which is at most the order, so every exponent of the sum is at most the
+order too and fits its field.  A key of lower degree is the smaller int,
+so the least key of a jet has its lowest degree.  Exponent tuples appear
+only at the boundary: ``jet``, ``constant``, ``variable`` and
+``linear_form`` encode, ``terms``, ``coefficient``, ``to_json_dict`` and
+``repr`` decode.
+
 ``CoefficientField.negligible`` is the one zero test of field values; on
 the stored integers the exact test is the same literal one.  Every
 exact/numeric decision downstream reads the ring's field.
@@ -145,12 +165,37 @@ class JetRing:
         if self.order < 0:
             raise RangeError(f"truncation order must be >= 0, got {self.order}")
         object.__setattr__(self, "variables", tuple(self.variables))
+        # the packed key layout (module docstring): not fields, so equality,
+        # hashing and repr stay those of (variables, order, field)
+        width = max(1, self.order.bit_length())
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "shift", width * len(self.variables))
 
     def var_index(self, name: str) -> int:
         try:
             return self.variables.index(name)
         except ValueError:
             raise StructureError(f"variable {name!r} not declared in ring {self.variables}") from None
+
+    def _key(self, exp: Exponents) -> int:
+        """The packed key of an exponent vector already checked against the
+        ring: nonnegative ints, one per variable, of degree at most the order."""
+        width = self.width
+        key = sum(exp) << self.shift
+        for i, e in enumerate(exp):
+            key += e << (width * i)
+        return key
+
+    def _exponents(self, key: int) -> Exponents:
+        """The exponent vector that ``key`` packs."""
+        width = self.width
+        mask = (1 << width) - 1
+        return tuple((key >> (width * i)) & mask for i in range(len(self.variables)))
+
+    def _variable_key(self, name: str) -> int:
+        if self.order < 1:
+            raise RangeError("ring of order 0 holds no degree-1 monomials")
+        return (1 << self.shift) + (1 << (self.width * self.var_index(name)))
 
     def zero(self) -> "Jet":
         return Jet(self, {})
@@ -159,46 +204,42 @@ class JetRing:
         return self.constant(1)
 
     def constant(self, c) -> "Jet":
-        return self._packed({(0,) * len(self.variables): c})
+        return self._packed({0: c})
 
     def variable(self, name: str) -> "Jet":
-        if self.order < 1:
-            raise RangeError("ring of order 0 holds no degree-1 monomials")
-        exp = [0] * len(self.variables)
-        exp[self.var_index(name)] = 1
-        return self._packed({tuple(exp): 1})
+        return self._packed({self._variable_key(name): 1})
 
     def jet(self, terms: Mapping[Exponents, object]) -> "Jet":
         """Build a jet from an exponent->coefficient mapping, validating degrees."""
-        clean: Dict[Exponents, object] = {}
+        clean: Dict[int, object] = {}
         n = len(self.variables)
         for exp, c in terms.items():
             exp = tuple(exp)
-            if len(exp) != n or any(e < 0 for e in exp):
+            if len(exp) != n or any(not isinstance(e, int) or e < 0 for e in exp):
                 raise StructureError(f"bad exponent vector {exp} for {n} variables")
             if sum(exp) > self.order:
                 raise RangeError(f"monomial {exp} exceeds truncation order {self.order}")
-            clean[exp] = c
+            clean[self._key(exp)] = c
         return self._packed(clean)
 
-    def _packed(self, values: Mapping[Exponents, object]) -> "Jet":
-        """The jet of the nonzero ``values``, each forced into the field,
-        over the lcm of their denominators."""
+    def _packed(self, values: Mapping[int, object]) -> "Jet":
+        """The jet of the nonzero ``values``, keyed by packed monomials and
+        each forced into the field, over the lcm of their denominators."""
         packed = {}
         den = 1
-        for exp, x in values.items():
+        for key, x in values.items():
             pair, d = self.field.pack(x)
             if pair[0] or pair[1]:
-                packed[exp] = pair, d
+                packed[key] = pair, d
                 den = lcm(den, d)
-        return Jet(self, {exp: _scaled(pair, den // d) for exp, (pair, d) in packed.items()}, den)
+        return Jet(self, {key: _scaled(pair, den // d) for key, (pair, d) in packed.items()}, den)
 
     def linear_form(self, coeffs: Mapping[str, object], constant=0) -> "Jet":
         """Constant + sum of coeff*variable, a convenience for unit factors."""
-        out = self.constant(constant)
+        values = {0: constant}
         for name, c in coeffs.items():
-            out = out + self.variable(name) * c
-        return out
+            values[self._variable_key(name)] = c
+        return self._packed(values)
 
 
 def _scaled(pair: Pair, factor: int) -> Pair:
@@ -210,9 +251,10 @@ class Jet:
 
     __slots__ = ("ring", "_terms", "_den")
 
-    def __init__(self, ring: JetRing, terms: Dict[Exponents, Pair], den: int = 1):
-        """``terms`` maps exponents to nonzero (re, im) pairs, each divided
-        by the positive ``den``; the ring's constructors pack field values."""
+    def __init__(self, ring: JetRing, terms: Dict[int, Pair], den: int = 1):
+        """``terms`` maps packed monomial keys to nonzero (re, im) pairs,
+        each divided by the positive ``den``; the ring's constructors pack
+        exponents and field values."""
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_den", den)
@@ -222,19 +264,27 @@ class Jet:
 
     # -- inspection ---------------------------------------------------
 
+    def _values(self) -> Dict[int, object]:
+        """Field values keyed by packed monomial."""
+        unpack, den = self.ring.field.unpack, self._den
+        return {key: unpack(c, den) for key, c in self._terms.items()}
+
     @property
     def terms(self) -> Dict[Exponents, object]:
-        unpack, den = self.ring.field.unpack, self._den
-        return {exp: unpack(c, den) for exp, c in self._terms.items()}
+        exponents = self.ring._exponents
+        return {exponents(key): c for key, c in self._values().items()}
 
     def coefficient(self, exponents: Iterable[int]):
+        ring = self.ring
         exp = tuple(exponents)
-        if len(exp) != len(self.ring.variables):
+        if len(exp) != len(ring.variables):
             raise StructureError(
-                f"exponent vector of length {len(exp)} against {len(self.ring.variables)} variables"
+                f"exponent vector of length {len(exp)} against {len(ring.variables)} variables"
             )
-        c = self._terms.get(exp)
-        return self.ring.field.zero() if c is None else self.ring.field.unpack(c, self._den)
+        if any(e < 0 for e in exp) or sum(exp) > ring.order:
+            return ring.field.zero()  # a monomial no jet of the ring stores
+        c = self._terms.get(ring._key(exp))
+        return ring.field.zero() if c is None else ring.field.unpack(c, self._den)
 
     def coefficient_of_var(self, name: str):
         """Coefficient of the degree-1 monomial of a single variable."""
@@ -257,12 +307,13 @@ class Jet:
         """
         field = self.ring.field
         if field.is_exact:
-            nonzero = (exp for exp, (re, im) in self._terms.items() if re or im)
+            nonzero = (key for key, (re, im) in self._terms.items() if re or im)
         else:
-            values = self.terms
+            values = self._values()
             scale = field.magnitude(values.values())
-            nonzero = (exp for exp, c in values.items() if not field.negligible(c, scale))
-        return min(map(sum, nonzero), default=None)
+            nonzero = (key for key, c in values.items() if not field.negligible(c, scale))
+        low = min(nonzero, default=None)  # the least key has the least degree
+        return None if low is None else low >> self.ring.shift
 
     def valuation(self) -> int | None:
         """Lowest total degree among the stored terms; None for the zero jet.
@@ -271,12 +322,13 @@ class Jet:
         product's valuation is at least the sum of its factors' valuations
         in both fields.
         """
-        return min(map(sum, self._terms), default=None)
+        low = min(self._terms, default=None)
+        return None if low is None else low >> self.ring.shift
 
     # -- arithmetic ---------------------------------------------------
 
     def _check_ring(self, other: "Jet"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise StructureError(f"jets from different rings: {self.ring} vs {other.ring}")
 
     def _wrap(self, x) -> "Jet":
@@ -293,19 +345,19 @@ class Jet:
         a, b, den = self._terms, other._terms, self._den
         if other._den != den:
             den = lcm(den, other._den)
-            a = {exp: _scaled(c, den // self._den) for exp, c in a.items()}
-            b = {exp: _scaled(c, den // other._den) for exp, c in b.items()}
+            a = {key: _scaled(c, den // self._den) for key, c in a.items()}
+            b = {key: _scaled(c, den // other._den) for key, c in b.items()}
         terms = dict(a)
-        for exp, (br, bi) in b.items():
-            s = terms.get(exp)
+        for key, (br, bi) in b.items():
+            s = terms.get(key)
             if s is None:
-                terms[exp] = br, bi
+                terms[key] = br, bi
                 continue
             re, im = s[0] + br, s[1] + bi
             if re or im:
-                terms[exp] = re, im
+                terms[key] = re, im
             else:
-                del terms[exp]
+                del terms[key]
         return Jet(self.ring, terms, den)
 
     __radd__ = __add__
@@ -321,7 +373,7 @@ class Jet:
         return (-self) + other
 
     def __neg__(self):
-        terms = {exp: (-re, -im) for exp, (re, im) in self._terms.items()}
+        terms = {key: (-re, -im) for key, (re, im) in self._terms.items()}
         return Jet(self.ring, terms, self._den)
 
     def __mul__(self, other):
@@ -335,38 +387,41 @@ class Jet:
 
     def _times(self, other: "Jet", limit: int) -> "Jet":
         """The product with every monomial of total degree above ``limit``
-        discarded; ``limit`` is at most the ring order."""
-        out: Dict[Exponents, Pair] = {}
+        discarded; ``limit`` is at most the ring order, so no key sum
+        carries (module docstring)."""
+        out: Dict[int, Pair] = {}
         # iterate over the smaller operand outside for fewer dict rebuilds
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
-        inner = [(eb, sum(eb), br, bi) for eb, (br, bi) in b.items()]
-        for ea, (ar, ai) in a.items():
-            room = limit - sum(ea)
-            for eb, db, br, bi in inner:
-                if db > room:
+        shift = self.ring.shift
+        inner = [(kb, br, bi) for kb, (br, bi) in b.items()]
+        for ka, (ar, ai) in a.items():
+            # kb >> shift > room, the degree test, is kb >= (room + 1) << shift
+            bound = (limit - (ka >> shift) + 1) << shift
+            for kb, br, bi in inner:
+                if kb >= bound:
                     continue
-                exp = tuple(map(operator.add, ea, eb))
+                key = ka + kb
                 # the complex product, in the order CPython takes it
                 re = ar * br - ai * bi
                 im = ar * bi + ai * br
-                s = out.get(exp)
+                s = out.get(key)
                 if s is not None:
                     re, im = s[0] + re, s[1] + im
                 if re or im:
-                    out[exp] = re, im
+                    out[key] = re, im
                 elif s is not None:
-                    del out[exp]
+                    del out[key]
         return Jet(self.ring, out, self._den * other._den)
 
     def __eq__(self, other):
         if not isinstance(other, Jet):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring == other.ring and self._values() == other._values()
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, frozenset(self._values().items())))
 
     def __repr__(self):
         if not self._terms:
@@ -421,8 +476,8 @@ def lookahead_product(factors: Sequence, reserve: int = 0):
         return ring.zero()
     to_come = sum(vals[1:]) + reserve
     limit = ring.order - to_come
-    first = jets[0]
-    partial = Jet(ring, {e: c for e, c in first._terms.items() if sum(e) <= limit}, first._den)
+    first, shift = jets[0], ring.shift
+    partial = Jet(ring, {k: c for k, c in first._terms.items() if k >> shift <= limit}, first._den)
     for f, v in zip(jets[1:], vals[1:]):
         to_come -= v
         partial = partial._times(f, ring.order - to_come)

@@ -470,3 +470,181 @@ def test_square_makes_one_product_after_its_fold(factors):
     for f in factors:
         plain = plain * f
     assert square == plain * plain
+
+
+# ---------------------------------------------------------------------------
+# packed monomial keys: the product and the sum against a reference over
+# exponent tuples, insertion order and float bits included
+
+
+def _pairs(jet):
+    """The jet's terms as (exponents, re, im) in insertion order."""
+    out = []
+    for e, c in jet.terms.items():
+        out.append((e, c.real, c.imag) if isinstance(c, complex) else (e, c.re, c.im))
+    return out
+
+
+def _bits(rows):
+    """Rows with each float part as ``float.hex``, so a signed zero or a
+    last bit counts."""
+    return [
+        (e, *(x.hex() if isinstance(x, float) else x for x in parts)) for e, *parts in rows
+    ]
+
+
+def _tuple_times(a, b, limit):
+    """Reference product over exponent tuples: the smaller operand outside,
+    terms in insertion order, the complex product in the order CPython
+    takes it, each monomial's products summed as they come and a sum that
+    cancels removed."""
+    pa, pb = _pairs(a), _pairs(b)
+    if len(pa) > len(pb):
+        pa, pb = pb, pa
+    out = {}
+    for ea, ar, ai in pa:
+        for eb, br, bi in pb:
+            if sum(ea) + sum(eb) > limit:
+                continue
+            e = tuple(x + y for x, y in zip(ea, eb))
+            re, im = ar * br - ai * bi, ar * bi + ai * br
+            if e in out:
+                re, im = out[e][0] + re, out[e][1] + im
+            if re or im:
+                out[e] = re, im
+            elif e in out:
+                del out[e]
+    return [(e, re, im) for e, (re, im) in out.items()]
+
+
+def _tuple_add(a, b):
+    """Reference sum over exponent tuples: ``a``'s terms, then ``b``'s added
+    in their order, a sum that cancels removed."""
+    out = {e: (re, im) for e, re, im in _pairs(a)}
+    for e, re, im in _pairs(b):
+        if e in out:
+            re, im = out[e][0] + re, out[e][1] + im
+            if not (re or im):
+                del out[e]
+                continue
+        out[e] = re, im
+    return [(e, re, im) for e, (re, im) in out.items()]
+
+
+def _exponent_vectors(n, order):
+    """Exponent vectors of degree at most ``order``, as multisets of
+    variable picks, so every degree up to the order occurs."""
+    return st.lists(st.integers(0, n - 1), max_size=order).map(
+        lambda picks: tuple(picks.count(i) for i in range(n))
+    )
+
+
+def _field_values(field):
+    if field.is_exact:
+        return st.builds(GaussianRational, _coeffs(), _coeffs())
+    parts = st.floats(min_value=-100.0, max_value=100.0)
+    return st.builds(complex, parts, parts)
+
+
+# (variables, order): one variable up to degree 17, a small ring where
+# monomials collect many products, an order-0 ring and the 28 pairs of g = 8
+PACKED_SHAPES = [(1, 17), (2, 3), (3, 5), (2, 0), (28, 17)]
+
+
+@st.composite
+def packed_operands(draw, field):
+    n, order = draw(st.sampled_from(PACKED_SHAPES))
+    ring = JetRing(tuple(f"t{k}" for k in range(n)), order, field)
+    terms = st.dictionaries(_exponent_vectors(n, order), _field_values(field), max_size=8)
+    return ring.jet(draw(terms)), ring.jet(draw(terms)), draw(st.integers(0, order))
+
+
+@pytest.mark.parametrize("field", [EXACT_FIELD, FLOAT_FIELD], ids=["exact", "float"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_packed_product_and_sum_match_tuple_reference(field, data):
+    a, b, limit = data.draw(packed_operands(field))
+    order = a.ring.order
+    assert _bits(_pairs(a._times(b, limit))) == _bits(_tuple_times(a, b, limit))
+    assert _bits(_pairs(a * b)) == _bits(_tuple_times(a, b, order))
+    assert _bits(_pairs(a + b)) == _bits(_tuple_add(a, b))
+    assert _bits(_pairs(b + a)) == _bits(_tuple_add(b, a))
+
+
+def test_exponent_at_the_order_does_not_carry():
+    ring = JetRing(("x", "y", "z"), 17)
+    assert (ring.width, ring.shift) == (5, 15)
+    for i in range(3):
+        power = [ring.jet({tuple(d if k == i else 0 for k in range(3)): 1}) for d in range(18)]
+        top = tuple(17 if k == i else 0 for k in range(3))
+        for d in range(18):
+            p = power[d] * power[17 - d]
+            assert p.terms == {top: GaussianRational(1)}
+            assert p.coefficient(top) == GaussianRational(1)
+            assert p.valuation() == p.min_nonzero_degree() == 17
+            assert _bits(_pairs(p)) == _bits(_tuple_times(power[d], power[17 - d], 17))
+        # one degree more is truncated, whichever field it would land in
+        for name in ring.variables:
+            assert power[17] * ring.variable(name) == ring.zero()
+    s = ring.jet({(17, 0, 0): 2, (0, 17, 0): 3, (0, 0, 17): 5, (16, 1, 0): 7})
+    assert s.to_json_dict()["terms"] == [
+        {"exp": [0, 0, 17], "re": "5", "im": "0"},
+        {"exp": [0, 17, 0], "re": "3", "im": "0"},
+        {"exp": [16, 1, 0], "re": "7", "im": "0"},
+        {"exp": [17, 0, 0], "re": "2", "im": "0"},
+    ]
+    assert list(s.terms) == [(17, 0, 0), (0, 17, 0), (0, 0, 17), (16, 1, 0)]
+
+
+def test_order_zero_ring_holds_constants_only():
+    ring = JetRing(("x", "y"), 0)
+    assert (ring.width, ring.shift) == (1, 2)
+    a, b = ring.constant(GaussianRational(2, 1)), ring.constant(Fraction(1, 3))
+    assert (a * b).terms == {(0, 0): GaussianRational(Fraction(2, 3), Fraction(1, 3))}
+    assert (a + b).terms == {(0, 0): GaussianRational(Fraction(7, 3), 1)}
+    assert a.coefficient((1, 0)) == GaussianRational(0)
+    assert a.valuation() == a.min_nonzero_degree() == 0
+    assert ring.linear_form({}, constant=5) == ring.constant(5)
+    with pytest.raises(RangeError):
+        ring.variable("x")
+    with pytest.raises(RangeError):
+        ring.linear_form({"x": 1})
+
+
+def test_coefficient_of_a_monomial_outside_the_ring():
+    ring = JetRing(("x", "y", "z"), 17)
+    f = ring.jet({(17, 0, 0): 2, (0, 1, 0): 3, (1, 1, 1): 5, (0, 0, 0): 7})
+    zero = GaussianRational(0)
+    for exp in ((0, 1), (0, 1, 0, 0), ()):
+        with pytest.raises(StructureError):
+            f.coefficient(exp)
+    # a negative exponent, or a degree above the order, is no stored
+    # monomial, whatever its fields would pack to: with 5-bit fields,
+    # (32, -33, 1) has degree 0 and sums to the constant's fields
+    outside = (-1, 2, 0), (32, -33, 1), (0, -1, 0), (18, 0, 0), (32, 0, 0), (17, 1, 0), (1, 31, 0)
+    for exp in outside:
+        assert f.coefficient(exp) == zero, exp
+    assert f.coefficient((17, 0, 0)) == GaussianRational(2)
+    assert f.coefficient_of_var("y") == GaussianRational(3)
+    assert JetRing(("x",), 0).one().coefficient_of_var("x") == zero
+
+
+@pytest.mark.parametrize("field", [EXACT_FIELD, FLOAT_FIELD], ids=["exact", "float"])
+def test_linear_form_is_its_constant_plus_each_term(field):
+    ring = JetRing(("a", "b", "c", "d"), 17, field)
+    coeffs = {"c": Fraction(-3, 4), "a": Fraction(0), "d": Fraction(5, 2), "b": Fraction(1, 3)}
+    for constant in (1, 0, Fraction(-2, 9)):
+        summed = ring.constant(constant)
+        for name, c in coeffs.items():
+            summed = summed + ring.variable(name) * c
+        form = ring.linear_form(coeffs, constant=constant)
+        assert _bits(_pairs(form)) == _bits(_pairs(summed))
+        assert form._den == summed._den
+
+
+def test_ring_key_layout_stays_out_of_equality():
+    a, b = JetRing(("t", "u"), 4), JetRing(["t", "u"], 4)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert repr(a) == f"JetRing(variables=('t', 'u'), order=4, field={EXACT_FIELD!r})"
+    assert a.variable("t") + b.variable("u") == a.jet({(1, 0): 1, (0, 1): 1})
+    assert JetRing(("t", "u"), 8) != a
