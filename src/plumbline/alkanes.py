@@ -19,6 +19,7 @@ oracle: ``selftest`` runs it for small genus, the tests for genus <= 7.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
@@ -82,11 +83,7 @@ class Alkane:
         return adj
 
     def degrees(self) -> Dict[int, int]:
-        deg = {v: 0 for v in range(1, self.genus + 1)}
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return {v: len(nbrs) for v, nbrs in self.adjacency().items()}
 
     @classmethod
     def chain(cls, g: int) -> "Alkane":
@@ -115,36 +112,24 @@ def _rooted_code(adj: Dict[int, List[int]], root: int, parent: int | None = None
 
 
 def _centroids(a: Alkane) -> List[int]:
-    g = a.genus
-    if g == 1:
-        return [1]
+    """The vertices whose deletion leaves the smallest largest component."""
     adj = a.adjacency()
-    size = {}
-
-    def subtree(v: int, parent: int | None):
-        s = 1
+    order, parent = [1], {1: None}  # breadth-first from vertex 1
+    for v in order:
         for w in adj[v]:
-            if w != parent:
-                s += subtree(w, v)
-        size[(v, parent)] = s
-        return s
-
-    subtree(1, None)
-
-    best, out = g + 1, []
-    for v in range(1, g + 1):
-        # max component of the forest left by deleting v
-        worst = 0
-        for w in adj[v]:
-            s = size.get((w, v))
-            if s is None:
-                s = g - size[(v, w)]
-            worst = max(worst, s)
-        if worst < best:
-            best, out = worst, [v]
-        elif worst == best:
-            out.append(v)
-    return out
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    size = dict.fromkeys(order, 1)  # subtree sizes, leaves first
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    # deleting v leaves its child subtrees and, above it, the rest
+    worst = {
+        v: max([a.genus - size[v]] + [size[w] for w in adj[v] if w != parent[v]])
+        for v in order
+    }
+    best = min(worst.values())
+    return sorted(v for v in order if worst[v] == best)
 
 
 def canonical_code(a: Alkane) -> str:
@@ -279,14 +264,10 @@ def prufer_decode(seq: Sequence[int], n: int) -> List[Edge]:
     """Labeled tree on 1..n from a Pruefer sequence of length n-2."""
     if n == 1:
         return []
-    if n == 2:
-        return [(1, 2)]
     degree = [1] * (n + 1)
     for v in seq:
         degree[v] += 1
     edges = []
-    import heapq
-
     leaves = [v for v in range(1, n + 1) if degree[v] == 1]
     heapq.heapify(leaves)
     for v in seq:
@@ -305,8 +286,6 @@ def brute_force_alkane_codes(g: int) -> FrozenSet[str]:
     Pruefer sequence.  Feasible only for small g (g^(g-2) sequences)."""
     if g == 1:
         return frozenset({"()"})
-    if g == 2:
-        return frozenset({canonical_code(Alkane(2, [(1, 2)]))})
     codes = set()
     for seq in itertools.product(range(1, g + 1), repeat=g - 2):
         # degree of v is 1 + multiplicity in the sequence

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import traceback
 from fractions import Fraction
@@ -42,7 +41,7 @@ from .curve_periods import (
 from .elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
 from .errors import PlumblineError
 from .gaussian import GaussianRational
-from .jets import DEFAULT_TOLERANCE, EXACT_FIELD, CoefficientField, FieldKind, JetRing
+from .jets import EXACT_FIELD, FLOAT_FIELD, CoefficientField, JetRing
 from .relations import verify_asymptotic_vanishing
 from .sampling import random_star_config, random_surface_model, substream
 from .surfaces import (
@@ -61,21 +60,8 @@ class ConfigError(Exception):
     pass
 
 
-def _float_field() -> CoefficientField:
-    text = os.environ.get("PLUMBLINE_TOL")
-    if not text:
-        return CoefficientField(FieldKind.COMPLEX_FLOAT, DEFAULT_TOLERANCE)
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not 0 < tol < math.inf:
-        raise ConfigError(f"PLUMBLINE_TOL must be a finite number > 0, got {text!r}")
-    return CoefficientField(FieldKind.COMPLEX_FLOAT, tol)
-
-
 def _field(exact: bool) -> CoefficientField:
-    return EXACT_FIELD if exact else _float_field()
+    return EXACT_FIELD if exact else FLOAT_FIELD
 
 
 def _positive_int(text: str) -> int:

@@ -22,9 +22,7 @@ def _as_fraction(x, what: str) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"{what} must be an int, Fraction or 'p/q' string, not {type(x).__name__}")
+    raise TypeError(f"{what} must be an int or a Fraction, not {type(x).__name__}")
 
 
 class GaussianRational:

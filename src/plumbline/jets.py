@@ -8,7 +8,7 @@ degree exceeds the order.  Two coefficient fields are supported:
   literal;
 * float: ordinary Python complex, zero-tests are relative to the largest
   coefficient modulus of the jet being tested (the field's tolerance,
-  default 1e-10).
+  1e-10).
 
 A jet stores its coefficients as (re, im) pairs over one positive integer
 denominator, as FLINT's ``fmpq_poly`` does: Gaussian integers over a common
@@ -342,13 +342,15 @@ class Jet:
             other = self._wrap(other)
         except TypeError:
             return NotImplemented
-        a, b, den = self._terms, other._terms, self._den
-        if other._den != den:
-            den = lcm(den, other._den)
-            a = {key: _scaled(c, den // self._den) for key, c in a.items()}
-            b = {key: _scaled(c, den // other._den) for key, c in b.items()}
-        terms = dict(a)
-        for key, (br, bi) in b.items():
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, den // other._den
+        if fa == 1:
+            terms = dict(self._terms)
+        else:
+            terms = {key: (re * fa, im * fa) for key, (re, im) in self._terms.items()}
+        for key, (br, bi) in other._terms.items():
+            if fb != 1:
+                br, bi = br * fb, bi * fb
             s = terms.get(key)
             if s is None:
                 terms[key] = br, bi

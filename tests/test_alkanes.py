@@ -12,6 +12,7 @@ from plumbline import checks
 from plumbline.alkanes import (
     MAX_CARBON_DEGREE,
     Alkane,
+    _centroids,
     alkane_from_code,
     brute_force_alkane_count,
     canonical_code,
@@ -181,6 +182,33 @@ def test_canonical_code_relabeling_invariance():
         b = _relabel(a, {i + 1: perm[i] for i in range(g)})
         assert canonical_code(a) == canonical_code(b)
         trials += 1
+
+
+def _centroids_by_definition(a):
+    """Delete each vertex in turn and measure the components left; the
+    centroids are the vertices whose largest component is smallest."""
+    worst = {}
+    for v in range(1, a.genus + 1):
+        forest = nx.Graph()
+        forest.add_nodes_from(range(1, a.genus + 1))
+        forest.add_edges_from(a.edges)
+        forest.remove_node(v)
+        worst[v] = max((len(c) for c in nx.connected_components(forest)), default=0)
+    best = min(worst.values())
+    return [v for v in sorted(worst) if worst[v] == best]
+
+
+def test_centroids_match_their_definition():
+    rng = random.Random(1017)
+    checked = 0
+    for g in range(1, 11):
+        for a in enumerate_alkanes(g):
+            perm = list(range(1, g + 1))
+            rng.shuffle(perm)
+            for b in (a, _relabel(a, {i + 1: perm[i] for i in range(g)})):
+                assert _centroids(b) == _centroids_by_definition(b), b.edges
+                checked += 1
+    assert checked == 2 * sum(EXPECTED[:10])
 
 
 def test_path_relabelings_share_code():

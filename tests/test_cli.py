@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plumbline import relations
-from plumbline.cli import _float_field, _parse_value, main
+from plumbline.cli import _parse_value, main
+from plumbline.jets import FLOAT_FIELD, CoefficientField, FieldKind, JetRing
 
 PAIR_CONFIG = {
     "t": "t",
@@ -504,9 +505,8 @@ def test_numeric_config_values_keep_their_floats(x, y):
     # a JSON number is read as the decimal it prints as and rounded once by
     # the float field, so it comes back as the float it was; x + 0.0 drops
     # the sign of a zero, which a rational cannot carry
-    field = _float_field()
     for value, old in ((x, complex(x)), ([x, y], complex(x, y))):
-        new = field.coerce(_parse_value(value, "x"))
+        new = FLOAT_FIELD.coerce(_parse_value(value, "x"))
         assert (new.real.hex(), new.imag.hex()) == (old.real.hex(), old.imag.hex())
 
 
@@ -671,39 +671,33 @@ def test_selftest_corrupted_octic_fails(tmp_path):
     assert "cone_vanishing" in failing and "star_on_cone" in failing
 
 
-def test_tolerance_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("PLUMBLINE_TOL", "1e-6")
-    assert _float_field().tolerance == 1e-6
-    monkeypatch.delenv("PLUMBLINE_TOL")
-    assert _float_field().tolerance == 1e-10
-    # a tolerance that is not a finite number > 0 is a config error
-    argv = ["relations", "verify", "--genus", "4", "--trials", "1", "--numeric"]
-    for bad in ("abc", "nan", "-1", "0", "inf"):
-        monkeypatch.setenv("PLUMBLINE_TOL", bad)
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (2, ""), bad
-        assert "config error: PLUMBLINE_TOL" in captured.err, bad
-
-
-def test_tolerance_env_reaches_zero_tests(monkeypatch, capsys):
+def test_field_tolerance_reaches_zero_tests():
     from plumbline.curve_periods import PeriodMatrixJet, derivative_rank_one_check
-    from plumbline.jets import JetRing
+    from plumbline.relations import verify_asymptotic_vanishing
+    from plumbline.sampling import random_star_config, substream
 
     # float octic residues sit far above 1e-30 of their scale, so under that
-    # tolerance the jet check finds survivors below degree 17 and fails
-    argv = ["relations", "verify", "--genus", "4", "--trials", "2", "--seed", "1", "--numeric"]
-    code, report = _run(capsys, argv)
-    assert (code, report["pass"]) == (0, True)
-    monkeypatch.setenv("PLUMBLINE_TOL", "1e-30")
-    code, report = _run(capsys, argv)
-    assert (code, report["pass"]) == (1, False)
-    assert all(t["min_surviving_degree"] <= 16 for t in report["trials"])
+    # tolerance the jet check finds survivors below degree 17 and fails; the
+    # trials are those of relations verify --genus 4 --trials 2 --seed 1
+    def octic_reports(field):
+        return [
+            verify_asymptotic_vanishing(
+                random_star_config(4, substream(1, f"relations:config:{trial}")),
+                seed=f"1:relations:perturb:{trial}",
+                field=field,
+            )
+            for trial in range(2)
+        ]
+
+    assert all(rep.passed for rep in octic_reports(FLOAT_FIELD))
+    tight = octic_reports(CoefficientField(FieldKind.COMPLEX_FLOAT, 1e-30))
+    assert not any(rep.passed for rep in tight)
+    assert all(rep.min_surviving_degree <= 16 for rep in tight)
 
     # the t-coefficients [[1, 1], [1, 1 + 1e-8]] have the one 2x2 minor 1e-8:
-    # rank 1 under PLUMBLINE_TOL=1e-6, rank 2 under the default 1e-10
-    def rank_one():
-        ring = JetRing(("t",), 1, _float_field())
+    # rank 1 at tolerance 1e-6, rank 2 at the fixed 1e-10
+    def rank_one(field):
+        ring = JetRing(("t",), 1, field)
         t = ring.variable("t")
         entries = {
             (1, 1): ring.constant(1j) + t,
@@ -712,10 +706,8 @@ def test_tolerance_env_reaches_zero_tests(monkeypatch, capsys):
         }
         return derivative_rank_one_check(PeriodMatrixJet(entries), "t")
 
-    monkeypatch.setenv("PLUMBLINE_TOL", "1e-6")
-    assert rank_one()
-    monkeypatch.delenv("PLUMBLINE_TOL")
-    assert not rank_one()
+    assert rank_one(CoefficientField(FieldKind.COMPLEX_FLOAT, 1e-6))
+    assert not rank_one(FLOAT_FIELD)
 
 
 # ---------------------------------------------------------------------------
@@ -785,6 +777,21 @@ def test_reports_do_not_depend_on_the_hash_seed(hash_seed):
         )
         assert run.returncode == 0, run.stderr
         assert hashlib.sha256(run.stdout).hexdigest() == digest, argv
+
+
+@pytest.mark.parametrize("value", ["1e300", "1e-30", "abc"])
+def test_reports_ignore_the_tolerance_variable(value):
+    # the float tolerance is fixed at 1e-10; a PLUMBLINE_TOL left in the
+    # environment by an older release neither passes nor fails a check
+    env = {**os.environ, "PLUMBLINE_TOL": value, "PYTHONPATH": str(SRC)}
+    argv = ["relations", "verify", "--genus", "7", "--trials", "3", "--seed", "5", "--numeric"]
+    digest = {tuple(a): d for a, d in PINNED_REPORTS}[tuple(argv)]
+    run = subprocess.run(
+        [sys.executable, "-m", "plumbline.cli", *argv],
+        capture_output=True, env=env, timeout=120, check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    assert hashlib.sha256(run.stdout).hexdigest() == digest
 
 
 def test_pinned_reports_script_reads_this_table():

@@ -137,6 +137,15 @@ def test_exact_field_refuses_floats(ring1):
         ring1.constant(0.5)
 
 
+@pytest.mark.parametrize("part", [0.5, "1/2"])
+def test_gaussian_rational_takes_only_ints_and_fractions(part):
+    # config strings are parsed before they reach the constructor
+    with pytest.raises(TypeError, match="must be an int or a Fraction"):
+        GaussianRational(part)
+    with pytest.raises(TypeError, match="imaginary part"):
+        GaussianRational(1, part)
+
+
 def test_duplicate_variables_rejected():
     with pytest.raises(StructureError):
         JetRing(("t", "t"), 1)

@@ -1,5 +1,6 @@
 """The package runtime is stdlib-only: every import in src/plumbline is a
-standard-library module or plumbline itself."""
+standard-library module or plumbline itself.  And it reads no environment
+variable, so argv, the config and --seed fix every report."""
 
 import ast
 import sys
@@ -28,3 +29,26 @@ def test_runtime_imports_are_stdlib_only():
         if name != "plumbline" and name not in sys.stdlib_module_names
     }
     assert not foreign, sorted(foreign)
+
+
+def _environment_reads(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or "", *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        for name in names:
+            if name.partition(".")[0] == "os" or name in ("environ", "getenv"):
+                yield f"{path.name}:{node.lineno}: {name}"
+
+
+def test_reports_do_not_read_the_environment():
+    # a report depends only on argv, the config and --seed
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _environment_reads(path)]
+    assert not found, found
