@@ -21,10 +21,10 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import RangeError, StructureError
+from .frozen import Frozen
 
 MAX_CARBON_DEGREE = 4
 GENUS_CAP = 16  # the largest genus enumerated
@@ -44,23 +44,23 @@ def _normalize_edges(edges: Iterable[Sequence[int]]) -> Tuple[Edge, ...]:
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class Alkane:
+class Alkane(Frozen):
     """Labeled representative of a max-degree-4 free tree on {1..genus}."""
 
-    genus: int
-    edges: Tuple[Edge, ...]
+    __slots__ = _fields = ("genus", "edges")
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", _normalize_edges(self.edges))
-        g = self.genus
+    def __init__(self, genus: int, edges: Iterable[Sequence[int]]):
+        edges = _normalize_edges(edges)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "edges", edges)
+        g = genus
         if g < 1:
             raise RangeError(f"genus must be >= 1, got {g}")
-        if len(self.edges) != g - 1:
-            raise StructureError(f"{len(self.edges)} edges on {g} vertices is not a tree")
-        adj = self.adjacency()
-        if any(v < 1 or v > g for e in self.edges for v in e):
+        if len(edges) != g - 1:
+            raise StructureError(f"{len(edges)} edges on {g} vertices is not a tree")
+        if any(v < 1 or v > g for e in edges for v in e):
             raise StructureError("edge endpoint outside 1..genus")
+        adj = self.adjacency()
         if any(len(nbrs) > MAX_CARBON_DEGREE for nbrs in adj.values()):
             raise StructureError("vertex of degree > 4")
         # connectivity (with the right edge count this also rules out cycles)

@@ -21,13 +21,11 @@ import argparse
 import json
 import math
 import sys
-import traceback
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple, TypeVar
 
 from . import __version__
 from .alkanes import Alkane, canonical_code, count_alkanes, enumerate_alkanes
-from .checks import CHECKS
 from .curve_periods import (
     CurveBlock,
     PairPlumbing,
@@ -147,9 +145,11 @@ def _parse_curve(d, path: str) -> MarkedEllipticCurve:
     return MarkedEllipticCurve(tau, marks)
 
 
-def _parse_pair_side(d, mark: int, path: str):
+def _parse_pair_side(d, path: str, mark, mark_key: str):
     d = _parse_object(d, path, "tau and marks, or block and omega")
     if "block" in d:
+        if type(mark) is not int or mark != 0:
+            raise ConfigError(f"{mark_key}: mark index {mark!r} on a block, which has no marks")
         rows = _parse_list(d["block"], f"{path}.block", "rows")
         block = tuple(
             tuple(
@@ -163,14 +163,16 @@ def _parse_pair_side(d, mark: int, path: str):
         return CurveBlock(block, omega)
     curve = _parse_curve(d, path)
     if type(mark) is not int or not 0 <= mark < len(curve.marks):
-        raise ConfigError(f"mark index {mark!r} on a curve with {len(curve.marks)} marks")
+        raise ConfigError(
+            f"{mark_key}: mark index {mark!r} on a curve with {len(curve.marks)} marks"
+        )
     return curve
 
 
 def _parse_pair(cfg: dict) -> PairPlumbing:
     mark_a, mark_b = cfg.get("mark_a", 0), cfg.get("mark_b", 0)
-    side_a = _parse_pair_side(cfg["curve_a"], mark_a, "curve_a")
-    side_b = _parse_pair_side(cfg["curve_b"], mark_b, "curve_b")
+    side_a = _parse_pair_side(cfg["curve_a"], "curve_a", mark_a, "mark_a")
+    side_b = _parse_pair_side(cfg["curve_b"], "curve_b", mark_b, "mark_b")
     return PairPlumbing(side_a, side_b, _parse_name(cfg.get("t", "t"), "t"), mark_a, mark_b)
 
 
@@ -347,6 +349,8 @@ def cmd_surfaces_egamma(args):
 
 
 def cmd_selftest(args):
+    from .checks import CHECKS  # only selftest runs them; other commands skip the import
+
     variant = "printed" if args.inject_corrupted_octic else "corrected"
     results = []
     for name, check in CHECKS:
@@ -451,6 +455,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _internal_error() -> int:
+    import traceback  # only the internal-error path prints one
+
     _say("internal error: this is a bug in plumbline, not bad input")
     traceback.print_exc()
     return 3

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .alkanes import Alkane, canonical_code
 from .elliptic import MarkedEllipticCurve, TauPoint, TwoTorsionLabel
 from .errors import DegenerateDataError, RangeError, StructureError
+from .frozen import Frozen
 from .jets import CoefficientField, Jet, JetRing
 
 
@@ -40,23 +40,25 @@ def _two_pi_i(field: CoefficientField):
 # configurations
 
 
-@dataclass(frozen=True)
-class CurveBlock:
+class CurveBlock(Frozen):
     """A constant symmetric period block with the form values at the
     attachment point.  An elliptic curve is the 1x1 case."""
 
-    tau_block: Tuple[Tuple[object, ...], ...]
-    omega_at_point: Tuple[object, ...]
+    __slots__ = _fields = ("tau_block", "omega_at_point")
 
-    def __post_init__(self):
-        g = len(self.tau_block)
-        if g == 0 or any(len(row) != g for row in self.tau_block):
+    def __init__(
+        self, tau_block: Tuple[Tuple[object, ...], ...], omega_at_point: Tuple[object, ...]
+    ):
+        object.__setattr__(self, "tau_block", tau_block)
+        object.__setattr__(self, "omega_at_point", omega_at_point)
+        g = len(tau_block)
+        if g == 0 or any(len(row) != g for row in tau_block):
             raise StructureError("tau block must be square and nonempty")
-        if len(self.omega_at_point) != g:
+        if len(omega_at_point) != g:
             raise StructureError("omega vector length must match block size")
         for i in range(g):
             for j in range(g):
-                if self.tau_block[i][j] != self.tau_block[j][i]:
+                if tau_block[i][j] != tau_block[j][i]:
                     raise StructureError("tau block must be symmetric")
 
 
@@ -69,34 +71,43 @@ def _as_block(side: PairSide, mark_index: int) -> CurveBlock:
     return CurveBlock(((side.tau.value,),), (side.mark_value(mark_index),))
 
 
-@dataclass(frozen=True)
-class PairPlumbing:
-    curve_a: PairSide
-    curve_b: PairSide
-    t: str
-    mark_a: int = 0
-    mark_b: int = 0
+class PairPlumbing(Frozen):
+    __slots__ = _fields = ("curve_a", "curve_b", "t", "mark_a", "mark_b")
+
+    def __init__(
+        self, curve_a: PairSide, curve_b: PairSide, t: str, mark_a: int = 0, mark_b: int = 0
+    ):
+        object.__setattr__(self, "curve_a", curve_a)
+        object.__setattr__(self, "curve_b", curve_b)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "mark_a", mark_a)
+        object.__setattr__(self, "mark_b", mark_b)
 
 
-@dataclass(frozen=True)
-class StarConfig:
+class StarConfig(Frozen):
     """g elliptic tails attached to a projective line at b_1..b_g."""
 
-    curves: Tuple[MarkedEllipticCurve, ...]
-    attach_points: Tuple[object, ...]
-    variables: Tuple[str, ...]
+    __slots__ = _fields = ("curves", "attach_points", "variables")
 
-    def __post_init__(self):
-        g = len(self.curves)
-        if len(self.attach_points) != g or len(self.variables) != g:
+    def __init__(
+        self,
+        curves: Tuple[MarkedEllipticCurve, ...],
+        attach_points: Tuple[object, ...],
+        variables: Tuple[str, ...],
+    ):
+        object.__setattr__(self, "curves", curves)
+        object.__setattr__(self, "attach_points", attach_points)
+        object.__setattr__(self, "variables", variables)
+        g = len(curves)
+        if len(attach_points) != g or len(variables) != g:
             raise StructureError("curves, attach points and variables must align")
         if g < 2:
             raise RangeError("a star needs at least two tails")
         for i in range(g):
-            if not self.curves[i].marks:
+            if not curves[i].marks:
                 raise StructureError(f"curve {i + 1} carries no mark")
             for j in range(i + 1, g):
-                if self.attach_points[i] == self.attach_points[j]:
+                if attach_points[i] == attach_points[j]:
                     raise DegenerateDataError(
                         f"attachment points {i + 1} and {j + 1} coincide"
                     )
@@ -106,38 +117,50 @@ class StarConfig:
         return len(self.curves)
 
 
-@dataclass(frozen=True)
-class TreeEdgeData:
+class TreeEdgeData(Frozen):
     """Plumbing data of one alkane edge {i,j} with i < j: the jet variable
     and, per endpoint, the 2-torsion attachment label and the local
     coordinate's leading coefficient."""
 
-    var: str
-    label_low: TwoTorsionLabel
-    coeff_low: object
-    label_high: TwoTorsionLabel
-    coeff_high: object
+    __slots__ = _fields = ("var", "label_low", "coeff_low", "label_high", "coeff_high")
 
-    def __post_init__(self):
-        if not self.coeff_low or not self.coeff_high:
+    def __init__(
+        self,
+        var: str,
+        label_low: TwoTorsionLabel,
+        coeff_low: object,
+        label_high: TwoTorsionLabel,
+        coeff_high: object,
+    ):
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "label_low", label_low)
+        object.__setattr__(self, "coeff_low", coeff_low)
+        object.__setattr__(self, "label_high", label_high)
+        object.__setattr__(self, "coeff_high", coeff_high)
+        if not coeff_low or not coeff_high:
             raise DegenerateDataError("zero leading coefficient at an attachment mark")
 
 
-@dataclass(frozen=True)
-class TreeConfig:
-    alkane: Alkane
-    taus: Tuple[TauPoint, ...]
-    edge_data: Mapping[Tuple[int, int], TreeEdgeData]
+class TreeConfig(Frozen):
+    __slots__ = _fields = ("alkane", "taus", "edge_data")
 
-    def __post_init__(self):
-        g = self.alkane.genus
-        if len(self.taus) != g:
-            raise StructureError(f"{len(self.taus)} curves for a genus-{g} alkane")
-        object.__setattr__(self, "edge_data", dict(self.edge_data))
-        if set(self.edge_data) != set(self.alkane.edges):
+    def __init__(
+        self,
+        alkane: Alkane,
+        taus: Tuple[TauPoint, ...],
+        edge_data: Mapping[Tuple[int, int], TreeEdgeData],
+    ):
+        object.__setattr__(self, "alkane", alkane)
+        object.__setattr__(self, "taus", taus)
+        g = alkane.genus
+        if len(taus) != g:
+            raise StructureError(f"{len(taus)} curves for a genus-{g} alkane")
+        edge_data = dict(edge_data)
+        object.__setattr__(self, "edge_data", edge_data)
+        if set(edge_data) != set(alkane.edges):
             raise StructureError("edge data keys do not match the alkane's edge set")
         per_vertex: Dict[int, List[TwoTorsionLabel]] = {}
-        for (i, j), data in self.edge_data.items():
+        for (i, j), data in edge_data.items():
             per_vertex.setdefault(i, []).append(data.label_low)
             per_vertex.setdefault(j, []).append(data.label_high)
         for v, labels in per_vertex.items():
@@ -157,11 +180,12 @@ def _upper_pairs(g: int):
     return ((i, j) for i in range(1, g + 1) for j in range(i, g + 1))
 
 
-class PeriodMatrixJet:
+class PeriodMatrixJet(Frozen):
     """Symmetric matrix of jets, stored once per unordered pair: ``entries``
     maps each 1-based (i, j) with i <= j to its jet."""
 
     __slots__ = ("genus", "entries", "meta")
+    _fields = ("entries", "meta")
 
     def __init__(self, entries: Mapping[Tuple[int, int], Jet], meta: Optional[dict] = None):
         entries = dict(entries)
@@ -171,9 +195,6 @@ class PeriodMatrixJet:
         object.__setattr__(self, "genus", g)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "meta", dict(meta or {}))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PeriodMatrixJet is immutable")
 
     @property
     def ring(self) -> JetRing:

@@ -12,21 +12,21 @@ float is made only where a jet ring's coefficient field coerces one.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Iterable, Union
 
 from .errors import DegenerateDataError, RangeError
+from .frozen import Frozen
 from .gaussian import GaussianRational
 
 
-@dataclass(frozen=True)
-class TauPoint:
-    value: GaussianRational
+class TauPoint(Frozen):
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self):
-        if self.value.im <= 0:
-            raise RangeError(f"tau must have positive imaginary part, got {self.value}")
+    def __init__(self, value: GaussianRational):
+        object.__setattr__(self, "value", value)
+        if value.im <= 0:
+            raise RangeError(f"tau must have positive imaginary part, got {value}")
 
 
 class TwoTorsionLabel(enum.Enum):
@@ -48,13 +48,13 @@ class TwoTorsionLabel(enum.Enum):
 MarkPoint = Union[TwoTorsionLabel, GaussianRational]
 
 
-@dataclass(frozen=True)
-class Mark:
-    point: MarkPoint
-    coord_leading_coeff: GaussianRational
+class Mark(Frozen):
+    __slots__ = _fields = ("point", "coord_leading_coeff")
 
-    def __post_init__(self):
-        if not self.coord_leading_coeff:
+    def __init__(self, point: MarkPoint, coord_leading_coeff: GaussianRational):
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "coord_leading_coeff", coord_leading_coeff)
+        if not coord_leading_coeff:
             raise DegenerateDataError("local coordinate with zero leading coefficient")
 
 
@@ -63,18 +63,18 @@ def normalized_form_value(m: Mark) -> GaussianRational:
     return 1 / m.coord_leading_coeff
 
 
-@dataclass(frozen=True)
-class MarkedEllipticCurve:
-    tau: TauPoint
-    marks: Tuple[Mark, ...] = field(default_factory=tuple)
+class MarkedEllipticCurve(Frozen):
+    __slots__ = _fields = ("tau", "marks")
 
-    def __post_init__(self):
-        object.__setattr__(self, "marks", tuple(self.marks))
+    def __init__(self, tau: TauPoint, marks: Iterable[Mark] = ()):
+        marks = tuple(marks)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "marks", marks)
         reps = [
-            m.point.representative(self.tau.value)
+            m.point.representative(tau.value)
             if isinstance(m.point, TwoTorsionLabel)
             else m.point
-            for m in self.marks
+            for m in marks
         ]
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):

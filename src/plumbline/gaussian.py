@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
+from .frozen import Frozen
+
 RationalLike = Union[int, Fraction]
 
 _ZERO = Fraction(0)
@@ -25,15 +27,12 @@ def _as_fraction(x, what: str) -> Fraction:
     raise TypeError(f"{what} must be an int or a Fraction, not {type(x).__name__}")
 
 
-class GaussianRational:
-    __slots__ = ("re", "im")
+class GaussianRational(Frozen):
+    __slots__ = _fields = ("re", "im")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
         object.__setattr__(self, "re", _as_fraction(re, "real part"))
         object.__setattr__(self, "im", _as_fraction(im, "imaginary part"))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
 
     # -- arithmetic ---------------------------------------------------
 

@@ -51,13 +51,13 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import RangeError, StructureError
+from .frozen import Frozen
 from .gaussian import GaussianRational
 
 DEFAULT_TOLERANCE = 1e-10
@@ -71,10 +71,12 @@ class FieldKind(enum.Enum):
     COMPLEX_FLOAT = "float"
 
 
-@dataclass(frozen=True)
-class CoefficientField:
-    kind: FieldKind
-    tolerance: float = DEFAULT_TOLERANCE
+class CoefficientField(Frozen):
+    __slots__ = _fields = ("kind", "tolerance")
+
+    def __init__(self, kind: FieldKind, tolerance: float = DEFAULT_TOLERANCE):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "tolerance", tolerance)
 
     @property
     def is_exact(self) -> bool:
@@ -153,23 +155,26 @@ EXACT_FIELD = CoefficientField(FieldKind.EXACT_GAUSSIAN_RATIONAL)
 FLOAT_FIELD = CoefficientField(FieldKind.COMPLEX_FLOAT)
 
 
-@dataclass(frozen=True)
-class JetRing:
-    variables: Tuple[str, ...]
-    order: int
-    field: CoefficientField = EXACT_FIELD
+class JetRing(Frozen):
+    # width and shift, the packed key layout (module docstring), are not
+    # fields: equality, hashing and repr stay those of (variables, order, field)
+    __slots__ = ("variables", "order", "field", "width", "shift")
+    _fields = ("variables", "order", "field")
 
-    def __post_init__(self):
-        if len(set(self.variables)) != len(self.variables):
-            raise StructureError(f"duplicate variable names in {self.variables}")
-        if self.order < 0:
-            raise RangeError(f"truncation order must be >= 0, got {self.order}")
-        object.__setattr__(self, "variables", tuple(self.variables))
-        # the packed key layout (module docstring): not fields, so equality,
-        # hashing and repr stay those of (variables, order, field)
-        width = max(1, self.order.bit_length())
+    def __init__(
+        self, variables: Sequence[str], order: int, field: CoefficientField = EXACT_FIELD
+    ):
+        if len(set(variables)) != len(variables):
+            raise StructureError(f"duplicate variable names in {variables}")
+        if order < 0:
+            raise RangeError(f"truncation order must be >= 0, got {order}")
+        variables = tuple(variables)
+        width = max(1, order.bit_length())
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "field", field)
         object.__setattr__(self, "width", width)
-        object.__setattr__(self, "shift", width * len(self.variables))
+        object.__setattr__(self, "shift", width * len(variables))
 
     def var_index(self, name: str) -> int:
         try:
@@ -246,10 +251,10 @@ def _scaled(pair: Pair, factor: int) -> Pair:
     return pair if factor == 1 else (pair[0] * factor, pair[1] * factor)
 
 
-class Jet:
+class Jet(Frozen):
     """Immutable sparse truncated polynomial over its ring's field."""
 
-    __slots__ = ("ring", "_terms", "_den")
+    __slots__ = _fields = ("ring", "_terms", "_den")
 
     def __init__(self, ring: JetRing, terms: Dict[int, Pair], den: int = 1):
         """``terms`` maps packed monomial keys to nonzero (re, im) pairs,
@@ -258,9 +263,6 @@ class Jet:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Jet is immutable")
 
     # -- inspection ---------------------------------------------------
 

@@ -21,13 +21,13 @@ checked coefficient-by-coefficient through a given total degree.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .curve_periods import StarConfig, star_period_leading
 from .errors import DegenerateDataError, RangeError, StructureError
+from .frozen import Frozen
 from .jets import EXACT_FIELD, Jet, JetRing, lookahead_product
 
 OCTIC_VARIANTS = ("corrected", "printed")
@@ -108,13 +108,22 @@ MOD_T9_SAFE_DEGREE = 16  # octic monomials have parameter degree 16; corrections
 ORDER = MOD_T9_SAFE_DEGREE + 1  # the smallest ring that can report the first survivor
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
-    genus: int
-    mode: str
-    octics_checked: int
-    passed: bool
-    min_surviving_degree: Optional[int]
+class AsymptoticReport(Frozen):
+    __slots__ = _fields = ("genus", "mode", "octics_checked", "passed", "min_surviving_degree")
+
+    def __init__(
+        self,
+        genus: int,
+        mode: str,
+        octics_checked: int,
+        passed: bool,
+        min_surviving_degree: Optional[int],
+    ):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "octics_checked", octics_checked)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "min_surviving_degree", min_surviving_degree)
 
     def to_json_dict(self) -> dict:
         return {

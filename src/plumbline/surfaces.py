@@ -16,11 +16,11 @@ fraction-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .alkanes import Alkane
 from .errors import RangeError, StructureError
+from .frozen import Frozen
 
 # ---------------------------------------------------------------------------
 # dimension formulas
@@ -67,8 +67,7 @@ def dim_W(h_parts: Sequence[int]) -> int:
 BLOCK_COLS = 15
 
 
-@dataclass(frozen=True)
-class EdgeData:
+class EdgeData(Frozen):
     """Data of one configuration edge {i,j}, i < j.
 
     ``omega`` is the signed pair (omega_i(P_ij), -omega_j(P_ji)) of
@@ -78,16 +77,22 @@ class EdgeData:
     zeros.  Every entry is an int or a ``Fraction``.
     """
 
-    edge: Tuple[int, int]
-    omega: Tuple[object, object]
-    i_vectors: Tuple[Tuple[object, ...], Tuple[object, ...]]
+    __slots__ = _fields = ("edge", "omega", "i_vectors")
 
-    def __post_init__(self):
-        i, j = self.edge
+    def __init__(
+        self,
+        edge: Tuple[int, int],
+        omega: Tuple[object, object],
+        i_vectors: Sequence[Sequence[object]],
+    ):
+        object.__setattr__(self, "edge", edge)
+        object.__setattr__(self, "omega", omega)
+        i, j = edge
         if i >= j:
-            raise StructureError(f"edge must be stored low-high, got {self.edge}")
-        object.__setattr__(self, "i_vectors", tuple(tuple(v) for v in self.i_vectors))
-        for name, iv in zip(("low", "high"), self.i_vectors):
+            raise StructureError(f"edge must be stored low-high, got {edge}")
+        i_vectors = tuple(tuple(v) for v in i_vectors)
+        object.__setattr__(self, "i_vectors", i_vectors)
+        for name, iv in zip(("low", "high"), i_vectors):
             if len(iv) != BLOCK_COLS:
                 raise StructureError(
                     f"I vector on the {name} side has length {len(iv)}, "
@@ -99,18 +104,18 @@ class EdgeData:
                 )
 
 
-@dataclass(frozen=True)
-class SurfaceGraphModel:
+class SurfaceGraphModel(Frozen):
     """Alkane-shaped configuration of genus-1 surface blocks with per-edge data."""
 
-    alkane: Alkane
-    edge_data: Mapping[Tuple[int, int], EdgeData]
+    __slots__ = _fields = ("alkane", "edge_data")
 
-    def __post_init__(self):
-        object.__setattr__(self, "edge_data", dict(self.edge_data))
-        if set(self.edge_data) != set(self.alkane.edges):
+    def __init__(self, alkane: Alkane, edge_data: Mapping[Tuple[int, int], EdgeData]):
+        edge_data = dict(edge_data)
+        object.__setattr__(self, "alkane", alkane)
+        object.__setattr__(self, "edge_data", edge_data)
+        if set(edge_data) != set(alkane.edges):
             raise StructureError("edge data keys do not match the alkane's edge set")
-        for (i, j), data in self.edge_data.items():
+        for (i, j), data in edge_data.items():
             if data.edge != (i, j):
                 raise StructureError(f"edge data stored under {(i, j)} claims edge {data.edge}")
 

@@ -290,6 +290,9 @@ def test_structural_validation():
         Alkane(6, [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6)])  # degree 5
     with pytest.raises(StructureError):
         Alkane(2, [(1, 1)])
+    for edges in ([(1, 2), (2, 4)], [(0, 1), (1, 2)]):
+        with pytest.raises(StructureError, match="edge endpoint outside 1..genus"):
+            Alkane(3, edges)
 
 
 def test_prufer_decode_cayley_count():

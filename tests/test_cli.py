@@ -100,7 +100,7 @@ MALFORMED_CONFIGS = [
     ("tree", json.dumps(_with(TREE_CONFIG, ["edge_data", 0, "low", "label"], "Bogus")), ""),
     ("pair", json.dumps([PAIR_CONFIG]), ""),
     ("pair", json.dumps({**PAIR_CONFIG, "curve_b": {"tau": ["0", "2"]}}), ""),
-    ("pair", json.dumps({**PAIR_CONFIG, "mark_a": 0.5}), ""),
+    ("pair", json.dumps({**PAIR_CONFIG, "mark_a": 0.5}), "mark_a: "),
     ("tree", json.dumps(_tree_with_duplicate_edge()), ""),
     ("star", json.dumps({**STAR_CONFIG, "b": [0, math.inf]}), "inf"),
     ("star", json.dumps({**STAR_CONFIG, "b": [math.nan, 1]}), "nan"),
@@ -188,6 +188,14 @@ MALFORMED_CONFIGS = [
         ("tree", json.dumps({**TREE_CONFIG, "genus": g}), "genus must be a whole number")
         for g in ("3", 3.0, None, [3], True)
     ),
+    # a block has no marks: a mark index on a block side other than 0
+    *(
+        ("pair", json.dumps({**BLOCK_PAIR_CONFIG, key: mark}), f"{key}: ")
+        for key in ("mark_a", "mark_b")
+        for mark in ("x", 0.5, True, [0], 5, -1, 0.0)
+    ),
+    ("pair", json.dumps({**PAIR_CONFIG, "curve_b": BLOCK_PAIR_CONFIG["curve_b"], "mark_b": 1}),
+     "mark_b: "),
 ]
 
 # stdout sha256 of fixed-seed reports: a refactor that keeps the reports
@@ -358,6 +366,24 @@ def test_malformed_config_is_usage_error(tmp_path, capsys):
             assert (code, captured.out) == (2, ""), (mode, text)
             assert "config error:" in captured.err, (mode, text)
             assert fragment in captured.err.split("config error:", 1)[1], (mode, text)
+
+
+def test_block_sides_take_the_default_mark_index(tmp_path, capsys):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(BLOCK_PAIR_CONFIG))
+    code, report = _run(capsys, ["periods", "pair", "--config", str(path)])
+    assert code == 0
+    path.write_text(json.dumps({**BLOCK_PAIR_CONFIG, "mark_a": 0, "mark_b": 0}))
+    assert _run(capsys, ["periods", "pair", "--config", str(path)]) == (0, report)
+
+
+def test_tree_vertex_outside_the_genus_is_invalid_input(tmp_path, capsys):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({**TREE_CONFIG, "edges": [[1, 2], [2, 4]]}))
+    code = main(["periods", "tree", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "invalid input: edge endpoint outside 1..genus" in captured.err
 
 
 def _paths(node, path=()):

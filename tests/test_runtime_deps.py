@@ -1,8 +1,12 @@
 """The package runtime is stdlib-only: every import in src/plumbline is a
-standard-library module or plumbline itself.  And it reads no environment
-variable, so argv, the config and --seed fix every report."""
+standard-library module or plumbline itself.  It reads no environment
+variable, so argv, the config and --seed fix every report.  And every
+invocation loads only what its start-up needs: no ``dataclasses``, and
+neither ``selftest``'s registry nor ``traceback`` until they are used."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -52,3 +56,33 @@ def test_reports_do_not_read_the_environment():
     # a report depends only on argv, the config and --seed
     found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _environment_reads(path)]
     assert not found, found
+
+
+def test_no_module_imports_dataclasses():
+    # the value classes derive from plumbline.frozen.Frozen instead
+    found = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if "dataclasses" in _imported_top_levels(path)
+    )
+    assert not found, found
+
+
+# modules the start-up of every command leaves unloaded
+NOT_AT_STARTUP = ("dataclasses", "inspect", "traceback", "plumbline.checks")
+
+
+def test_cli_import_leaves_unused_modules_unloaded():
+    probe = (
+        "import sys, plumbline.cli; "
+        f"print(' '.join(m for m in {NOT_AT_STARTUP!r} if m in sys.modules))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert run.stdout.split() == []

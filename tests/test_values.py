@@ -1,0 +1,300 @@
+"""The immutable value classes, characterised class by class: keyword and
+positional construction, equality over every field and only within one
+class, hashing, repr, immutability, and each constructor check."""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from plumbline.alkanes import Alkane
+from plumbline.curve_periods import (
+    CurveBlock,
+    PairPlumbing,
+    StarConfig,
+    TreeConfig,
+    TreeEdgeData,
+)
+from plumbline.elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
+from plumbline.errors import DegenerateDataError, RangeError, StructureError
+from plumbline.gaussian import GaussianRational
+from plumbline.jets import DEFAULT_TOLERANCE, EXACT_FIELD, CoefficientField, FieldKind, JetRing
+from plumbline.relations import AsymptoticReport
+from plumbline.surfaces import BLOCK_COLS, EdgeData, SurfaceGraphModel
+
+O = TwoTorsionLabel.O
+HALF = TwoTorsionLabel.HALF
+ONE = GaussianRational(1)
+I = GaussianRational(0, 1)
+
+
+def _mark(label=O):
+    return Mark(label, GaussianRational(1))
+
+
+def _curve(im=1):
+    return MarkedEllipticCurve(TauPoint(GaussianRational(0, im)), (_mark(),))
+
+
+def _i_vector(k):
+    return tuple(Fraction(k + c, 3) for c in range(BLOCK_COLS - 1)) + (0,)
+
+
+def _tree_edge(var, label=O):
+    return TreeEdgeData(var, label, GaussianRational(1), label, GaussianRational(2))
+
+
+def _edge(i, j):
+    return EdgeData((i, j), (Fraction(1, 2), Fraction(-3)), (_i_vector(i), _i_vector(j)))
+
+
+# class -> a fresh valid instance's fields, in declaration order
+VALID = {
+    Alkane: lambda: {"genus": 3, "edges": ((1, 2), (2, 3))},
+    CurveBlock: lambda: {
+        "tau_block": ((I, ONE), (ONE, GaussianRational(0, 2))),
+        "omega_at_point": (ONE, GaussianRational(2)),
+    },
+    PairPlumbing: lambda: {
+        "curve_a": _curve(1),
+        "curve_b": _curve(2),
+        "t": "t",
+        "mark_a": 0,
+        "mark_b": 0,
+    },
+    StarConfig: lambda: {
+        "curves": (_curve(1), _curve(2)),
+        "attach_points": (GaussianRational(0), GaussianRational(1)),
+        "variables": ("t1", "t2"),
+    },
+    TreeEdgeData: lambda: {
+        "var": "t1",
+        "label_low": O,
+        "coeff_low": GaussianRational(1),
+        "label_high": HALF,
+        "coeff_high": GaussianRational(2, 1),
+    },
+    TreeConfig: lambda: {
+        "alkane": Alkane(3, ((1, 2), (2, 3))),
+        "taus": (TauPoint(I), TauPoint(GaussianRational(0, 2)), TauPoint(GaussianRational(1, 3))),
+        "edge_data": {(1, 2): _tree_edge("t1"), (2, 3): _tree_edge("t2", HALF)},
+    },
+    TauPoint: lambda: {"value": GaussianRational(Fraction(1, 2), 1)},
+    Mark: lambda: {"point": GaussianRational(Fraction(1, 3)), "coord_leading_coeff": I},
+    MarkedEllipticCurve: lambda: {"tau": TauPoint(I), "marks": (_mark(O), _mark(HALF))},
+    CoefficientField: lambda: {"kind": FieldKind.COMPLEX_FLOAT, "tolerance": 1e-6},
+    JetRing: lambda: {"variables": ("t", "u"), "order": 4, "field": EXACT_FIELD},
+    AsymptoticReport: lambda: {
+        "genus": 7,
+        "mode": "exact",
+        "octics_checked": 35,
+        "passed": True,
+        "min_surviving_degree": None,
+    },
+    EdgeData: lambda: {
+        "edge": (1, 2),
+        "omega": (Fraction(1, 2), Fraction(-3)),
+        "i_vectors": (_i_vector(1), _i_vector(2)),
+    },
+    SurfaceGraphModel: lambda: {
+        "alkane": Alkane(3, ((1, 2), (2, 3))),
+        "edge_data": {(1, 2): _edge(1, 2), (2, 3): _edge(2, 3)},
+    },
+}
+
+CLASSES = list(VALID)
+IDS = [c.__name__ for c in CLASSES]
+UNHASHABLE = {TreeConfig, SurfaceGraphModel}  # a dict field
+
+
+def _field_values(x, names):
+    return tuple(getattr(x, n) for n in names)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_keyword_and_positional_construction_agree(cls):
+    fields = VALID[cls]()
+    by_name = cls(**fields)
+    by_position = cls(*VALID[cls]().values())
+    assert by_name == by_position
+    assert _field_values(by_name, fields) == _field_values(by_position, fields)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_copies_are_equal_and_hash_alike(cls):
+    a, b = cls(**VALID[cls]()), cls(**VALID[cls]())
+    assert a is not b
+    assert a == b and not a != b
+    if cls in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+        assert hash(a) == hash(_field_values(a, VALID[cls]()))
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_every_field_takes_part_in_equality(cls):
+    base = cls(**VALID[cls]())
+    for name in VALID[cls]():
+        changed = cls(**VALID[cls]())
+        object.__setattr__(changed, name, object())  # unequal to anything
+        assert base != changed, name
+        assert changed != base, name
+        assert not base == changed, name
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_equality_holds_only_within_one_class(cls):
+    fields = VALID[cls]()
+    value = cls(**fields)
+    other = type("Other" + cls.__name__, (cls,), {})(**VALID[cls]())
+    assert value != other and other != value
+    assert not value == other
+    assert value != _field_values(value, fields)
+    assert value != None  # noqa: E711 (the comparison itself is under test)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_repr_is_the_keyword_constructor_call(cls):
+    fields = VALID[cls]()
+    value = cls(**fields)
+    shown = ", ".join(f"{n}={getattr(value, n)!r}" for n in fields)
+    assert repr(value) == f"{cls.__qualname__}({shown})"
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_values_refuse_assignment_and_deletion(cls):
+    value = cls(**VALID[cls]())
+    for name in [*VALID[cls](), "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == cls(**VALID[cls]())
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_copies_and_pickles_rebuild_the_value(cls):
+    value = cls(**VALID[cls]())
+    for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(clone) is cls and clone == value
+
+
+def test_defaults():
+    assert MarkedEllipticCurve(TauPoint(I)).marks == ()
+    assert JetRing(("t",), 2).field is EXACT_FIELD
+    assert CoefficientField(FieldKind.COMPLEX_FLOAT).tolerance == DEFAULT_TOLERANCE
+    pair = PairPlumbing(_curve(1), _curve(2), "t")
+    assert (pair.mark_a, pair.mark_b) == (0, 0)
+    assert pair == PairPlumbing(_curve(1), _curve(2), "t", 0, 0)
+
+
+def test_constructors_normalise_their_fields():
+    assert Alkane(3, [[3, 2], (2, 1)]).edges == ((1, 2), (2, 3))
+    assert MarkedEllipticCurve(TauPoint(I), [_mark()]).marks == (_mark(),)
+    assert JetRing(["t", "u"], 2).variables == ("t", "u")
+    i_vectors = [list(_i_vector(1)), list(_i_vector(2))]
+    assert EdgeData((1, 2), (1, 2), i_vectors).i_vectors == (_i_vector(1), _i_vector(2))
+    for cls in UNHASHABLE:
+        fields = VALID[cls]()
+        value = cls(**fields)
+        assert type(value.edge_data) is dict
+        assert value.edge_data == fields["edge_data"]
+        assert value.edge_data is not fields["edge_data"]
+
+
+def test_jet_ring_layout_stays_out_of_equality():
+    ring = JetRing(("t", "u"), 4)
+    assert (ring.width, ring.shift) == (3, 6)
+    other = JetRing(("t", "u"), 4)
+    object.__setattr__(other, "width", 5)
+    object.__setattr__(other, "shift", 10)
+    assert ring == other and hash(ring) == hash(other)
+    assert "width" not in repr(ring) and "shift" not in repr(ring)
+    with pytest.raises(AttributeError):
+        ring.width = 1
+
+
+HALF_R = Fraction(1, 2)  # the point the label HALF stands for
+
+
+def _replaced(cls, **changes):
+    return {**VALID[cls](), **changes}
+
+
+# (class, fields, exception, message fragment): every constructor check
+INVALID = [
+    (Alkane, _replaced(Alkane, genus=0, edges=()), RangeError, "genus must be >= 1"),
+    (Alkane, _replaced(Alkane, edges=((1, 2),)), StructureError, "is not a tree"),
+    (Alkane, _replaced(Alkane, edges=((1, 2), (2, 2))), StructureError, "self-loop"),
+    (Alkane, _replaced(Alkane, edges=((1, 2), (2, 1))), StructureError, "duplicate edges"),
+    (Alkane, _replaced(Alkane, genus=6, edges=[(1, k) for k in range(2, 7)]),
+     StructureError, "degree > 4"),
+    (Alkane, _replaced(Alkane, genus=4, edges=((1, 2), (2, 3), (1, 3))),
+     StructureError, "not connected"),
+    (CurveBlock, _replaced(CurveBlock, tau_block=()), StructureError, "square and nonempty"),
+    (CurveBlock, _replaced(CurveBlock, tau_block=((I, ONE), (ONE,))),
+     StructureError, "square and nonempty"),
+    (CurveBlock, _replaced(CurveBlock, omega_at_point=(ONE,)), StructureError, "omega vector"),
+    (CurveBlock, _replaced(CurveBlock, tau_block=((I, ONE), (I, I))),
+     StructureError, "symmetric"),
+    (StarConfig, _replaced(StarConfig, variables=("t1",)), StructureError, "must align"),
+    (StarConfig, _replaced(StarConfig, curves=(_curve(1),), attach_points=(ONE,),
+                           variables=("t1",)), RangeError, "at least two tails"),
+    (StarConfig, _replaced(StarConfig, curves=(_curve(1), MarkedEllipticCurve(TauPoint(I)))),
+     StructureError, "curve 2 carries no mark"),
+    (StarConfig, _replaced(StarConfig, attach_points=(ONE, ONE)),
+     DegenerateDataError, "attachment points 1 and 2 coincide"),
+    (TreeEdgeData, _replaced(TreeEdgeData, coeff_low=GaussianRational(0)),
+     DegenerateDataError, "zero leading coefficient"),
+    (TreeEdgeData, _replaced(TreeEdgeData, coeff_high=GaussianRational(0)),
+     DegenerateDataError, "zero leading coefficient"),
+    (TreeConfig, _replaced(TreeConfig, taus=(TauPoint(I),)),
+     StructureError, "1 curves for a genus-3 alkane"),
+    (TreeConfig, _replaced(TreeConfig, edge_data={(1, 2): _tree_edge("t1")}),
+     StructureError, "edge data keys"),
+    (TreeConfig, _replaced(TreeConfig, edge_data={(1, 2): _tree_edge("t1"),
+                                                  (2, 3): _tree_edge("t2")}),
+     StructureError, "repeated 2-torsion attachment label at vertex 2"),
+    (TauPoint, {"value": GaussianRational(1)}, RangeError, "positive imaginary part"),
+    (TauPoint, {"value": GaussianRational(0, -1)}, RangeError, "positive imaginary part"),
+    (Mark, _replaced(Mark, coord_leading_coeff=GaussianRational(0)),
+     DegenerateDataError, "zero leading coefficient"),
+    (MarkedEllipticCurve, _replaced(MarkedEllipticCurve, marks=(_mark(), _mark())),
+     DegenerateDataError, "marks 0 and 1 sit at the same point"),
+    (MarkedEllipticCurve,
+     _replaced(MarkedEllipticCurve, marks=(_mark(HALF), Mark(GaussianRational(HALF_R), I))),
+     DegenerateDataError, "marks 0 and 1 sit at the same point"),
+    (JetRing, _replaced(JetRing, variables=("t", "t")), StructureError, "duplicate variable"),
+    (JetRing, _replaced(JetRing, order=-1), RangeError, "truncation order must be >= 0"),
+    (EdgeData, _replaced(EdgeData, edge=(2, 2)), StructureError, "stored low-high"),
+    (EdgeData, _replaced(EdgeData, edge=(2, 1)), StructureError, "stored low-high"),
+    (EdgeData, _replaced(EdgeData, i_vectors=(_i_vector(1)[1:], _i_vector(2))),
+     StructureError, "low side has length 14"),
+    (EdgeData, _replaced(EdgeData, i_vectors=(_i_vector(1), _i_vector(2)[:-1] + (1,))),
+     StructureError, "high-side I vector must vanish"),
+    (SurfaceGraphModel, _replaced(SurfaceGraphModel, edge_data={(1, 2): _edge(1, 2)}),
+     StructureError, "edge data keys"),
+    (SurfaceGraphModel,
+     _replaced(SurfaceGraphModel, edge_data={(1, 2): _edge(1, 2), (2, 3): _edge(1, 2)}),
+     StructureError, "stored under (2, 3) claims edge (1, 2)"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, error, fragment",
+    INVALID,
+    ids=[f"{c.__name__}-{k}" for k, (c, *_) in enumerate(INVALID)],
+)
+def test_constructor_checks(cls, fields, error, fragment):
+    with pytest.raises(error) as info:
+        cls(**fields)
+    assert fragment in str(info.value)
+
+
+def test_every_checked_class_has_a_failing_case():
+    checked = {c for c, *_ in INVALID}
+    unchecked = set(CLASSES) - checked
+    assert unchecked == {PairPlumbing, CoefficientField, AsymptoticReport}
