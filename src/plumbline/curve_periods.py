@@ -345,11 +345,15 @@ def banded_locus_dimension(g: int, band: int) -> int:
 
 
 def derivative_rank_one_check(m: PeriodMatrixJet, var: str) -> bool:
-    """All 2x2 minors of the coefficient matrix of ``var`` vanish.
+    """The coefficient matrix of ``var`` has rank exactly 1: some entry is
+    nonzero and all 2x2 minors vanish.
 
-    Float field: relative to the square of the matrix's largest modulus.
+    Float field: a minor vanishes relative to the square of the matrix's
+    largest modulus; an entry is nonzero unless it is exactly 0.
     """
     c = m.var_coefficient_matrix(var)
+    if not any(v for row in c for v in row):
+        return False  # rank 0: ``var`` does not move the matrix
     g = m.genus
     field = m.ring.field
     magnitude = field.magnitude(v for row in c for v in row)

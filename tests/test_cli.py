@@ -17,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from plumbline import relations
 from plumbline.cli import _parse_value, main
+from plumbline.curve_periods import TreeConfig
+from plumbline.elliptic import MarkedEllipticCurve
 from plumbline.jets import FLOAT_FIELD, CoefficientField, FieldKind, JetRing
 
 PAIR_CONFIG = {
@@ -196,6 +198,13 @@ MALFORMED_CONFIGS = [
     ),
     ("pair", json.dumps({**PAIR_CONFIG, "curve_b": BLOCK_PAIR_CONFIG["curve_b"], "mark_b": 1}),
      "mark_b: "),
+    # a file the JSON decoder refuses: nested too deep, or an int past the digit limit
+    ("pair", "[" * 100_000 + "]" * 100_000, "cannot decode config"),
+    (
+        "tree",
+        json.dumps(TREE_CONFIG).replace('"genus": 3', '"genus": ' + "9" * 5000),
+        "cannot decode config",
+    ),
 ]
 
 # stdout sha256 of fixed-seed reports: a refactor that keeps the reports
@@ -207,7 +216,7 @@ PINNED_REPORTS = [
     ),
     (
         ["surfaces", "egamma", "--genus", "7", "--trials", "2", "--seed", "0"],
-        "cccdd9a4313b55d9d4ab270d2523bf1515b5a1d015fe9cd95eb5f9f9bc0bb972",
+        "512b5d733bd862bf412846cffc2e811042d5633f799958f7334b251b1ff3111c",
     ),
     (
         ["relations", "verify", "--genus", "7", "--trials", "1", "--seed", "0"],
@@ -215,7 +224,7 @@ PINNED_REPORTS = [
     ),
     (
         ["surfaces", "egamma", "--genus", "11", "--trials", "1", "--seed", "0"],
-        "ed49bc4f6f0ed2048107fed1fc3900455a5fa642011c2bebba3e9157ee16e856",
+        "43e58af30ea77e404164329b8e4504068d6ec0ab55c9c7b10b86b659613f3684",
     ),
     (
         ["relations", "verify", "--genus", "12", "--trials", "1", "--seed", "0"],
@@ -368,6 +377,41 @@ def test_malformed_config_is_usage_error(tmp_path, capsys):
             assert fragment in captured.err.split("config error:", 1)[1], (mode, text)
 
 
+def test_undecodable_config_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "pair.json"
+    path.write_bytes(json.dumps(PAIR_CONFIG).encode().replace(b'"t"', b'"\xff"'))
+    code = main(["periods", "pair", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "config error: cannot decode config" in captured.err and "utf-8" in captured.err
+
+
+@pytest.mark.parametrize("error", [TypeError("library bug"), KeyError("tau")])
+@pytest.mark.parametrize(
+    "command, config, cls",
+    [("tree", TREE_CONFIG, TreeConfig), ("pair", PAIR_CONFIG, MarkedEllipticCurve)],
+    ids=["tree", "pair"],
+)
+def test_library_bug_during_a_parse_exits_3(
+    command, config, cls, error, tmp_path, monkeypatch, capsys
+):
+    # the parse runs library constructors: what they raise, unless it is a
+    # PlumblineError, is a bug and never a config error
+    original = cls.__init__
+
+    def broken(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        raise error
+
+    monkeypatch.setattr(cls, "__init__", broken)
+    path = tmp_path / f"{command}.json"
+    path.write_text(json.dumps(config))
+    code = main(["periods", command, "--config", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert "internal error" in captured.err and "config error" not in captured.err
+
+
 def test_block_sides_take_the_default_mark_index(tmp_path, capsys):
     path = tmp_path / "pair.json"
     path.write_text(json.dumps(BLOCK_PAIR_CONFIG))
@@ -455,6 +499,37 @@ def test_mutated_configs_keep_the_exit_contract(tmp_path_factory, command_config
     assert (code == 2) == (out.getvalue() == "")
     if code != 2:
         json.loads(out.getvalue())
+
+
+def _json_path(path):
+    """A key path as config errors print it: ("curve_a", "marks", 0) is curve_a.marks[0]."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+_DROPS = [(c, cfg, p) for c, cfg in _FUZZ_CONFIGS for p, kind in _mutations(cfg) if kind == "drop"]
+
+
+@pytest.mark.parametrize(
+    "command, config, path", _DROPS, ids=[f"{c} {_json_path(p)}" for c, _, p in _DROPS]
+)
+def test_each_dropped_key_is_named(command, config, path, tmp_path, capsys):
+    file = tmp_path / "config.json"
+    file.write_text(json.dumps(_mutate(config, path, "drop")))
+    code = main(["periods", command, "--config", str(file)])
+    captured = capsys.readouterr()
+    if path == ("t",):  # optional, and its default is the name PAIR_CONFIG gives
+        assert code == 0
+        file.write_text(json.dumps(config))
+        _, report = _run(capsys, ["periods", command, "--config", str(file)])
+        assert report == json.loads(captured.out)
+        return
+    assert (code, captured.out) == (2, ""), captured.err
+    if path[-1] == "marks" and command == "star":  # optional; a star tail needs a mark
+        assert captured.err.startswith("invalid input: curve") and "carries no mark" in captured.err
+    elif path[-1] == "marks":  # optional; mark_a and mark_b default to mark 0
+        assert f"outside {_json_path(path)}, which has 0" in captured.err
+    else:
+        assert captured.err == f"config error: missing key {_json_path(path)}\n"
 
 
 def test_value_beyond_float_range_is_usage_error(tmp_path, capsys):

@@ -24,7 +24,7 @@ from plumbline.curve_periods import (
 from plumbline.elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
 from plumbline.errors import DegenerateDataError, RangeError, StructureError
 from plumbline.gaussian import GaussianRational
-from plumbline.jets import FLOAT_FIELD, JetRing
+from plumbline.jets import EXACT_FIELD, FLOAT_FIELD, JetRing
 from plumbline.sampling import random_tree_config, substream
 
 I = GaussianRational(0, 1)
@@ -266,6 +266,16 @@ def test_rank_one_rejects_identity_pattern():
     entries = {(1, 1): ring.constant(I) + t, (1, 2): ring.zero(), (2, 2): ring.constant(I) + t}
     m = PeriodMatrixJet(entries)
     assert not derivative_rank_one_check(m, "t")
+
+
+@pytest.mark.parametrize("field", [EXACT_FIELD, FLOAT_FIELD], ids=["exact", "numeric"])
+def test_rank_one_rejects_a_variable_that_moves_nothing(field):
+    # every 2x2 minor of a zero matrix vanishes, but its rank is 0, not 1
+    tc = random_tree_config(Alkane.chain(4), substream(17, "test:rank0"))
+    ring = JetRing((*tc.variables, "z"), 1, field)
+    m = tree_period_first_order(tc, ring)
+    assert all(derivative_rank_one_check(m, d.var) for d in tc.edge_data.values())
+    assert not derivative_rank_one_check(m, "z")
 
 
 def test_repeated_vertex_label_rejected():
