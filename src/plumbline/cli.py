@@ -41,7 +41,7 @@ from .errors import PlumblineError
 from .gaussian import GaussianRational
 from .jets import EXACT_FIELD, FLOAT_FIELD, CoefficientField, JetRing
 from .relations import verify_asymptotic_vanishing
-from .sampling import random_star_config, random_surface_model, substream
+from .sampling import random_star_config, random_surface_sides, substream
 from .surfaces import dim_K, dim_V_Gamma, dim_W, dim_period_domain, span_dimension_E_Gamma
 
 T = TypeVar("T")
@@ -89,11 +89,11 @@ def _parse_value(v, path: str) -> GaussianRational:
         raise ConfigError(f"{path}: bad numeric value {v!r}: {e}") from e
 
 
-def _parse_label(name: str) -> TwoTorsionLabel:
+def _parse_label(name, path: str) -> TwoTorsionLabel:
     try:
         return TwoTorsionLabel(name)
     except ValueError:
-        raise ConfigError(f"unknown 2-torsion label {name!r}") from None
+        raise ConfigError(f"{path}: unknown 2-torsion label {name!r}") from None
 
 
 def _parse_list(v, path: str, what: str) -> list:
@@ -129,7 +129,7 @@ def _parse_mark(d, path: str) -> Mark:
     d = _parse_object(d, path, ("point", "c"))
     point = d["point"]
     if isinstance(point, str):
-        point = _parse_label(point)
+        point = _parse_label(point, f"{path}.point")
     else:
         point = _parse_value(point, f"{path}.point")
     return Mark(point, _parse_value(d["c"], f"{path}.c"))
@@ -207,9 +207,9 @@ def _parse_tree(cfg: dict) -> TreeConfig:
         high = _parse_object(item["high"], f"{path}.high", ("label", "c"))
         edge_data[(i, j)] = TreeEdgeData(
             var=_parse_name(item["var"], f"{path}.var"),
-            label_low=_parse_label(low["label"]),
+            label_low=_parse_label(low["label"], f"{path}.low.label"),
             coeff_low=_parse_value(low["c"], f"{path}.low.c"),
-            label_high=_parse_label(high["label"]),
+            label_high=_parse_label(high["label"], f"{path}.high.label"),
             coeff_high=_parse_value(high["c"], f"{path}.high.c"),
         )
     return TreeConfig(alkane, taus, edge_data)
@@ -321,11 +321,8 @@ def cmd_surfaces_egamma(args):
     results = []
     for a in enumerate_alkanes(h):
         code = canonical_code(a)
-        spans = []
-        for trial in range(args.trials):
-            rng = substream(args.seed, f"egamma:{code}:{trial}")
-            model = random_surface_model(a, rng)
-            spans.append(span_dimension_E_Gamma(model))
+        rngs = (substream(args.seed, f"egamma:{code}:{trial}") for trial in range(args.trials))
+        spans = [span_dimension_E_Gamma(random_surface_sides(a, rng)) for rng in rngs]
         results.append(
             {"alkane_code": code, "span_dims": spans, "pass": all(s == h - 1 for s in spans)}
         )

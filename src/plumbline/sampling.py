@@ -9,7 +9,7 @@ Each integer is drawn as CPython's ``randint(lo, hi)`` draws it,
 redrawn while ``r > hi - lo``, so every draw and the generator state after
 it are those of ``randint``.  Each Fraction comes from one table built at
 import; a Fraction is immutable, so handing the same object to every
-caller is safe.
+caller is safe.  ``random_surface_sides`` makes the same draws as ints.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
 from .errors import RangeError
 from .gaussian import GaussianRational
 from .relations import plucker_coordinates
-from .surfaces import BLOCK_COLS, EdgeData, SurfaceGraphModel
+from .surfaces import BLOCK_COLS, _primitive
 
 _LABELS = list(TwoTorsionLabel)
 
@@ -127,17 +127,27 @@ def random_grass_frame_minors(g: int, rng: random.Random) -> Dict[Tuple[int, int
             return y
 
 
-def random_surface_model(alkane: Alkane, rng: random.Random) -> SurfaceGraphModel:
-    zero = _FRACTIONS[0, 1]
-    edge_data = {}
-    for (i, j) in alkane.edges:
-        w_low = rand_nonzero_fraction(rng, -5, 5, 4)
-        w_high = rand_nonzero_fraction(rng, -5, 5, 4)
-        # the table holds -w_high too, so the sign costs no new Fraction
-        omega = (w_low, _FRACTIONS[-w_high.numerator, w_high.denominator])
-        i_vectors = [
-            [rand_fraction(rng, -5, 5, 4) for _ in range(BLOCK_COLS - 1)] + [zero]
-            for _ in range(2)
-        ]
-        edge_data[(i, j)] = EdgeData((i, j), omega, i_vectors)
-    return SurfaceGraphModel(alkane, edge_data)
+def random_surface_sides(alkane: Alkane, rng: random.Random) -> list:
+    """A random surface model's ``surfaces.edge_sides``, drawn as ints: per edge,
+    ``rand_nonzero_fraction(rng, -5, 5, 4)`` twice for omega, then 2 x 14
+    ``rand_fraction(rng, -5, 5, 4)`` for I.  12 clears each side; over its content,
+    it is the primitive vector positively proportional to the drawn side."""
+    getrandbits = rng.getrandbits
+    sides = []
+    for edge in alkane.edges:
+        omega = {}
+        for v, sign in zip(edge, (1, -1)):
+            n = 0
+            while not n:
+                n = _below(getrandbits, 11) - 5
+                d = 1 + _below(getrandbits, 4)
+            omega[v - 1] = sign * n * (12 // d)
+        i_side = {}
+        for v in edge:
+            for c in range(BLOCK_COLS * (v - 1), BLOCK_COLS * v - 1):
+                n = _below(getrandbits, 11) - 5
+                d = 1 + _below(getrandbits, 4)
+                if n:
+                    i_side[c] = n * (12 // d)
+        sides.append((_primitive(omega), _primitive(i_side)))
+    return sides

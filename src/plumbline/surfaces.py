@@ -7,10 +7,10 @@ and BLOCK_COLS columns wide, so an edge carries two omega scalars and two
 I vectors.  These are synthetic data (random rational or user-supplied):
 the verifiable content is linear-algebraic -- ranks, spans and zero
 patterns -- and all of it is checked exactly.  The edge matrices and
-every rank run on Python ints: each edge's omega and I are cleared of
-their denominators once, and one elimination core, behind
-``matrix_rank_exact`` and ``span_dimension_E_Gamma``, eliminates
-fraction-free.
+every rank run on Python ints: the span reads each edge's omega and I as
+primitive integer sides, drawn so (``sampling.random_surface_sides``) or
+cleared from a model (``edge_sides``), and one elimination core, behind
+``matrix_rank_exact`` and ``span_dimension_E_Gamma``, is fraction-free.
 """
 
 from __future__ import annotations
@@ -120,9 +120,7 @@ class SurfaceGraphModel(Frozen):
                 raise StructureError(f"edge data stored under {(i, j)} claims edge {data.edge}")
 
 
-def _edge_sides(
-    model: SurfaceGraphModel, edge: Tuple[int, int]
-) -> Tuple[Tuple[int, Dict[int, int]], Tuple[int, Dict[int, int]]]:
+def _edge_sides(model: SurfaceGraphModel, edge: Tuple[int, int]) -> tuple:
     """The omega side and the I side of edge {i, j}, i < j, each cleared to
     integers as ``(d, entries)``: omega keyed by ambient row, I by ambient
     column."""
@@ -147,6 +145,13 @@ def edge_matrix(
     ``entries`` holds the nonzero integers keyed by ambient (row, col)."""
     (d_omega, rows), (d_i, cols) = _edge_sides(model, edge)
     return d_omega * d_i, _outer(rows, cols)
+
+
+def edge_sides(model: SurfaceGraphModel) -> list:
+    """Per edge, in edge order, the omega side keyed by ambient row and the I
+    side keyed by ambient column, cleared and divided by their contents."""
+    sides = (_edge_sides(model, e) for e in model.alkane.edges)
+    return [(_primitive(rows), _primitive(cols)) for (_, rows), (_, cols) in sides]
 
 
 # ---------------------------------------------------------------------------
@@ -208,21 +213,11 @@ def _primitive_rank(work: list) -> int:
     return rank
 
 
-def span_dimension_E_Gamma(model: SurfaceGraphModel) -> int:
-    """Exact dimension of the linear span of the edge matrices Pi_e.
-
-    Each edge enters the elimination as the primitive integer row
-    w tensor c, with w and c its omega and I sides cleared and divided by
-    their contents: the content of an outer product is the product of the
-    contents (Gauss's lemma), so that row is primitive as it stands.
-    """
-    work = []
-    for edge in model.alkane.edges:
-        (_, rows), (_, cols) = _edge_sides(model, edge)
-        rows, cols = _primitive(rows), _primitive(cols)
-        if rows and cols:
-            work.append(_outer(rows, cols))
-    return _primitive_rank(work)
+def span_dimension_E_Gamma(sides: Sequence[Tuple[Dict[int, int], Dict[int, int]]]) -> int:
+    """Exact dimension of the span of the edge matrices Pi_e, from their
+    primitive sides (``edge_sides``): each edge with nonzero sides w, c is the
+    row w tensor c, primitive as content(w tensor c) = content(w) content(c)."""
+    return _primitive_rank([_outer(rows, cols) for rows, cols in sides if rows and cols])
 
 
 def skew_block_rank_one_vanishing(

@@ -99,7 +99,23 @@ MALFORMED_CONFIGS = [
         json.dumps(_with(TREE_CONFIG, ["edge_data", 1, "edge"], [2, "3"])),
         "edge_data[1].edge",
     ),
-    ("tree", json.dumps(_with(TREE_CONFIG, ["edge_data", 0, "low", "label"], "Bogus")), ""),
+    # an unknown 2-torsion label, named by its path
+    *(
+        ("tree", json.dumps(_with(TREE_CONFIG, ["edge_data", 0, side, "label"], label)),
+         f"edge_data[0].{side}.label: unknown 2-torsion label")
+        for side in ("low", "high")
+        for label in ("Bogus", [1], 5, None)
+    ),
+    (
+        "star",
+        json.dumps(_with(STAR_CONFIG, ["curves", 1, "marks", 0, "point"], "Bogus")),
+        "curves[1].marks[0].point: unknown 2-torsion label 'Bogus'",
+    ),
+    (
+        "pair",
+        json.dumps(_with(PAIR_CONFIG, ["curve_a", "marks", 0, "point"], "o")),
+        "curve_a.marks[0].point: unknown 2-torsion label 'o'",
+    ),
     ("pair", json.dumps([PAIR_CONFIG]), ""),
     ("pair", json.dumps({**PAIR_CONFIG, "curve_b": {"tau": ["0", "2"]}}), ""),
     ("pair", json.dumps({**PAIR_CONFIG, "mark_a": 0.5}), "mark_a: "),

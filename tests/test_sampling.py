@@ -2,8 +2,10 @@
 
 The reports print span values and pass flags, which almost any draw
 reproduces, so their pinned hashes cannot see a changed stream.  The
-``randint`` + ``Fraction`` samplers are kept here as the oracle: each
-sampler must give equal values and leave the generator in an equal state.
+``randint`` + ``Fraction`` samplers are kept here and in ``oracles.py`` as
+the oracle: each sampler must give equal values (the surface sampler, the
+primitive sides of the oracle's Fraction model) and leave the generator in
+an equal state.
 """
 
 import inspect
@@ -25,43 +27,34 @@ from plumbline.sampling import (
     rand_nonzero_fraction,
     random_grass_frame_minors,
     random_star_config,
-    random_surface_model,
+    random_surface_sides,
     random_tree_config,
     substream,
 )
-from plumbline.surfaces import BLOCK_COLS, EdgeData, SurfaceGraphModel
+from plumbline.surfaces import edge_sides
+
+from oracles import fraction_oracle, nonzero_oracle, surface_oracle
 
 # ---------------------------------------------------------------------------
 # the oracle: the samplers as they were written on randint and Fraction
 
 
-def _fraction_oracle(rng, lo=-9, hi=9, max_den=9):
-    return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
-
-
-def _nonzero_oracle(rng, lo=-9, hi=9, max_den=9):
-    while True:
-        f = _fraction_oracle(rng, lo, hi, max_den)
-        if f:
-            return f
-
-
 def _tau_oracle(rng):
     return TauPoint(
-        GaussianRational(_fraction_oracle(rng, -3, 3, 4), _nonzero_oracle(rng, 1, 4, 3))
+        GaussianRational(fraction_oracle(rng, -3, 3, 4), nonzero_oracle(rng, 1, 4, 3))
     )
 
 
 def _star_oracle(g, rng):
     curves = []
     for _ in range(g):
-        c = _nonzero_oracle(rng, -6, 6, 6)
+        c = nonzero_oracle(rng, -6, 6, 6)
         curves.append(
             MarkedEllipticCurve(_tau_oracle(rng), (Mark(TwoTorsionLabel.O, GaussianRational(c)),))
         )
     points = []
     while len(points) < g:
-        b = _fraction_oracle(rng, -12, 12, 6)
+        b = fraction_oracle(rng, -12, 12, 6)
         if all(b != p for p in points):
             points.append(b)
     variables = tuple(f"t{i}" for i in range(1, g + 1))
@@ -80,38 +73,31 @@ def _tree_oracle(alkane, rng):
         edge_data[(i, j)] = TreeEdgeData(
             var=f"t{i}_{j}",
             label_low=label_i,
-            coeff_low=GaussianRational(_nonzero_oracle(rng, -6, 6, 6)),
+            coeff_low=GaussianRational(nonzero_oracle(rng, -6, 6, 6)),
             label_high=label_j,
-            coeff_high=GaussianRational(_nonzero_oracle(rng, -6, 6, 6)),
+            coeff_high=GaussianRational(nonzero_oracle(rng, -6, 6, 6)),
         )
     return TreeConfig(alkane, taus, edge_data)
 
 
 def _grass_oracle(g, rng) -> Dict:
     while True:
-        rows = [[_fraction_oracle(rng, -9, 9, 5) for _ in range(g)] for _ in range(2)]
+        rows = [[fraction_oracle(rng, -9, 9, 5) for _ in range(g)] for _ in range(2)]
         y = plucker_coordinates(*rows)
         if all(y.values()):
             return y
-
-
-def _surface_oracle(alkane, rng):
-    edge_data = {}
-    for (i, j) in alkane.edges:
-        omega = (_nonzero_oracle(rng, -5, 5, 4), -_nonzero_oracle(rng, -5, 5, 4))
-        i_vectors = tuple(
-            tuple(_fraction_oracle(rng, -5, 5, 4) for _ in range(BLOCK_COLS - 1)) + (Fraction(0),)
-            for _ in range(2)
-        )
-        edge_data[(i, j)] = EdgeData((i, j), omega, i_vectors)
-    return SurfaceGraphModel(alkane, edge_data)
 
 
 # ---------------------------------------------------------------------------
 
 _ALKANES = [a for h in range(1, 8) for a in enumerate_alkanes(h)]
 _SAMPLERS = {
-    "surface": (random_surface_model, _surface_oracle, st.sampled_from(_ALKANES)),
+    # the integer sides against the primitive sides of the Fraction model
+    "surface": (
+        random_surface_sides,
+        lambda alkane, rng: edge_sides(surface_oracle(alkane, rng)),
+        st.sampled_from(_ALKANES),
+    ),
     "star": (random_star_config, _star_oracle, st.integers(2, 8)),
     "tree": (random_tree_config, _tree_oracle, st.sampled_from(_ALKANES)),
     "grass": (random_grass_frame_minors, _grass_oracle, st.integers(4, 8)),
@@ -173,7 +159,7 @@ def test_rand_fraction_matches_randint(seed, label):
             assert type(got) is Fraction
         if lo or hi:
             got = rand_nonzero_fraction(rng, lo, hi, max_den)
-            assert got == _nonzero_oracle(rng_oracle, lo, hi, max_den)
+            assert got == nonzero_oracle(rng_oracle, lo, hi, max_den)
         assert rng.getstate() == rng_oracle.getstate()
 
 

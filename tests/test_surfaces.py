@@ -1,12 +1,14 @@
 """Surface-side dimensions, rank-1 edge matrices, spans, skew blocks."""
 
+import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from plumbline import checks
+from plumbline import checks, cli
 from plumbline.alkanes import Alkane, canonical_code, enumerate_alkanes, valency_profile
 from plumbline.errors import RangeError, StructureError
 from plumbline.surfaces import (
@@ -19,8 +21,17 @@ from plumbline.surfaces import (
     skew_block_rank_one_vanishing,
     span_dimension_E_Gamma,
 )
-from plumbline.sampling import rand_fraction, random_surface_model, substream
-from plumbline.surfaces import BLOCK_COLS, _outer, _primitive, edge_matrix, matrix_rank_exact
+from plumbline.sampling import rand_fraction, random_surface_sides, substream
+from plumbline.surfaces import (
+    BLOCK_COLS,
+    _outer,
+    _primitive,
+    edge_matrix,
+    edge_sides,
+    matrix_rank_exact,
+)
+
+from oracles import surface_oracle
 
 
 def test_dim_period_domain_values():
@@ -150,13 +161,13 @@ def test_edge_data_trailing_zero_enforced():
 def test_span_dimension_generic():
     for h in range(1, 8):
         for a in enumerate_alkanes(h):
-            model = random_surface_model(a, substream(83, f"test:span:{h}:{canonical_code(a)}"))
-            assert span_dimension_E_Gamma(model) == h - 1
+            sides = random_surface_sides(a, substream(83, f"test:span:{h}:{canonical_code(a)}"))
+            assert span_dimension_E_Gamma(sides) == h - 1
 
 
 def test_span_dimension_degenerate_duplicate():
     a = Alkane.chain(3)
-    model = random_surface_model(a, substream(87, "test:span:dup"))
+    model = surface_oracle(a, substream(87, "test:span:dup"))
     w_mid = model.edge_data[(1, 2)].omega[1]
     i_mid = model.edge_data[(1, 2)].i_vectors[1]
     zero_i = (Fraction(0),) * 15
@@ -165,18 +176,18 @@ def test_span_dimension_degenerate_duplicate():
         (2, 3): EdgeData((2, 3), (w_mid, Fraction(0)), (i_mid, zero_i)),
     }
     degenerate = SurfaceGraphModel(a, dup)
-    assert span_dimension_E_Gamma(degenerate) == 1 < 2
+    assert span_dimension_E_Gamma(edge_sides(degenerate)) == 1 < 2
 
 
 def test_span_h1_is_zero():
-    model = random_surface_model(Alkane(1, []), substream(89, "test:span:h1"))
-    assert span_dimension_E_Gamma(model) == 0
+    sides = random_surface_sides(Alkane(1, []), substream(89, "test:span:h1"))
+    assert sides == [] and span_dimension_E_Gamma(sides) == 0
 
 
 def test_skew_block_on_constructed_pi():
     for h in (2, 3, 4):
         a = Alkane.chain(h)
-        model = random_surface_model(a, substream(91, f"test:skew:{h}"))
+        model = surface_oracle(a, substream(91, f"test:skew:{h}"))
         for edge in a.edges:
             _, entries = edge_matrix(model, edge)
             pi = _dense(entries, h, 15 * h)
@@ -357,7 +368,7 @@ _DEGENERACIES = ["zero omega side", "zero omega", "zero I vector", "zero I", "du
 @example(Alkane(1, []), 0, [])
 @example(Alkane.chain(3), 87, [("duplicate", 0)])
 def test_span_matches_fraction_oracle_on_degenerate_models(alkane, seed, degeneracies):
-    model = random_surface_model(alkane, substream(seed, "test:span:oracle"))
+    model = surface_oracle(alkane, substream(seed, "test:span:oracle"))
     for kind, k in degeneracies:
         if alkane.edges:
             model = _degenerate(model, kind, alkane.edges[k % len(alkane.edges)])
@@ -365,7 +376,7 @@ def test_span_matches_fraction_oracle_on_degenerate_models(alkane, seed, degener
         {key: Fraction(v, d) for key, v in entries.items()}
         for d, entries in (edge_matrix(model, e) for e in alkane.edges)
     ]
-    assert span_dimension_E_Gamma(model) == _rank_fraction_oracle(rows)
+    assert span_dimension_E_Gamma(edge_sides(model)) == _rank_fraction_oracle(rows)
 
 
 _int_vectors = st.lists(st.integers(-(2**70), 2**70), max_size=6)
@@ -382,22 +393,74 @@ def test_content_of_outer_product(w, c):
     assert _primitive(_outer(rows, cols)) == _outer(_primitive(rows), _primitive(cols))
 
 
-def test_surface_models_and_spans_build_no_fraction(monkeypatch):
-    # the samplers share the Fractions of sampling's import-time table, and
-    # the span works on ints, so neither builds a Fraction
+def test_surface_models_and_spans_build_no_fraction(monkeypatch, capsys):
+    # surface models are drawn as integer sides and the span works on ints,
+    # so neither the sampler, the span nor the whole command builds a
+    # Fraction or an EdgeData
     alkanes = enumerate_alkanes(6)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("Fraction built in the surface model or span loop")
+        raise AssertionError("Fraction or EdgeData built in the surface model or span loop")
 
     monkeypatch.setattr(Fraction, "__new__", forbidden)
+    monkeypatch.setattr(EdgeData, "__init__", forbidden)
     spans = [
-        span_dimension_E_Gamma(random_surface_model(a, substream(97, f"test:nofrac:{k}")))
+        span_dimension_E_Gamma(random_surface_sides(a, substream(97, f"test:nofrac:{k}")))
         for k, a in enumerate(alkanes)
     ]
-    with pytest.raises(AssertionError, match="Fraction built"):
+    argv = ["surfaces", "egamma", "--genus", "6", "--trials", "2", "--seed", "97"]
+    code = cli.main(argv)
+    report = json.loads(capsys.readouterr().out)
+    with pytest.raises(AssertionError, match="Fraction or EdgeData built"):
         Fraction(1, 2)
+    with pytest.raises(AssertionError, match="Fraction or EdgeData built"):
+        EdgeData((1, 2), (1, -1), ((0,) * BLOCK_COLS,) * 2)
     assert spans == [5] * len(alkanes)
+    assert code == 0 and report["pass"]
+    assert [r["span_dims"] for r in report["results"]] == [[5, 5]] * len(alkanes)
+
+
+class _Scripted(random.Random):
+    """Hands out scripted ``getrandbits`` values in turn and records the
+    width of every call."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self.values = iter(values)
+        self.widths = []
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return next(self.values)
+
+
+def _edge_script(rng, zero_i):
+    """``getrandbits`` values for one edge: a rejected draw and a zero
+    omega that is drawn again, then the I vectors, all zero if ``zero_i``.
+    A numerator is drawn below 11 (4 bits, 5 is zero), a denominator below
+    4 (3 bits)."""
+    values = [13, 5, 2, 7, 3]  # 13 >= 11 is redrawn; 0/3 is redrawn; 2/4
+    values += [rng.choice([0, 1, 2, 3, 4, 6, 7, 8, 9, 10]), rng.randrange(4)]
+    for _ in range(2 * (BLOCK_COLS - 1)):
+        values += [5 if zero_i else rng.randrange(11), rng.randrange(4)]
+    return values
+
+
+@pytest.mark.parametrize("dead", [0, 2, 3])
+def test_all_zero_I_side_gives_no_row(dead):
+    a = Alkane.chain(5)
+    rng = substream(101, f"test:zeroI:{dead}")
+    script = [v for k in range(len(a.edges)) for v in _edge_script(rng, k == dead)]
+    drawn, oracle = _Scripted(script), _Scripted(script)
+    sides = random_surface_sides(a, drawn)
+    model = surface_oracle(a, oracle)
+    # the draws of today's rand_fraction: as many getrandbits calls, as wide
+    assert drawn.widths == oracle.widths and len(drawn.widths) == len(script)
+    assert next(drawn.values, None) is None
+    assert model.edge_data[a.edges[dead]].i_vectors == ((Fraction(0),) * BLOCK_COLS,) * 2
+    assert sides == edge_sides(model)
+    assert sides[dead][1] == {} and all(cols for k, (_, cols) in enumerate(sides) if k != dead)
+    assert span_dimension_E_Gamma(sides) == a.genus - 2
 
 
 def test_egamma_span_check_fails_when_its_control_does_not(monkeypatch):
@@ -405,6 +468,6 @@ def test_egamma_span_check_fails_when_its_control_does_not(monkeypatch):
     assert ok and detail == {"models": 2, "degenerate_span": 1}
     # a span that reads h-1 for every model, the degenerate control included,
     # must fail the check
-    monkeypatch.setattr(checks, "span_dimension_E_Gamma", lambda model: model.alkane.genus - 1)
+    monkeypatch.setattr(checks, "span_dimension_E_Gamma", lambda sides: len(sides))
     ok, detail = checks.check_egamma_span(0, genera=(2, 3), trials=1)
     assert not ok and detail["degenerate_span"] == 2
