@@ -239,9 +239,9 @@ class JetRing(Frozen):
                 den = lcm(den, d)
         return Jet(self, {key: _scaled(pair, den // d) for key, (pair, d) in packed.items()}, den)
 
-    def linear_form(self, coeffs: Mapping[str, object], constant=0) -> "Jet":
-        """Constant + sum of coeff*variable, a convenience for unit factors."""
-        values = {0: constant}
+    def linear_form(self, coeffs: Mapping[str, object]) -> "Jet":
+        """The unit factor 1 + sum of coeff*variable."""
+        values = {0: 1}
         for name, c in coeffs.items():
             values[self._variable_key(name)] = c
         return self._packed(values)

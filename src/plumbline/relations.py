@@ -156,7 +156,7 @@ def perturbed_star_entries(
                 name: Fraction(rng.randint(-4, 4), rng.randint(1, 4))
                 for name in ring.variables
             }
-            unit = ring.linear_form(coeffs, constant=1)
+            unit = ring.linear_form(coeffs)
             out[(i, j)] = base.entry(i, j) * unit
     if corrupt_entry is not None:
         pair = (min(corrupt_entry), max(corrupt_entry))

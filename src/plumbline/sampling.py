@@ -7,16 +7,14 @@ draws of an existing one and reports are byte-for-byte reproducible.
 Each integer is drawn as CPython's ``randint(lo, hi)`` draws it,
 ``lo + r`` with ``r = getrandbits(k)`` for ``k = (hi - lo + 1).bit_length()``
 redrawn while ``r > hi - lo``, so every draw and the generator state after
-it are those of ``randint``.  Each Fraction comes from one table built at
-import; a Fraction is immutable, so handing the same object to every
-caller is safe.  ``random_surface_sides`` makes the same draws as ints.
+it are those of ``randint``.  ``random_surface_sides`` makes the same draws
+as ints and builds no Fraction.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Callable, Dict, Tuple
 
 from .alkanes import Alkane
@@ -35,12 +33,6 @@ def substream(seed: int, label: str) -> random.Random:
     return random.Random(f"{seed}:{label}")
 
 
-# every (numerator, denominator) the samplers draw: |n| <= 12, d <= 9
-_FRACTIONS = MappingProxyType(
-    {(n, d): Fraction(n, d) for n in range(-12, 13) for d in range(1, 10)}
-)
-
-
 def _below(getrandbits: Callable[[int], int], n: int) -> int:
     """A draw from [0, n), n > 0, exactly as ``random.Random._randbelow``."""
     k = n.bit_length()
@@ -55,11 +47,7 @@ def rand_fraction(rng: random.Random, lo: int = -9, hi: int = 9, max_den: int = 
     same draws."""
     getrandbits = rng.getrandbits
     n = lo + _below(getrandbits, hi - lo + 1)
-    d = 1 + _below(getrandbits, max_den)
-    try:
-        return _FRACTIONS[n, d]
-    except KeyError:
-        return Fraction(n, d)
+    return Fraction(n, 1 + _below(getrandbits, max_den))
 
 
 def rand_nonzero_fraction(rng: random.Random, lo: int = -9, hi: int = 9, max_den: int = 9) -> Fraction:
@@ -77,7 +65,7 @@ def rand_tau(rng: random.Random) -> TauPoint:
 
 
 # the distinct attachment points a star can draw: n/d with |n| <= 12, d <= 6
-STAR_POINTS = len({_FRACTIONS[n, d] for n in range(-12, 13) for d in range(1, 7)})
+STAR_POINTS = len({Fraction(n, d) for n in range(-12, 13) for d in range(1, 7)})
 
 
 def random_star_config(g: int, rng: random.Random) -> StarConfig:
@@ -128,10 +116,12 @@ def random_grass_frame_minors(g: int, rng: random.Random) -> Dict[Tuple[int, int
 
 
 def random_surface_sides(alkane: Alkane, rng: random.Random) -> list:
-    """A random surface model's ``surfaces.edge_sides``, drawn as ints: per edge,
+    """Per edge, in edge order, a random surface model's primitive omega side
+    keyed by ambient row and I side keyed by ambient column, drawn as ints:
     ``rand_nonzero_fraction(rng, -5, 5, 4)`` twice for omega, then 2 x 14
-    ``rand_fraction(rng, -5, 5, 4)`` for I.  12 clears each side; over its content,
-    it is the primitive vector positively proportional to the drawn side."""
+    ``rand_fraction(rng, -5, 5, 4)`` for I, the skew column left zero.  12
+    clears each side; over its content, it is the primitive vector
+    positively proportional to the drawn side."""
     getrandbits = rng.getrandbits
     sides = []
     for edge in alkane.edges:

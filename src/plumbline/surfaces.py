@@ -4,13 +4,14 @@ vanishing property.
 
 Every vertex block is a genus-1 elliptic block, one ambient row wide
 and BLOCK_COLS columns wide, so an edge carries two omega scalars and two
-I vectors.  These are synthetic data (random rational or user-supplied):
-the verifiable content is linear-algebraic -- ranks, spans and zero
-patterns -- and all of it is checked exactly.  The edge matrices and
-every rank run on Python ints: the span reads each edge's omega and I as
-primitive integer sides, drawn so (``sampling.random_surface_sides``) or
-cleared from a model (``edge_sides``), and one elimination core, behind
-``matrix_rank_exact`` and ``span_dimension_E_Gamma``, is fraction-free.
+I vectors.  These are synthetic data (random rational draws): the
+verifiable content is linear-algebraic -- ranks, spans and zero patterns
+-- and all of it is checked exactly.  An edge is given by its sides, the
+one surface format: the omega side keyed by ambient row and the I side
+keyed by ambient column, primitive integer vectors as
+``sampling.random_surface_sides`` draws them.  Pi_e is proportional to
+their outer product, and one fraction-free elimination core, behind
+``matrix_rank_exact`` and ``span_dimension_E_Gamma``, ranks on Python ints.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Dict, Mapping, Sequence, Tuple
 
 from .alkanes import Alkane
 from .errors import RangeError, StructureError
-from .frozen import Frozen
 
 # ---------------------------------------------------------------------------
 # dimension formulas
@@ -59,7 +59,7 @@ def dim_W(h_parts: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# genus-1 blocks and edge data
+# genus-1 blocks and edge sides
 
 # Columns of a genus-1 block: 11h+8 for h = 1, less the h x 4 zero block.
 # Vertex v owns ambient row v-1 and the BLOCK_COLS columns from
@@ -67,91 +67,9 @@ def dim_W(h_parts: Sequence[int]) -> int:
 BLOCK_COLS = 15
 
 
-class EdgeData(Frozen):
-    """Data of one configuration edge {i,j}, i < j.
-
-    ``omega`` is the signed pair (omega_i(P_ij), -omega_j(P_ji)) of
-    scalars.  ``i_vectors`` are the two per-vertex integral vectors, each
-    BLOCK_COLS wide, whose last (skew) coordinate is required to be zero;
-    callers modelling additional vanishing integrals simply supply more
-    zeros.  Every entry is an int or a ``Fraction``.
-    """
-
-    __slots__ = _fields = ("edge", "omega", "i_vectors")
-
-    def __init__(
-        self,
-        edge: Tuple[int, int],
-        omega: Tuple[object, object],
-        i_vectors: Sequence[Sequence[object]],
-    ):
-        object.__setattr__(self, "edge", edge)
-        object.__setattr__(self, "omega", omega)
-        i, j = edge
-        if i >= j:
-            raise StructureError(f"edge must be stored low-high, got {edge}")
-        i_vectors = tuple(tuple(v) for v in i_vectors)
-        object.__setattr__(self, "i_vectors", i_vectors)
-        for name, iv in zip(("low", "high"), i_vectors):
-            if len(iv) != BLOCK_COLS:
-                raise StructureError(
-                    f"I vector on the {name} side has length {len(iv)}, "
-                    f"block width is {BLOCK_COLS}"
-                )
-            if iv[-1]:
-                raise StructureError(
-                    f"last coordinate of the {name}-side I vector must vanish (skew block)"
-                )
-
-
-class SurfaceGraphModel(Frozen):
-    """Alkane-shaped configuration of genus-1 surface blocks with per-edge data."""
-
-    __slots__ = _fields = ("alkane", "edge_data")
-
-    def __init__(self, alkane: Alkane, edge_data: Mapping[Tuple[int, int], EdgeData]):
-        edge_data = dict(edge_data)
-        object.__setattr__(self, "alkane", alkane)
-        object.__setattr__(self, "edge_data", edge_data)
-        if set(edge_data) != set(alkane.edges):
-            raise StructureError("edge data keys do not match the alkane's edge set")
-        for (i, j), data in edge_data.items():
-            if data.edge != (i, j):
-                raise StructureError(f"edge data stored under {(i, j)} claims edge {data.edge}")
-
-
-def _edge_sides(model: SurfaceGraphModel, edge: Tuple[int, int]) -> tuple:
-    """The omega side and the I side of edge {i, j}, i < j, each cleared to
-    integers as ``(d, entries)``: omega keyed by ambient row, I by ambient
-    column."""
-    data = model.edge_data[edge]
-    omega = _cleared({v - 1: w for v, w in zip(edge, data.omega)})
-    offsets = (BLOCK_COLS * (v - 1) for v in edge)
-    i_side = _cleared(
-        {c + k: x for c, vec in zip(offsets, data.i_vectors) for k, x in enumerate(vec)}
-    )
-    return omega, i_side
-
-
 def _outer(rows: Dict[int, int], cols: Dict[int, int]) -> Dict[Tuple[int, int], int]:
+    """omega_e tensor I_e from an edge's sides, keyed by ambient (row, col)."""
     return {(r, c): w * x for r, w in rows.items() for c, x in cols.items()}
-
-
-def edge_matrix(
-    model: SurfaceGraphModel, edge: Tuple[int, int]
-) -> Tuple[int, Dict[Tuple[int, int], int]]:
-    """The rank-<=1 ambient matrix omega_e tensor I_e of one edge {i, j},
-    i < j, as ``(d, entries)``: Pi_e = entries / d with d > 0, and
-    ``entries`` holds the nonzero integers keyed by ambient (row, col)."""
-    (d_omega, rows), (d_i, cols) = _edge_sides(model, edge)
-    return d_omega * d_i, _outer(rows, cols)
-
-
-def edge_sides(model: SurfaceGraphModel) -> list:
-    """Per edge, in edge order, the omega side keyed by ambient row and the I
-    side keyed by ambient column, cleared and divided by their contents."""
-    sides = (_edge_sides(model, e) for e in model.alkane.edges)
-    return [(_primitive(rows), _primitive(cols)) for (_, rows), (_, cols) in sides]
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +133,9 @@ def _primitive_rank(work: list) -> int:
 
 def span_dimension_E_Gamma(sides: Sequence[Tuple[Dict[int, int], Dict[int, int]]]) -> int:
     """Exact dimension of the span of the edge matrices Pi_e, from their
-    primitive sides (``edge_sides``): each edge with nonzero sides w, c is the
-    row w tensor c, primitive as content(w tensor c) = content(w) content(c)."""
+    primitive integer sides (``sampling.random_surface_sides``): each edge
+    with nonzero sides w, c is the row w tensor c, primitive as
+    content(w tensor c) = content(w) content(c)."""
     return _primitive_rank([_outer(rows, cols) for rows, cols in sides if rows and cols])
 
 

@@ -613,7 +613,7 @@ def test_order_zero_ring_holds_constants_only():
     assert (a + b).terms == {(0, 0): GaussianRational(Fraction(7, 3), 1)}
     assert a.coefficient((1, 0)) == GaussianRational(0)
     assert a.valuation() == a.min_nonzero_degree() == 0
-    assert ring.linear_form({}, constant=5) == ring.constant(5)
+    assert ring.linear_form({}) == ring.one() == ring.constant(1)
     with pytest.raises(RangeError):
         ring.variable("x")
     with pytest.raises(RangeError):
@@ -640,15 +640,17 @@ def test_coefficient_of_a_monomial_outside_the_ring():
 
 @pytest.mark.parametrize("field", [EXACT_FIELD, FLOAT_FIELD], ids=["exact", "float"])
 def test_linear_form_is_its_constant_plus_each_term(field):
+    # the constant is the unit 1
     ring = JetRing(("a", "b", "c", "d"), 17, field)
     coeffs = {"c": Fraction(-3, 4), "a": Fraction(0), "d": Fraction(5, 2), "b": Fraction(1, 3)}
-    for constant in (1, 0, Fraction(-2, 9)):
-        summed = ring.constant(constant)
-        for name, c in coeffs.items():
+    for some in ({}, {"b": coeffs["b"]}, coeffs):
+        summed = ring.constant(1)
+        for name, c in some.items():
             summed = summed + ring.variable(name) * c
-        form = ring.linear_form(coeffs, constant=constant)
+        form = ring.linear_form(some)
         assert _bits(_pairs(form)) == _bits(_pairs(summed))
         assert form._den == summed._den
+        assert form.coefficient((0, 0, 0, 0)) == 1
 
 
 def test_ring_key_layout_stays_out_of_equality():

@@ -8,15 +8,12 @@ primitive sides of the oracle's Fraction model) and leave the generator in
 an equal state.
 """
 
-import inspect
-import re
 from fractions import Fraction
 from typing import Dict
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from plumbline import checks, sampling
+from plumbline import sampling
 from plumbline.alkanes import enumerate_alkanes
 from plumbline.curve_periods import StarConfig, TreeConfig, TreeEdgeData
 from plumbline.elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
@@ -31,9 +28,8 @@ from plumbline.sampling import (
     random_tree_config,
     substream,
 )
-from plumbline.surfaces import edge_sides
 
-from oracles import fraction_oracle, nonzero_oracle, surface_oracle
+from oracles import fraction_oracle, nonzero_oracle, oracle_sides, surface_oracle
 
 # ---------------------------------------------------------------------------
 # the oracle: the samplers as they were written on randint and Fraction
@@ -95,7 +91,7 @@ _SAMPLERS = {
     # the integer sides against the primitive sides of the Fraction model
     "surface": (
         random_surface_sides,
-        lambda alkane, rng: edge_sides(surface_oracle(alkane, rng)),
+        lambda alkane, rng: oracle_sides(surface_oracle(alkane, rng)),
         st.sampled_from(_ALKANES),
     ),
     "star": (random_star_config, _star_oracle, st.integers(2, 8)),
@@ -124,34 +120,19 @@ def test_star_genus_is_bounded_by_its_points():
     assert rng.getstate() == rng_oracle.getstate()
 
 
-def _call_ranges():
-    """Every (lo, hi, max_den) that the package passes to ``rand_fraction``
-    or ``rand_nonzero_fraction``, read from the call sites."""
-    call = re.compile(r"rand_(?:nonzero_)?fraction\((rng[^)]*)\)")
-    ranges = set()
-    for module in (sampling, checks):
-        for args in call.findall(inspect.getsource(module)):
-            if args.startswith("rng:") or args == "rng, lo, hi, max_den":
-                continue  # the definitions and the nonzero sampler's own draw
-            bounds = args.split(", ")[1:]  # int() fails on a bound that is not a literal
-            ranges.add(tuple(map(int, bounds)) if bounds else (-9, 9, 9))
-    return sorted(ranges)
-
-
+# every (lo, hi, max_den) the package passes to ``rand_fraction`` or
+# ``rand_nonzero_fraction``, its default (-9, 9, 9) included
+_CALL_RANGES = [
+    (-5, 5, 4), (-12, 12, 6), (-9, 9, 9), (-9, 9, 5), (-6, 6, 6),
+    (-3, 3, 4), (1, 4, 3), (-2, 2, 3), (1, 3, 2), (-5, 5, 3),
+]
 _EDGE_RANGES = [(1, 1, 1), (0, 0, 1), (-12, -12, 1), (12, 12, 9), (0, 1, 2), (-4, 4, 3), (1, 8, 8)]
-
-
-def test_call_ranges_are_read():
-    ranges = _call_ranges()
-    assert {(-5, 5, 4), (-12, 12, 6), (-9, 9, 9), (1, 3, 2)} <= set(ranges)
-    assert all(-12 <= lo <= hi <= 12 and 1 <= max_den <= 9 for lo, hi, max_den in ranges)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32), st.text(max_size=12))
 def test_rand_fraction_matches_randint(seed, label):
-    # out-of-table bounds draw the same way and build their Fraction
-    for lo, hi, max_den in _call_ranges() + _EDGE_RANGES + [(-20, 20, 11)]:
+    for lo, hi, max_den in _CALL_RANGES + _EDGE_RANGES + [(-20, 20, 11)]:
         rng, rng_oracle = substream(seed, label), substream(seed, label)
         for _ in range(20):
             got = rand_fraction(rng, lo, hi, max_den)
@@ -161,11 +142,3 @@ def test_rand_fraction_matches_randint(seed, label):
             got = rand_nonzero_fraction(rng, lo, hi, max_den)
             assert got == nonzero_oracle(rng_oracle, lo, hi, max_den)
         assert rng.getstate() == rng_oracle.getstate()
-
-
-@pytest.mark.parametrize("lo, hi, max_den", _call_ranges() + _EDGE_RANGES)
-def test_fraction_table_covers_the_call_ranges(lo, hi, max_den):
-    for n in range(lo, hi + 1):
-        for d in range(1, max_den + 1):
-            f = sampling._FRACTIONS[n, d]
-            assert type(f) is Fraction and f == Fraction(n, d)

@@ -12,8 +12,6 @@ from plumbline import checks, cli
 from plumbline.alkanes import Alkane, canonical_code, enumerate_alkanes, valency_profile
 from plumbline.errors import RangeError, StructureError
 from plumbline.surfaces import (
-    EdgeData,
-    SurfaceGraphModel,
     dim_K,
     dim_V_Gamma,
     dim_W,
@@ -26,12 +24,10 @@ from plumbline.surfaces import (
     BLOCK_COLS,
     _outer,
     _primitive,
-    edge_matrix,
-    edge_sides,
     matrix_rank_exact,
 )
 
-from oracles import surface_oracle
+from oracles import oracle_pi, oracle_sides, surface_oracle
 
 
 def test_dim_period_domain_values():
@@ -83,26 +79,24 @@ def test_dim_W_values():
 def test_block_shape():
     # a genus-1 block has 11h+8 columns, less the h x 4 zero block
     assert BLOCK_COLS == 11 * 1 + 4
-    good = (Fraction(1),) * 14 + (Fraction(0),)
-    for width in (14, 16):
-        bad = (Fraction(1),) * (width - 1) + (Fraction(0),)
-        with pytest.raises(StructureError, match="block width is 15"):
-            EdgeData((1, 2), (Fraction(1), Fraction(-1)), (good, bad))
+    # vertex v owns row v-1 and the BLOCK_COLS columns from BLOCK_COLS*(v-1)
+    for a in enumerate_alkanes(5):
+        sides = random_surface_sides(a, substream(79, f"test:block:{canonical_code(a)}"))
+        for (i, j), (rows, cols) in zip(a.edges, sides):
+            assert set(rows) == {i - 1, j - 1}
+            assert {c // BLOCK_COLS for c in cols} <= {i - 1, j - 1}
 
 
 def _two_vertex_model(omega_pair=(Fraction(1), Fraction(-1)), scale=Fraction(1)):
-    a = Alkane(2, [(1, 2)])
     iv = tuple(scale * (c + 1) for c in range(14)) + (Fraction(0),)
-    edge_data = {(1, 2): EdgeData((1, 2), omega_pair, (iv, iv))}
-    return SurfaceGraphModel(a, edge_data)
+    return {(1, 2): (omega_pair, (iv, iv))}
 
 
 def _dense_outer(model, edge):
     """omega_e tensor I_e as a full ambient matrix, for an edge that joins
     the model's only two vertices."""
-    data = model.edge_data[edge]
-    omega = list(data.omega)
-    i_vec = [x for vec in data.i_vectors for x in vec]
+    omega, i_vectors = model[edge]
+    i_vec = [x for vec in i_vectors for x in vec]
     return [[w * x for x in i_vec] for w in omega]
 
 
@@ -115,15 +109,19 @@ def _dense(entries, n_rows, n_cols):
 
 
 def _pi(model, edge):
-    """Pi_e from ``edge_matrix``'s integer entries and denominator, checked
-    against the dense omega_e tensor I_e entry by entry, as Fractions."""
-    d, entries = edge_matrix(model, edge)
-    assert d > 0 and all(type(v) is int for v in entries.values())
-    pi = {k: Fraction(v, d) for k, v in entries.items()}
+    """Pi_e from ``oracle_pi``, checked against the dense omega_e tensor I_e
+    entry by entry, and the outer product of the edge's primitive integer
+    sides checked positively proportional to it."""
+    pi = oracle_pi(model, edge)
     dense = _dense_outer(model, edge)
     nonzero = {(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row) if v}
     assert pi == nonzero
     assert _dense(pi, len(dense), len(dense[0])) == dense
+    [(rows, cols)] = oracle_sides(model)
+    entries = _outer(rows, cols)
+    assert entries.keys() == pi.keys() and all(type(v) is int for v in entries.values())
+    ratios = {pi[k] / v for k, v in entries.items()}
+    assert len(ratios) <= 1 and all(r > 0 for r in ratios)
     return pi
 
 
@@ -134,13 +132,16 @@ def test_build_pi_rank_at_most_one():
     assert matrix_rank_exact(_sparse(_dense_outer(model, (1, 2)))) == 1
     rows = [{c: v for (r, c), v in pi.items() if r == row} for row in range(2)]
     assert matrix_rank_exact(rows) == 1
+    assert span_dimension_E_Gamma(oracle_sides(model)) == 1
 
 
 def test_build_pi_zero_omega_gives_zero_matrix():
     model = _two_vertex_model((Fraction(0), Fraction(0)))
     assert _pi(model, (1, 2)) == {}
-    assert edge_matrix(model, (1, 2))[1] == {}
-    assert matrix_rank_exact([edge_matrix(model, (1, 2))[1]]) == 0
+    [(rows, cols)] = oracle_sides(model)
+    assert rows == {} and cols and _outer(rows, cols) == {}
+    assert matrix_rank_exact([_outer(rows, cols)]) == 0
+    assert span_dimension_E_Gamma(oracle_sides(model)) == 0
 
 
 def test_build_pi_scales_linearly():
@@ -149,13 +150,8 @@ def test_build_pi_scales_linearly():
     base = _pi(_two_vertex_model(), (1, 2))
     scaled = _pi(model, (1, 2))
     assert scaled == {k: s * v for k, v in base.items()}
-
-
-def test_edge_data_trailing_zero_enforced():
-    bad = tuple(Fraction(1) for _ in range(15))  # nonzero in the skew slot
-    good = tuple(Fraction(1) for _ in range(14)) + (Fraction(0),)
-    with pytest.raises(StructureError, match="skew block"):
-        EdgeData((1, 2), (Fraction(1), Fraction(-1)), (bad, good))
+    # a positive scale leaves the primitive sides as they were
+    assert oracle_sides(model) == oracle_sides(_two_vertex_model())
 
 
 def test_span_dimension_generic():
@@ -165,18 +161,35 @@ def test_span_dimension_generic():
             assert span_dimension_E_Gamma(sides) == h - 1
 
 
+def _duplicated(model):
+    """A Fraction model of the 3-chain whose two edges both carry edge
+    (1, 2)'s data, concentrated on the middle vertex."""
+    zero, zero_i = Fraction(0), (Fraction(0),) * BLOCK_COLS
+    (_, w_mid), (_, i_mid) = model[(1, 2)]
+    return {(1, 2): ((zero, w_mid), (zero_i, i_mid)), (2, 3): ((w_mid, zero), (i_mid, zero_i))}
+
+
 def test_span_dimension_degenerate_duplicate():
-    a = Alkane.chain(3)
-    model = surface_oracle(a, substream(87, "test:span:dup"))
-    w_mid = model.edge_data[(1, 2)].omega[1]
-    i_mid = model.edge_data[(1, 2)].i_vectors[1]
-    zero_i = (Fraction(0),) * 15
-    dup = {
-        (1, 2): EdgeData((1, 2), (Fraction(0), w_mid), (zero_i, i_mid)),
-        (2, 3): EdgeData((2, 3), (w_mid, Fraction(0)), (i_mid, zero_i)),
-    }
-    degenerate = SurfaceGraphModel(a, dup)
-    assert span_dimension_E_Gamma(edge_sides(degenerate)) == 1 < 2
+    model = surface_oracle(Alkane.chain(3), substream(87, "test:span:dup"))
+    assert span_dimension_E_Gamma(oracle_sides(_duplicated(model))) == 1 < 2
+
+
+def test_egamma_span_control_is_the_fraction_duplicate(monkeypatch):
+    # check_egamma_span builds its control from integer sides; for every seed
+    # they are the sides of the Fraction two-edge model drawn from its stream
+    for seed in range(50):
+        assert checks.check_egamma_span(seed)[1]["degenerate_span"] == 1
+    controls = []
+    span = checks.span_dimension_E_Gamma
+    monkeypatch.setattr(
+        checks, "span_dimension_E_Gamma", lambda sides: controls.append(sides) or span(sides)
+    )
+    for seed in range(50):
+        ok, detail = checks.check_egamma_span(seed, genera=())
+        assert ok and detail == {"models": 0, "degenerate_span": 1}
+        model = surface_oracle(Alkane.chain(3), substream(seed, "check:span:neg"))
+        assert controls == [oracle_sides(_duplicated(model))]
+        controls.clear()
 
 
 def test_span_h1_is_zero():
@@ -187,16 +200,12 @@ def test_span_h1_is_zero():
 def test_skew_block_on_constructed_pi():
     for h in (2, 3, 4):
         a = Alkane.chain(h)
-        model = surface_oracle(a, substream(91, f"test:skew:{h}"))
-        for edge in a.edges:
-            _, entries = edge_matrix(model, edge)
-            pi = _dense(entries, h, 15 * h)
+        for rows, cols in random_surface_sides(a, substream(91, f"test:skew:{h}")):
             # vertex v owns row v-1; its skew column is the last of its 15
+            assert all(c % BLOCK_COLS != BLOCK_COLS - 1 for c in cols)
+            pi = _dense(_outer(rows, cols), h, BLOCK_COLS * h)
             for v in range(1, h + 1):
-                rows = [v - 1]
-                cols = [15 * v - 1]
-                assert skew_block_rank_one_vanishing(pi, rows, cols)
-                assert all(c != cols[0] for _, c in entries)
+                assert skew_block_rank_one_vanishing(pi, [v - 1], [BLOCK_COLS * v - 1])
 
 
 def test_skew_block_zero_matrix():
@@ -329,30 +338,30 @@ def test_rank_matches_fraction_oracle(rows):
 def _degenerate(model, kind, edge):
     """``model`` with the data of one edge made degenerate in one way."""
     zero, zero_i = Fraction(0), (Fraction(0),) * BLOCK_COLS
-    data = model.edge_data[edge]
-    w_high, i_high = data.omega[1], data.i_vectors[1]
-    edge_data = dict(model.edge_data)
+    omega, i_vectors = model[edge]
+    w_high, i_high = omega[1], i_vectors[1]
+    model = dict(model)
     if kind == "zero omega side":
-        edge_data[edge] = EdgeData(edge, (zero, w_high), data.i_vectors)
+        model[edge] = (zero, w_high), i_vectors
     elif kind == "zero omega":
-        edge_data[edge] = EdgeData(edge, (zero, zero), data.i_vectors)
+        model[edge] = (zero, zero), i_vectors
     elif kind == "zero I vector":
-        edge_data[edge] = EdgeData(edge, data.omega, (zero_i, i_high))
+        model[edge] = omega, (zero_i, i_high)
     elif kind == "zero I":
-        edge_data[edge] = EdgeData(edge, data.omega, (zero_i, zero_i))
+        model[edge] = omega, (zero_i, zero_i)
     else:
         # check_egamma_span's control: the data of this edge, concentrated on
         # its high vertex, copied onto another edge at that vertex
         j = edge[1]
-        other = next((e for e in model.alkane.edges if e != edge and j in e), None)
+        other = next((e for e in model if e != edge and j in e), None)
         if other is None:
             return model
-        edge_data[edge] = EdgeData(edge, (zero, w_high), (zero_i, i_high))
+        model[edge] = (zero, w_high), (zero_i, i_high)
         if other[0] == j:
-            edge_data[other] = EdgeData(other, (w_high, zero), (i_high, zero_i))
+            model[other] = (w_high, zero), (i_high, zero_i)
         else:
-            edge_data[other] = EdgeData(other, (zero, w_high), (zero_i, i_high))
-    return SurfaceGraphModel(model.alkane, edge_data)
+            model[other] = (zero, w_high), (zero_i, i_high)
+    return model
 
 
 _ALKANES_UP_TO_6 = [a for h in range(1, 7) for a in enumerate_alkanes(h)]
@@ -372,11 +381,8 @@ def test_span_matches_fraction_oracle_on_degenerate_models(alkane, seed, degener
     for kind, k in degeneracies:
         if alkane.edges:
             model = _degenerate(model, kind, alkane.edges[k % len(alkane.edges)])
-    rows = [
-        {key: Fraction(v, d) for key, v in entries.items()}
-        for d, entries in (edge_matrix(model, e) for e in alkane.edges)
-    ]
-    assert span_dimension_E_Gamma(edge_sides(model)) == _rank_fraction_oracle(rows)
+    rows = [oracle_pi(model, e) for e in alkane.edges]
+    assert span_dimension_E_Gamma(oracle_sides(model)) == _rank_fraction_oracle(rows)
 
 
 _int_vectors = st.lists(st.integers(-(2**70), 2**70), max_size=6)
@@ -395,15 +401,13 @@ def test_content_of_outer_product(w, c):
 
 def test_surface_models_and_spans_build_no_fraction(monkeypatch, capsys):
     # surface models are drawn as integer sides and the span works on ints,
-    # so neither the sampler, the span nor the whole command builds a
-    # Fraction or an EdgeData
+    # so neither the sampler, the span nor the whole command builds a Fraction
     alkanes = enumerate_alkanes(6)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("Fraction or EdgeData built in the surface model or span loop")
+        raise AssertionError("Fraction built in the surface model or span loop")
 
     monkeypatch.setattr(Fraction, "__new__", forbidden)
-    monkeypatch.setattr(EdgeData, "__init__", forbidden)
     spans = [
         span_dimension_E_Gamma(random_surface_sides(a, substream(97, f"test:nofrac:{k}")))
         for k, a in enumerate(alkanes)
@@ -411,10 +415,8 @@ def test_surface_models_and_spans_build_no_fraction(monkeypatch, capsys):
     argv = ["surfaces", "egamma", "--genus", "6", "--trials", "2", "--seed", "97"]
     code = cli.main(argv)
     report = json.loads(capsys.readouterr().out)
-    with pytest.raises(AssertionError, match="Fraction or EdgeData built"):
+    with pytest.raises(AssertionError, match="Fraction built"):
         Fraction(1, 2)
-    with pytest.raises(AssertionError, match="Fraction or EdgeData built"):
-        EdgeData((1, 2), (1, -1), ((0,) * BLOCK_COLS,) * 2)
     assert spans == [5] * len(alkanes)
     assert code == 0 and report["pass"]
     assert [r["span_dims"] for r in report["results"]] == [[5, 5]] * len(alkanes)
@@ -457,8 +459,8 @@ def test_all_zero_I_side_gives_no_row(dead):
     # the draws of today's rand_fraction: as many getrandbits calls, as wide
     assert drawn.widths == oracle.widths and len(drawn.widths) == len(script)
     assert next(drawn.values, None) is None
-    assert model.edge_data[a.edges[dead]].i_vectors == ((Fraction(0),) * BLOCK_COLS,) * 2
-    assert sides == edge_sides(model)
+    assert model[a.edges[dead]][1] == ((Fraction(0),) * BLOCK_COLS,) * 2
+    assert sides == oracle_sides(model)
     assert sides[dead][1] == {} and all(cols for k, (_, cols) in enumerate(sides) if k != dead)
     assert span_dimension_E_Gamma(sides) == a.genus - 2
 

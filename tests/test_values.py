@@ -21,7 +21,6 @@ from plumbline.errors import DegenerateDataError, RangeError, StructureError
 from plumbline.gaussian import GaussianRational
 from plumbline.jets import DEFAULT_TOLERANCE, EXACT_FIELD, CoefficientField, FieldKind, JetRing
 from plumbline.relations import AsymptoticReport
-from plumbline.surfaces import BLOCK_COLS, EdgeData, SurfaceGraphModel
 
 O = TwoTorsionLabel.O
 HALF = TwoTorsionLabel.HALF
@@ -37,16 +36,8 @@ def _curve(im=1):
     return MarkedEllipticCurve(TauPoint(GaussianRational(0, im)), (_mark(),))
 
 
-def _i_vector(k):
-    return tuple(Fraction(k + c, 3) for c in range(BLOCK_COLS - 1)) + (0,)
-
-
 def _tree_edge(var, label=O):
     return TreeEdgeData(var, label, GaussianRational(1), label, GaussianRational(2))
-
-
-def _edge(i, j):
-    return EdgeData((i, j), (Fraction(1, 2), Fraction(-3)), (_i_vector(i), _i_vector(j)))
 
 
 # class -> a fresh valid instance's fields, in declaration order
@@ -92,20 +83,11 @@ VALID = {
         "passed": True,
         "min_surviving_degree": None,
     },
-    EdgeData: lambda: {
-        "edge": (1, 2),
-        "omega": (Fraction(1, 2), Fraction(-3)),
-        "i_vectors": (_i_vector(1), _i_vector(2)),
-    },
-    SurfaceGraphModel: lambda: {
-        "alkane": Alkane(3, ((1, 2), (2, 3))),
-        "edge_data": {(1, 2): _edge(1, 2), (2, 3): _edge(2, 3)},
-    },
 }
 
 CLASSES = list(VALID)
 IDS = [c.__name__ for c in CLASSES]
-UNHASHABLE = {TreeConfig, SurfaceGraphModel}  # a dict field
+UNHASHABLE = {TreeConfig}  # a dict field
 
 
 def _field_values(x, names):
@@ -195,8 +177,6 @@ def test_constructors_normalise_their_fields():
     assert Alkane(3, [[3, 2], (2, 1)]).edges == ((1, 2), (2, 3))
     assert MarkedEllipticCurve(TauPoint(I), [_mark()]).marks == (_mark(),)
     assert JetRing(["t", "u"], 2).variables == ("t", "u")
-    i_vectors = [list(_i_vector(1)), list(_i_vector(2))]
-    assert EdgeData((1, 2), (1, 2), i_vectors).i_vectors == (_i_vector(1), _i_vector(2))
     for cls in UNHASHABLE:
         fields = VALID[cls]()
         value = cls(**fields)
@@ -269,17 +249,6 @@ INVALID = [
      DegenerateDataError, "marks 0 and 1 sit at the same point"),
     (JetRing, _replaced(JetRing, variables=("t", "t")), StructureError, "duplicate variable"),
     (JetRing, _replaced(JetRing, order=-1), RangeError, "truncation order must be >= 0"),
-    (EdgeData, _replaced(EdgeData, edge=(2, 2)), StructureError, "stored low-high"),
-    (EdgeData, _replaced(EdgeData, edge=(2, 1)), StructureError, "stored low-high"),
-    (EdgeData, _replaced(EdgeData, i_vectors=(_i_vector(1)[1:], _i_vector(2))),
-     StructureError, "low side has length 14"),
-    (EdgeData, _replaced(EdgeData, i_vectors=(_i_vector(1), _i_vector(2)[:-1] + (1,))),
-     StructureError, "high-side I vector must vanish"),
-    (SurfaceGraphModel, _replaced(SurfaceGraphModel, edge_data={(1, 2): _edge(1, 2)}),
-     StructureError, "edge data keys"),
-    (SurfaceGraphModel,
-     _replaced(SurfaceGraphModel, edge_data={(1, 2): _edge(1, 2), (2, 3): _edge(1, 2)}),
-     StructureError, "stored under (2, 3) claims edge (1, 2)"),
 ]
 
 
