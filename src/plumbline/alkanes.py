@@ -49,11 +49,10 @@ class Alkane(Frozen):
 
     __slots__ = _fields = ("genus", "edges")
 
-    def __init__(self, genus: int, edges: Iterable[Sequence[int]]):
-        edges = _normalize_edges(edges)
-        object.__setattr__(self, "genus", genus)
+    def _check(self):
+        edges = _normalize_edges(self.edges)
         object.__setattr__(self, "edges", edges)
-        g = genus
+        g = self.genus
         if g < 1:
             raise RangeError(f"genus must be >= 1, got {g}")
         if len(edges) != g - 1:

@@ -72,6 +72,8 @@ def _positive_int(text: str) -> int:
 def _parse_part(x) -> Fraction:
     if isinstance(x, float) and math.isfinite(x):
         return Fraction(str(x))  # the decimal the JSON number prints as
+    if isinstance(x, str) and "_" in x:
+        raise ValueError("no underscores in a number")  # Fraction takes them from 3.11 on
     if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise ValueError("expected an int, a 'p/q' string or a finite number")

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
 
-from .alkanes import Alkane, canonical_code
-from .elliptic import MarkedEllipticCurve, TauPoint, TwoTorsionLabel
+from .alkanes import canonical_code
+from .elliptic import MarkedEllipticCurve, TwoTorsionLabel
 from .errors import DegenerateDataError, RangeError, StructureError
 from .frozen import Frozen
 from .jets import CoefficientField, Jet, JetRing
@@ -46,15 +46,12 @@ class CurveBlock(Frozen):
 
     __slots__ = _fields = ("tau_block", "omega_at_point")
 
-    def __init__(
-        self, tau_block: Tuple[Tuple[object, ...], ...], omega_at_point: Tuple[object, ...]
-    ):
-        object.__setattr__(self, "tau_block", tau_block)
-        object.__setattr__(self, "omega_at_point", omega_at_point)
+    def _check(self):
+        tau_block = self.tau_block
         g = len(tau_block)
         if g == 0 or any(len(row) != g for row in tau_block):
             raise StructureError("tau block must be square and nonempty")
-        if len(omega_at_point) != g:
+        if len(self.omega_at_point) != g:
             raise StructureError("omega vector length must match block size")
         for i in range(g):
             for j in range(g):
@@ -73,15 +70,7 @@ def _as_block(side: PairSide, mark_index: int) -> CurveBlock:
 
 class PairPlumbing(Frozen):
     __slots__ = _fields = ("curve_a", "curve_b", "t", "mark_a", "mark_b")
-
-    def __init__(
-        self, curve_a: PairSide, curve_b: PairSide, t: str, mark_a: int = 0, mark_b: int = 0
-    ):
-        object.__setattr__(self, "curve_a", curve_a)
-        object.__setattr__(self, "curve_b", curve_b)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "mark_a", mark_a)
-        object.__setattr__(self, "mark_b", mark_b)
+    _defaults = {"mark_a": 0, "mark_b": 0}
 
 
 class StarConfig(Frozen):
@@ -89,17 +78,10 @@ class StarConfig(Frozen):
 
     __slots__ = _fields = ("curves", "attach_points", "variables")
 
-    def __init__(
-        self,
-        curves: Tuple[MarkedEllipticCurve, ...],
-        attach_points: Tuple[object, ...],
-        variables: Tuple[str, ...],
-    ):
-        object.__setattr__(self, "curves", curves)
-        object.__setattr__(self, "attach_points", attach_points)
-        object.__setattr__(self, "variables", variables)
+    def _check(self):
+        curves, attach_points = self.curves, self.attach_points
         g = len(curves)
-        if len(attach_points) != g or len(variables) != g:
+        if len(attach_points) != g or len(self.variables) != g:
             raise StructureError("curves, attach points and variables must align")
         if g < 2:
             raise RangeError("a star needs at least two tails")
@@ -124,40 +106,21 @@ class TreeEdgeData(Frozen):
 
     __slots__ = _fields = ("var", "label_low", "coeff_low", "label_high", "coeff_high")
 
-    def __init__(
-        self,
-        var: str,
-        label_low: TwoTorsionLabel,
-        coeff_low: object,
-        label_high: TwoTorsionLabel,
-        coeff_high: object,
-    ):
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "label_low", label_low)
-        object.__setattr__(self, "coeff_low", coeff_low)
-        object.__setattr__(self, "label_high", label_high)
-        object.__setattr__(self, "coeff_high", coeff_high)
-        if not coeff_low or not coeff_high:
+    def _check(self):
+        if not self.coeff_low or not self.coeff_high:
             raise DegenerateDataError("zero leading coefficient at an attachment mark")
 
 
 class TreeConfig(Frozen):
     __slots__ = _fields = ("alkane", "taus", "edge_data")
 
-    def __init__(
-        self,
-        alkane: Alkane,
-        taus: Tuple[TauPoint, ...],
-        edge_data: Mapping[Tuple[int, int], TreeEdgeData],
-    ):
-        object.__setattr__(self, "alkane", alkane)
-        object.__setattr__(self, "taus", taus)
-        g = alkane.genus
-        if len(taus) != g:
-            raise StructureError(f"{len(taus)} curves for a genus-{g} alkane")
-        edge_data = dict(edge_data)
+    def _check(self):
+        g = self.alkane.genus
+        if len(self.taus) != g:
+            raise StructureError(f"{len(self.taus)} curves for a genus-{g} alkane")
+        edge_data = dict(self.edge_data)
         object.__setattr__(self, "edge_data", edge_data)
-        if set(edge_data) != set(alkane.edges):
+        if set(edge_data) != set(self.alkane.edges):
             raise StructureError("edge data keys do not match the alkane's edge set")
         per_vertex: Dict[int, List[TwoTorsionLabel]] = {}
         for (i, j), data in edge_data.items():
@@ -186,15 +149,16 @@ class PeriodMatrixJet(Frozen):
 
     __slots__ = ("genus", "entries", "meta")
     _fields = ("entries", "meta")
+    _defaults = {"meta": None}
 
-    def __init__(self, entries: Mapping[Tuple[int, int], Jet], meta: Optional[dict] = None):
-        entries = dict(entries)
+    def _check(self):
+        entries = dict(self.entries)
         g = max((j for _, j in entries), default=0)
         if g < 1 or set(entries) != set(_upper_pairs(g)):
             raise StructureError("period matrix needs one jet per pair (i, j), 1 <= i <= j <= g")
         object.__setattr__(self, "genus", g)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "meta", dict(meta or {}))
+        object.__setattr__(self, "meta", dict(self.meta or {}))
 
     @property
     def ring(self) -> JetRing:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Iterable, Union
 
 from .errors import DegenerateDataError, RangeError
 from .frozen import Frozen
@@ -23,10 +22,9 @@ from .gaussian import GaussianRational
 class TauPoint(Frozen):
     __slots__ = _fields = ("value",)
 
-    def __init__(self, value: GaussianRational):
-        object.__setattr__(self, "value", value)
-        if value.im <= 0:
-            raise RangeError(f"tau must have positive imaginary part, got {value}")
+    def _check(self):
+        if self.value.im <= 0:
+            raise RangeError(f"tau must have positive imaginary part, got {self.value}")
 
 
 class TwoTorsionLabel(enum.Enum):
@@ -45,16 +43,11 @@ class TwoTorsionLabel(enum.Enum):
         return (tau + 1) / 2
 
 
-MarkPoint = Union[TwoTorsionLabel, GaussianRational]
-
-
 class Mark(Frozen):
     __slots__ = _fields = ("point", "coord_leading_coeff")
 
-    def __init__(self, point: MarkPoint, coord_leading_coeff: GaussianRational):
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "coord_leading_coeff", coord_leading_coeff)
-        if not coord_leading_coeff:
+    def _check(self):
+        if not self.coord_leading_coeff:
             raise DegenerateDataError("local coordinate with zero leading coefficient")
 
 
@@ -65,20 +58,22 @@ def normalized_form_value(m: Mark) -> GaussianRational:
 
 class MarkedEllipticCurve(Frozen):
     __slots__ = _fields = ("tau", "marks")
+    _defaults = {"marks": ()}
 
-    def __init__(self, tau: TauPoint, marks: Iterable[Mark] = ()):
-        marks = tuple(marks)
-        object.__setattr__(self, "tau", tau)
+    def _check(self):
+        marks = tuple(self.marks)
         object.__setattr__(self, "marks", marks)
+        tau = self.tau.value
         reps = [
-            m.point.representative(tau.value)
-            if isinstance(m.point, TwoTorsionLabel)
-            else m.point
+            m.point.representative(tau) if isinstance(m.point, TwoTorsionLabel) else m.point
             for m in marks
         ]
+        # two marks coincide on E_tau when their representatives z = a + b.tau
+        # agree in (a mod 1, b mod 1), where b = Im z / Im tau
+        cells = [((z.re - z.im / tau.im * tau.re) % 1, z.im / tau.im % 1) for z in reps]
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
-                if reps[i] == reps[j]:
+                if cells[i] == cells[j]:
                     raise DegenerateDataError(
                         f"marks {i} and {j} sit at the same point {reps[i]}"
                     )

@@ -10,11 +10,8 @@ convert explicitly with ``to_complex`` at the boundary instead.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 from .frozen import Frozen
-
-RationalLike = Union[int, Fraction]
 
 _ZERO = Fraction(0)
 
@@ -30,7 +27,7 @@ def _as_fraction(x, what: str) -> Fraction:
 class GaussianRational(Frozen):
     __slots__ = _fields = ("re", "im")
 
-    def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
+    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
         object.__setattr__(self, "re", _as_fraction(re, "real part"))
         object.__setattr__(self, "im", _as_fraction(im, "imaginary part"))
 

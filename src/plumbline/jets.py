@@ -73,10 +73,7 @@ class FieldKind(enum.Enum):
 
 class CoefficientField(Frozen):
     __slots__ = _fields = ("kind", "tolerance")
-
-    def __init__(self, kind: FieldKind, tolerance: float = DEFAULT_TOLERANCE):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "tolerance", tolerance)
+    _defaults = {"tolerance": DEFAULT_TOLERANCE}
 
     @property
     def is_exact(self) -> bool:
@@ -160,19 +157,16 @@ class JetRing(Frozen):
     # fields: equality, hashing and repr stay those of (variables, order, field)
     __slots__ = ("variables", "order", "field", "width", "shift")
     _fields = ("variables", "order", "field")
+    _defaults = {"field": EXACT_FIELD}
 
-    def __init__(
-        self, variables: Sequence[str], order: int, field: CoefficientField = EXACT_FIELD
-    ):
+    def _check(self):
+        variables, order = self.variables, self.order
         if len(set(variables)) != len(variables):
             raise StructureError(f"duplicate variable names in {variables}")
         if order < 0:
             raise RangeError(f"truncation order must be >= 0, got {order}")
-        variables = tuple(variables)
         width = max(1, order.bit_length())
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "variables", tuple(variables))
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "shift", width * len(variables))
 
@@ -252,17 +246,14 @@ def _scaled(pair: Pair, factor: int) -> Pair:
 
 
 class Jet(Frozen):
-    """Immutable sparse truncated polynomial over its ring's field."""
+    """Immutable sparse truncated polynomial over its ring's field.
+
+    ``_terms`` maps packed monomial keys to nonzero (re, im) pairs, each
+    divided by the positive ``_den``; the ring's constructors pack
+    exponents and field values."""
 
     __slots__ = _fields = ("ring", "_terms", "_den")
-
-    def __init__(self, ring: JetRing, terms: Dict[int, Pair], den: int = 1):
-        """``terms`` maps packed monomial keys to nonzero (re, im) pairs,
-        each divided by the positive ``den``; the ring's constructors pack
-        exponents and field values."""
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_den", den)
+    _defaults = {"_den": 1}
 
     # -- inspection ---------------------------------------------------
 
@@ -304,16 +295,15 @@ class Jet(Frozen):
     def min_nonzero_degree(self) -> int | None:
         """Smallest total degree carrying a nonzero coefficient.
 
-        Exact field: literal, on the stored integers.  Float field: nonzero
-        relative to the largest coefficient modulus anywhere in the jet.
+        Exact field: the valuation, as every stored pair is nonzero.  Float
+        field: relative to the largest coefficient modulus in the jet.
         """
         field = self.ring.field
         if field.is_exact:
-            nonzero = (key for key, (re, im) in self._terms.items() if re or im)
-        else:
-            values = self._values()
-            scale = field.magnitude(values.values())
-            nonzero = (key for key, c in values.items() if not field.negligible(c, scale))
+            return self.valuation()
+        values = self._values()
+        scale = field.magnitude(values.values())
+        nonzero = (key for key, c in values.items() if not field.negligible(c, scale))
         low = min(nonzero, default=None)  # the least key has the least degree
         return None if low is None else low >> self.ring.shift
 

@@ -111,20 +111,6 @@ ORDER = MOD_T9_SAFE_DEGREE + 1  # the smallest ring that can report the first su
 class AsymptoticReport(Frozen):
     __slots__ = _fields = ("genus", "mode", "octics_checked", "passed", "min_surviving_degree")
 
-    def __init__(
-        self,
-        genus: int,
-        mode: str,
-        octics_checked: int,
-        passed: bool,
-        min_surviving_degree: Optional[int],
-    ):
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "octics_checked", octics_checked)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "min_surviving_degree", min_surviving_degree)
-
     def to_json_dict(self) -> dict:
         return {
             "g": self.genus,

@@ -131,6 +131,13 @@ MALFORMED_CONFIGS = [
         "edge_data[1].high.c: ",
     ),
     ("star", json.dumps(_with(STAR_CONFIG, ["b", 1], "one")), "b[1]: "),
+    # PEP 515 underscores, which Fraction reads only from Python 3.11 on
+    ("pair", json.dumps(_with(PAIR_CONFIG, PAIR_C, "1_0")), "curve_a.marks[0].c: bad numeric"),
+    (
+        "pair",
+        json.dumps(_with(PAIR_CONFIG, ["curve_b", "tau"], ["0", "2_0"])),
+        "curve_b.tau: bad numeric value",
+    ),
     (
         "star",
         json.dumps(_with(STAR_CONFIG, ["curves", 1, "marks", 0, "c"], [1])),
@@ -444,6 +451,21 @@ def test_tree_vertex_outside_the_genus_is_invalid_input(tmp_path, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert "invalid input: edge endpoint outside 1..genus" in captured.err
+
+
+@pytest.mark.parametrize(
+    "label, point",
+    [("O", ["1", "0"]), ("Half", ["3/2", "0"]), ("O", ["0", "1"]), ("O", ["0", "0"])],
+)
+def test_marks_that_coincide_modulo_the_lattice_are_invalid_input(label, point, tmp_path, capsys):
+    # curve_a has tau = i: 1, 3/2 and i are 0, 1/2 and 0 on E_i
+    marks = [{"point": label, "c": ["1", "0"]}, {"point": point, "c": ["1", "0"]}]
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(_with(PAIR_CONFIG, ["curve_a", "marks"], marks)))
+    code = main(["periods", "pair", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "invalid input: marks 0 and 1 sit at the same point" in captured.err
 
 
 def _paths(node, path=()):

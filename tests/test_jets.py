@@ -228,6 +228,8 @@ def test_valuation_of_sum_and_product(a, b):
     p = (a * b).valuation()
     if p is not None:
         assert p >= va + vb
+    for jet in (a, b, a + b, a * b):  # every stored exact pair is nonzero
+        assert jet.min_nonzero_degree() == jet.valuation()
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,7 +2,9 @@
 standard-library module or plumbline itself.  It reads no environment
 variable, so argv, the config and --seed fix every report.  And every
 invocation loads only what its start-up needs: no ``dataclasses``, and
-neither ``selftest``'s registry nor ``traceback`` until they are used."""
+neither ``selftest``'s registry nor ``traceback`` until they are used.
+Only ``frozen.py``, which generates the value classes' constructors, runs
+code built at run time."""
 
 import ast
 import os
@@ -86,3 +88,22 @@ def test_cli_import_leaves_unused_modules_unloaded():
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
     )
     assert run.stdout.split() == []
+
+
+def _dynamic_code_calls(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        # the builtins, called by name (``re.compile`` is no such call)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id in ("exec", "eval", "compile"):
+                yield f"{path.name}:{node.lineno}: {node.func.id}"
+
+
+def test_only_frozen_runs_generated_code():
+    found = [
+        hit
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "frozen.py"
+        for hit in _dynamic_code_calls(path)
+    ]
+    assert not found, found
+    assert list(_dynamic_code_calls(PACKAGE / "frozen.py"))  # the guard sees real calls

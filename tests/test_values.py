@@ -3,23 +3,36 @@ positional construction, equality over every field and only within one
 class, hashing, repr, immutability, and each constructor check."""
 
 import copy
+import importlib
+import inspect
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import plumbline
 from plumbline.alkanes import Alkane
 from plumbline.curve_periods import (
     CurveBlock,
     PairPlumbing,
+    PeriodMatrixJet,
     StarConfig,
     TreeConfig,
     TreeEdgeData,
 )
 from plumbline.elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
 from plumbline.errors import DegenerateDataError, RangeError, StructureError
+from plumbline.frozen import Frozen
 from plumbline.gaussian import GaussianRational
-from plumbline.jets import DEFAULT_TOLERANCE, EXACT_FIELD, CoefficientField, FieldKind, JetRing
+from plumbline.jets import (
+    DEFAULT_TOLERANCE,
+    EXACT_FIELD,
+    CoefficientField,
+    FieldKind,
+    Jet,
+    JetRing,
+)
 from plumbline.relations import AsymptoticReport
 
 O = TwoTorsionLabel.O
@@ -249,6 +262,14 @@ INVALID = [
      DegenerateDataError, "marks 0 and 1 sit at the same point"),
     (JetRing, _replaced(JetRing, variables=("t", "t")), StructureError, "duplicate variable"),
     (JetRing, _replaced(JetRing, order=-1), RangeError, "truncation order must be >= 0"),
+    # E_tau = C/(Z + Z.tau) with tau = i: 1, 3/2 and i are 0, 1/2 and 0 there
+    (MarkedEllipticCurve, _replaced(MarkedEllipticCurve, marks=(_mark(O), Mark(ONE, I))),
+     DegenerateDataError, "marks 0 and 1 sit at the same point 0"),
+    (MarkedEllipticCurve,
+     _replaced(MarkedEllipticCurve, marks=(_mark(HALF), Mark(GaussianRational(3 * HALF_R), I))),
+     DegenerateDataError, "marks 0 and 1 sit at the same point"),
+    (MarkedEllipticCurve, _replaced(MarkedEllipticCurve, marks=(_mark(O), Mark(I, I))),
+     DegenerateDataError, "marks 0 and 1 sit at the same point"),
 ]
 
 
@@ -267,3 +288,45 @@ def test_every_checked_class_has_a_failing_case():
     checked = {c for c, *_ in INVALID}
     unchecked = set(CLASSES) - checked
     assert unchecked == {PairPlumbing, CoefficientField, AsymptoticReport}
+
+
+def _package_value_classes():
+    for info in pkgutil.iter_modules(plumbline.__path__):
+        importlib.import_module(f"plumbline.{info.name}")
+    found, todo = set(), [Frozen]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("plumbline."):
+                found.add(sub)
+    return found
+
+
+# the value classes with an equality of their own, characterised elsewhere
+OWN_EQUALITY = {GaussianRational, Jet, PeriodMatrixJet}
+
+
+def test_every_value_class_is_characterised_here():
+    found = _package_value_classes()
+    assert OWN_EQUALITY <= found
+    assert found - OWN_EQUALITY == set(CLASSES)
+
+
+@pytest.mark.parametrize(
+    "cls", sorted(_package_value_classes() - {GaussianRational}, key=lambda c: c.__name__)
+)
+def test_generated_signature_lists_the_fields_with_their_defaults(cls):
+    params = list(inspect.signature(cls).parameters.values())
+    assert [p.name for p in params] == list(cls._fields)
+    for p in params:
+        assert p.kind is p.POSITIONAL_OR_KEYWORD
+        assert p.default is cls._defaults.get(p.name, p.empty)
+    assert set(cls._defaults) <= set(cls._fields)
+
+
+def test_subclasses_inherit_the_constructor_and_its_checks():
+    sub = type("SubAlkane", (Alkane,), {})
+    assert sub.__init__ is Alkane.__init__
+    assert sub(3, [[3, 2], (2, 1)]).edges == ((1, 2), (2, 3))
+    with pytest.raises(RangeError, match="genus must be >= 1"):
+        sub(0, ())
