@@ -242,17 +242,21 @@ def alkane_from_code(code: str) -> Alkane:
     return Alkane(g, edges)
 
 
-def enumerate_alkanes(g: int) -> List[Alkane]:
-    """One labeled representative per isomorphism class, sorted by code."""
+def alkane_codes(g: int) -> Tuple[str, ...]:
+    """The canonical codes of the genus-g alkanes, sorted: the code of each
+    ``enumerate_alkanes(g)`` entry, in the same order."""
     if not 1 <= g <= GENUS_CAP:
         raise RangeError(f"genus {g} outside 1..{GENUS_CAP}")
-    return [alkane_from_code(code) for code in _free_codes(g)]
+    return _free_codes(g)
+
+
+def enumerate_alkanes(g: int) -> List[Alkane]:
+    """One labeled representative per isomorphism class, sorted by code."""
+    return [alkane_from_code(code) for code in alkane_codes(g)]
 
 
 def count_alkanes(g: int) -> int:
-    if not 1 <= g <= GENUS_CAP:
-        raise RangeError(f"genus {g} outside 1..{GENUS_CAP}")
-    return len(_free_codes(g))
+    return len(alkane_codes(g))
 
 
 # ---------------------------------------------------------------------------

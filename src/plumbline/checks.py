@@ -14,8 +14,8 @@ from typing import Sequence, Tuple
 
 from .alkanes import (
     Alkane,
+    alkane_codes,
     brute_force_alkane_count,
-    canonical_code,
     count_alkanes,
     enumerate_alkanes,
     is_chain,
@@ -157,8 +157,8 @@ def check_branch_patterns(seed: int = 0, *, genera: Sequence[int] = range(2, 7))
     ok = True
     tested = 0
     for g in genera:
-        for a in enumerate_alkanes(g):
-            _, m = _tree_assembly(a, substream(seed, f"check:branch:{g}:{canonical_code(a)}"))
+        for code, a in zip(alkane_codes(g), enumerate_alkanes(g)):
+            _, m = _tree_assembly(a, substream(seed, f"check:branch:{g}:{code}"))
             tested += 1
             if offdiag_support(m) != frozenset(a.edges):
                 ok = False
@@ -201,8 +201,7 @@ def check_rank_one(
             ok = False
     tested = 0
     for g in genera:
-        for a in enumerate_alkanes(g):
-            code = canonical_code(a)
+        for code, a in zip(alkane_codes(g), enumerate_alkanes(g)):
             for trial in range(trials):
                 tc, m = _tree_assembly(a, substream(seed, f"check:tree:{g}:{code}:{trial}"))
                 tested += 1
@@ -239,8 +238,7 @@ def check_egamma_span(
     ok = True
     models = 0
     for h in genera:
-        for a in enumerate_alkanes(h):
-            code = canonical_code(a)
+        for code, a in zip(alkane_codes(h), enumerate_alkanes(h)):
             for trial in range(trials):
                 rng = substream(seed, f"check:span:{h}:{code}:{trial}")
                 models += 1
@@ -282,8 +280,8 @@ def check_skew_block(
             counterexamples += 1
     pi_ok = True
     for h in pi_genera:
-        for a in enumerate_alkanes(h):
-            rng = substream(seed, f"check:skew:pi:{h}:{canonical_code(a)}")
+        for code, a in zip(alkane_codes(h), enumerate_alkanes(h)):
+            rng = substream(seed, f"check:skew:pi:{h}:{code}")
             for _, cols in random_surface_sides(a, rng):
                 if any(c % BLOCK_COLS == BLOCK_COLS - 1 for c in cols):
                     pi_ok = False

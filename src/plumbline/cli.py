@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Tuple, TypeVar
 
 from . import __version__
-from .alkanes import Alkane, canonical_code, count_alkanes, enumerate_alkanes
+from .alkanes import Alkane, alkane_codes, count_alkanes, enumerate_alkanes
 from .curve_periods import (
     CurveBlock,
     PairPlumbing,
@@ -321,8 +321,7 @@ def cmd_surfaces_dims(args):
 def cmd_surfaces_egamma(args):
     h = args.genus
     results = []
-    for a in enumerate_alkanes(h):
-        code = canonical_code(a)
+    for code, a in zip(alkane_codes(h), enumerate_alkanes(h)):
         rngs = (substream(args.seed, f"egamma:{code}:{trial}") for trial in range(args.trials))
         spans = [span_dimension_E_Gamma(random_surface_sides(a, rng)) for rng in rngs]
         results.append(

@@ -8,7 +8,8 @@ Each integer is drawn as CPython's ``randint(lo, hi)`` draws it,
 ``lo + r`` with ``r = getrandbits(k)`` for ``k = (hi - lo + 1).bit_length()``
 redrawn while ``r > hi - lo``, so every draw and the generator state after
 it are those of ``randint``.  ``random_surface_sides`` makes the same draws
-as ints and builds no Fraction.
+as ints and builds no Fraction.  It runs the rejection loops of its I draws,
+28 per edge, inline and reads each cleared value from a table.
 """
 
 from __future__ import annotations
@@ -115,6 +116,10 @@ def random_grass_frame_minors(g: int, rng: random.Random) -> Dict[Tuple[int, int
             return y
 
 
+# 12 * n/d for the I draw n = r - 5, d = 1 + s, indexed [r][s]
+_CLEARED_I = tuple(tuple((r - 5) * (12 // (1 + s)) for s in range(4)) for r in range(11))
+
+
 def random_surface_sides(alkane: Alkane, rng: random.Random) -> list:
     """Per edge, in edge order, a random surface model's primitive omega side
     keyed by ambient row and I side keyed by ambient column, drawn as ints:
@@ -135,9 +140,15 @@ def random_surface_sides(alkane: Alkane, rng: random.Random) -> list:
         i_side = {}
         for v in edge:
             for c in range(BLOCK_COLS * (v - 1), BLOCK_COLS * v - 1):
-                n = _below(getrandbits, 11) - 5
-                d = 1 + _below(getrandbits, 4)
-                if n:
-                    i_side[c] = n * (12 // d)
+                # _below(getrandbits, 11) and _below(getrandbits, 4), inlined
+                r = getrandbits(4)
+                while r > 10:
+                    r = getrandbits(4)
+                s = getrandbits(3)
+                while s > 3:
+                    s = getrandbits(3)
+                x = _CLEARED_I[r][s]
+                if x:
+                    i_side[c] = x
         sides.append((_primitive(omega), _primitive(i_side)))
     return sides

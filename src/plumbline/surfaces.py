@@ -12,6 +12,9 @@ keyed by ambient column, primitive integer vectors as
 ``sampling.random_surface_sides`` draws them.  Pi_e is proportional to
 their outer product, and one fraction-free elimination core, behind
 ``matrix_rank_exact`` and ``span_dimension_E_Gamma``, ranks on Python ints.
+The span hands it each edge as the factored pair of its sides; a pair is
+multiplied out only if a row operation needs its entries, which an
+alkane's edges never do.
 """
 
 from __future__ import annotations
@@ -102,25 +105,43 @@ def matrix_rank_exact(rows: Sequence[Mapping[object, object]]) -> int:
 def _primitive_rank(work: list) -> int:
     """Rank of nonzero primitive integer rows (no zero entries, content 1),
     by fraction-free elimination, each new row divided by its content.
-    Consumes ``work``; the row dicts are left as they were.
+    Consumes ``work``; the rows are left as they were.
+
+    A row is a dict, or a pair (w, c) of primitive sides that stands for
+    the row ``_outer(w, c)``, keyed by (r, k).  A pair's largest key is
+    (max(w), max(c)), since keys order lexicographically and the sides hold
+    no zero entries, and its entry at (r, k) is w[r] * c[k]; it is
+    multiplied out only when a row operation needs its entries.
 
     The pivot is the largest key of the last row.  For the edge rows of an
     alkane labelled with each parent below its children and its edges
     sorted, as ``enumerate_alkanes`` gives them, that key lies in the
     child vertex's columns whenever the edge's I vector there is nonzero,
     and no remaining edge touches those columns, so such a row needs no
-    row operation.
+    row operation and an edge pair is never multiplied out.
     """
     rank = 0
     while work:
         row = work.pop()
         rank += 1
-        key = max(row)
-        p = row[key]
+        if type(row) is tuple:
+            w, c = row
+            key = max(w), max(c)
+            p = w[key[0]] * c[key[1]]
+        else:
+            key = max(row)
+            p = row[key]
         reduced = []
         for other in work:
-            b = other.get(key)
+            if type(other) is tuple:
+                b = other[0].get(key[0], 0) * other[1].get(key[1], 0)
+            else:
+                b = other.get(key)
             if b:
+                if type(row) is tuple:
+                    row = _outer(*row)
+                if type(other) is tuple:
+                    other = _outer(*other)
                 new = {k: p * v for k, v in other.items()}
                 for k, v in row.items():
                     new[k] = new.get(k, 0) - b * v
@@ -135,8 +156,9 @@ def span_dimension_E_Gamma(sides: Sequence[Tuple[Dict[int, int], Dict[int, int]]
     """Exact dimension of the span of the edge matrices Pi_e, from their
     primitive integer sides (``sampling.random_surface_sides``): each edge
     with nonzero sides w, c is the row w tensor c, primitive as
-    content(w tensor c) = content(w) content(c)."""
-    return _primitive_rank([_outer(rows, cols) for rows, cols in sides if rows and cols])
+    content(w tensor c) = content(w) content(c), and is handed to the
+    elimination as the pair (w, c)."""
+    return _primitive_rank([(rows, cols) for rows, cols in sides if rows and cols])
 
 
 def skew_block_rank_one_vanishing(

@@ -10,9 +10,11 @@ import pytest
 
 from plumbline import checks
 from plumbline.alkanes import (
+    GENUS_CAP,
     MAX_CARBON_DEGREE,
     Alkane,
     _centroids,
+    alkane_codes,
     alkane_from_code,
     brute_force_alkane_count,
     canonical_code,
@@ -150,14 +152,17 @@ def test_enumerate_genus_four():
 def test_enumeration_is_sorted_and_canonical():
     from plumbline.alkanes import _free_codes
 
-    for g in range(1, 11):
+    # every genus the CLI accepts: `surfaces egamma` and `selftest` print and
+    # seed from the generated codes instead of recomputing them
+    for g in range(1, GENUS_CAP + 1):
         alkanes = enumerate_alkanes(g)
         codes = [canonical_code(a) for a in alkanes]
         assert codes == sorted(codes)
         assert len(set(codes)) == len(codes)
         # the generated code strings and the public canonical_code agree,
         # including on bicentroidal trees
-        assert tuple(codes) == _free_codes(g)
+        assert tuple(codes) == _free_codes(g) == alkane_codes(g)
+        assert count_alkanes(g) == len(alkane_codes(g))
         for a, code in zip(alkanes, codes):
             assert alkane_from_code(code).genus == g
 
@@ -169,6 +174,9 @@ def test_genus_out_of_range():
         enumerate_alkanes(17)
     with pytest.raises(RangeError):
         count_alkanes(17)
+    for g in (0, GENUS_CAP + 1):
+        with pytest.raises(RangeError):
+            alkane_codes(g)
 
 
 def test_canonical_code_relabeling_invariance():

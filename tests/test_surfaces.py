@@ -8,8 +8,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from plumbline import checks, cli
-from plumbline.alkanes import Alkane, canonical_code, enumerate_alkanes, valency_profile
+from plumbline import checks, cli, surfaces
+from plumbline.alkanes import (
+    Alkane,
+    alkane_codes,
+    canonical_code,
+    enumerate_alkanes,
+    valency_profile,
+)
 from plumbline.errors import RangeError, StructureError
 from plumbline.surfaces import (
     dim_K,
@@ -397,6 +403,51 @@ def test_content_of_outer_product(w, c):
     rows = {r: x for r, x in enumerate(w) if x}
     cols = {k: y for k, y in enumerate(c) if y}
     assert _primitive(_outer(rows, cols)) == _outer(_primitive(rows), _primitive(cols))
+
+
+# small key and value ranges, so that the pivots of distinct sides collide
+_small_side = st.dictionaries(st.integers(0, 3), st.integers(-3, 3).filter(bool), max_size=4)
+_COPIES = ["duplicate", "negated", "shared pivot"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_small_side, _small_side), min_size=1, max_size=6),
+    st.lists(st.tuples(st.sampled_from(_COPIES), st.integers(0, 5), _small_side), max_size=4),
+)
+@example([({0: 1}, {1: 2, 3: 1}), ({}, {0: 1}), ({2: 1}, {})], [("duplicate", 0, {})])
+def test_span_on_factored_rows_matches_multiplied_out_rank(pairs, copies):
+    # span_dimension_E_Gamma ranks each edge as its factored pair (w, c);
+    # rows whose pivots collide must be multiplied out and reduced exactly
+    sides = [(_primitive(w), _primitive(c)) for w, c in pairs]
+    for kind, k, extra in copies:
+        w, c = sides[k % len(sides)]
+        if kind == "negated":
+            w = {r: -x for r, x in w.items()}
+        elif kind == "shared pivot" and c:
+            # the same largest key as c, different entries below it
+            top = max(c)
+            c = _primitive({**{j: x for j, x in extra.items() if j < top}, top: c[top]})
+        sides.append((w, c))
+    before = [(dict(w), dict(c)) for w, c in sides]
+    expected = matrix_rank_exact([_outer(w, c) for w, c in sides])
+    assert span_dimension_E_Gamma(sides) == expected
+    assert sides == before
+
+
+def test_generic_spans_multiply_out_no_edge_row(monkeypatch):
+    # an alkane's edge pivots never collide, so the generic spans rank every
+    # edge as a factored pair; the degenerate control multiplies out its two
+    calls = []
+    outer = surfaces._outer
+    monkeypatch.setattr(surfaces, "_outer", lambda w, c: calls.append(1) or outer(w, c))
+    for code, a in zip(alkane_codes(11), enumerate_alkanes(11)):
+        sides = random_surface_sides(a, substream(0, f"egamma:{code}:0"))
+        assert span_dimension_E_Gamma(sides) == 10
+    assert len(calls) == 0
+    ok, detail = checks.check_egamma_span(0, genera=())
+    assert ok and detail["degenerate_span"] == 1
+    assert len(calls) == 2
 
 
 def test_surface_models_and_spans_build_no_fraction(monkeypatch, capsys):

@@ -217,66 +217,97 @@ def _replaced(cls, **changes):
     return {**VALID[cls](), **changes}
 
 
-# (class, fields, exception, message fragment): every constructor check
+# (test id, class, fields, exception, message fragment): every constructor
+# check.  Each row names its own test id, so a row added anywhere renames
+# no other test.  These rows keep the ids they had when an id was the row's
+# position; a new row takes its class and message fragment, made unique,
+# such as "JetRing-duplicate variable".
 INVALID = [
-    (Alkane, _replaced(Alkane, genus=0, edges=()), RangeError, "genus must be >= 1"),
-    (Alkane, _replaced(Alkane, edges=((1, 2),)), StructureError, "is not a tree"),
-    (Alkane, _replaced(Alkane, edges=((1, 2), (2, 2))), StructureError, "self-loop"),
-    (Alkane, _replaced(Alkane, edges=((1, 2), (2, 1))), StructureError, "duplicate edges"),
-    (Alkane, _replaced(Alkane, genus=6, edges=[(1, k) for k in range(2, 7)]),
+    ("Alkane-0",
+     Alkane, _replaced(Alkane, genus=0, edges=()), RangeError, "genus must be >= 1"),
+    ("Alkane-1",
+     Alkane, _replaced(Alkane, edges=((1, 2),)), StructureError, "is not a tree"),
+    ("Alkane-2",
+     Alkane, _replaced(Alkane, edges=((1, 2), (2, 2))), StructureError, "self-loop"),
+    ("Alkane-3",
+     Alkane, _replaced(Alkane, edges=((1, 2), (2, 1))), StructureError, "duplicate edges"),
+    ("Alkane-4",
+     Alkane, _replaced(Alkane, genus=6, edges=[(1, k) for k in range(2, 7)]),
      StructureError, "degree > 4"),
-    (Alkane, _replaced(Alkane, genus=4, edges=((1, 2), (2, 3), (1, 3))),
+    ("Alkane-5",
+     Alkane, _replaced(Alkane, genus=4, edges=((1, 2), (2, 3), (1, 3))),
      StructureError, "not connected"),
-    (CurveBlock, _replaced(CurveBlock, tau_block=()), StructureError, "square and nonempty"),
-    (CurveBlock, _replaced(CurveBlock, tau_block=((I, ONE), (ONE,))),
+    ("CurveBlock-6",
+     CurveBlock, _replaced(CurveBlock, tau_block=()), StructureError, "square and nonempty"),
+    ("CurveBlock-7",
+     CurveBlock, _replaced(CurveBlock, tau_block=((I, ONE), (ONE,))),
      StructureError, "square and nonempty"),
-    (CurveBlock, _replaced(CurveBlock, omega_at_point=(ONE,)), StructureError, "omega vector"),
-    (CurveBlock, _replaced(CurveBlock, tau_block=((I, ONE), (I, I))),
+    ("CurveBlock-8",
+     CurveBlock, _replaced(CurveBlock, omega_at_point=(ONE,)), StructureError, "omega vector"),
+    ("CurveBlock-9",
+     CurveBlock, _replaced(CurveBlock, tau_block=((I, ONE), (I, I))),
      StructureError, "symmetric"),
-    (StarConfig, _replaced(StarConfig, variables=("t1",)), StructureError, "must align"),
-    (StarConfig, _replaced(StarConfig, curves=(_curve(1),), attach_points=(ONE,),
+    ("StarConfig-10",
+     StarConfig, _replaced(StarConfig, variables=("t1",)), StructureError, "must align"),
+    ("StarConfig-11",
+     StarConfig, _replaced(StarConfig, curves=(_curve(1),), attach_points=(ONE,),
                            variables=("t1",)), RangeError, "at least two tails"),
-    (StarConfig, _replaced(StarConfig, curves=(_curve(1), MarkedEllipticCurve(TauPoint(I)))),
+    ("StarConfig-12",
+     StarConfig, _replaced(StarConfig, curves=(_curve(1), MarkedEllipticCurve(TauPoint(I)))),
      StructureError, "curve 2 carries no mark"),
-    (StarConfig, _replaced(StarConfig, attach_points=(ONE, ONE)),
+    ("StarConfig-13",
+     StarConfig, _replaced(StarConfig, attach_points=(ONE, ONE)),
      DegenerateDataError, "attachment points 1 and 2 coincide"),
-    (TreeEdgeData, _replaced(TreeEdgeData, coeff_low=GaussianRational(0)),
+    ("TreeEdgeData-14",
+     TreeEdgeData, _replaced(TreeEdgeData, coeff_low=GaussianRational(0)),
      DegenerateDataError, "zero leading coefficient"),
-    (TreeEdgeData, _replaced(TreeEdgeData, coeff_high=GaussianRational(0)),
+    ("TreeEdgeData-15",
+     TreeEdgeData, _replaced(TreeEdgeData, coeff_high=GaussianRational(0)),
      DegenerateDataError, "zero leading coefficient"),
-    (TreeConfig, _replaced(TreeConfig, taus=(TauPoint(I),)),
+    ("TreeConfig-16",
+     TreeConfig, _replaced(TreeConfig, taus=(TauPoint(I),)),
      StructureError, "1 curves for a genus-3 alkane"),
-    (TreeConfig, _replaced(TreeConfig, edge_data={(1, 2): _tree_edge("t1")}),
+    ("TreeConfig-17",
+     TreeConfig, _replaced(TreeConfig, edge_data={(1, 2): _tree_edge("t1")}),
      StructureError, "edge data keys"),
-    (TreeConfig, _replaced(TreeConfig, edge_data={(1, 2): _tree_edge("t1"),
+    ("TreeConfig-18",
+     TreeConfig, _replaced(TreeConfig, edge_data={(1, 2): _tree_edge("t1"),
                                                   (2, 3): _tree_edge("t2")}),
      StructureError, "repeated 2-torsion attachment label at vertex 2"),
-    (TauPoint, {"value": GaussianRational(1)}, RangeError, "positive imaginary part"),
-    (TauPoint, {"value": GaussianRational(0, -1)}, RangeError, "positive imaginary part"),
-    (Mark, _replaced(Mark, coord_leading_coeff=GaussianRational(0)),
+    ("TauPoint-19",
+     TauPoint, {"value": GaussianRational(1)}, RangeError, "positive imaginary part"),
+    ("TauPoint-20",
+     TauPoint, {"value": GaussianRational(0, -1)}, RangeError, "positive imaginary part"),
+    ("Mark-21",
+     Mark, _replaced(Mark, coord_leading_coeff=GaussianRational(0)),
      DegenerateDataError, "zero leading coefficient"),
-    (MarkedEllipticCurve, _replaced(MarkedEllipticCurve, marks=(_mark(), _mark())),
+    ("MarkedEllipticCurve-22",
+     MarkedEllipticCurve, _replaced(MarkedEllipticCurve, marks=(_mark(), _mark())),
      DegenerateDataError, "marks 0 and 1 sit at the same point"),
-    (MarkedEllipticCurve,
+    ("MarkedEllipticCurve-23",
+     MarkedEllipticCurve,
      _replaced(MarkedEllipticCurve, marks=(_mark(HALF), Mark(GaussianRational(HALF_R), I))),
      DegenerateDataError, "marks 0 and 1 sit at the same point"),
-    (JetRing, _replaced(JetRing, variables=("t", "t")), StructureError, "duplicate variable"),
-    (JetRing, _replaced(JetRing, order=-1), RangeError, "truncation order must be >= 0"),
+    ("JetRing-24",
+     JetRing, _replaced(JetRing, variables=("t", "t")), StructureError, "duplicate variable"),
+    ("JetRing-25",
+     JetRing, _replaced(JetRing, order=-1), RangeError, "truncation order must be >= 0"),
     # E_tau = C/(Z + Z.tau) with tau = i: 1, 3/2 and i are 0, 1/2 and 0 there
-    (MarkedEllipticCurve, _replaced(MarkedEllipticCurve, marks=(_mark(O), Mark(ONE, I))),
+    ("MarkedEllipticCurve-26",
+     MarkedEllipticCurve, _replaced(MarkedEllipticCurve, marks=(_mark(O), Mark(ONE, I))),
      DegenerateDataError, "marks 0 and 1 sit at the same point 0"),
-    (MarkedEllipticCurve,
+    ("MarkedEllipticCurve-27",
+     MarkedEllipticCurve,
      _replaced(MarkedEllipticCurve, marks=(_mark(HALF), Mark(GaussianRational(3 * HALF_R), I))),
      DegenerateDataError, "marks 0 and 1 sit at the same point"),
-    (MarkedEllipticCurve, _replaced(MarkedEllipticCurve, marks=(_mark(O), Mark(I, I))),
+    ("MarkedEllipticCurve-28",
+     MarkedEllipticCurve, _replaced(MarkedEllipticCurve, marks=(_mark(O), Mark(I, I))),
      DegenerateDataError, "marks 0 and 1 sit at the same point"),
 ]
 
 
 @pytest.mark.parametrize(
-    "cls, fields, error, fragment",
-    INVALID,
-    ids=[f"{c.__name__}-{k}" for k, (c, *_) in enumerate(INVALID)],
+    "cls, fields, error, fragment", [row[1:] for row in INVALID], ids=[row[0] for row in INVALID]
 )
 def test_constructor_checks(cls, fields, error, fragment):
     with pytest.raises(error) as info:
@@ -284,8 +315,14 @@ def test_constructor_checks(cls, fields, error, fragment):
     assert fragment in str(info.value)
 
 
+def test_constructor_check_ids_are_unique_and_name_the_class():
+    ids = [test_id for test_id, *_ in INVALID]
+    assert len(set(ids)) == len(ids)
+    assert all(test_id.startswith(f"{cls.__name__}-") for test_id, cls, *_ in INVALID)
+
+
 def test_every_checked_class_has_a_failing_case():
-    checked = {c for c, *_ in INVALID}
+    checked = {c for _, c, *_ in INVALID}
     unchecked = set(CLASSES) - checked
     assert unchecked == {PairPlumbing, CoefficientField, AsymptoticReport}
 
