@@ -3,7 +3,9 @@
 JSON goes to stdout (or --out); human-oriented status lines go to stderr.
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or
 configuration error, 3 internal error (a bug in plumbline; the traceback
-goes to stderr).  All randomness is derived from --seed through labelled
+goes to stderr).  Argparse bounds every size, so only a config's data can
+make the library refuse its input: a ``PlumblineError`` raised anywhere
+else is a bug.  All randomness is derived from --seed through labelled
 substreams, so reports are byte-for-byte reproducible.
 
 Config numbers are read exactly in either mode: ints, "p/q" strings, or
@@ -25,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Tuple, TypeVar
 
 from . import __version__
-from .alkanes import Alkane, alkane_codes, count_alkanes, enumerate_alkanes
+from .alkanes import GENUS_CAP, Alkane, alkane_codes, count_alkanes, enumerate_alkanes
 from .curve_periods import (
     CurveBlock,
     PairPlumbing,
@@ -40,8 +42,8 @@ from .elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
 from .errors import PlumblineError
 from .gaussian import GaussianRational
 from .jets import EXACT_FIELD, FLOAT_FIELD, CoefficientField, JetRing
-from .relations import verify_asymptotic_vanishing
-from .sampling import random_star_config, random_surface_sides, substream
+from .relations import OCTIC_MIN_GENUS, verify_asymptotic_vanishing
+from .sampling import STAR_POINTS, random_star_config, random_surface_sides, substream
 from .surfaces import dim_K, dim_V_Gamma, dim_W, dim_period_domain, span_dimension_E_Gamma
 
 T = TypeVar("T")
@@ -51,18 +53,30 @@ class ConfigError(Exception):
     pass
 
 
+class InvalidInput(Exception):
+    """A library check refused a config's data: exit 2, not a bug."""
+
+
 def _field(exact: bool) -> CoefficientField:
     return EXACT_FIELD if exact else FLOAT_FIELD
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_range(low: int, high: float = math.inf) -> Callable[[str], int]:
+    """An argparse type: an int in ``low..high``, anything else a usage error."""
+    wanted = "a positive integer" if low == 1 else f"an integer from {low}"
+    if high < math.inf:
+        wanted += f" up to {high}"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+        return value
+
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +298,12 @@ _PERIODS = {
 
 def cmd_periods(args):
     parse, variables, order, assemble = _PERIODS[args.subcommand]
-    config = _read_config(args.config, parse)
-    ring = JetRing(variables(config), order, _field(args.mode_exact))
-    return assemble(config, ring).to_json_dict(), True
+    try:
+        config = _read_config(args.config, parse)
+        matrix = assemble(config, JetRing(variables(config), order, _field(args.mode_exact)))
+    except PlumblineError as e:  # the library refused the config's data
+        raise InvalidInput(e) from e
+    return matrix.to_json_dict(), True
 
 
 def cmd_relations_verify(args):
@@ -365,6 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
         "alkane branch patterns and the octic asymptotic relations.",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    positive = _int_range(1)
+    genus = _int_range(1, GENUS_CAP)  # the enumerated alkanes
+    star_genus = _int_range(OCTIC_MIN_GENUS, STAR_POINTS)  # an octic, distinct star points
     # options shared by several subcommands, declared once as parent parsers
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out")
@@ -379,10 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
     alk = sub.add_parser("alkanes", help="enumerate or count alkanes")
     alk_sub = alk.add_subparsers(dest="subcommand", required=True)
     enum_p = alk_sub.add_parser("enum", parents=[out])
-    enum_p.add_argument("--genus", type=int, required=True)
+    enum_p.add_argument("--genus", type=genus, required=True)
     enum_p.set_defaults(func=cmd_alkanes_enum)
     count_p = alk_sub.add_parser("count", parents=[out])
-    count_p.add_argument("--max", type=_positive_int, required=True)
+    count_p.add_argument("--max", type=genus, required=True)
     count_p.set_defaults(func=cmd_alkanes_count)
 
     per = sub.add_parser("periods", help="assemble first-order period matrices")
@@ -395,18 +415,18 @@ def build_parser() -> argparse.ArgumentParser:
     rel = sub.add_parser("relations", help="verify the octic asymptotic relations")
     rel_sub = rel.add_subparsers(dest="subcommand", required=True)
     ver = rel_sub.add_parser("verify", parents=[out, seed, mode])
-    ver.add_argument("--genus", type=int, required=True)
-    ver.add_argument("--trials", type=_positive_int, default=5)
+    ver.add_argument("--genus", type=star_genus, required=True)
+    ver.add_argument("--trials", type=positive, default=5)
     ver.set_defaults(func=cmd_relations_verify)
 
     sur = sub.add_parser("surfaces", help="surface-side dimensions and spans")
     sur_sub = sur.add_subparsers(dest="subcommand", required=True)
     dims = sur_sub.add_parser("dims", parents=[out])
-    dims.add_argument("--genus", type=int, required=True)
+    dims.add_argument("--genus", type=genus, required=True)
     dims.set_defaults(func=cmd_surfaces_dims)
     eg = sur_sub.add_parser("egamma", parents=[out, seed])
-    eg.add_argument("--genus", type=int, required=True)
-    eg.add_argument("--trials", type=_positive_int, default=10)
+    eg.add_argument("--genus", type=genus, required=True)
+    eg.add_argument("--trials", type=positive, default=10)
     eg.set_defaults(func=cmd_surfaces_egamma)
 
     st = sub.add_parser(
@@ -431,7 +451,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as e:
         _say(f"config error: {e}")
         return 2
-    except PlumblineError as e:
+    except InvalidInput as e:
         _say(f"invalid input: {e}")
         return 2
     except Exception:

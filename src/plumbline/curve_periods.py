@@ -167,11 +167,6 @@ class PeriodMatrixJet(Frozen):
     def entry(self, i: int, j: int) -> Jet:
         return self.entries[(min(i, j), max(i, j))]
 
-    def __eq__(self, other):
-        if not isinstance(other, PeriodMatrixJet):
-            return NotImplemented
-        return self.entries == other.entries
-
     def var_coefficient_matrix(self, var: str) -> List[List[object]]:
         """Matrix of coefficients of the degree-1 monomial of ``var``."""
         g = range(1, self.genus + 1)

@@ -13,12 +13,19 @@ class has one.  A subclass naming no ``_fields`` inherits that constructor.
 ``__init__`` that coerces both parts as it stores them: a ``_check`` that
 coerced them again would add a method call to each.
 
-Afterwards every assignment and deletion raises ``AttributeError``.
-Instances equal only instances of the same class whose fields are equal,
-hash as the tuple of their fields (so a dict field makes them unhashable)
-and print as the keyword constructor call; copies and pickles rebuild
-them through the constructor.  A class with its own equality overrides
-``__eq__`` and ``__hash__``.
+Afterwards every assignment and deletion raises ``AttributeError``, so
+``copy`` and ``pickle``, which rebuild a value by assignment, refuse it
+too; no command copies or pickles a value.  Instances equal only
+instances of the same class whose fields are equal, hash as the tuple of
+their fields (so a dict field makes them unhashable) and print as the
+keyword constructor call.  A class with its own ``__eq__`` defines its
+``__hash__`` too, or its values are unhashable (``Jet``).
+
+No command run calls that equality, hashing or repr; they ship as what a
+value means.  Tests compare sampled values with their oracles by them,
+``Jet._check_ring`` accepts equal rings that are not identical,
+``GaussianRational`` hashes as the int or Fraction it equals, and a failed
+assertion prints a value as its constructor call.
 """
 
 from __future__ import annotations
@@ -65,9 +72,6 @@ class Frozen:
     def __repr__(self):
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({shown})"
-
-    def __reduce__(self):
-        return self.__class__, self._field_values()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{self.__class__.__name__} is immutable")

@@ -47,12 +47,6 @@ class GaussianRational(Frozen):
             return NotImplemented
         return GaussianRational(self.re - other.re, self.im - other.im)
 
-    def __rsub__(self, other):
-        other = _coerced(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other):
         other = _coerced(other)
         if other is NotImplemented:
@@ -108,9 +102,6 @@ class GaussianRational(Frozen):
         if not self.im:
             return hash(self.re)
         return hash((self.re, self.im))
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
         if not self.im:

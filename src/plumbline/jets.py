@@ -17,7 +17,7 @@ Products multiply the denominators and sums rescale both jets to the lcm
 of theirs, so one loop serves both fields and exact arithmetic runs on
 Python ints, with no Fraction in it.  Field values (``GaussianRational`` or
 ``complex``) are made only where a coefficient leaves the jet: ``terms``,
-``coefficient``, ``to_json_dict``, equality and hashing.
+``coefficient``, ``to_json_dict`` and equality.
 
 A jet keys each term by one int that packs its monomial, as Monagan and
 Pearce's packed exponent vectors do ("Polynomial division using dynamic
@@ -35,9 +35,8 @@ product keeps a pair of terms only if its degree is at most the limit,
 which is at most the order, so every exponent of the sum is at most the
 order too and fits its field.  A key of lower degree is the smaller int,
 so the least key of a jet has its lowest degree.  Exponent tuples appear
-only at the boundary: ``jet``, ``constant``, ``variable`` and
-``linear_form`` encode, ``terms``, ``coefficient``, ``to_json_dict`` and
-``repr`` decode.
+only at the boundary: ``coefficient`` encodes, and ``terms`` and
+``to_json_dict`` decode.
 
 ``CoefficientField.negligible`` is the one zero test of field values; on
 the stored integers the exact test is the same literal one.  Every
@@ -199,27 +198,11 @@ class JetRing(Frozen):
     def zero(self) -> "Jet":
         return Jet(self, {})
 
-    def one(self) -> "Jet":
-        return self.constant(1)
-
     def constant(self, c) -> "Jet":
         return self._packed({0: c})
 
     def variable(self, name: str) -> "Jet":
         return self._packed({self._variable_key(name): 1})
-
-    def jet(self, terms: Mapping[Exponents, object]) -> "Jet":
-        """Build a jet from an exponent->coefficient mapping, validating degrees."""
-        clean: Dict[int, object] = {}
-        n = len(self.variables)
-        for exp, c in terms.items():
-            exp = tuple(exp)
-            if len(exp) != n or any(not isinstance(e, int) or e < 0 for e in exp):
-                raise StructureError(f"bad exponent vector {exp} for {n} variables")
-            if sum(exp) > self.order:
-                raise RangeError(f"monomial {exp} exceeds truncation order {self.order}")
-            clean[self._key(exp)] = c
-        return self._packed(clean)
 
     def _packed(self, values: Mapping[int, object]) -> "Jet":
         """The jet of the nonzero ``values``, keyed by packed monomials and
@@ -363,9 +346,6 @@ class Jet(Frozen):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         terms = {key: (-re, -im) for key, (re, im) in self._terms.items()}
         return Jet(self.ring, terms, self._den)
@@ -413,23 +393,6 @@ class Jet(Frozen):
         if not isinstance(other, Jet):
             return NotImplemented
         return self.ring == other.ring and self._values() == other._values()
-
-    def __hash__(self):
-        return hash((self.ring, frozenset(self._values().items())))
-
-    def __repr__(self):
-        if not self._terms:
-            return "Jet(0)"
-        names = self.ring.variables
-        terms = self.terms
-        bits = []
-        for exp in sorted(terms, key=lambda e: (sum(e), e)):
-            mono = "*".join(
-                f"{n}^{e}" if e > 1 else n for n, e in zip(names, exp) if e
-            )
-            c = terms[exp]
-            bits.append(f"({c})*{mono}" if mono else f"({c})")
-        return "Jet(" + " + ".join(bits) + ")"
 
     # -- evaluation & serialization ------------------------------------
 

@@ -31,6 +31,7 @@ from .frozen import Frozen
 from .jets import EXACT_FIELD, Jet, JetRing, lookahead_product
 
 OCTIC_VARIANTS = ("corrected", "printed")
+OCTIC_MIN_GENUS = 4  # an octic takes four distinct indices i < j < k < l
 
 
 def all_octic_indices(g: int) -> List[Tuple[int, int, int, int]]:
@@ -164,8 +165,8 @@ def verify_asymptotic_vanishing(
     surviving degree is reported, never asserted.
     """
     g = s.genus
-    if g < 4:
-        raise RangeError("octic relations need genus >= 4")
+    if g < OCTIC_MIN_GENUS:
+        raise RangeError(f"octic relations need genus >= {OCTIC_MIN_GENUS}")
     ring = JetRing(tuple(s.variables), ORDER, field)
     entries = perturbed_star_entries(s, ring, seed, corrupt_entry)
     octics = all_octic_indices(g)

@@ -1,9 +1,16 @@
 """The randint + Fraction draws the samplers must reproduce, shared by the
-sampler tests and by the tests that need a Fraction surface model."""
+sampler tests and by the tests that need a Fraction surface model; and
+the jet of an exponent -> coefficient mapping, which only tests build."""
 
 from fractions import Fraction
 
 from plumbline.surfaces import BLOCK_COLS, _cleared, _primitive
+
+
+def jet_of(ring, terms):
+    """The jet of ``ring`` with coefficient ``c`` at each exponent vector
+    ``e`` of ``terms``; each ``e`` must lie in the ring."""
+    return ring._packed({ring._key(tuple(e)): c for e, c in terms.items()})
 
 
 def fraction_oracle(rng, lo=-9, hi=9, max_den=9):

@@ -13,13 +13,14 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plumbline import relations
 from plumbline.cli import _parse_value, main
 from plumbline.curve_periods import TreeConfig
 from plumbline.elliptic import MarkedEllipticCurve
-from plumbline.jets import FLOAT_FIELD, CoefficientField, FieldKind, JetRing
+from plumbline.errors import StructureError
+from plumbline.jets import FLOAT_FIELD, CoefficientField, FieldKind, Jet, JetRing
 
 PAIR_CONFIG = {
     "t": "t",
@@ -321,8 +322,9 @@ def test_alkanes_enum(capsys):
 
 
 def test_alkanes_enum_out_of_range(capsys):
-    code, _ = _run(capsys, ["alkanes", "enum", "--genus", "0"])
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:  # argparse bounds the genus
+        main(["alkanes", "enum", "--genus", "0"])
+    assert (exc.value.code, capsys.readouterr().out) == (2, "")
 
 
 def test_periods_pair(tmp_path, capsys):
@@ -668,6 +670,42 @@ def test_nonpositive_count_is_usage_error(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["alkanes", "enum", "--genus", "0"],
+        ["alkanes", "enum", "--genus", "17"],
+        ["alkanes", "count", "--max", "17"],
+        ["surfaces", "dims", "--genus", "0"],
+        ["surfaces", "dims", "--genus", "17"],
+        ["surfaces", "egamma", "--genus", "0"],
+        ["surfaces", "egamma", "--genus", "17"],
+        ["relations", "verify", "--genus", "3"],
+        ["relations", "verify", "--genus", "94"],
+    ],
+    ids=" ".join,
+)
+def test_size_out_of_range_is_usage_error(argv, capsys):
+    # argparse bounds each size, so the library never refuses one
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert f"argument {argv[2]}: expected" in captured.err and argv[3] in captured.err
+
+
+def test_library_error_after_the_parse_exits_3(monkeypatch, capsys):
+    # a PlumblineError is invalid input only where a config's data is read
+    def broken(self, other, limit):
+        raise StructureError("jets from different rings")
+
+    monkeypatch.setattr(Jet, "_times", broken)
+    code = main(["relations", "verify", "--genus", "5", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert "internal error" in captured.err and "invalid input" not in captured.err
+
+
+@pytest.mark.parametrize(
     "error", [TypeError("not a config error here"), KeyError("edge"), ZeroDivisionError()]
 )
 def test_internal_error_exits_3(error, monkeypatch, capsys):
@@ -713,16 +751,36 @@ def test_relations_verify_small(capsys):
     assert all(t["octics_checked"] == 1 and t["order"] == 17 for t in report["trials"])
 
 
+@settings(max_examples=6, deadline=None)
+@given(st.integers(4, 7), st.integers(0, 2**16))
+@example(7, 5)
+def test_relations_verify_modes_agree_up_to_the_mode(genus, seed):
+    # the exact field is the oracle of the float field: the same star
+    # configs and units reach the same octic degrees in both
+    reports = []
+    for mode in ("--exact", "--numeric"):
+        argv = ["relations", "verify", "--genus", str(genus), "--trials", "2", "--seed", str(seed)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert main([*argv, mode]) == 0
+        reports.append(json.loads(out.getvalue()))
+    exact, numeric = reports
+    assert [t.pop("mode") for t in exact["trials"]] == ["exact"] * 2
+    assert [t.pop("mode") for t in numeric["trials"]] == ["numeric"] * 2
+    assert exact == numeric
+
+
 def test_star_genus_beyond_its_points_is_usage_error():
-    # a star draws distinct attachment points from 93 values, so genus 94 is
-    # refused before any draw; the timeout turns a draw loop into a failure
+    # a star draws distinct attachment points from 93 values, so argparse
+    # refuses genus 94 before any draw; the timeout turns a draw loop into a
+    # failure
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     argv = [sys.executable, "-m", "plumbline.cli", "relations", "verify", "--genus", "94"]
     start = time.perf_counter()
     run = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=10, check=False)
     assert time.perf_counter() - start < 1
     assert (run.returncode, run.stdout) == (2, "")
-    assert "invalid input:" in run.stderr and "93" in run.stderr
+    assert "argument --genus:" in run.stderr and "93" in run.stderr
 
 
 def test_surfaces_dims(capsys):

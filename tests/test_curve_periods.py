@@ -1,9 +1,11 @@
 """First-order period matrix assemblies and their zero patterns."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plumbline.alkanes import Alkane, canonical_code, enumerate_alkanes
 from plumbline.curve_periods import (
@@ -25,7 +27,7 @@ from plumbline.elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLa
 from plumbline.errors import DegenerateDataError, RangeError, StructureError
 from plumbline.gaussian import GaussianRational
 from plumbline.jets import EXACT_FIELD, FLOAT_FIELD, JetRing
-from plumbline.sampling import random_tree_config, substream
+from plumbline.sampling import random_star_config, random_tree_config, substream
 
 I = GaussianRational(0, 1)
 
@@ -203,7 +205,7 @@ def test_tree_order_independence():
             for b, vb in u.items():
                 if a <= b:
                     entries[(a, b)] = entries[(a, b)] + t * (lam * va * vb)
-    assert PeriodMatrixJet(entries) == m
+    assert entries == m.entries  # the tree assembly's meta is not rebuilt here
 
 
 def test_tree_star_alkane_pattern():
@@ -341,3 +343,44 @@ def test_matrix_json_report():
     assert d["support"] == [[1, 2], [2, 3]]
     assert d["alkane_code"] == canonical_code(tc.alkane)
     assert len(d["entries"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# the exact field is the oracle of the float field: a constant coefficient
+# is the same number in both, and a non-constant one carries the factor
+# 2*pi*i that the exact field divides out
+
+
+def _largest_field_deviation(exact, numeric):
+    """The largest relative deviation of a float coefficient from its exact
+    value, over every entry; the two must store the same monomials."""
+    worst = 0.0
+    for pair, jet in exact.entries.items():
+        want, got = jet.terms, numeric.entries[pair].terms
+        assert set(got) == set(want), pair
+        for exp, c in want.items():
+            expected = c.to_complex() * (2j * math.pi if sum(exp) else 1)
+            worst = max(worst, abs(got[exp] - expected) / abs(expected))
+    return worst
+
+
+@st.composite
+def _field_pairs(draw):
+    """A random tree or star config, assembled in both fields."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        alkane = draw(st.sampled_from(enumerate_alkanes(draw(st.integers(2, 7)))))
+        config, order, assemble = random_tree_config(alkane, rng), 1, tree_period_first_order
+    else:
+        config = random_star_config(draw(st.integers(2, 9)), rng)
+        order, assemble = 2, star_period_leading
+    fields = (EXACT_FIELD, FLOAT_FIELD)
+    return [assemble(config, JetRing(config.variables, order, f)) for f in fields]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_field_pairs())
+def test_exact_field_is_the_oracle_of_the_float_field(pair):
+    exact, numeric = pair
+    deviation = _largest_field_deviation(exact, numeric)
+    assert deviation <= FLOAT_FIELD.tolerance, f"largest relative deviation {deviation:.3g}"
