@@ -28,12 +28,12 @@ from .curve_periods import (
     is_banded,
     offdiag_support,
     pair_period_first_order,
-    star_period_leading,
+    star_leading_coefficients,
     tree_period_first_order,
 )
 from .elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
 from .gaussian import GaussianRational
-from .jets import JetRing
+from .jets import EXACT_FIELD, JetRing
 from .relations import (
     MOD_T9_SAFE_DEGREE,
     all_octic_indices,
@@ -102,14 +102,9 @@ def check_star_on_cone(
         octics = all_octic_indices(g)
         for trial in range(trials):
             rng = substream(seed, f"check:star:{g}:{trial}")
-            s = random_star_config(g, rng)
-            m = star_period_leading(s, JetRing(tuple(s.variables), 2))
+            kbar = star_leading_coefficients(random_star_config(g, rng), EXACT_FIELD)
             t_vals = [GaussianRational(rand_nonzero_fraction(rng)) for _ in range(g)]
-            entries = {}
-            for i in range(1, g + 1):
-                for j in range(i + 1, g + 1):
-                    coeff = m.entry(i, j).coefficient([int(v in (i, j)) for v in range(1, g + 1)])
-                    entries[(i, j)] = coeff * t_vals[i - 1] * t_vals[j - 1]
+            entries = {(i, j): c * t_vals[i - 1] * t_vals[j - 1] for (i, j), c in kbar.items()}
             for idx in octics:
                 checked += 1
                 if octic_eval(entries, idx, variant=variant):

@@ -236,27 +236,35 @@ def pair_period_first_order(p: PairPlumbing, ring: JetRing) -> PeriodMatrixJet:
     return PeriodMatrixJet(entries, {"assembly": "pair"})
 
 
-def star_period_leading(s: StarConfig, ring: JetRing) -> PeriodMatrixJet:
-    """Leading off-diagonal products only; diagonal first-order terms are zero."""
-    if ring.order < 2:
-        raise RangeError("star off-diagonals are bidegree (1,1); need order >= 2")
-    g = s.genus
-    coerce = ring.field.coerce
-    kappa = _two_pi_i(ring.field) / 16
+def star_leading_coefficients(s: StarConfig, field: CoefficientField) -> dict:
+    """kappabar_ij = kappa v_i v_j / (b_i - b_j)^2 for 1-based i < j: the
+    star entry (i, j) is kappabar_ij t_i t_j."""
+    coerce = field.coerce
+    kappa = _two_pi_i(field) / 16
     v = [coerce(c.mark_value(0)) for c in s.curves]
     b = [coerce(x) for x in s.attach_points]
-    t = [ring.variable(name) for name in s.variables]
-    entries = _block_diagonal(ring, [((c.tau.value,),) for c in s.curves])
-    for i in range(g):
-        for j in range(i + 1, g):
+    out = {}
+    for i in range(s.genus):
+        for j in range(i + 1, s.genus):
             d = b[i] - b[j]
             if not d * d:  # distinct float points whose squared distance underflows
                 raise RangeError(
                     f"value beyond the float field's range: (b{i + 1} - b{j + 1})^2 underflows to 0"
                 )
             coeff = kappa * v[i] * v[j] / (d * d)
-            coeff = _finite(ring.field, coeff, f"star entry ({i + 1},{j + 1})")
-            entries[(i + 1, j + 1)] = t[i] * t[j] * coeff
+            out[(i + 1, j + 1)] = _finite(field, coeff, f"star entry ({i + 1},{j + 1})")
+    return out
+
+
+def star_period_leading(s: StarConfig, ring: JetRing) -> PeriodMatrixJet:
+    """Leading off-diagonal products only; diagonal first-order terms are zero."""
+    if ring.order < 2:
+        raise RangeError("star off-diagonals are bidegree (1,1); need order >= 2")
+    kbar = star_leading_coefficients(s, ring.field)
+    t = [ring.variable(name) for name in s.variables]
+    entries = _block_diagonal(ring, [((c.tau.value,),) for c in s.curves])
+    for (i, j), coeff in kbar.items():
+        entries[(i, j)] = t[i - 1] * t[j - 1] * coeff
     return PeriodMatrixJet(entries, {"assembly": "star"})
 
 

@@ -31,12 +31,11 @@ of exponents ``e`` is
 so the total degree sits above the exponent fields and ``key >> shift``
 reads it.  The key of a monomial product is the sum of the factors' keys,
 and the degrees add with them.  No field carries into the next one: a
-product keeps a pair of terms only if its degree is at most the limit,
-which is at most the order, so every exponent of the sum is at most the
-order too and fits its field.  A key of lower degree is the smaller int,
-so the least key of a jet has its lowest degree.  Exponent tuples appear
-only at the boundary: ``coefficient`` encodes, and ``terms`` and
-``to_json_dict`` decode.
+product keeps a pair of terms only if its degree is at most the order, so
+every exponent of the sum is at most the order too and fits its field.  A
+key of lower degree is the smaller int, so the least key of a jet has its
+lowest degree.  Exponent tuples appear only at the boundary:
+``coefficient`` encodes, and ``terms`` and ``to_json_dict`` decode.
 
 ``CoefficientField.negligible`` is the one zero test of field values; on
 the stored integers the exact test is the same literal one.  Every
@@ -49,11 +48,9 @@ can be shared freely across threads.
 from __future__ import annotations
 
 import enum
-import operator
 from fractions import Fraction
-from functools import reduce
 from math import lcm
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Tuple
 
 from .errors import RangeError, StructureError
 from .frozen import Frozen
@@ -355,27 +352,32 @@ class Jet(Frozen):
             other = self._wrap(other)
         except TypeError:
             return NotImplemented
-        return self._times(other, self.ring.order)
+        return self._times(other)
 
     __rmul__ = __mul__
 
-    def _times(self, other: "Jet", limit: int) -> "Jet":
-        """The product with every monomial of total degree above ``limit``
-        discarded; ``limit`` is at most the ring order, so no key sum
-        carries (module docstring)."""
+    def _times(self, other: "Jet") -> "Jet":
+        """The product with every monomial above the ring order discarded.
+
+        Each outer term meets only the inner terms that fit under the order
+        with it: the inner operand is filtered once per distinct outer
+        degree, in its own order, so the pairs kept are visited in the
+        sequence of a full double loop and every float sum runs as there."""
         out: Dict[int, Pair] = {}
         # iterate over the smaller operand outside for fewer dict rebuilds
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
-        shift = self.ring.shift
-        inner = [(kb, br, bi) for kb, (br, bi) in b.items()]
+        shift, order = self.ring.shift, self.ring.order
+        fitting: Dict[int, list] = {}
         for ka, (ar, ai) in a.items():
-            # kb >> shift > room, the degree test, is kb >= (room + 1) << shift
-            bound = (limit - (ka >> shift) + 1) << shift
-            for kb, br, bi in inner:
-                if kb >= bound:
-                    continue
+            room = order - (ka >> shift)
+            fits = fitting.get(room)
+            if fits is None:
+                # kb >> shift <= room, the degree test, is kb < (room + 1) << shift
+                bound = (room + 1) << shift
+                fits = fitting[room] = [(kb, br, bi) for kb, (br, bi) in b.items() if kb < bound]
+            for kb, br, bi in fits:
                 key = ka + kb
                 # the complex product, in the order CPython takes it
                 re = ar * br - ai * bi
@@ -407,35 +409,3 @@ class Jet(Frozen):
             else:
                 terms.append({"exp": list(exp), "re": c.real, "im": c.imag})
         return {"vars": list(self.ring.variables), "order": self.ring.order, "terms": terms}
-
-
-def lookahead_product(factors: Sequence, reserve: int = 0):
-    """The left-fold product ``((f0 * f1) * f2) * ...`` of jets and numbers.
-
-    Each partial product is truncated at the ring order less the valuations
-    of the factors still to come, less ``reserve``: the degrees by which the
-    caller will still multiply the result.  A product's lowest degree is at
-    least the sum of its factors' valuations, so every discarded monomial
-    would only have fed monomials above the ring order.  The result is the
-    plain product truncated at ``order - reserve``: equal to it over exact
-    Gaussian rationals, and over floats each kept coefficient is the same
-    sum of the same products, whose rounding can differ only where a step's
-    smaller operand changes sides and a monomial collects three or more
-    products.  Without jet factors this is the ordinary product.
-    """
-    anchor = next((f for f in factors if isinstance(f, Jet)), None)
-    if anchor is None:
-        return reduce(operator.mul, factors)
-    ring = anchor.ring
-    jets = [anchor._wrap(f) for f in factors]
-    vals = [f.valuation() for f in jets]
-    if None in vals:
-        return ring.zero()
-    to_come = sum(vals[1:]) + reserve
-    limit = ring.order - to_come
-    first, shift = jets[0], ring.shift
-    partial = Jet(ring, {k: c for k, c in first._terms.items() if k >> shift <= limit}, first._den)
-    for f, v in zip(jets[1:], vals[1:]):
-        to_come -= v
-        partial = partial._times(f, ring.order - to_come)
-    return partial

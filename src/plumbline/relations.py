@@ -25,10 +25,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .curve_periods import StarConfig, star_period_leading
+from .curve_periods import StarConfig, star_leading_coefficients
 from .errors import DegenerateDataError, RangeError, StructureError
 from .frozen import Frozen
-from .jets import EXACT_FIELD, Jet, JetRing, lookahead_product
+from .jets import EXACT_FIELD, Jet, JetRing
 
 OCTIC_VARIANTS = ("corrected", "printed")
 OCTIC_MIN_GENUS = 4  # an octic takes four distinct indices i < j < k < l
@@ -42,22 +42,24 @@ def all_octic_indices(g: int) -> List[Tuple[int, int, int, int]]:
 Entries = Mapping[Tuple[int, int], object]
 
 
-def _square(*factors):
-    """The square of f1*f2*f3*f4: the factors are folded with their own
-    valuations reserved, since the base will meet itself once more, and
-    the base is then multiplied by itself once."""
-    # numbers and zero jets add no degree; a zero factor makes the base zero
-    reserve = sum(f.valuation() or 0 for f in factors if isinstance(f, Jet))
-    base = lookahead_product(factors, reserve=reserve)
+def _square(pair, c, d):
+    """The square of pair*c*d, where ``pair`` is the product of the first
+    two factors, shared with the other terms of the octic."""
+    base = pair * c * d
     return base * base
 
 
-def octic_eval(entries: Entries, idx: Tuple[int, int, int, int], variant: str = "corrected"):
+def octic_eval(
+    entries: Entries, idx: Tuple[int, int, int, int], variant: str = "corrected", *, ring=None
+):
     """Evaluate the degree-8 relation on the six off-diagonal entries of idx.
 
     variant "corrected" is the form that vanishes on the cone; "printed"
     keeps the defective first negative monomial and serves as a negative
-    control only.
+    control only.  With ``ring``, the entries are reduced star entries, t_a
+    t_b divided out, and the octic is lifted back by (t_i t_j t_k t_l)^4
+    into ``ring``, a ring of the same variables: every octic monomial holds
+    each of t_i, t_j, t_k and t_l four times.
     """
     if variant not in OCTIC_VARIANTS:
         raise StructureError(f"unknown octic variant {variant!r}")
@@ -65,15 +67,26 @@ def octic_eval(entries: Entries, idx: Tuple[int, int, int, int], variant: str = 
     tij, tik, til = entries[(i, j)], entries[(i, k)], entries[(i, l)]
     tjk, tjl, tkl = entries[(j, k)], entries[(j, l)], entries[(k, l)]
     ij_kl, il_jk, ik_jl = tij * tkl, til * tjk, tik * tjl
-    positive = lookahead_product((2, ij_kl, il_jk, ik_jl, ik_jl + il_jk + ij_kl))
-    sq_ik_jl__il_jk = _square(tik, tjl, til, tjk)
-    sq_ij_kl__ik_jl = _square(tij, tkl, tik, tjl)
-    sq_ij_kl__il_jk = _square(tij, tkl, til, tjk)
+    positive = 2 * ij_kl * il_jk * ik_jl * (ik_jl + il_jk + ij_kl)
+    sq_ik_jl__il_jk = _square(ik_jl, til, tjk)
+    sq_ij_kl__ik_jl = _square(ij_kl, tik, tjl)
+    sq_ij_kl__il_jk = _square(ij_kl, til, tjk)
     if variant == "corrected":
         negative = sq_ik_jl__il_jk + sq_ij_kl__ik_jl + sq_ij_kl__il_jk
     else:
-        negative = _square(tij, til, tjk, tjl) + sq_ik_jl__il_jk + sq_ij_kl__ik_jl
-    return positive - negative
+        negative = _square(tij * til, tjk, tjl) + sq_ik_jl__il_jk + sq_ij_kl__ik_jl
+    f = positive - negative
+    if ring is None:
+        return f
+    # the packed key of (t_i t_j t_k t_l)^4 in ``ring`` (jets module docstring)
+    lift = (16 << ring.shift) + sum(4 << (ring.width * (a - 1)) for a in idx)
+    reduced = f.ring
+    terms = {
+        ring._key(reduced._exponents(key)) + lift: c
+        for key, c in f._terms.items()
+        if (key >> reduced.shift) + 16 <= ring.order
+    }
+    return Jet(ring, terms, f._den)
 
 
 def plucker_coordinates(r0: Sequence, r1: Sequence) -> Dict[Tuple[int, int], object]:
@@ -103,6 +116,11 @@ def plucker_to_cone(y: Entries) -> Dict[Tuple[int, int], object]:
 
 # ---------------------------------------------------------------------------
 # jet verification through degree 16
+#
+# A star entry is kappabar t_a t_b (1 + l) with l linear, so an octic on
+# them is (t_i t_j t_k t_l)^4 times the octic on kappabar (1 + l): its
+# order-1 jet, whose constant term lifts to degree 16, the star-on-cone
+# identity, and whose linear part lifts to degree 17, the first survivor.
 
 
 MOD_T9_SAFE_DEGREE = 16  # octic monomials have parameter degree 16; corrections start later
@@ -130,24 +148,23 @@ def perturbed_star_entries(
     seed: int,
     corrupt_entry: Optional[Tuple[int, int]] = None,
 ) -> Dict[Tuple[int, int], Jet]:
-    """Off-diagonal jets tau_ij = taubar_ij * (1 + l_ij) with l_ij random
-    rational linear forms in the ring variables; optionally shift one entry
-    off the cone by +1 as a negative control."""
+    """Reduced off-diagonal jets kappabar_ij * (1 + l_ij), with l_ij random
+    rational linear forms in the ring variables: the star entries
+    tau_ij = kappabar_ij t_i t_j (1 + l_ij) with t_i t_j divided out, which
+    ``octic_eval`` puts back.  Optionally double one kappabar, which moves
+    that entry off the cone, as a negative control."""
     rng = random.Random(seed)
-    base = star_period_leading(s, ring)
-    g = s.genus
+    kbar = star_leading_coefficients(s, ring.field)
     out: Dict[Tuple[int, int], Jet] = {}
-    for i in range(1, g + 1):
-        for j in range(i + 1, g + 1):
-            coeffs = {
-                name: Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-                for name in ring.variables
-            }
-            unit = ring.linear_form(coeffs)
-            out[(i, j)] = base.entry(i, j) * unit
+    for pair, coeff in kbar.items():
+        coeffs = {
+            name: Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+            for name in ring.variables
+        }
+        out[pair] = ring.linear_form(coeffs) * coeff
     if corrupt_entry is not None:
         pair = (min(corrupt_entry), max(corrupt_entry))
-        out[pair] = out[pair] + 1
+        out[pair] = out[pair] * 2
     return out
 
 
@@ -167,10 +184,11 @@ def verify_asymptotic_vanishing(
     g = s.genus
     if g < OCTIC_MIN_GENUS:
         raise RangeError(f"octic relations need genus >= {OCTIC_MIN_GENUS}")
-    ring = JetRing(tuple(s.variables), ORDER, field)
-    entries = perturbed_star_entries(s, ring, seed, corrupt_entry)
+    variables = tuple(s.variables)
+    ring = JetRing(variables, ORDER, field)
+    entries = perturbed_star_entries(s, JetRing(variables, 1, field), seed, corrupt_entry)
     octics = all_octic_indices(g)
-    degrees = [octic_eval(entries, idx).min_nonzero_degree() for idx in octics]
+    degrees = [octic_eval(entries, idx, ring=ring).min_nonzero_degree() for idx in octics]
     min_surviving = min((d for d in degrees if d is not None), default=None)
     return AsymptoticReport(
         genus=g,

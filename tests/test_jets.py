@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plumbline import relations
 from plumbline.errors import RangeError, StructureError
 from plumbline.gaussian import GaussianRational
 from plumbline.jets import (
@@ -14,9 +13,7 @@ from plumbline.jets import (
     FLOAT_FIELD,
     CoefficientField,
     FieldKind,
-    Jet,
     JetRing,
-    lookahead_product,
 )
 from oracles import jet_of
 
@@ -215,10 +212,6 @@ def mixed_jets(draw):
     return jet_of(MIXED_RING, terms)
 
 
-def _truncated(jet, degree):
-    return jet_of(jet.ring, {e: c for e, c in jet.terms.items() if sum(e) <= degree})
-
-
 @settings(max_examples=120, deadline=None)
 @given(mixed_jets(), mixed_jets())
 def test_valuation_of_sum_and_product(a, b):
@@ -231,40 +224,6 @@ def test_valuation_of_sum_and_product(a, b):
         assert p >= va + vb
     for jet in (a, b, a + b, a * b):  # every stored exact pair is nonzero
         assert jet.min_nonzero_degree() == jet.valuation()
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.lists(st.one_of(mixed_jets(), _coeffs()), min_size=1, max_size=4).filter(
-        lambda fs: any(isinstance(f, Jet) for f in fs)
-    ),
-    st.integers(0, 3),
-)
-def test_lookahead_product_is_truncated_plain_product(factors, reserve):
-    plain = factors[0] if isinstance(factors[0], Jet) else MIXED_RING.constant(factors[0])
-    for f in factors[1:]:
-        plain = plain * f
-    expected = _truncated(plain, MIXED_RING.order - reserve)
-    assert lookahead_product(factors, reserve=reserve) == expected
-    assert lookahead_product(factors) == plain
-
-
-def test_lookahead_product_of_numbers_is_plain():
-    assert lookahead_product((2, Fraction(1, 3), Fraction(3, 4))) == Fraction(1, 2)
-    assert lookahead_product((GaussianRational(0, 1), GaussianRational(0, 1))) == -1
-
-
-def test_lookahead_product_float_matches_plain():
-    ring = JetRing(("x", "y"), 5, FLOAT_FIELD)
-    a = jet_of(ring, {(1, 0): 0.3 + 1j, (0, 1): -1.7, (2, 1): 2.5j})
-    b = jet_of(ring, {(0, 0): 1.1, (1, 1): 0.25 - 0.5j, (0, 3): 3.0})
-    assert lookahead_product((a, b, a)) == a * b * a
-    assert lookahead_product((a, b), reserve=2) == _truncated(a * b, 3)
-
-
-def test_lookahead_product_ring_mismatch_raises(ring1, ring2):
-    with pytest.raises(StructureError):
-        lookahead_product((ring1.variable("t"), ring2.variable("t1")))
 
 
 def _horner_eval(terms, names, values):
@@ -414,19 +373,13 @@ def _o_mul(a, b, limit):
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    jets_with_oracle(),
-    jets_with_oracle(),
-    jets_with_oracle(),
-    st.integers(0, MIXED_RING.order),
-)
-def test_exact_jets_match_fraction_oracle(a, b, c, reserve):
+@given(jets_with_oracle(), jets_with_oracle(), jets_with_oracle())
+def test_exact_jets_match_fraction_oracle(a, b, c):
     (ja, oa), (jb, ob), (jc, oc) = a, b, c
     order = MIXED_RING.order
     product = _o_mul(oa, ob, order)
     assert _values(ja * jb) == product
-    assert _values(lookahead_product((ja, jb), reserve=reserve)) == _o_mul(oa, ob, order - reserve)
-    assert _values(lookahead_product((ja, jb, jc))) == _o_mul(product, oc, order)
+    assert _values(ja * jb * jc) == _o_mul(product, oc, order)
     assert _values(ja + jb) == _o_add(oa, ob)
     assert _values(ja - jb) == _o_add(oa, _o_neg(ob))
     assert _values(-ja) == _o_neg(oa)
@@ -452,37 +405,6 @@ def test_equal_values_over_different_denominators():
         {"exp": [0, 0], "re": "1/2", "im": "-3/4"},
         {"exp": [1, 2], "re": "5/6", "im": "0"},
     ]
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.one_of(mixed_jets(), _coeffs()), min_size=4, max_size=4).filter(
-        lambda fs: any(isinstance(f, Jet) for f in fs)
-    )
-)
-def test_square_makes_one_product_after_its_fold(factors):
-    calls, folded = [], []
-    times, fold = Jet._times, relations.lookahead_product
-
-    def counted_times(self, other, limit):
-        calls.append(limit)
-        return times(self, other, limit)
-
-    def marked_fold(*args, **kwargs):
-        base = fold(*args, **kwargs)
-        folded.append(len(calls))
-        return base
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Jet, "_times", counted_times)
-        mp.setattr(relations, "lookahead_product", marked_fold)
-        square = relations._square(*factors)
-    # the squaring itself is one product, truncated at the ring order
-    assert len(folded) == 1 and calls[folded[0]:] == [MIXED_RING.order]
-    plain = MIXED_RING.constant(1)
-    for f in factors:
-        plain = plain * f
-    assert square == plain * plain
 
 
 # ---------------------------------------------------------------------------
@@ -569,17 +491,17 @@ def packed_operands(draw, field):
     n, order = draw(st.sampled_from(PACKED_SHAPES))
     ring = JetRing(tuple(f"t{k}" for k in range(n)), order, field)
     terms = st.dictionaries(_exponent_vectors(n, order), _field_values(field), max_size=8)
-    return jet_of(ring, draw(terms)), jet_of(ring, draw(terms)), draw(st.integers(0, order))
+    return jet_of(ring, draw(terms)), jet_of(ring, draw(terms))
 
 
 @pytest.mark.parametrize("field", [EXACT_FIELD, FLOAT_FIELD], ids=["exact", "float"])
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_packed_product_and_sum_match_tuple_reference(field, data):
-    a, b, limit = data.draw(packed_operands(field))
+    a, b = data.draw(packed_operands(field))
     order = a.ring.order
-    assert _bits(_pairs(a._times(b, limit))) == _bits(_tuple_times(a, b, limit))
     assert _bits(_pairs(a * b)) == _bits(_tuple_times(a, b, order))
+    assert _bits(_pairs(b * a)) == _bits(_tuple_times(b, a, order))
     assert _bits(_pairs(a + b)) == _bits(_tuple_add(a, b))
     assert _bits(_pairs(b + a)) == _bits(_tuple_add(b, a))
 

@@ -27,6 +27,8 @@ from plumbline.sampling import (
     substream,
 )
 
+from oracles import jet_of
+
 
 def _quadric(y, idx):
     """The Pluecker quadric y_ij y_kl - y_ik y_jl + y_il y_jk."""
@@ -58,9 +60,18 @@ def _octic_plain(entries, idx, variant="corrected"):
 
 
 def _star_entries(g, field, seed, corrupt_entry=None):
+    """The reduced star entries kappabar_ab (1 + l_ab) in a ring of order 1,
+    and the full entries t_a t_b kappabar_ab (1 + l_ab) in a ring of order
+    17."""
     s = random_star_config(g, substream(seed, f"test:plain:{g}"))
-    ring = JetRing(tuple(s.variables), 17, field)
-    return perturbed_star_entries(s, ring, seed, corrupt_entry)
+    names = tuple(s.variables)
+    reduced = perturbed_star_entries(s, JetRing(names, 1, field), seed, corrupt_entry)
+    ring = JetRing(names, 17, field)
+    full = {
+        (a, b): ring.variable(names[a - 1]) * ring.variable(names[b - 1]) * jet_of(ring, e.terms)
+        for (a, b), e in reduced.items()
+    }
+    return reduced, full
 
 
 def _float_bits(jet):
@@ -70,14 +81,14 @@ def _float_bits(jet):
 @pytest.mark.parametrize("g", [4, 5, 6])
 def test_octic_eval_matches_plain_oracle_exact(g):
     for corrupt_entry in (None, (1, 2)):
-        entries = _star_entries(g, EXACT_FIELD, 90 + g, corrupt_entry)
+        _, entries = _star_entries(g, EXACT_FIELD, 90 + g, corrupt_entry)
         for variant in OCTIC_VARIANTS:
             for idx in all_octic_indices(g):
                 assert octic_eval(entries, idx, variant) == _octic_plain(entries, idx, variant)
 
 
 def test_octic_eval_matches_plain_oracle_float_g7():
-    entries = _star_entries(7, FLOAT_FIELD, 97)
+    _, entries = _star_entries(7, FLOAT_FIELD, 97)
     for idx in all_octic_indices(7):
         f, oracle = octic_eval(entries, idx), _octic_plain(entries, idx)
         assert f.ring.order == 17
@@ -89,7 +100,7 @@ def test_octic_eval_matches_plain_oracle_float_g7():
 @pytest.mark.parametrize("field", [EXACT_FIELD, FLOAT_FIELD])
 def test_octic_eval_matches_plain_oracle_mixed_valuations(field):
     # a constant-only entry (valuation 0) and a zero entry (no valuation)
-    constant = _star_entries(5, field, 98)
+    _, constant = _star_entries(5, field, 98)
     ring = constant[(1, 2)].ring
     constant[(1, 3)] = ring.constant(3)
     zero = dict(constant)
@@ -98,6 +109,42 @@ def test_octic_eval_matches_plain_oracle_mixed_valuations(field):
         for variant in OCTIC_VARIANTS:
             for idx in all_octic_indices(5):
                 assert octic_eval(case, idx, variant) == _octic_plain(case, idx, variant)
+
+
+@pytest.mark.parametrize("field", [EXACT_FIELD, FLOAT_FIELD], ids=["exact", "float"])
+@pytest.mark.parametrize("g", [4, 5, 6, 7, 8])
+def test_lifted_octic_matches_order_17_oracle(g, field):
+    # the octic of the reduced entries, lifted by (t_i t_j t_k t_l)^4, is
+    # the order-17 octic of the full entries: exactly over Gaussian
+    # rationals, within 1e-12 of its scale over floats
+    for corrupt_entry in (None, (1, 2)):
+        reduced, full = _star_entries(g, field, 80 + g, corrupt_entry)
+        ring = full[(1, 2)].ring
+        for idx in all_octic_indices(g):
+            f, oracle = octic_eval(reduced, idx, ring=ring), _octic_plain(full, idx)
+            assert f.ring == ring and {sum(e) for e in f.terms} <= {16, 17}
+            if field.is_exact:
+                assert f == oracle
+            else:
+                scale = max(abs(c) for c in oracle.terms.values())
+                for e in set(f.terms) | set(oracle.terms):
+                    assert abs(f.coefficient(e) - oracle.coefficient(e)) <= 1e-12 * scale
+            # a doubled kappabar_12 moves the octics that read it off the
+            # cone, and they survive at degree 16
+            degree = f.min_nonzero_degree()
+            if corrupt_entry is not None and {1, 2} <= set(idx):
+                assert degree == 16
+            else:
+                assert degree is None or degree > 16
+
+
+@pytest.mark.parametrize("field", [EXACT_FIELD, FLOAT_FIELD], ids=["exact", "float"])
+@pytest.mark.parametrize("g", [4, 5, 6, 7, 8])
+def test_corrupted_entry_survives_at_degree_16(g, field):
+    s = random_star_config(g, substream(g, "test:corrupt"))
+    assert verify_asymptotic_vanishing(s, seed=g, field=field).passed
+    rep = verify_asymptotic_vanishing(s, seed=g, corrupt_entry=(2, 1), field=field)
+    assert not rep.passed and rep.min_surviving_degree == 16
 
 
 def test_cone_oracle_corrected_vs_printed():
