@@ -301,9 +301,10 @@ def cmd_periods(args):
     try:
         config = _read_config(args.config, parse)
         matrix = assemble(config, JetRing(variables(config), order, _field(args.mode_exact)))
+        report = matrix.to_json_dict()
     except PlumblineError as e:  # the library refused the config's data
         raise InvalidInput(e) from e
-    return matrix.to_json_dict(), True
+    return report, True
 
 
 def cmd_relations_verify(args):

@@ -29,6 +29,7 @@ from .elliptic import MarkedEllipticCurve, TwoTorsionLabel
 from .errors import DegenerateDataError, RangeError, StructureError
 from .frozen import Frozen
 from .jets import CoefficientField, Jet, JetRing
+from .surfaces import matrix_rank_exact
 
 
 def _two_pi_i(field: CoefficientField):
@@ -312,23 +313,12 @@ def banded_locus_dimension(g: int, band: int) -> int:
 
 
 def derivative_rank_one_check(m: PeriodMatrixJet, var: str) -> bool:
-    """The coefficient matrix of ``var`` has rank exactly 1: some entry is
-    nonzero and all 2x2 minors vanish.
-
-    Float field: a minor vanishes relative to the square of the matrix's
-    largest modulus; an entry is nonzero unless it is exactly 0.
-    """
-    c = m.var_coefficient_matrix(var)
-    if not any(v for row in c for v in row):
-        return False  # rank 0: ``var`` does not move the matrix
-    g = m.genus
-    field = m.ring.field
-    magnitude = field.magnitude(v for row in c for v in row)
-    scale = max(magnitude * magnitude, 1e-300)
-    for i in range(g):
-        for k in range(i + 1, g):
-            for j in range(g):
-                for l in range(j + 1, g):
-                    if not field.negligible(c[i][j] * c[k][l] - c[i][l] * c[k][j], scale):
-                        return False
-    return True
+    """The coefficient matrix C = A + iB of ``var`` has rank exactly 1 over
+    Q(i): its realification [[A, -B], [B, A]] has rank 2.  Exact field only."""
+    if not m.ring.field.is_exact:
+        raise StructureError("the rank-one check needs the exact field")
+    rows = []
+    for row in m.var_coefficient_matrix(var):
+        re, im = [c.re for c in row], [c.im for c in row]
+        rows += dict(enumerate(re + [-x for x in im])), dict(enumerate(im + re))
+    return matrix_rank_exact(rows) == 2

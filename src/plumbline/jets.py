@@ -37,9 +37,9 @@ key of lower degree is the smaller int, so the least key of a jet has its
 lowest degree.  Exponent tuples appear only at the boundary:
 ``coefficient`` encodes, and ``terms`` and ``to_json_dict`` decode.
 
-``CoefficientField.negligible`` is the one zero test of field values; on
-the stored integers the exact test is the same literal one.  Every
-exact/numeric decision downstream reads the ring's field.
+``Jet.min_nonzero_degree`` holds the one float zero test; the exact one is
+literal, as a jet stores no zero pair.  Every exact/numeric decision
+downstream reads the ring's field.
 
 Jets are immutable values; all operations return fresh jets, so instances
 can be shared freely across threads.
@@ -48,6 +48,7 @@ can be shared freely across threads.
 from __future__ import annotations
 
 import enum
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import Dict, Iterable, Mapping, Tuple
@@ -79,20 +80,6 @@ class CoefficientField(Frozen):
     def mode(self) -> str:
         """Report label: "exact" (2*pi*i divided out) or "numeric"."""
         return "exact" if self.is_exact else "numeric"
-
-    def magnitude(self, values: Iterable) -> float:
-        """Largest modulus among ``values``: the scale of a float zero test.
-        0 in the exact field, whose zero test needs no scale."""
-        if self.is_exact:
-            return 0.0
-        return max((abs(x) for x in values), default=0.0)
-
-    def negligible(self, x, scale: float) -> bool:
-        """The zero test: literal in the exact field; in the float field,
-        |x| at most the tolerance times ``scale``."""
-        if self.is_exact:
-            return not x
-        return abs(x) <= self.tolerance * scale
 
     def coerce(self, x):
         """Force ``x`` into the field: the exact field refuses floats, the
@@ -275,26 +262,18 @@ class Jet(Frozen):
     def min_nonzero_degree(self) -> int | None:
         """Smallest total degree carrying a nonzero coefficient.
 
-        Exact field: the valuation, as every stored pair is nonzero.  Float
-        field: relative to the largest coefficient modulus in the jet.
+        Exact field: that of the least stored key, as every stored pair is
+        nonzero.  Float field: a coefficient is zero when its modulus is at
+        most the field's tolerance times the largest modulus in the jet.
         """
         field = self.ring.field
         if field.is_exact:
-            return self.valuation()
-        values = self._values()
-        scale = field.magnitude(values.values())
-        nonzero = (key for key, c in values.items() if not field.negligible(c, scale))
-        low = min(nonzero, default=None)  # the least key has the least degree
-        return None if low is None else low >> self.ring.shift
-
-    def valuation(self) -> int | None:
-        """Lowest total degree among the stored terms; None for the zero jet.
-
-        Unlike ``min_nonzero_degree`` this applies no zero test, so a
-        product's valuation is at least the sum of its factors' valuations
-        in both fields.
-        """
-        low = min(self._terms, default=None)
+            low = min(self._terms, default=None)
+        else:
+            values = self._values()
+            cut = field.tolerance * max((abs(c) for c in values.values()), default=0.0)
+            low = min((key for key, c in values.items() if not abs(c) <= cut), default=None)
+        # the least key has the least degree
         return None if low is None else low >> self.ring.shift
 
     # -- arithmetic ---------------------------------------------------
@@ -405,7 +384,16 @@ class Jet(Frozen):
         for exp in sorted(values):
             c = values[exp]
             if field.is_exact:
-                terms.append({"exp": list(exp), "re": str(c.re), "im": str(c.im)})
+                terms.append({"exp": list(exp), "re": _printed(c.re), "im": _printed(c.im)})
             else:
                 terms.append({"exp": list(exp), "re": c.real, "im": c.imag})
         return {"vars": list(self.ring.variables), "order": self.ring.order, "terms": terms}
+
+
+def _printed(x: Fraction) -> str:
+    """``x`` in decimal, refused past the interpreter's digit limit."""
+    try:
+        return str(x)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise RangeError(f"a coefficient has more than {limit} digits to print") from None

@@ -1,6 +1,7 @@
 """The randint + Fraction draws the samplers must reproduce, shared by the
-sampler tests and by the tests that need a Fraction surface model; and
-the jet of an exponent -> coefficient mapping, which only tests build."""
+sampler tests and by the tests that need a Fraction surface model; the
+jet of an exponent -> coefficient mapping, which only tests build; and
+the 2x2-minors test of rank one, the reference of the rank-one check."""
 
 from fractions import Fraction
 
@@ -62,3 +63,18 @@ def oracle_pi(model, edge):
     entries keyed by ambient (row, col)."""
     rows, cols = _ambient(edge, *model[edge])
     return {(r, c): v for r, w in rows.items() for c, x in cols.items() if (v := w * x)}
+
+
+def rank_one_by_minors(c):
+    """Whether a square matrix of Gaussian rationals has rank exactly 1: some
+    entry is nonzero and every 2x2 minor vanishes."""
+    if not any(v for row in c for v in row):
+        return False  # rank 0
+    g = len(c)
+    return all(
+        not (c[i][j] * c[k][l] - c[i][l] * c[k][j])
+        for i in range(g)
+        for k in range(i + 1, g)
+        for j in range(g)
+        for l in range(j + 1, g)
+    )

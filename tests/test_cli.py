@@ -305,6 +305,10 @@ PINNED_REPORTS = [
         ["relations", "verify", "--genus", "12", "--trials", "1", "--seed", "0", "--numeric"],
         "f5ca118038a9f07aba1b37e171e4d0e11a20704ad2ffcc47590a12ba95efd6bd",
     ),
+    (
+        ["selftest", "--seed", "5"],
+        "ea7c062dd3b8848567c431a8fb80113fd145c526b2f3a19a6cd3f338162c9eb2",
+    ),
 ]
 
 
@@ -490,17 +494,33 @@ def _paths(node, path=()):
         yield from _paths(value, path + (key,))
 
 
+# values a number or a name may be replaced with: a 4,000-digit int and
+# p/q string, whose exact jets are too long to print, and subnormal floats
+_VALUES = {
+    "bool": True,
+    "digits": 10**4000,
+    "long ratio": "1/1" + "0" * 4000,
+    "subnormal": 5e-324,
+    "subnormal string": "-4e-320",
+}
+
+
 def _mutations(config):
     """The (path, kind) mutations that apply to ``config``: drop a key, turn a
-    list into a string, turn a number or a name into a bool or an object."""
+    list into a string, repeat its first element (coincident marks, star
+    points, edges), replace a number or a name with an object or with one of
+    ``_VALUES``."""
     for path, value in _paths(config):
         if isinstance(path[-1], str):
             yield path, "drop"
         if isinstance(value, list):
             yield path, "string"
+            if value:
+                yield path, "repeat"
         elif not isinstance(value, dict):
-            yield path, "bool"
             yield path, "object"
+            for kind in _VALUES:
+                yield path, kind
 
 
 def _mutate(config, path, kind):
@@ -509,14 +529,17 @@ def _mutate(config, path, kind):
     target = cfg
     for key in parents:
         target = target[key]
+    value = target[last]
     if kind == "drop":
         del target[last]
     elif kind == "string":
-        target[last] = "".join(map(str, target[last]))
-    elif kind == "bool":
-        target[last] = True
+        target[last] = "".join(map(str, value))
+    elif kind == "repeat":  # a second copy of a lone element, else the last one replaced
+        target[last] = [*value, value[0]] if len(value) == 1 else [*value[:-1], value[0]]
+    elif kind == "object":
+        target[last] = {"re": value}
     else:
-        target[last] = {"re": target[last]}
+        target[last] = _VALUES[kind]
     return cfg
 
 
@@ -532,11 +555,14 @@ _FUZZ_CONFIGS = [
 @given(st.sampled_from(_FUZZ_CONFIGS), st.sampled_from(["--exact", "--numeric"]), st.data())
 def test_mutated_configs_keep_the_exit_contract(tmp_path_factory, command_config, mode, data):
     command, config = command_config
+    paths = []
     for _ in range(data.draw(st.integers(1, 3))):
         mutations = list(_mutations(config))
         if not mutations:
             break
-        config = _mutate(config, *data.draw(st.sampled_from(mutations)))
+        key_path, kind = data.draw(st.sampled_from(mutations))
+        paths.append(key_path)
+        config = _mutate(config, key_path, kind)
     path = tmp_path_factory.mktemp("fuzz") / "config.json"
     path.write_text(json.dumps(config))
     out, err = io.StringIO(), io.StringIO()
@@ -548,6 +574,21 @@ def test_mutated_configs_keep_the_exit_contract(tmp_path_factory, command_config
     assert (code == 2) == (out.getvalue() == "")
     if code != 2:
         json.loads(out.getvalue())
+    else:  # a config error names a mutated key or one above it
+        named = {_json_path(p[:n]) for p in paths for n in range(1, len(p) + 1)}
+        message = err.getvalue()
+        assert message.startswith("invalid input:") or any(n in message for n in named), message
+
+
+def test_coefficient_too_long_to_print_is_invalid_input(tmp_path, capsys):
+    # 10^8000 / 4 parses, but its decimal digits pass the interpreter's limit
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(_with(PAIR_CONFIG, PAIR_C, "1/1" + "0" * 4000)))
+    for mode, fragment in (("--exact", "digits to print"), ("--numeric", "float field's range")):
+        code = main(["periods", "pair", "--config", str(path), mode])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), mode
+        assert captured.err.startswith("invalid input:") and fragment in captured.err, mode
 
 
 def _json_path(path):
@@ -877,6 +918,16 @@ def test_selftest_corrupted_octic_fails(tmp_path):
     assert "cone_vanishing" in failing and "star_on_cone" in failing
 
 
+def test_selftest_corrupted_octic_report_pinned(capsys):
+    # exit 1 keeps it out of PINNED_REPORTS, whose runs must exit 0
+    assert main(["selftest", "--seed", "0", "--inject-corrupted-octic"]) == 1
+    out = capsys.readouterr().out
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "4fdd054f089877b54d994fa2efef6a0171be91811269eb0b9895d7efdd769d05"
+    )
+
+
 def test_field_tolerance_reaches_zero_tests(monkeypatch):
     from plumbline.curve_periods import PeriodMatrixJet, derivative_rank_one_check
     from plumbline.relations import verify_asymptotic_vanishing
@@ -918,8 +969,8 @@ def test_field_tolerance_reaches_zero_tests(monkeypatch):
         assert rep.passed or rep.min_surviving_degree == 16
     assert not tight[0].passed  # its residue is about 7e-16 of its scale
 
-    # the t-coefficients [[1, 1], [1, 1 + 1e-8]] have the one 2x2 minor 1e-8:
-    # rank 1 at tolerance 1e-6, rank 2 at the fixed 1e-10
+    # the rank-one check reads no tolerance: it refuses float jets, whatever
+    # their field's tolerance
     def rank_one(field):
         ring = JetRing(("t",), 1, field)
         t = ring.variable("t")
@@ -930,8 +981,9 @@ def test_field_tolerance_reaches_zero_tests(monkeypatch):
         }
         return derivative_rank_one_check(PeriodMatrixJet(entries), "t")
 
-    assert rank_one(CoefficientField(FieldKind.COMPLEX_FLOAT, 1e-6))
-    assert not rank_one(FLOAT_FIELD)
+    for field in (CoefficientField(FieldKind.COMPLEX_FLOAT, 1e-6), FLOAT_FIELD):
+        with pytest.raises(StructureError, match="exact field"):
+            rank_one(field)
 
 
 # ---------------------------------------------------------------------------

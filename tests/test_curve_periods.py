@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plumbline.alkanes import Alkane, canonical_code, enumerate_alkanes
 from plumbline.curve_periods import (
@@ -28,6 +28,8 @@ from plumbline.errors import DegenerateDataError, RangeError, StructureError
 from plumbline.gaussian import GaussianRational
 from plumbline.jets import EXACT_FIELD, FLOAT_FIELD, JetRing
 from plumbline.sampling import random_star_config, random_tree_config, substream
+
+from oracles import rank_one_by_minors
 
 I = GaussianRational(0, 1)
 
@@ -95,7 +97,8 @@ def test_pair_numeric_mode():
     assert m.to_json_dict()["mode"] == "numeric"
     lam = complex(0, math.pi / 2)
     assert abs(m.entry(1, 2).coefficient_of_var("t") + lam) < 1e-12
-    assert derivative_rank_one_check(m, "t")
+    with pytest.raises(StructureError, match="exact field"):
+        derivative_rank_one_check(m, "t")
 
 
 def _star(taus, bs, cs=None):
@@ -272,12 +275,91 @@ def test_rank_one_rejects_identity_pattern():
 
 @pytest.mark.parametrize("field", [EXACT_FIELD, FLOAT_FIELD], ids=["exact", "numeric"])
 def test_rank_one_rejects_a_variable_that_moves_nothing(field):
-    # every 2x2 minor of a zero matrix vanishes, but its rank is 0, not 1
+    # every 2x2 minor of a zero matrix vanishes, but its rank is 0, not 1;
+    # float jets are refused, as no command ranks them
     tc = random_tree_config(Alkane.chain(4), substream(17, "test:rank0"))
     ring = JetRing((*tc.variables, "z"), 1, field)
     m = tree_period_first_order(tc, ring)
+    if not field.is_exact:
+        for var in (*tc.variables, "z"):
+            with pytest.raises(StructureError, match="exact field"):
+                derivative_rank_one_check(m, var)
+        return
     assert all(derivative_rank_one_check(m, d.var) for d in tc.edge_data.values())
     assert not derivative_rank_one_check(m, "z")
+
+
+_gaussian = st.builds(
+    GaussianRational,
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+)
+
+
+@st.composite
+def _symmetric_gaussian(draw):
+    """A symmetric g x g Gaussian rational matrix, g = 1..5: a sum of k
+    terms lam * u u^T, k = 0..3, so of rank 0, 1 or at most k, or a free
+    symmetric matrix, most likely of rank g."""
+    g = draw(st.integers(1, 5))
+    k = draw(st.sampled_from([0, 1, 1, 2, 3, None]))
+    if k is None:
+        c = [[None] * g for _ in range(g)]
+        for i in range(g):
+            for j in range(i, g):
+                c[i][j] = c[j][i] = draw(_gaussian)
+        return c
+    c = [[GaussianRational(0)] * g for _ in range(g)]
+    for _ in range(k):
+        lam = draw(_gaussian)
+        u = draw(st.lists(_gaussian, min_size=g, max_size=g))
+        c = [[c[i][j] + lam * u[i] * u[j] for j in range(g)] for i in range(g)]
+    return c
+
+
+def _moved_by(c, field=EXACT_FIELD):
+    """A period matrix whose coefficient matrix of t is ``c``; s moves
+    every entry, so the check must read t's coefficients alone."""
+    ring = JetRing(("s", "t"), 1, field)
+    s, t = ring.variable("s"), ring.variable("t")
+    g = len(c)
+    return PeriodMatrixJet(
+        {
+            (i + 1, j + 1): ring.constant(I) + s + t * c[i][j]
+            for i in range(g)
+            for j in range(i, g)
+        }
+    )
+
+
+# [[1, i], [i, -1]] = u u^T with u = (1, i) has rank 1 over Q(i), but its
+# real part diag(1, -1) has rank 2
+_RANK_ONE_NOT_REAL = [[GaussianRational(1), I], [I, GaussianRational(-1)]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_symmetric_gaussian())
+@example(_RANK_ONE_NOT_REAL)
+@example([[GaussianRational(0)] * 2] * 2)
+@example([[GaussianRational(2), GaussianRational(-2)], [GaussianRational(-2), GaussianRational(2)]])
+def test_rank_one_check_matches_minors_oracle(c):
+    assert derivative_rank_one_check(_moved_by(c), "t") == rank_one_by_minors(c)
+    with pytest.raises(StructureError, match="exact field"):
+        derivative_rank_one_check(_moved_by(c, FLOAT_FIELD), "t")
+
+
+def _sympy_gaussian_rank(c):
+    """The exact rank over Q(i) of sympy's domain matrix of ``c``."""
+    sympy = pytest.importorskip("sympy")
+    entries = [[sympy.Rational(x.re) + sympy.I * sympy.Rational(x.im) for x in row] for row in c]
+    return sympy.Matrix(entries).to_DM().rank()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_symmetric_gaussian())
+@example(_RANK_ONE_NOT_REAL)
+def test_rank_one_check_matches_sympy(c):
+    assert derivative_rank_one_check(_moved_by(c), "t") == (_sympy_gaussian_rank(c) == 1)
 
 
 def test_repeated_vertex_label_rejected():

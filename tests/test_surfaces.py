@@ -410,29 +410,67 @@ _small_side = st.dictionaries(st.integers(0, 3), st.integers(-3, 3).filter(bool)
 _COPIES = ["duplicate", "negated", "shared pivot"]
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(st.tuples(_small_side, _small_side), min_size=1, max_size=6),
-    st.lists(st.tuples(st.sampled_from(_COPIES), st.integers(0, 5), _small_side), max_size=4),
-)
-@example([({0: 1}, {1: 2, 3: 1}), ({}, {0: 1}), ({2: 1}, {})], [("duplicate", 0, {})])
-def test_span_on_factored_rows_matches_multiplied_out_rank(pairs, copies):
-    # span_dimension_E_Gamma ranks each edge as its factored pair (w, c);
-    # rows whose pivots collide must be multiplied out and reduced exactly
+def _factored_sides(pairs, copies):
+    """Primitive sides (w, c), with copies of some appended: duplicated,
+    negated, or sharing the largest key of c with different entries below it."""
     sides = [(_primitive(w), _primitive(c)) for w, c in pairs]
     for kind, k, extra in copies:
         w, c = sides[k % len(sides)]
         if kind == "negated":
             w = {r: -x for r, x in w.items()}
         elif kind == "shared pivot" and c:
-            # the same largest key as c, different entries below it
             top = max(c)
             c = _primitive({**{j: x for j, x in extra.items() if j < top}, top: c[top]})
         sides.append((w, c))
+    return sides
+
+
+_FACTORED = (
+    st.lists(st.tuples(_small_side, _small_side), min_size=1, max_size=6),
+    st.lists(st.tuples(st.sampled_from(_COPIES), st.integers(0, 5), _small_side), max_size=4),
+)
+_FACTORED_EXAMPLE = ([({0: 1}, {1: 2, 3: 1}), ({}, {0: 1}), ({2: 1}, {})], [("duplicate", 0, {})])
+
+
+@settings(max_examples=300, deadline=None)
+@given(*_FACTORED)
+@example(*_FACTORED_EXAMPLE)
+def test_span_on_factored_rows_matches_multiplied_out_rank(pairs, copies):
+    # span_dimension_E_Gamma ranks each edge as its factored pair (w, c);
+    # rows whose pivots collide must be multiplied out and reduced exactly
+    sides = _factored_sides(pairs, copies)
     before = [(dict(w), dict(c)) for w, c in sides]
     expected = matrix_rank_exact([_outer(w, c) for w, c in sides])
     assert span_dimension_E_Gamma(sides) == expected
     assert sides == before
+
+
+def _sympy_rank(rows):
+    """sympy's rank of sparse int or Fraction rows, laid out densely."""
+    sympy = pytest.importorskip("sympy")
+    keys = sorted({k for row in rows for k in row})
+    if not keys:
+        return 0
+    return sympy.Matrix([[sympy.Rational(row.get(k, 0)) for k in keys] for row in rows]).rank()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rational_rows())
+def test_rank_matches_sympy(rows):
+    assert matrix_rank_exact(rows) == _sympy_rank(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(*_FACTORED)
+@example(*_FACTORED_EXAMPLE)
+def test_span_matches_sympy(pairs, copies):
+    # the span as the edges come (factored pairs), and with every other
+    # edge row multiplied out into a dict row
+    sides = [(w, c) for w, c in _factored_sides(pairs, copies) if w and c]
+    expected = _sympy_rank([_outer(w, c) for w, c in sides])
+    assert span_dimension_E_Gamma(sides) == expected
+    mixed = [_outer(w, c) if n % 2 else (w, c) for n, (w, c) in enumerate(sides)]
+    assert surfaces._primitive_rank(mixed) == expected
 
 
 def test_generic_spans_multiply_out_no_edge_row(monkeypatch):
