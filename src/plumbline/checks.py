@@ -28,7 +28,6 @@ from .curve_periods import (
     is_banded,
     offdiag_support,
     pair_period_first_order,
-    star_leading_coefficients,
     tree_period_first_order,
 )
 from .elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
@@ -39,6 +38,7 @@ from .relations import (
     all_octic_indices,
     octic_eval,
     plucker_to_cone,
+    star_leading_coefficients,
     verify_asymptotic_vanishing,
 )
 from .sampling import (

@@ -8,13 +8,16 @@ make the library refuse its input: a ``PlumblineError`` raised anywhere
 else is a bug.  All randomness is derived from --seed through labelled
 substreams, so reports are byte-for-byte reproducible.
 
-Config numbers are read exactly in either mode: ints, "p/q" strings, or
-finite JSON numbers taken as the decimal they print as.  --exact and
---numeric pick only the jet ring's coefficient field; the float field
-rounds each value once, when an assembly coerces it into the ring.
-Each subcommand returns its report body and whether every check passed;
+``plumbline.config`` reads config numbers exactly in either mode; --exact
+and --numeric pick only the jet ring's coefficient field.  Each
+subcommand returns its report body and whether every check passed;
 ``main`` adds the command and version, writes the report and maps the
 outcome to the exit code.
+
+Start-up loads what the parser's bounds read (``GENUS_CAP``,
+``OCTIC_MIN_GENUS``, ``STAR_POINTS``) and the modules those import, the
+same for every command.  ``periods`` imports its config reader and the
+assemblies, and ``selftest`` its checks, only when they run.
 """
 
 from __future__ import annotations
@@ -23,34 +26,15 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
-from typing import Callable, List, Optional, Tuple, TypeVar
+from typing import Callable, List, Optional
 
 from . import __version__
-from .alkanes import GENUS_CAP, Alkane, alkane_codes, count_alkanes, enumerate_alkanes
-from .curve_periods import (
-    CurveBlock,
-    PairPlumbing,
-    StarConfig,
-    TreeConfig,
-    TreeEdgeData,
-    pair_period_first_order,
-    star_period_leading,
-    tree_period_first_order,
-)
-from .elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
-from .errors import PlumblineError
-from .gaussian import GaussianRational
+from .alkanes import GENUS_CAP, alkane_codes, count_alkanes, enumerate_alkanes
+from .errors import ConfigError, PlumblineError
 from .jets import EXACT_FIELD, FLOAT_FIELD, CoefficientField, JetRing
 from .relations import OCTIC_MIN_GENUS, verify_asymptotic_vanishing
 from .sampling import STAR_POINTS, random_star_config, random_surface_sides, substream
 from .surfaces import dim_K, dim_V_Gamma, dim_W, dim_period_domain, span_dimension_E_Gamma
-
-T = TypeVar("T")
-
-
-class ConfigError(Exception):
-    pass
 
 
 class InvalidInput(Exception):
@@ -77,176 +61,6 @@ def _int_range(low: int, high: float = math.inf) -> Callable[[str], int]:
         return value
 
     return parse
-
-
-# ---------------------------------------------------------------------------
-# config parsing: every number is read exactly, the ring's field rounds it
-
-
-def _parse_part(x) -> Fraction:
-    if isinstance(x, float) and math.isfinite(x):
-        return Fraction(str(x))  # the decimal the JSON number prints as
-    if isinstance(x, str) and "_" in x:
-        raise ValueError("no underscores in a number")  # Fraction takes them from 3.11 on
-    if isinstance(x, (int, str)) and not isinstance(x, bool):
-        return Fraction(x)
-    raise ValueError("expected an int, a 'p/q' string or a finite number")
-
-
-def _parse_value(v, path: str) -> GaussianRational:
-    """The exact value of the config field at JSON path ``path``."""
-    try:
-        if isinstance(v, (list, tuple)):
-            if len(v) != 2:
-                raise ValueError("a complex value needs [re, im]")
-            return GaussianRational(_parse_part(v[0]), _parse_part(v[1]))
-        return GaussianRational(_parse_part(v))
-    except (ValueError, ZeroDivisionError) as e:
-        raise ConfigError(f"{path}: bad numeric value {v!r}: {e}") from e
-
-
-def _parse_label(name, path: str) -> TwoTorsionLabel:
-    try:
-        return TwoTorsionLabel(name)
-    except ValueError:
-        raise ConfigError(f"{path}: unknown 2-torsion label {name!r}") from None
-
-
-def _parse_list(v, path: str, what: str) -> list:
-    if not isinstance(v, list):
-        raise ConfigError(f"{path} must be a list of {what}, got {v!r}")
-    return v
-
-
-def _parse_object(v, path: str, keys: Tuple[str, ...]) -> dict:
-    """``v`` as an object holding every required key; ``path`` is "" at the top."""
-    if not isinstance(v, dict):
-        what = " and ".join(filter(None, (", ".join(keys[:-1]), keys[-1])))
-        raise ConfigError(f"{path} must be an object with {what}, got {v!r}")
-    for key in keys:
-        if key not in v:
-            raise ConfigError(f"missing key {path + '.' if path else ''}{key}")
-    return v
-
-
-def _parse_name(v, path: str) -> str:
-    if not isinstance(v, str):
-        raise ConfigError(f"{path} must be a variable name, got {v!r}")
-    return v
-
-
-def _parse_edge(e, path: str) -> Tuple[int, int]:
-    if not (isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e)):
-        raise ConfigError(f"{path} must be a pair of vertex numbers, got {e!r}")
-    return tuple(e)
-
-
-def _parse_mark(d, path: str) -> Mark:
-    d = _parse_object(d, path, ("point", "c"))
-    point = d["point"]
-    if isinstance(point, str):
-        point = _parse_label(point, f"{path}.point")
-    else:
-        point = _parse_value(point, f"{path}.point")
-    return Mark(point, _parse_value(d["c"], f"{path}.c"))
-
-
-def _parse_curve(d, path: str) -> MarkedEllipticCurve:
-    d = _parse_object(d, path, ("tau",))
-    tau = TauPoint(_parse_value(d["tau"], f"{path}.tau"))
-    marks = _parse_list(d.get("marks", []), f"{path}.marks", "marks")
-    marks = tuple(_parse_mark(m, f"{path}.marks[{k}]") for k, m in enumerate(marks))
-    return MarkedEllipticCurve(tau, marks)
-
-
-def _parse_pair_side(d, path: str, mark, mark_key: str):
-    if isinstance(d, dict) and ("block" in d or "omega" in d):
-        d = _parse_object(d, path, ("block", "omega"))
-        if type(mark) is not int or mark != 0:
-            raise ConfigError(f"{mark_key}: mark index {mark!r} on a block, which has no marks")
-        rows = _parse_list(d["block"], f"{path}.block", "rows")
-        block = tuple(
-            tuple(
-                _parse_value(v, f"{path}.block[{r}][{c}]")
-                for c, v in enumerate(_parse_list(row, f"{path}.block[{r}]", "numbers"))
-            )
-            for r, row in enumerate(rows)
-        )
-        omega = _parse_list(d["omega"], f"{path}.omega", "numbers")
-        omega = tuple(_parse_value(v, f"{path}.omega[{k}]") for k, v in enumerate(omega))
-        return CurveBlock(block, omega)
-    curve = _parse_curve(d, path)
-    if type(mark) is not int or not 0 <= mark < len(curve.marks):
-        raise ConfigError(
-            f"{mark_key}: mark index {mark!r} outside {path}.marks, which has {len(curve.marks)}"
-        )
-    return curve
-
-
-def _parse_pair(cfg: dict) -> PairPlumbing:
-    _parse_object(cfg, "", ("curve_a", "curve_b"))
-    mark_a, mark_b = cfg.get("mark_a", 0), cfg.get("mark_b", 0)
-    side_a = _parse_pair_side(cfg["curve_a"], "curve_a", mark_a, "mark_a")
-    side_b = _parse_pair_side(cfg["curve_b"], "curve_b", mark_b, "mark_b")
-    return PairPlumbing(side_a, side_b, _parse_name(cfg.get("t", "t"), "t"), mark_a, mark_b)
-
-
-def _parse_star(cfg: dict) -> StarConfig:
-    _parse_object(cfg, "", ("curves", "b", "vars"))
-    curves = _parse_list(cfg["curves"], "curves", "curves")
-    curves = tuple(_parse_curve(c, f"curves[{k}]") for k, c in enumerate(curves))
-    points = _parse_list(cfg["b"], "b", "numbers")
-    points = tuple(_parse_value(b, f"b[{k}]") for k, b in enumerate(points))
-    names = _parse_list(cfg["vars"], "vars", "variable names")
-    names = tuple(_parse_name(v, f"vars[{k}]") for k, v in enumerate(names))
-    return StarConfig(curves, points, names)
-
-
-def _parse_tree(cfg: dict) -> TreeConfig:
-    _parse_object(cfg, "", ("genus", "edges", "taus", "edge_data"))
-    edges = _parse_list(cfg["edges"], "edges", "vertex pairs")
-    edges = [_parse_edge(e, f"edges[{k}]") for k, e in enumerate(edges)]
-    genus = cfg["genus"]
-    if type(genus) is not int:
-        raise ConfigError(f"genus must be a whole number, got {genus!r}")
-    alkane = Alkane(genus, edges)
-    taus = _parse_list(cfg["taus"], "taus", "numbers")
-    taus = tuple(TauPoint(_parse_value(t, f"taus[{k}]")) for k, t in enumerate(taus))
-    edge_data = {}
-    for k, item in enumerate(_parse_list(cfg["edge_data"], "edge_data", "edge objects")):
-        path = f"edge_data[{k}]"
-        item = _parse_object(item, path, ("edge", "var", "low", "high"))
-        i, j = sorted(_parse_edge(item["edge"], f"{path}.edge"))
-        if (i, j) in edge_data:
-            raise ConfigError(f"{path}.edge: edge {[i, j]} is listed twice in edge_data")
-        low = _parse_object(item["low"], f"{path}.low", ("label", "c"))
-        high = _parse_object(item["high"], f"{path}.high", ("label", "c"))
-        edge_data[(i, j)] = TreeEdgeData(
-            var=_parse_name(item["var"], f"{path}.var"),
-            label_low=_parse_label(low["label"], f"{path}.low.label"),
-            coeff_low=_parse_value(low["c"], f"{path}.low.c"),
-            label_high=_parse_label(high["label"], f"{path}.high.label"),
-            coeff_high=_parse_value(high["c"], f"{path}.high.c"),
-        )
-    return TreeConfig(alkane, taus, edge_data)
-
-
-def _read_config(path: str, parse: Callable[[dict], T]) -> T:
-    """Load the JSON object at ``path`` and build its configuration.
-
-    The parse raises each config error where it finds it, with its JSON
-    path; anything else it raises is a bug and is not caught here.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
-    except (ValueError, RecursionError) as e:  # not JSON, not UTF-8, too deep, too long an int
-        raise ConfigError(f"cannot decode config {path}: {e}") from e
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path} must be a JSON object, not {type(cfg).__name__}")
-    return parse(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -287,19 +101,13 @@ def cmd_alkanes_count(args):
     return {"max": args.max, "counts": [count_alkanes(g) for g in range(1, args.max + 1)]}, True
 
 
-# periods subcommand -> (config parser, the ring's variables, truncation order,
-# assembly); pair and tree matrices are first order, star entries bidegree (1,1)
-_PERIODS = {
-    "pair": (_parse_pair, lambda p: (p.t,), 1, pair_period_first_order),
-    "star": (_parse_star, lambda s: s.variables, 2, star_period_leading),
-    "tree": (_parse_tree, lambda c: c.variables, 1, tree_period_first_order),
-}
-
-
 def cmd_periods(args):
-    parse, variables, order, assemble = _PERIODS[args.subcommand]
+    # only periods reads a config or assembles a matrix; other commands skip the import
+    from .config import PERIODS, read_config
+
+    parse, variables, order, assemble = PERIODS[args.subcommand]
     try:
-        config = _read_config(args.config, parse)
+        config = read_config(args.config, parse)
         matrix = assemble(config, JetRing(variables(config), order, _field(args.mode_exact)))
         report = matrix.to_json_dict()
     except PlumblineError as e:  # the library refused the config's data
@@ -408,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     per = sub.add_parser("periods", help="assemble first-order period matrices")
     per_sub = per.add_subparsers(dest="subcommand", required=True)
-    for name in _PERIODS:
+    for name in ("pair", "star", "tree"):
         p = per_sub.add_parser(name, parents=[out, mode])
         p.add_argument("--config", required=True)
         p.set_defaults(func=cmd_periods)

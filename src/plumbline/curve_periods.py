@@ -16,25 +16,22 @@ the transcendental factor 2*pi*i is divided out (lambda = 1/4, kappa =
 
 Pair and tree matrices are first order, modulo the square of the parameter
 ideal; star off-diagonals have bidegree (1,1), so a star needs order 2.
+``StarConfig`` and the star's leading coefficients kappabar_ij live in
+``relations``, which every command loads; this module loads only with
+``periods`` and ``selftest``.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
 
 from .alkanes import canonical_code
 from .elliptic import MarkedEllipticCurve, TwoTorsionLabel
 from .errors import DegenerateDataError, RangeError, StructureError
 from .frozen import Frozen
-from .jets import CoefficientField, Jet, JetRing
+from .jets import Jet, JetRing
+from .relations import StarConfig, _finite, _two_pi_i, star_leading_coefficients
 from .surfaces import matrix_rank_exact
-
-
-def _two_pi_i(field: CoefficientField):
-    """The transcendental factor 2*pi*i, or 1 in exact units, which divide it out."""
-    return field.one() if field.is_exact else complex(0.0, 2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -72,32 +69,6 @@ def _as_block(side: PairSide, mark_index: int) -> CurveBlock:
 class PairPlumbing(Frozen):
     __slots__ = _fields = ("curve_a", "curve_b", "t", "mark_a", "mark_b")
     _defaults = {"mark_a": 0, "mark_b": 0}
-
-
-class StarConfig(Frozen):
-    """g elliptic tails attached to a projective line at b_1..b_g."""
-
-    __slots__ = _fields = ("curves", "attach_points", "variables")
-
-    def _check(self):
-        curves, attach_points = self.curves, self.attach_points
-        g = len(curves)
-        if len(attach_points) != g or len(self.variables) != g:
-            raise StructureError("curves, attach points and variables must align")
-        if g < 2:
-            raise RangeError("a star needs at least two tails")
-        for i in range(g):
-            if not curves[i].marks:
-                raise StructureError(f"curve {i + 1} carries no mark")
-            for j in range(i + 1, g):
-                if attach_points[i] == attach_points[j]:
-                    raise DegenerateDataError(
-                        f"attachment points {i + 1} and {j + 1} coincide"
-                    )
-
-    @property
-    def genus(self) -> int:
-        return len(self.curves)
 
 
 class TreeEdgeData(Frozen):
@@ -204,13 +175,6 @@ def _block_diagonal(ring: JetRing, blocks: Sequence[Sequence[Sequence[object]]])
     return entries
 
 
-def _finite(field: CoefficientField, x, what: str):
-    """``x``, refused when a float product has left the float field's range."""
-    if not (field.is_exact or cmath.isfinite(x)):
-        raise RangeError(f"value beyond the float field's range: {what} overflows")
-    return x
-
-
 def _outer_contribution(entries, lam, t_jet: Jet, slots: Sequence[int], values: Sequence[object]):
     """Add lam * t * (u tensor u) where u has ``values`` in the increasing
     1-based ``slots``: one product per pair (a, b), a <= b."""
@@ -235,26 +199,6 @@ def pair_period_first_order(p: PairPlumbing, ring: JetRing) -> PeriodMatrixJet:
     lam = _two_pi_i(ring.field) / 4
     _outer_contribution(entries, lam, ring.variable(p.t), range(1, len(u) + 1), u)
     return PeriodMatrixJet(entries, {"assembly": "pair"})
-
-
-def star_leading_coefficients(s: StarConfig, field: CoefficientField) -> dict:
-    """kappabar_ij = kappa v_i v_j / (b_i - b_j)^2 for 1-based i < j: the
-    star entry (i, j) is kappabar_ij t_i t_j."""
-    coerce = field.coerce
-    kappa = _two_pi_i(field) / 16
-    v = [coerce(c.mark_value(0)) for c in s.curves]
-    b = [coerce(x) for x in s.attach_points]
-    out = {}
-    for i in range(s.genus):
-        for j in range(i + 1, s.genus):
-            d = b[i] - b[j]
-            if not d * d:  # distinct float points whose squared distance underflows
-                raise RangeError(
-                    f"value beyond the float field's range: (b{i + 1} - b{j + 1})^2 underflows to 0"
-                )
-            coeff = kappa * v[i] * v[j] / (d * d)
-            out[(i + 1, j + 1)] = _finite(field, coeff, f"star entry ({i + 1},{j + 1})")
-    return out
 
 
 def star_period_leading(s: StarConfig, ring: JetRing) -> PeriodMatrixJet:

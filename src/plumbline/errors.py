@@ -18,3 +18,8 @@ class DegenerateDataError(PlumblineError, ValueError):
     coincident attachment points, rank-deficient frame, zero Pluecker
     coordinate)."""
 
+
+class ConfigError(Exception):
+    """A config file the CLI cannot read or parse, or a report path it cannot
+    write: exit 2.  Not a ``PlumblineError``, which a config's data raises
+    only once it is parsed."""

@@ -20,15 +20,16 @@ checked coefficient-by-coefficient through a given total degree.
 
 from __future__ import annotations
 
+import cmath
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .curve_periods import StarConfig, star_leading_coefficients
 from .errors import DegenerateDataError, RangeError, StructureError
 from .frozen import Frozen
-from .jets import EXACT_FIELD, Jet, JetRing
+from .jets import EXACT_FIELD, CoefficientField, Jet, JetRing
 
 OCTIC_VARIANTS = ("corrected", "printed")
 OCTIC_MIN_GENUS = 4  # an octic takes four distinct indices i < j < k < l
@@ -112,6 +113,73 @@ def plucker_to_cone(y: Entries) -> Dict[Tuple[int, int], object]:
             coord = Fraction(coord)  # keep integer frames exact
         values[pair] = 1 / (coord * coord)
     return values
+
+
+# ---------------------------------------------------------------------------
+# star configurations and their leading coefficients
+#
+# ``curve_periods.star_period_leading`` reads them too.  They live here,
+# beside ``verify_asymptotic_vanishing``, because every process loads this
+# module for the parser's ``OCTIC_MIN_GENUS`` and none needs the assemblies
+# to check the octics.
+
+
+def _two_pi_i(field: CoefficientField):
+    """The transcendental factor 2*pi*i, or 1 in exact units, which divide it out."""
+    return field.one() if field.is_exact else complex(0.0, 2.0 * math.pi)
+
+
+def _finite(field: CoefficientField, x, what: str):
+    """``x``, refused when a float product has left the float field's range."""
+    if not (field.is_exact or cmath.isfinite(x)):
+        raise RangeError(f"value beyond the float field's range: {what} overflows")
+    return x
+
+
+class StarConfig(Frozen):
+    """g elliptic tails attached to a projective line at b_1..b_g."""
+
+    __slots__ = _fields = ("curves", "attach_points", "variables")
+
+    def _check(self):
+        curves, attach_points = self.curves, self.attach_points
+        g = len(curves)
+        if len(attach_points) != g or len(self.variables) != g:
+            raise StructureError("curves, attach points and variables must align")
+        if g < 2:
+            raise RangeError("a star needs at least two tails")
+        for i in range(g):
+            if not curves[i].marks:
+                raise StructureError(f"curve {i + 1} carries no mark")
+            for j in range(i + 1, g):
+                if attach_points[i] == attach_points[j]:
+                    raise DegenerateDataError(
+                        f"attachment points {i + 1} and {j + 1} coincide"
+                    )
+
+    @property
+    def genus(self) -> int:
+        return len(self.curves)
+
+
+def star_leading_coefficients(s: StarConfig, field: CoefficientField) -> dict:
+    """kappabar_ij = kappa v_i v_j / (b_i - b_j)^2 for 1-based i < j: the
+    star entry (i, j) is kappabar_ij t_i t_j."""
+    coerce = field.coerce
+    kappa = _two_pi_i(field) / 16
+    v = [coerce(c.mark_value(0)) for c in s.curves]
+    b = [coerce(x) for x in s.attach_points]
+    out = {}
+    for i in range(s.genus):
+        for j in range(i + 1, s.genus):
+            d = b[i] - b[j]
+            if not d * d:  # distinct float points whose squared distance underflows
+                raise RangeError(
+                    f"value beyond the float field's range: (b{i + 1} - b{j + 1})^2 underflows to 0"
+                )
+            coeff = kappa * v[i] * v[j] / (d * d)
+            out[(i + 1, j + 1)] = _finite(field, coeff, f"star entry ({i + 1},{j + 1})")
+    return out
 
 
 # ---------------------------------------------------------------------------

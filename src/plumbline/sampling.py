@@ -14,17 +14,20 @@ as ints and builds no Fraction.  It runs the rejection loops of its I draws,
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
-from typing import Callable, Dict, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Tuple
 
 from .alkanes import Alkane
-from .curve_periods import StarConfig, TreeConfig, TreeEdgeData
 from .elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
 from .errors import RangeError
 from .gaussian import GaussianRational
-from .relations import plucker_coordinates
+from .relations import StarConfig, plucker_coordinates
 from .surfaces import BLOCK_COLS, _primitive
+
+if TYPE_CHECKING:
+    from .curve_periods import TreeConfig
 
 _LABELS = list(TwoTorsionLabel)
 
@@ -65,8 +68,9 @@ def rand_tau(rng: random.Random) -> TauPoint:
     )
 
 
-# the distinct attachment points a star can draw: n/d with |n| <= 12, d <= 6
-STAR_POINTS = len({Fraction(n, d) for n in range(-12, 13) for d in range(1, 7)})
+# the distinct attachment points a star can draw: n/d with |n| <= 12, d <= 6,
+# each counted once in lowest terms
+STAR_POINTS = sum(math.gcd(n, d) == 1 for n in range(-12, 13) for d in range(1, 7))
 
 
 def random_star_config(g: int, rng: random.Random) -> StarConfig:
@@ -88,6 +92,9 @@ def random_star_config(g: int, rng: random.Random) -> StarConfig:
 
 
 def random_tree_config(alkane: Alkane, rng: random.Random) -> TreeConfig:
+    # only selftest draws trees: start-up leaves the tree classes unloaded
+    from .curve_periods import TreeConfig, TreeEdgeData
+
     taus = tuple(rand_tau(rng) for _ in range(alkane.genus))
     used: Dict[int, int] = {v: 0 for v in range(1, alkane.genus + 1)}
     edge_data = {}

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from plumbline import relations
-from plumbline.cli import _parse_value, main
+from plumbline.cli import main
+from plumbline.config import _parse_value
 from plumbline.curve_periods import TreeConfig
 from plumbline.elliptic import MarkedEllipticCurve
 from plumbline.errors import StructureError
@@ -1041,6 +1042,34 @@ def test_mutated_argv_keeps_the_exit_contract(argv, tmp_path, monkeypatch):
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _config_cases():
+    command, text, fragment = next(row for row in MALFORMED_CONFIGS if row[2])
+    bad_tau = json.dumps(_with(PAIR_CONFIG, ["curve_a", "tau"], ["1", "-2"]))
+    return [
+        ("pair", None, "config error: cannot read config"),
+        (command, text, f"config error: {fragment}"),
+        ("pair", bad_tau, "invalid input:"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, text, message", _config_cases(), ids=["missing", "malformed", "invalid"]
+)
+def test_config_errors_exit_2_under_python_m(command, text, message, tmp_path):
+    # under -m the CLI runs as __main__: an error class the config reader
+    # took from plumbline.cli would be a second copy, which main misses
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    run = subprocess.run(
+        [sys.executable, "-m", "plumbline.cli", "periods", command, "--config", str(path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60, check=False,
+    )
+    assert (run.returncode, run.stdout) == (2, ""), run.stderr
+    assert run.stderr.startswith(message) and "Traceback" not in run.stderr, run.stderr
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "1"])

@@ -360,3 +360,30 @@ def test_octic_loop_runs_without_gaussian_rational_arithmetic(monkeypatch):
     rep = verify_asymptotic_vanishing(s, seed=7, field=EXACT_FIELD)
     assert GaussianRational.__mul__ is forbidden
     assert rep.passed and rep.octics_checked == 5 and rep.min_surviving_degree == 17
+
+
+@pytest.mark.parametrize("g", range(4, 9))
+def test_star_leading_coefficients_match_sympy(g):
+    # kappabar_ij = kappa v_i v_j / (b_i - b_j)^2, recomputed over sympy's
+    # Q(i): exactly with kappa = 1/16, and with kappa = 2*pi*i/16 to 30
+    # digits for the float field
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.domains import QQ_I
+
+    def gaussian(x):
+        return QQ_I.from_sympy(sympy.Rational(x.re) + sympy.I * sympy.Rational(x.im))
+
+    kappa = 2 * sympy.pi * sympy.I / 16
+    for trial in range(4):
+        s = random_star_config(g, substream(trial, f"test:kappabar:{g}"))
+        v = [gaussian(c.mark_value(0)) for c in s.curves]
+        b = [gaussian(x) for x in s.attach_points]
+        exact = relations.star_leading_coefficients(s, EXACT_FIELD)
+        numeric = relations.star_leading_coefficients(s, FLOAT_FIELD)
+        assert list(exact) == list(numeric) == list(combinations(range(1, g + 1), 2))
+        for (i, j), c in exact.items():
+            d = b[i - 1] - b[j - 1]
+            want = v[i - 1] * v[j - 1] / (d * d)
+            assert gaussian(c) == want / 16, (trial, i, j)
+            want_float = complex(sympy.N(kappa * QQ_I.to_sympy(want), 30))
+            assert abs(numeric[(i, j)] - want_float) <= 1e-12 * abs(want_float), (trial, i, j)

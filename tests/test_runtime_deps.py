@@ -7,10 +7,13 @@ Only ``frozen.py``, which generates the value classes' constructors, runs
 code built at run time."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from test_cli import PAIR_CONFIG
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "plumbline"
 
@@ -71,7 +74,14 @@ def test_no_module_imports_dataclasses():
 
 
 # modules the start-up of every command leaves unloaded
-NOT_AT_STARTUP = ("dataclasses", "inspect", "traceback", "plumbline.checks")
+NOT_AT_STARTUP = (
+    "dataclasses",
+    "inspect",
+    "traceback",
+    "plumbline.checks",
+    "plumbline.config",
+    "plumbline.curve_periods",
+)
 
 
 def test_cli_import_leaves_unused_modules_unloaded():
@@ -88,6 +98,45 @@ def test_cli_import_leaves_unused_modules_unloaded():
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
     )
     assert run.stdout.split() == []
+
+
+# runs the CLI as ``python -m plumbline.cli`` does, then prints the loaded
+# plumbline modules on the last line of stderr
+_LOADED_PROBE = """
+import atexit, runpy, sys
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("plumbline"))
+atexit.register(lambda: print(" ".join(loaded()), file=sys.stderr))
+runpy.run_module("plumbline.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def _loaded_by(argv, cwd):
+    run = subprocess.run(
+        [sys.executable, "-c", _LOADED_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert run.returncode == 0, (argv, run.stderr)
+    return set(run.stderr.splitlines()[-1].split())
+
+
+def test_commands_load_the_same_modules_as_the_start_up_probe(tmp_path):
+    # --version times start-up for the benchmark, so both workloads load
+    # exactly what it loads; periods adds its config reader and assemblies,
+    # and neither it nor anything else compiles a second plumbline.cli
+    (tmp_path / "pair.json").write_text(json.dumps(PAIR_CONFIG))
+    start_up = _loaded_by(["--version"], tmp_path)
+    assert "plumbline.relations" in start_up and "plumbline.cli" not in start_up
+    for argv in (
+        ["relations", "verify", "--genus", "4", "--trials", "1"],
+        ["surfaces", "egamma", "--genus", "4", "--trials", "1"],
+    ):
+        assert _loaded_by(argv, tmp_path) == start_up, argv
+    periods = _loaded_by(["periods", "pair", "--config", "pair.json"], tmp_path)
+    assert periods == start_up | {"plumbline.config", "plumbline.curve_periods"}
 
 
 def _dynamic_code_calls(path: Path):
