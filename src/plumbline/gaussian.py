@@ -51,7 +51,8 @@ class GaussianRational(Frozen):
         other = _coerced(other)
         if other is NotImplemented:
             return NotImplemented
-        # fast path: both purely real (the common case in exact-units work)
+        # fast path: both purely real, as in most products of kappabar,
+        # check_star_on_cone and config values
         if not self.im and not other.im:
             return GaussianRational(self.re * other.re)
         return GaussianRational(

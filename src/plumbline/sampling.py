@@ -4,12 +4,10 @@ All randomized verification flows derive their draws from labelled
 substreams of one master seed, so adding a new check never shifts the
 draws of an existing one and reports are byte-for-byte reproducible.
 
-Each integer is drawn as CPython's ``randint(lo, hi)`` draws it,
-``lo + r`` with ``r = getrandbits(k)`` for ``k = (hi - lo + 1).bit_length()``
-redrawn while ``r > hi - lo``, so every draw and the generator state after
-it are those of ``randint``.  ``random_surface_sides`` makes the same draws
-as ints and builds no Fraction.  It runs the rejection loops of its I draws,
-28 per edge, inline and reads each cleared value from a table.
+Star, tree and frame draws are ``randint``'s: each rational is
+``Fraction(randint(lo, hi), randint(1, max_den))``.  Surface sides are
+drawn with two ``choices`` calls per model from tables of the values
+12 n/d, so they are ints and no Fraction is built.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from .alkanes import Alkane
 from .elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
@@ -37,21 +35,8 @@ def substream(seed: int, label: str) -> random.Random:
     return random.Random(f"{seed}:{label}")
 
 
-def _below(getrandbits: Callable[[int], int], n: int) -> int:
-    """A draw from [0, n), n > 0, exactly as ``random.Random._randbelow``."""
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
 def rand_fraction(rng: random.Random, lo: int = -9, hi: int = 9, max_den: int = 9) -> Fraction:
-    """``Fraction(rng.randint(lo, hi), rng.randint(1, max_den))``, with the
-    same draws."""
-    getrandbits = rng.getrandbits
-    n = lo + _below(getrandbits, hi - lo + 1)
-    return Fraction(n, 1 + _below(getrandbits, max_den))
+    return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
 
 
 def rand_nonzero_fraction(rng: random.Random, lo: int = -9, hi: int = 9, max_den: int = 9) -> Fraction:
@@ -123,39 +108,31 @@ def random_grass_frame_minors(g: int, rng: random.Random) -> Dict[Tuple[int, int
             return y
 
 
-# 12 * n/d for the I draw n = r - 5, d = 1 + s, indexed [r][s]
-_CLEARED_I = tuple(tuple((r - 5) * (12 // (1 + s)) for s in range(4)) for r in range(11))
+# 12 n/d, one entry per n in -5..5 and d in 1..4: an int, since every d
+# divides 12, so a uniform choice is a uniform (n, d) cleared by 12.  Omega
+# sides draw only the nonzero values.
+_I_VALUES = tuple(n * (12 // d) for n in range(-5, 6) for d in range(1, 5))
+_OMEGA_VALUES = tuple(x for x in _I_VALUES if x)
 
 
 def random_surface_sides(alkane: Alkane, rng: random.Random) -> list:
-    """Per edge, in edge order, a random surface model's primitive omega side
-    keyed by ambient row and I side keyed by ambient column, drawn as ints:
-    ``rand_nonzero_fraction(rng, -5, 5, 4)`` twice for omega, then 2 x 14
-    ``rand_fraction(rng, -5, 5, 4)`` for I, the skew column left zero.  12
-    clears each side; over its content, it is the primitive vector
-    positively proportional to the drawn side."""
-    getrandbits = rng.getrandbits
+    """Per edge {i, j}, i < j, in edge order, a random surface model's
+    primitive omega side keyed by ambient row and I side keyed by ambient
+    column.  The model's omega pairs (omega_i, -omega_j) are drawn first,
+    from ``_OMEGA_VALUES``; then its I entries, 14 per vertex of each edge
+    from ``_I_VALUES``, the skew column left zero.  Each side is divided
+    by its content."""
+    edges = alkane.edges
+    omegas = iter(rng.choices(_OMEGA_VALUES, k=2 * len(edges)))
+    i_draws = iter(rng.choices(_I_VALUES, k=2 * (BLOCK_COLS - 1) * len(edges)))
     sides = []
-    for edge in alkane.edges:
-        omega = {}
-        for v, sign in zip(edge, (1, -1)):
-            n = 0
-            while not n:
-                n = _below(getrandbits, 11) - 5
-                d = 1 + _below(getrandbits, 4)
-            omega[v - 1] = sign * n * (12 // d)
-        i_side = {}
-        for v in edge:
-            for c in range(BLOCK_COLS * (v - 1), BLOCK_COLS * v - 1):
-                # _below(getrandbits, 11) and _below(getrandbits, 4), inlined
-                r = getrandbits(4)
-                while r > 10:
-                    r = getrandbits(4)
-                s = getrandbits(3)
-                while s > 3:
-                    s = getrandbits(3)
-                x = _CLEARED_I[r][s]
-                if x:
-                    i_side[c] = x
+    for edge in edges:
+        omega = {v - 1: sign * w for v, sign, w in zip(edge, (1, -1), omegas)}
+        i_side = {
+            c: x
+            for v in edge
+            for c, x in zip(range(BLOCK_COLS * (v - 1), BLOCK_COLS * v - 1), i_draws)
+            if x
+        }
         sides.append((_primitive(omega), _primitive(i_side)))
     return sides

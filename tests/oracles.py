@@ -1,7 +1,9 @@
-"""The randint + Fraction draws the samplers must reproduce, shared by the
-sampler tests and by the tests that need a Fraction surface model; the
-jet of an exponent -> coefficient mapping, which only tests build; and
-the 2x2-minors test of rank one, the reference of the rank-one check."""
+"""The Fraction draws the samplers must reproduce, shared by the sampler
+tests and by the tests that need a Fraction surface model: ``randint``'s
+for the star, tree and frame draws, two ``choices`` calls for a surface
+model; the jet of an exponent -> coefficient mapping, which only tests
+build; and the 2x2-minors test of rank one, the reference of the rank-one
+check."""
 
 from fractions import Fraction
 
@@ -25,16 +27,26 @@ def nonzero_oracle(rng, lo=-9, hi=9, max_den=9):
             return f
 
 
+# n/d for n in -5..5 and d in 1..4, in the order of sampling's tables
+_I_FRACTIONS = tuple(Fraction(n, d) for n in range(-5, 6) for d in range(1, 5))
+_OMEGA_FRACTIONS = tuple(f for f in _I_FRACTIONS if f)
+
+
 def surface_oracle(alkane, rng):
     """A random surface model with Fraction entries, drawn as
     ``sampling.random_surface_sides`` draws its sides: per edge {i, j},
     i < j, in edge order, the signed omega pair (omega_i, -omega_j) and
-    the two I vectors, BLOCK_COLS wide with a zero skew coordinate."""
+    the two I vectors, BLOCK_COLS wide with a zero skew coordinate.  All
+    omega values come from one ``choices`` call, then all I entries from
+    a second."""
+    edges = alkane.edges
+    omegas = iter(rng.choices(_OMEGA_FRACTIONS, k=2 * len(edges)))
+    entries = iter(rng.choices(_I_FRACTIONS, k=2 * (BLOCK_COLS - 1) * len(edges)))
     model = {}
-    for edge in alkane.edges:
-        omega = (nonzero_oracle(rng, -5, 5, 4), -nonzero_oracle(rng, -5, 5, 4))
+    for edge in edges:
+        omega = (next(omegas), -next(omegas))
         i_vectors = tuple(
-            tuple(fraction_oracle(rng, -5, 5, 4) for _ in range(BLOCK_COLS - 1)) + (Fraction(0),)
+            tuple(next(entries) for _ in range(BLOCK_COLS - 1)) + (Fraction(0),)
             for _ in range(2)
         )
         model[edge] = omega, i_vectors

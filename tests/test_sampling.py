@@ -1,13 +1,16 @@
-"""The samplers draw exactly what ``randint`` and ``Fraction`` drew.
+"""The samplers draw exactly what their Fraction oracles draw.
 
 The reports print span values and pass flags, which almost any draw
 reproduces, so their pinned hashes cannot see a changed stream.  The
-``randint`` + ``Fraction`` samplers are kept here and in ``oracles.py`` as
-the oracle: each sampler must give equal values (the surface sampler, the
+oracles are kept here and in ``oracles.py``: the star, tree and frame
+samplers as they were written on ``randint`` and ``Fraction``, and a
+Fraction surface model drawn with the surface sampler's two ``choices``
+calls.  Each sampler must give equal values (the surface sampler, the
 primitive sides of the oracle's Fraction model) and leave the generator in
 an equal state.
 """
 
+from collections import Counter
 from fractions import Fraction
 from typing import Dict
 
@@ -32,7 +35,7 @@ from plumbline.sampling import (
 from oracles import fraction_oracle, nonzero_oracle, oracle_sides, surface_oracle
 
 # ---------------------------------------------------------------------------
-# the oracle: the samplers as they were written on randint and Fraction
+# the oracles: the samplers as they were written on randint and Fraction
 
 
 def _tau_oracle(rng):
@@ -108,6 +111,16 @@ def test_samplers_match_randint_oracle(name, seed, label, data):
     rng, rng_oracle = substream(seed, label), substream(seed, label)
     assert sampler(x, rng) == oracle(x, rng_oracle)
     assert rng.getstate() == rng_oracle.getstate()
+
+
+def test_surface_tables_are_the_cleared_draws():
+    # one entry per (n, d) of the draw n/d, n in -5..5 and d in 1..4, cleared
+    # by 12, so a uniform choice keeps the distribution of that draw; omega
+    # draws the nonzero ones
+    cleared = Counter(12 * Fraction(n, d) for n in range(-5, 6) for d in range(1, 5))
+    assert Counter(sampling._I_VALUES) == cleared
+    assert Counter(sampling._OMEGA_VALUES) == Counter({x: m for x, m in cleared.items() if x})
+    assert {type(x) for x in sampling._I_VALUES + sampling._OMEGA_VALUES} == {int}
 
 
 def test_star_genus_is_bounded_by_its_points():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from plumbline import checks, cli, surfaces
+from plumbline import checks, cli, sampling, surfaces
 from plumbline.alkanes import (
     Alkane,
     alkane_codes,
@@ -512,42 +512,40 @@ def test_surface_models_and_spans_build_no_fraction(monkeypatch, capsys):
 
 
 class _Scripted(random.Random):
-    """Hands out scripted ``getrandbits`` values in turn and records the
-    width of every call."""
+    """Hands out scripted ``random()`` values in turn: ``choices`` draws
+    index ``floor(random() * n)`` of an n-entry table."""
 
     def __init__(self, values):
         super().__init__(0)
         self.values = iter(values)
-        self.widths = []
 
-    def getrandbits(self, k):
-        self.widths.append(k)
+    def random(self):
         return next(self.values)
 
 
-def _edge_script(rng, zero_i):
-    """``getrandbits`` values for one edge: a rejected draw and a zero
-    omega that is drawn again, then the I vectors, all zero if ``zero_i``.
-    A numerator is drawn below 11 (4 bits, 5 is zero), a denominator below
-    4 (3 bits)."""
-    values = [13, 5, 2, 7, 3]  # 13 >= 11 is redrawn; 0/3 is redrawn; 2/4
-    values += [rng.choice([0, 1, 2, 3, 4, 6, 7, 8, 9, 10]), rng.randrange(4)]
-    for _ in range(2 * (BLOCK_COLS - 1)):
-        values += [5 if zero_i else rng.randrange(11), rng.randrange(4)]
+def _model_script(rng, n_edges, dead):
+    """``random()`` values for a model of ``n_edges`` edges: an index into
+    the omega table for each omega entry, then one into the I table for each
+    I entry, those of edge ``dead`` all at a zero."""
+    n_omega, n_i = len(sampling._OMEGA_VALUES), len(sampling._I_VALUES)
+    zero = sampling._I_VALUES.index(0)
+    values = [(rng.randrange(n_omega) + 0.5) / n_omega for _ in range(2 * n_edges)]
+    for e in range(n_edges):
+        for _ in range(2 * (BLOCK_COLS - 1)):
+            k = zero if e == dead else rng.randrange(n_i)
+            values.append((k + 0.5) / n_i)
     return values
 
 
 @pytest.mark.parametrize("dead", [0, 2, 3])
 def test_all_zero_I_side_gives_no_row(dead):
     a = Alkane.chain(5)
-    rng = substream(101, f"test:zeroI:{dead}")
-    script = [v for k in range(len(a.edges)) for v in _edge_script(rng, k == dead)]
+    script = _model_script(substream(101, f"test:zeroI:{dead}"), len(a.edges), dead)
     drawn, oracle = _Scripted(script), _Scripted(script)
     sides = random_surface_sides(a, drawn)
     model = surface_oracle(a, oracle)
-    # the draws of today's rand_fraction: as many getrandbits calls, as wide
-    assert drawn.widths == oracle.widths and len(drawn.widths) == len(script)
-    assert next(drawn.values, None) is None
+    # both read every scripted value, one per draw
+    assert next(drawn.values, None) is None and next(oracle.values, None) is None
     assert model[a.edges[dead]][1] == ((Fraction(0),) * BLOCK_COLS,) * 2
     assert sides == oracle_sides(model)
     assert sides[dead][1] == {} and all(cols for k, (_, cols) in enumerate(sides) if k != dead)
