@@ -226,19 +226,19 @@ def _free_codes(g: int) -> Tuple[str, ...]:
 
 
 def alkane_from_code(code: str) -> Alkane:
-    """Labeled representative: vertices numbered in DFS preorder of the code."""
+    """Labeled representative: vertices numbered in DFS preorder of the
+    code, in one pass with a stack of the open vertices."""
     edges = []
-    counter = itertools.count(1)
-
-    def build(c: str) -> int:
-        v = next(counter)
-        for kid in _root_children(c):
-            w = build(kid)
-            edges.append((v, w))
-        return v
-
-    build(code)
-    g = next(counter) - 1
+    open_vertices: List[int] = []
+    g = 0
+    for ch in code:
+        if ch == "(":
+            g += 1
+            if open_vertices:
+                edges.append((open_vertices[-1], g))
+            open_vertices.append(g)
+        else:
+            open_vertices.pop()
     return Alkane(g, edges)
 
 

@@ -52,7 +52,6 @@ from .sampling import (
 )
 from .surfaces import (
     BLOCK_COLS,
-    _primitive,
     dim_K,
     dim_V_Gamma,
     dim_W,
@@ -244,7 +243,7 @@ def check_egamma_span(
     a = Alkane.chain(3)
     (rows, cols), _ = random_surface_sides(a, substream(seed, "check:span:neg"))
     i_mid = {c: x for c, x in cols.items() if c >= BLOCK_COLS}
-    mid = _primitive({1: rows[1]}), _primitive(i_mid)
+    mid = {1: rows[1]}, i_mid
     degenerate_span = span_dimension_E_Gamma([mid, mid])
     ok = ok and degenerate_span < a.genus - 1
     return ok, {"models": models, "degenerate_span": degenerate_span}

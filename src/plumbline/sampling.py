@@ -6,8 +6,10 @@ draws of an existing one and reports are byte-for-byte reproducible.
 
 Star, tree and frame draws are ``randint``'s: each rational is
 ``Fraction(randint(lo, hi), randint(1, max_den))``.  Surface sides are
-drawn with two ``choices`` calls per model from tables of the values
-12 n/d, so they are ints and no Fraction is built.
+drawn from two ``randbytes`` calls per model: each kept byte is a uniform
+slot of a table of the values 12 n/d, and ``bytes.translate`` does the
+rejection and the lookup, so no Python bytecode runs per entry, the sides
+are ints, and no Fraction is built.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import compress
 from typing import TYPE_CHECKING, Dict, Tuple
 
 from .alkanes import Alkane
@@ -22,7 +25,7 @@ from .elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
 from .errors import RangeError
 from .gaussian import GaussianRational
 from .relations import StarConfig, plucker_coordinates
-from .surfaces import BLOCK_COLS, _primitive
+from .surfaces import BLOCK_COLS
 
 if TYPE_CHECKING:
     from .curve_periods import TreeConfig
@@ -108,31 +111,47 @@ def random_grass_frame_minors(g: int, rng: random.Random) -> Dict[Tuple[int, int
             return y
 
 
-# 12 n/d, one entry per n in -5..5 and d in 1..4: an int, since every d
-# divides 12, so a uniform choice is a uniform (n, d) cleared by 12.  Omega
-# sides draw only the nonzero values.
+# 12 n/d for n in -5..5 and d in 1..4, one slot per (n, d): an int, since
+# every d divides 12, so a uniform slot is a uniform (n, d) cleared by 12.
+# Omega sides draw only the 40 nonzero slots.
 _I_VALUES = tuple(n * (12 // d) for n in range(-5, 6) for d in range(1, 5))
 _OMEGA_VALUES = tuple(x for x in _I_VALUES if x)
+
+# A random byte b below 256 - 256 % n is uniform over n slots as b % n
+# (the rejection method for uniform integers, in bulk).  Each draw table is
+# a ``bytes.translate`` pair: the slot values as signed bytes, repeated so
+# that byte b reads slot b % n, and the bytes at or above the bound, which
+# it deletes.  The four zero slots of the I table map to byte 0.
+_OMEGA_DRAW = (bytes(x % 256 for x in _OMEGA_VALUES) * 7)[:256], bytes(range(240, 256))
+_I_DRAW = (bytes(x % 256 for x in _I_VALUES) * 6)[:256], bytes(range(220, 256))
+
+
+def _draw(rng: random.Random, k: int, table: Tuple[bytes, bytes]) -> list:
+    """The values of k slots of a draw table, each slot equally likely: the
+    bytes of ``rng.randbytes(k)`` that the table keeps, read as signed
+    bytes, topped up by further calls for as many as it deleted."""
+    kept = rng.randbytes(k).translate(*table)
+    while len(kept) < k:
+        kept += rng.randbytes(k - len(kept)).translate(*table)
+    return memoryview(kept).cast("b").tolist()
 
 
 def random_surface_sides(alkane: Alkane, rng: random.Random) -> list:
     """Per edge {i, j}, i < j, in edge order, a random surface model's
-    primitive omega side keyed by ambient row and I side keyed by ambient
-    column.  The model's omega pairs (omega_i, -omega_j) are drawn first,
-    from ``_OMEGA_VALUES``; then its I entries, 14 per vertex of each edge
-    from ``_I_VALUES``, the skew column left zero.  Each side is divided
-    by its content."""
+    integer omega side keyed by ambient row and I side keyed by ambient
+    column, as drawn: no side is divided by its content.  The model's
+    omega pairs (omega_i, -omega_j) are drawn first, from one
+    ``randbytes`` call over ``_OMEGA_VALUES``; then its I entries, 14 per
+    vertex of each edge, from a second over ``_I_VALUES``, the skew column
+    left zero.  An I side keeps only its nonzero entries."""
     edges = alkane.edges
-    omegas = iter(rng.choices(_OMEGA_VALUES, k=2 * len(edges)))
-    i_draws = iter(rng.choices(_I_VALUES, k=2 * (BLOCK_COLS - 1) * len(edges)))
+    width = BLOCK_COLS - 1
+    omegas = _draw(rng, 2 * len(edges), _OMEGA_DRAW)
+    entries = _draw(rng, 2 * width * len(edges), _I_DRAW)
+    cols = [tuple(range(BLOCK_COLS * v, BLOCK_COLS * v + width)) for v in range(alkane.genus)]
     sides = []
-    for edge in edges:
-        omega = {v - 1: sign * w for v, sign, w in zip(edge, (1, -1), omegas)}
-        i_side = {
-            c: x
-            for v in edge
-            for c, x in zip(range(BLOCK_COLS * (v - 1), BLOCK_COLS * v - 1), i_draws)
-            if x
-        }
-        sides.append((_primitive(omega), _primitive(i_side)))
+    for e, (i, j) in enumerate(edges):
+        chunk = entries[2 * width * e : 2 * width * (e + 1)]
+        i_side = dict(zip(compress(cols[i - 1] + cols[j - 1], chunk), filter(None, chunk)))
+        sides.append(({i - 1: omegas[2 * e], j - 1: -omegas[2 * e + 1]}, i_side))
     return sides

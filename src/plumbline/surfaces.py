@@ -8,13 +8,14 @@ I vectors.  These are synthetic data (random rational draws): the
 verifiable content is linear-algebraic -- ranks, spans and zero patterns
 -- and all of it is checked exactly.  An edge is given by its sides, the
 one surface format: the omega side keyed by ambient row and the I side
-keyed by ambient column, primitive integer vectors as
+keyed by ambient column, integer vectors of any content, as
 ``sampling.random_surface_sides`` draws them.  Pi_e is proportional to
 their outer product, and one fraction-free elimination core, behind
 ``matrix_rank_exact`` and ``span_dimension_E_Gamma``, ranks on Python ints.
 The span hands it each edge as the factored pair of its sides; a pair is
 multiplied out only if a row operation needs its entries, which an
-alkane's edges never do.
+alkane's edges never do.  Only the rows that a row operation forms are
+divided by their content.
 """
 
 from __future__ import annotations
@@ -96,18 +97,19 @@ def matrix_rank_exact(rows: Sequence[Mapping[object, object]]) -> int:
     """Rank of the span of sparse int or Fraction vectors keyed by arbitrary
     hashable, mutually comparable positions.
 
-    Each row is cleared to integers and divided by its content once; the
-    elimination is then fraction-free.
+    Each row is cleared to integers once; the elimination is then
+    fraction-free.
     """
-    return _primitive_rank([row for row in (_primitive(_cleared(r)[1]) for r in rows) if row])
+    return _primitive_rank([row for row in (_cleared(r)[1] for r in rows) if row])
 
 
 def _primitive_rank(work: list) -> int:
-    """Rank of nonzero primitive integer rows (no zero entries, content 1),
-    by fraction-free elimination, each new row divided by its content.
-    Consumes ``work``; the rows are left as they were.
+    """Rank of nonzero integer rows with no zero entries, of any content,
+    by fraction-free elimination: a row operation forms p * other - b * row
+    and divides it by its content, and no other row is divided.  Consumes
+    ``work``; the rows are left as they were.
 
-    A row is a dict, or a pair (w, c) of primitive sides that stands for
+    A row is a dict, or a pair (w, c) of nonzero sides that stands for
     the row ``_outer(w, c)``, keyed by (r, k).  A pair's largest key is
     (max(w), max(c)), since keys order lexicographically and the sides hold
     no zero entries, and its entry at (r, k) is w[r] * c[k]; it is
@@ -154,10 +156,10 @@ def _primitive_rank(work: list) -> int:
 
 def span_dimension_E_Gamma(sides: Sequence[Tuple[Dict[int, int], Dict[int, int]]]) -> int:
     """Exact dimension of the span of the edge matrices Pi_e, from their
-    primitive integer sides (``sampling.random_surface_sides``): each edge
-    with nonzero sides w, c is the row w tensor c, primitive as
-    content(w tensor c) = content(w) content(c), and is handed to the
-    elimination as the pair (w, c)."""
+    integer sides (``sampling.random_surface_sides``), which need not be
+    primitive: each edge with nonzero sides w, c is the row w tensor c, a
+    nonzero multiple of Pi_e, and is handed to the elimination as the pair
+    (w, c)."""
     return _primitive_rank([(rows, cols) for rows, cols in sides if rows and cols])
 
 

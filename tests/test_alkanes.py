@@ -28,6 +28,8 @@ from plumbline.alkanes import (
 from plumbline.errors import RangeError, StructureError
 from plumbline.cli import main
 
+from oracles import alkane_from_code_recursive
+
 # A000602 (quartic free trees), frozen for genus 1..12
 EXPECTED = [1, 1, 1, 2, 3, 5, 9, 18, 35, 75, 159, 355]
 
@@ -165,6 +167,17 @@ def test_enumeration_is_sorted_and_canonical():
         assert count_alkanes(g) == len(alkane_codes(g))
         for a, code in zip(alkanes, codes):
             assert alkane_from_code(code).genus == g
+
+
+def test_one_pass_labelling_matches_the_recursive_oracle():
+    # alkane_from_code labels a code in one pass with a stack; the recursion
+    # over root children that it replaced is the oracle
+    for g in range(1, 13):
+        for code in alkane_codes(g):
+            assert alkane_from_code(code) == alkane_from_code_recursive(code)
+    for g in range(1, 11):
+        for code in alkane_codes(g):
+            assert canonical_code(alkane_from_code(code)) == code
 
 
 def test_genus_out_of_range():

@@ -1,15 +1,16 @@
-"""The samplers draw exactly what their Fraction oracles draw.
+"""The samplers draw exactly what their oracles draw.
 
 The reports print span values and pass flags, which almost any draw
 reproduces, so their pinned hashes cannot see a changed stream.  The
 oracles are kept here and in ``oracles.py``: the star, tree and frame
 samplers as they were written on ``randint`` and ``Fraction``, and a
-Fraction surface model drawn with the surface sampler's two ``choices``
-calls.  Each sampler must give equal values (the surface sampler, the
-primitive sides of the oracle's Fraction model) and leave the generator in
-an equal state.
+Fraction surface model drawn from the surface sampler's two ``randbytes``
+calls with a plain rejection loop.  Each sampler must give equal values
+(the surface sampler, the oracle's Fraction sides times 12) and leave the
+generator in an equal state.  The surface stream is also pinned by hash.
 """
 
+import hashlib
 from collections import Counter
 from fractions import Fraction
 from typing import Dict
@@ -17,7 +18,7 @@ from typing import Dict
 from hypothesis import given, settings, strategies as st
 
 from plumbline import sampling
-from plumbline.alkanes import enumerate_alkanes
+from plumbline.alkanes import Alkane, enumerate_alkanes
 from plumbline.curve_periods import StarConfig, TreeConfig, TreeEdgeData
 from plumbline.elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
 from plumbline.gaussian import GaussianRational
@@ -91,7 +92,7 @@ def _grass_oracle(g, rng) -> Dict:
 
 _ALKANES = [a for h in range(1, 8) for a in enumerate_alkanes(h)]
 _SAMPLERS = {
-    # the integer sides against the primitive sides of the Fraction model
+    # the integer sides against the Fraction model's sides times 12
     "surface": (
         random_surface_sides,
         lambda alkane, rng: oracle_sides(surface_oracle(alkane, rng)),
@@ -121,6 +122,34 @@ def test_surface_tables_are_the_cleared_draws():
     assert Counter(sampling._I_VALUES) == cleared
     assert Counter(sampling._OMEGA_VALUES) == Counter({x: m for x, m in cleared.items() if x})
     assert {type(x) for x in sampling._I_VALUES + sampling._OMEGA_VALUES} == {int}
+
+
+def test_surface_byte_tables_are_exactly_uniform():
+    # counted over all 256 bytes, not sampled: the kept bytes fill every
+    # slot equally often, and each maps to its slot's value as a signed byte
+    for (table, dropped), values, per_slot in (
+        (sampling._OMEGA_DRAW, sampling._OMEGA_VALUES, 6),
+        (sampling._I_DRAW, sampling._I_VALUES, 5),
+    ):
+        n = len(values)
+        kept = [b for b in range(256) if b not in dropped]
+        assert sorted(dropped) == list(range(256 - 256 % n, 256))
+        assert Counter(b % n for b in kept) == dict.fromkeys(range(n), per_slot)
+        decoded = memoryview(bytes(kept).translate(table, dropped)).cast("b").tolist()
+        assert decoded == [values[b % n] for b in kept]
+    assert len(sampling._OMEGA_DRAW[1]) == 16 and len(sampling._I_DRAW[1]) == 36
+    zero_slots = [k for k, x in enumerate(sampling._I_VALUES) if not x]
+    assert len(zero_slots) == 4
+    assert {sampling._I_DRAW[0][b] for b in range(220) if b % 44 in zero_slots} == {0}
+    assert 0 not in sampling._OMEGA_DRAW[0]
+
+
+def test_surface_stream_is_pinned():
+    # no report prints a draw, so the stream is pinned here; the same on
+    # CPython 3.10 to 3.13
+    sides = random_surface_sides(Alkane.chain(6), substream(0, "test:stream:pin"))
+    digest = hashlib.sha256(repr(sides).encode()).hexdigest()
+    assert digest == "98e807d6b118e4405a804cadd402f1f05c46b7253444c89c5eb9ccd91e27eaa9"
 
 
 def test_star_genus_is_bounded_by_its_points():

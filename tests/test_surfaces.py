@@ -156,8 +156,12 @@ def test_build_pi_scales_linearly():
     base = _pi(_two_vertex_model(), (1, 2))
     scaled = _pi(model, (1, 2))
     assert scaled == {k: s * v for k, v in base.items()}
-    # a positive scale leaves the primitive sides as they were
-    assert oracle_sides(model) == oracle_sides(_two_vertex_model())
+    # the sides scale with the model, and a positive scale leaves the
+    # primitive sides as they were
+    [(rows, cols)] = oracle_sides(model)
+    [(base_rows, base_cols)] = oracle_sides(_two_vertex_model())
+    assert rows == base_rows and cols == {k: s * v for k, v in base_cols.items()}
+    assert _primitive(cols) == _primitive(base_cols)
 
 
 def test_span_dimension_generic():
@@ -397,8 +401,8 @@ _int_vectors = st.lists(st.integers(-(2**70), 2**70), max_size=6)
 @settings(max_examples=300, deadline=None)
 @given(_int_vectors, _int_vectors)
 def test_content_of_outer_product(w, c):
-    # Gauss's lemma, which lets span_dimension_E_Gamma skip the content of
-    # each edge row: content(w tensor c) = content(w) content(c)
+    # Gauss's lemma: content(w tensor c) = content(w) content(c), so an edge
+    # row is primitive exactly when both of its sides are
     assert math.gcd(*(x * y for x in w for y in c)) == math.gcd(*w) * math.gcd(*c)
     rows = {r: x for r, x in enumerate(w) if x}
     cols = {k: y for k, y in enumerate(c) if y}
@@ -411,16 +415,16 @@ _COPIES = ["duplicate", "negated", "shared pivot"]
 
 
 def _factored_sides(pairs, copies):
-    """Primitive sides (w, c), with copies of some appended: duplicated,
+    """Sides (w, c) of any content, with copies of some appended: duplicated,
     negated, or sharing the largest key of c with different entries below it."""
-    sides = [(_primitive(w), _primitive(c)) for w, c in pairs]
+    sides = list(pairs)
     for kind, k, extra in copies:
         w, c = sides[k % len(sides)]
         if kind == "negated":
             w = {r: -x for r, x in w.items()}
         elif kind == "shared pivot" and c:
             top = max(c)
-            c = _primitive({**{j: x for j, x in extra.items() if j < top}, top: c[top]})
+            c = {**{j: x for j, x in extra.items() if j < top}, top: c[top]}
         sides.append((w, c))
     return sides
 
@@ -473,6 +477,47 @@ def test_span_matches_sympy(pairs, copies):
     assert surfaces._primitive_rank(mixed) == expected
 
 
+# metamorphic relations of the span: inputs that must give the same span,
+# from factored sides with colliding pivots or from an alkane's draws
+_ALKANES_UP_TO_8 = [a for h in range(1, 9) for a in enumerate_alkanes(h)]
+_span_inputs = st.one_of(
+    st.builds(_factored_sides, *_FACTORED),
+    st.builds(
+        lambda a, seed: random_surface_sides(a, substream(seed, "test:span:relation")),
+        st.sampled_from(_ALKANES_UP_TO_8),
+        st.integers(0, 2**32),
+    ),
+)
+_scalings = st.lists(
+    st.tuples(st.integers(0, 20), st.booleans(), st.integers(-(2**40), 2**40).filter(bool)),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_span_inputs, _scalings)
+@example(([({0: 1}, {1: 1}), ({0: 1}, {1: 1})]), [(0, True, 2)])
+def test_span_is_unchanged_by_scaling_a_side(sides, scalings):
+    # a nonzero multiple of a side is a nonzero multiple of its edge row, so
+    # the span must not move: sides of any content are ranked as they come
+    scaled = list(sides)
+    for k, omega, s in scalings:
+        if scaled:
+            w, c = scaled[k % len(scaled)]
+            side = {r: s * x for r, x in (w if omega else c).items()}
+            scaled[k % len(scaled)] = (side, c) if omega else (w, side)
+    assert span_dimension_E_Gamma(scaled) == span_dimension_E_Gamma(sides)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_span_inputs, st.data())
+def test_span_is_unchanged_by_shuffling_the_edges(sides, data):
+    # out of edge order the pivots collide and pairs are multiplied out,
+    # off the path the elimination's docstring relies on; the span stays
+    shuffled = data.draw(st.permutations(sides))
+    assert span_dimension_E_Gamma(shuffled) == span_dimension_E_Gamma(sides)
+
+
 def test_generic_spans_multiply_out_no_edge_row(monkeypatch):
     # an alkane's edge pivots never collide, so the generic spans rank every
     # edge as a factored pair; the degenerate control multiplies out its two
@@ -512,40 +557,56 @@ def test_surface_models_and_spans_build_no_fraction(monkeypatch, capsys):
 
 
 class _Scripted(random.Random):
-    """Hands out scripted ``random()`` values in turn: ``choices`` draws
-    index ``floor(random() * n)`` of an n-entry table."""
+    """Hands out scripted byte strings in turn, one per ``randbytes`` call."""
 
-    def __init__(self, values):
+    def __init__(self, chunks):
         super().__init__(0)
-        self.values = iter(values)
+        self.chunks = iter(chunks)
 
-    def random(self):
-        return next(self.values)
+    def randbytes(self, n):
+        chunk = next(self.chunks)
+        assert len(chunk) == n
+        return chunk
 
 
-def _model_script(rng, n_edges, dead):
-    """``random()`` values for a model of ``n_edges`` edges: an index into
-    the omega table for each omega entry, then one into the I table for each
-    I entry, those of edge ``dead`` all at a zero."""
+def _model_script(rng, n_edges, dead, dropped):
+    """``randbytes`` results for a model of ``n_edges`` edges: kept bytes for
+    the omega entries, then for the I entries, those of edge ``dead`` all on
+    zero slots.  With ``dropped``, the first omega call returns only bytes
+    the rejection drops and the first I call drops one byte in four, so
+    both top-up loops run."""
     n_omega, n_i = len(sampling._OMEGA_VALUES), len(sampling._I_VALUES)
-    zero = sampling._I_VALUES.index(0)
-    values = [(rng.randrange(n_omega) + 0.5) / n_omega for _ in range(2 * n_edges)]
-    for e in range(n_edges):
-        for _ in range(2 * (BLOCK_COLS - 1)):
-            k = zero if e == dead else rng.randrange(n_i)
-            values.append((k + 0.5) / n_i)
-    return values
+    zeros = [k for k, x in enumerate(sampling._I_VALUES) if not x]
+    width = 2 * (BLOCK_COLS - 1)
+    omega = bytes(rng.randrange(256 - 256 % n_omega) for _ in range(2 * n_edges))
+    i_bytes = bytes(
+        rng.choice(zeros) + n_i * rng.randrange(5) if e == dead else rng.randrange(5 * n_i)
+        for e in range(n_edges)
+        for _ in range(width)
+    )
+    if not dropped:
+        return [omega, i_bytes]
+    first = bytearray(rng.randrange(256 - 256 % n_omega, 256) for _ in range(2 * n_edges))
+    late = len(i_bytes) // 4
+    mixed = bytearray(i_bytes[: len(i_bytes) - late])
+    for _ in range(late):
+        mixed.insert(rng.randrange(len(mixed) + 1), rng.randrange(5 * n_i, 256))
+    return [bytes(first), omega, bytes(mixed), i_bytes[len(i_bytes) - late :]]
 
 
-@pytest.mark.parametrize("dead", [0, 2, 3])
-def test_all_zero_I_side_gives_no_row(dead):
+@pytest.mark.parametrize(
+    "dead, dropped",
+    [(0, False), (2, False), (3, False), (1, True)],
+    ids=["0", "2", "3", "1-topped-up"],
+)
+def test_all_zero_I_side_gives_no_row(dead, dropped):
     a = Alkane.chain(5)
-    script = _model_script(substream(101, f"test:zeroI:{dead}"), len(a.edges), dead)
+    script = _model_script(substream(101, f"test:zeroI:{dead}"), len(a.edges), dead, dropped)
     drawn, oracle = _Scripted(script), _Scripted(script)
     sides = random_surface_sides(a, drawn)
     model = surface_oracle(a, oracle)
-    # both read every scripted value, one per draw
-    assert next(drawn.values, None) is None and next(oracle.values, None) is None
+    # both make every scripted call, with the same sizes
+    assert next(drawn.chunks, None) is None and next(oracle.chunks, None) is None
     assert model[a.edges[dead]][1] == ((Fraction(0),) * BLOCK_COLS,) * 2
     assert sides == oracle_sides(model)
     assert sides[dead][1] == {} and all(cols for k, (_, cols) in enumerate(sides) if k != dead)
