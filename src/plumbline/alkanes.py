@@ -12,36 +12,21 @@ root subtrees all have <= floor((g-1)/2) vertices; a bicentroidal tree
 (g even) is produced once as an unordered pair of rooted halves of g/2
 vertices joined root-to-root.  Children multisets are generated in
 canonical (sorted-code) order, so no isomorphism dedup pass is needed.
-The Pruefer-sequence brute force at the bottom is an independent count
-oracle: ``selftest`` runs it for small genus, the tests for genus <= 7.
+The independent count oracle, a Pruefer-sequence brute force, lives in
+``checks``: ``selftest`` runs it for small genus, the tests for genus <= 7.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from .errors import RangeError, StructureError
 from .frozen import Frozen
 
 MAX_CARBON_DEGREE = 4
 GENUS_CAP = 16  # the largest genus enumerated
-
-Edge = Tuple[int, int]
-
-
-def _normalize_edges(edges: Iterable[Sequence[int]]) -> Tuple[Edge, ...]:
-    out = []
-    for e in edges:
-        i, j = e
-        if i == j:
-            raise StructureError(f"self-loop at vertex {i}")
-        out.append((min(i, j), max(i, j)))
-    if len(set(out)) != len(out):
-        raise StructureError("duplicate edges")
-    return tuple(sorted(out))
 
 
 class Alkane(Frozen):
@@ -50,17 +35,23 @@ class Alkane(Frozen):
     __slots__ = _fields = ("genus", "edges")
 
     def _check(self):
-        edges = _normalize_edges(self.edges)
+        edges = [(i, j) if i < j else (j, i) for i, j in self.edges]
+        loop = next((i for i, j in edges if i == j), None)
+        if loop is not None:
+            raise StructureError(f"self-loop at vertex {loop}")
+        edges = tuple(sorted(edges))
+        if len(set(edges)) != len(edges):
+            raise StructureError("duplicate edges")
         object.__setattr__(self, "edges", edges)
         g = self.genus
         if g < 1:
             raise RangeError(f"genus must be >= 1, got {g}")
         if len(edges) != g - 1:
             raise StructureError(f"{len(edges)} edges on {g} vertices is not a tree")
-        if any(v < 1 or v > g for e in edges for v in e):
+        if edges and (edges[0][0] < 1 or max(j for _, j in edges) > g):
             raise StructureError("edge endpoint outside 1..genus")
         adj = self.adjacency()
-        if any(len(nbrs) > MAX_CARBON_DEGREE for nbrs in adj.values()):
+        if max(map(len, adj.values())) > MAX_CARBON_DEGREE:
             raise StructureError("vertex of degree > 4")
         # connectivity (with the right edge count this also rules out cycles)
         seen = {1}
@@ -257,55 +248,3 @@ def enumerate_alkanes(g: int) -> List[Alkane]:
 
 def count_alkanes(g: int) -> int:
     return len(alkane_codes(g))
-
-
-# ---------------------------------------------------------------------------
-# Pruefer brute force (count oracle; exponential in g)
-
-
-def prufer_decode(seq: Sequence[int], n: int) -> List[Edge]:
-    """Labeled tree on 1..n from a Pruefer sequence of length n-2."""
-    if n == 1:
-        return []
-    degree = [1] * (n + 1)
-    for v in seq:
-        degree[v] += 1
-    edges = []
-    leaves = [v for v in range(1, n + 1) if degree[v] == 1]
-    heapq.heapify(leaves)
-    for v in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((min(leaf, v), max(leaf, v)))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, v)
-    u, w = heapq.heappop(leaves), heapq.heappop(leaves)
-    edges.append((min(u, w), max(u, w)))
-    return edges
-
-
-def brute_force_alkane_codes(g: int) -> FrozenSet[str]:
-    """Canonical codes of all degree-<=4 labeled trees on 1..g, via every
-    Pruefer sequence.  Feasible only for small g (g^(g-2) sequences)."""
-    if g == 1:
-        return frozenset({"()"})
-    codes = set()
-    for seq in itertools.product(range(1, g + 1), repeat=g - 2):
-        # degree of v is 1 + multiplicity in the sequence
-        counts: Dict[int, int] = {}
-        ok = True
-        for v in seq:
-            c = counts.get(v, 0) + 1
-            if c > MAX_CARBON_DEGREE - 1:
-                ok = False
-                break
-            counts[v] = c
-        if not ok:
-            continue
-        codes.add(canonical_code(Alkane(g, prufer_decode(seq, g))))
-    return frozenset(codes)
-
-
-def brute_force_alkane_count(g: int) -> int:
-    return len(brute_force_alkane_codes(g))
-

@@ -5,17 +5,22 @@ sizes; the acceptance suite calls the same functions with larger sizes
 and seeds of its own.  Each check draws from labelled substreams of its
 seed and returns ``(passed, detail)``: the verdict and a JSON-ready dict
 of what was checked.  The two checks without random draws take no seed.
+The Pruefer-sequence brute force, the alkane counts' independent oracle,
+lives here too: no other command needs it, so start-up does not load it.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .alkanes import (
+    MAX_CARBON_DEGREE,
     Alkane,
     alkane_codes,
-    brute_force_alkane_count,
+    canonical_code,
     count_alkanes,
     enumerate_alkanes,
     is_chain,
@@ -63,6 +68,57 @@ from .surfaces import (
 CheckResult = Tuple[bool, dict]
 
 EXPECTED_COUNTS = [1, 1, 1, 2, 3, 5, 9, 18, 35, 75, 159, 355]  # OEIS A000602, genus 1..12
+
+
+# ---------------------------------------------------------------------------
+# Pruefer brute force (count oracle; exponential in g)
+
+
+def prufer_decode(seq: Sequence[int], n: int) -> List[Tuple[int, int]]:
+    """Labeled tree on 1..n from a Pruefer sequence of length n-2."""
+    if n == 1:
+        return []
+    degree = [1] * (n + 1)
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    leaves = [v for v in range(1, n + 1) if degree[v] == 1]
+    heapq.heapify(leaves)
+    for v in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((min(leaf, v), max(leaf, v)))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    u, w = heapq.heappop(leaves), heapq.heappop(leaves)
+    edges.append((min(u, w), max(u, w)))
+    return edges
+
+
+def brute_force_alkane_codes(g: int) -> FrozenSet[str]:
+    """Canonical codes of all degree-<=4 labeled trees on 1..g, via every
+    Pruefer sequence.  Feasible only for small g (g^(g-2) sequences)."""
+    if g == 1:
+        return frozenset({"()"})
+    codes = set()
+    for seq in itertools.product(range(1, g + 1), repeat=g - 2):
+        # degree of v is 1 + multiplicity in the sequence
+        counts: Dict[int, int] = {}
+        ok = True
+        for v in seq:
+            c = counts.get(v, 0) + 1
+            if c > MAX_CARBON_DEGREE - 1:
+                ok = False
+                break
+            counts[v] = c
+        if not ok:
+            continue
+        codes.add(canonical_code(Alkane(g, prufer_decode(seq, g))))
+    return frozenset(codes)
+
+
+def brute_force_alkane_count(g: int) -> int:
+    return len(brute_force_alkane_codes(g))
 
 
 def check_alkane_counts(*, max_genus: int = 10, oracle_max_genus: int = 6) -> CheckResult:

@@ -8,8 +8,8 @@ Star, tree and frame draws are ``randint``'s: each rational is
 ``Fraction(randint(lo, hi), randint(1, max_den))``.  Surface sides are
 drawn from two ``randbytes`` calls per model: each kept byte is a uniform
 slot of a table of the values 12 n/d, and ``bytes.translate`` does the
-rejection and the lookup, so no Python bytecode runs per entry, the sides
-are ints, and no Fraction is built.
+rejection and the lookup with no Python bytecode per entry, so the sides
+are ints and no Fraction is built.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import compress
 from typing import TYPE_CHECKING, Dict, Tuple
 
-from .alkanes import Alkane
+from .alkanes import GENUS_CAP, Alkane
 from .elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
 from .errors import RangeError
 from .gaussian import GaussianRational
@@ -125,6 +124,9 @@ _OMEGA_VALUES = tuple(x for x in _I_VALUES if x)
 _OMEGA_DRAW = (bytes(x % 256 for x in _OMEGA_VALUES) * 7)[:256], bytes(range(240, 256))
 _I_DRAW = (bytes(x % 256 for x in _I_VALUES) * 6)[:256], bytes(range(220, 256))
 
+# the ambient columns of vertex v + 1's I entries: its block less the skew column
+_I_COLUMNS = [tuple(range(BLOCK_COLS * v, BLOCK_COLS * (v + 1) - 1)) for v in range(GENUS_CAP)]
+
 
 def _draw(rng: random.Random, k: int, table: Tuple[bytes, bytes]) -> list:
     """The values of k slots of a draw table, each slot equally likely: the
@@ -145,13 +147,13 @@ def random_surface_sides(alkane: Alkane, rng: random.Random) -> list:
     vertex of each edge, from a second over ``_I_VALUES``, the skew column
     left zero.  An I side keeps only its nonzero entries."""
     edges = alkane.edges
-    width = BLOCK_COLS - 1
-    omegas = _draw(rng, 2 * len(edges), _OMEGA_DRAW)
-    entries = _draw(rng, 2 * width * len(edges), _I_DRAW)
-    cols = [tuple(range(BLOCK_COLS * v, BLOCK_COLS * v + width)) for v in range(alkane.genus)]
-    sides = []
-    for e, (i, j) in enumerate(edges):
-        chunk = entries[2 * width * e : 2 * width * (e + 1)]
-        i_side = dict(zip(compress(cols[i - 1] + cols[j - 1], chunk), filter(None, chunk)))
-        sides.append(({i - 1: omegas[2 * e], j - 1: -omegas[2 * e + 1]}, i_side))
-    return sides
+    omegas = iter(_draw(rng, 2 * len(edges), _OMEGA_DRAW))
+    entries = iter(_draw(rng, 2 * (BLOCK_COLS - 1) * len(edges), _I_DRAW))
+    # zip reads the 28 columns first, so it stops without taking an entry
+    return [
+        (
+            {i - 1: next(omegas), j - 1: -next(omegas)},
+            {c: x for c, x in zip(_I_COLUMNS[i - 1] + _I_COLUMNS[j - 1], entries) if x},
+        )
+        for i, j in edges
+    ]

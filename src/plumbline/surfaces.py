@@ -11,17 +11,19 @@ one surface format: the omega side keyed by ambient row and the I side
 keyed by ambient column, integer vectors of any content, as
 ``sampling.random_surface_sides`` draws them.  Pi_e is proportional to
 their outer product, and one fraction-free elimination core, behind
-``matrix_rank_exact`` and ``span_dimension_E_Gamma``, ranks on Python ints.
+``matrix_rank_exact`` and ``span_dimension_E_Gamma``, ranks on Python ints
+by leading-key insertion: each row looks up the basis row at its largest
+key, joins the basis if there is none, and is reduced by it otherwise.
 The span hands it each edge as the factored pair of its sides; a pair is
-multiplied out only if a row operation needs its entries, which an
-alkane's edges never do.  Only the rows that a row operation forms are
-divided by their content.
+multiplied out only when its lead collides, which an alkane's own edges,
+whose leads are distinct, never do.  Only the rows that a reduction forms
+are divided by their content.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .alkanes import Alkane
 from .errors import RangeError, StructureError
@@ -97,70 +99,62 @@ def matrix_rank_exact(rows: Sequence[Mapping[object, object]]) -> int:
     """Rank of the span of sparse int or Fraction vectors keyed by arbitrary
     hashable, mutually comparable positions.
 
-    Each row is cleared to integers once; the elimination is then
-    fraction-free.
+    Each row is cleared to integers once and inserted by its largest key
+    (``_primitive_rank``); the elimination is then fraction-free.
     """
-    return _primitive_rank([row for row in (_cleared(r)[1] for r in rows) if row])
+    return _primitive_rank(row for row in (_cleared(r)[1] for r in rows) if row)
 
 
-def _primitive_rank(work: list) -> int:
+def _primitive_rank(rows: Iterable) -> int:
     """Rank of nonzero integer rows with no zero entries, of any content,
-    by fraction-free elimination: a row operation forms p * other - b * row
-    and divides it by its content, and no other row is divided.  Consumes
-    ``work``; the rows are left as they were.
+    by leading-key insertion.  The basis holds at most one row per lead
+    (largest key), so its rows are independent.  A row whose lead has no
+    basis row joins the basis; otherwise, with p the lead entry of that
+    pivot and b its own, it becomes p * row - b * pivot, whose lead is
+    smaller, divided by its content if nonzero, and is tried again.
+    The rank is the size of the basis; no input row is changed.
 
-    A row is a dict, or a pair (w, c) of nonzero sides that stands for
-    the row ``_outer(w, c)``, keyed by (r, k).  A pair's largest key is
-    (max(w), max(c)), since keys order lexicographically and the sides hold
-    no zero entries, and its entry at (r, k) is w[r] * c[k]; it is
-    multiplied out only when a row operation needs its entries.
-
-    The pivot is the largest key of the last row.  For the edge rows of an
-    alkane labelled with each parent below its children and its edges
-    sorted, as ``enumerate_alkanes`` gives them, that key lies in the
-    child vertex's columns whenever the edge's I vector there is nonzero,
-    and no remaining edge touches those columns, so such a row needs no
-    row operation and an edge pair is never multiplied out.
+    A row is a dict, or a pair (w, c) of nonzero sides that stands for the
+    row ``_outer(w, c)``, keyed by (r, k), whose lead is (max(w), max(c))
+    since keys order lexicographically.  A pair is multiplied out only when
+    its lead collides; a pivot so multiplied out replaces its pair in the
+    basis.  The edge rows of an alkane labelled with each parent below its
+    children, as ``enumerate_alkanes`` gives them, have distinct leads: an
+    edge's lead row is its child vertex, which has one parent edge.  So
+    each edge costs one lookup and is never multiplied out.
     """
-    rank = 0
-    while work:
-        row = work.pop()
-        rank += 1
-        if type(row) is tuple:
-            w, c = row
-            key = max(w), max(c)
-            p = w[key[0]] * c[key[1]]
-        else:
-            key = max(row)
-            p = row[key]
-        reduced = []
-        for other in work:
-            if type(other) is tuple:
-                b = other[0].get(key[0], 0) * other[1].get(key[1], 0)
+    basis: Dict[object, object] = {}
+    for row in rows:
+        while row:
+            if type(row) is tuple:
+                w, c = row
+                lead = max(w), max(c)
             else:
-                b = other.get(key)
-            if b:
-                if type(row) is tuple:
-                    row = _outer(*row)
-                if type(other) is tuple:
-                    other = _outer(*other)
-                new = {k: p * v for k, v in other.items()}
-                for k, v in row.items():
-                    new[k] = new.get(k, 0) - b * v
-                other = _primitive({k: v for k, v in new.items() if v})
-            if other:
-                reduced.append(other)
-        work = reduced
-    return rank
+                lead = max(row)
+            pivot = basis.setdefault(lead, row)
+            if pivot is row:
+                break
+            if type(pivot) is tuple:
+                pivot = basis[lead] = _outer(*pivot)
+            if type(row) is tuple:
+                row = _outer(*row)
+            p, b = pivot[lead], row[lead]
+            new = {k: p * v for k, v in row.items()}
+            for k, v in pivot.items():
+                new[k] = new.get(k, 0) - b * v
+            row = {k: v for k, v in new.items() if v}
+            if row:
+                row = _primitive(row)
+    return len(basis)
 
 
 def span_dimension_E_Gamma(sides: Sequence[Tuple[Dict[int, int], Dict[int, int]]]) -> int:
     """Exact dimension of the span of the edge matrices Pi_e, from their
     integer sides (``sampling.random_surface_sides``), which need not be
     primitive: each edge with nonzero sides w, c is the row w tensor c, a
-    nonzero multiple of Pi_e, and is handed to the elimination as the pair
-    (w, c)."""
-    return _primitive_rank([(rows, cols) for rows, cols in sides if rows and cols])
+    nonzero multiple of Pi_e, and is inserted by its lead as the pair
+    (w, c), which an alkane's own edges never multiply out."""
+    return _primitive_rank((rows, cols) for rows, cols in sides if rows and cols)
 
 
 def skew_block_rank_one_vanishing(

@@ -16,15 +16,14 @@ from plumbline.alkanes import (
     _centroids,
     alkane_codes,
     alkane_from_code,
-    brute_force_alkane_count,
     canonical_code,
     count_alkanes,
     enumerate_alkanes,
     hydrogen_count,
     is_chain,
-    prufer_decode,
     valency_profile,
 )
+from plumbline.checks import brute_force_alkane_count, prufer_decode
 from plumbline.errors import RangeError, StructureError
 from plumbline.cli import main
 

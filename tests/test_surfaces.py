@@ -1,9 +1,11 @@
 """Surface-side dimensions, rank-1 edge matrices, spans, skew blocks."""
 
+import itertools
 import json
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -464,17 +466,41 @@ def test_rank_matches_sympy(rows):
     assert matrix_rank_exact(rows) == _sympy_rank(rows)
 
 
+# rows that collide on purpose: three sharing one lead, the third reducing
+# in a chain (against the first, then against the second's reduced row), and
+# a collision whose reduced row survives with content 4
+_CHAIN = [({0: 1, 2: 1}, {3: 1}), ({0: 2, 2: 1}, {3: 1}), ({0: 5, 2: 1}, {3: 1})]
+_CONTENT = [({0: 1, 1: 1}, {1: 1, 2: 2}), ({0: 3, 1: 1}, {1: 1, 2: 2})]
+
+
 @settings(max_examples=100, deadline=None)
-@given(*_FACTORED)
-@example(*_FACTORED_EXAMPLE)
-def test_span_matches_sympy(pairs, copies):
+@given(*_FACTORED, st.sampled_from([[], _CHAIN, _CONTENT, _CHAIN + _CONTENT]))
+@example(*_FACTORED_EXAMPLE, [])
+@example([({1: 1}, {0: 1})], [], _CHAIN)
+@example([({1: 1}, {0: 1})], [], _CONTENT)
+def test_span_matches_sympy(pairs, copies, colliding):
     # the span as the edges come (factored pairs), and with every other
     # edge row multiplied out into a dict row
-    sides = [(w, c) for w, c in _factored_sides(pairs, copies) if w and c]
+    sides = [(w, c) for w, c in _factored_sides(pairs, copies) + colliding if w and c]
     expected = _sympy_rank([_outer(w, c) for w, c in sides])
     assert span_dimension_E_Gamma(sides) == expected
     mixed = [_outer(w, c) if n % 2 else (w, c) for n, (w, c) in enumerate(sides)]
     assert surfaces._primitive_rank(mixed) == expected
+
+
+def test_colliding_rows_reduce_in_a_chain_and_by_their_content(monkeypatch):
+    contents = []
+    primitive = surfaces._primitive
+    monkeypatch.setattr(
+        surfaces, "_primitive", lambda row: contents.append(math.gcd(*row.values())) or primitive(row)
+    )
+    # the second row's reduced row joins the basis; the third's, of content
+    # 4, collides with it and vanishes
+    assert _bounded_span(_CHAIN) == 2
+    assert contents == [1, 4]
+    contents.clear()
+    assert _bounded_span(_CONTENT) == 2
+    assert contents == [4]
 
 
 # metamorphic relations of the span: inputs that must give the same span,
@@ -512,14 +538,95 @@ def test_span_is_unchanged_by_scaling_a_side(sides, scalings):
 @settings(max_examples=200, deadline=None)
 @given(_span_inputs, st.data())
 def test_span_is_unchanged_by_shuffling_the_edges(sides, data):
-    # out of edge order the pivots collide and pairs are multiplied out,
-    # off the path the elimination's docstring relies on; the span stays
+    # the rows meet the basis in another order: colliding factored sides
+    # reduce against other pivots, while an alkane's edge leads stay
+    # distinct in any order (relabelling is what makes them collide)
     shuffled = data.draw(st.permutations(sides))
     assert span_dimension_E_Gamma(shuffled) == span_dimension_E_Gamma(sides)
 
 
+def _relabelled(sides, perm):
+    """The sides with each vertex v renamed perm[v - 1]: omega row r moves to
+    row perm[r] - 1, and I column BLOCK_COLS * (v - 1) + k to column
+    BLOCK_COLS * (perm[v - 1] - 1) + k."""
+    return [
+        (
+            {perm[r] - 1: x for r, x in w.items()},
+            {
+                BLOCK_COLS * (perm[col // BLOCK_COLS] - 1) + col % BLOCK_COLS: x
+                for col, x in c.items()
+            },
+        )
+        for w, c in sides
+    ]
+
+
+def _bounded_span(sides):
+    """The span, failing once the elimination has reduced more rows than it
+    can: each reduction lowers a row's lead, so each row reduces at most
+    once per key."""
+    keys = {(r, col) for w, c in sides for r in w for col in c}
+    calls = itertools.count()
+    primitive = surfaces._primitive
+
+    def counted(row):
+        assert next(calls) < len(sides) * len(keys), "a reduction did not lower the lead"
+        return primitive(row)
+
+    with mock.patch.object(surfaces, "_primitive", counted):
+        return span_dimension_E_Gamma(sides)
+
+
+# an alkane, a permutation of its vertices and one of its edges
+_relabellings = st.sampled_from(_ALKANES_UP_TO_8).flatmap(
+    lambda a: st.tuples(
+        st.just(a),
+        st.permutations(range(1, a.genus + 1)),
+        st.integers(0, max(a.genus - 2, 0)),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_relabellings, st.integers(0, 2**32))
+@example((Alkane.chain(3), [3, 2, 1], 1), 0)
+def test_span_is_unchanged_by_relabelling_the_vertices(relabelling, seed):
+    # an alkane's own labelling gives its edges distinct leads; relabelled,
+    # the leads collide, so this relation drives the reduction on real
+    # draws.  A relabelled edge given twice must reduce away.
+    alkane, perm, k = relabelling
+    sides = random_surface_sides(alkane, substream(seed, "test:span:relabel"))
+    relabelled = _relabelled(sides, perm)
+    span = span_dimension_E_Gamma(sides)
+    assert _bounded_span(relabelled) == span
+    assert _bounded_span(relabelled + relabelled[k : k + 1]) == span
+
+
+def test_relabelled_spans_reduce_and_divide_by_content(monkeypatch):
+    # read backwards, the genus-8 alkanes' edge leads collide, and reduced
+    # rows survive and are divided by their content; every span is still 7
+    calls = {"outer": 0, "content": 0}
+    outer, primitive = surfaces._outer, surfaces._primitive
+
+    def counted_outer(w, c):
+        calls["outer"] += 1
+        return outer(w, c)
+
+    def counted_primitive(row):
+        calls["content"] += math.gcd(*row.values()) > 1
+        return primitive(row)
+
+    monkeypatch.setattr(surfaces, "_outer", counted_outer)
+    monkeypatch.setattr(surfaces, "_primitive", counted_primitive)
+    backwards = list(range(8, 0, -1))
+    for code, a in zip(alkane_codes(8), enumerate_alkanes(8)):
+        sides = random_surface_sides(a, substream(0, f"test:span:backwards:{code}"))
+        assert span_dimension_E_Gamma(_relabelled(sides, backwards)) == 7
+    assert calls["outer"] > 0 and calls["content"] > 0
+
+
 def test_generic_spans_multiply_out_no_edge_row(monkeypatch):
-    # an alkane's edge pivots never collide, so the generic spans rank every
+    # an alkane's edge leads never collide, so the generic spans rank every
     # edge as a factored pair; the degenerate control multiplies out its two
     calls = []
     outer = surfaces._outer
