@@ -37,7 +37,7 @@ from .curve_periods import (
 )
 from .elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
 from .gaussian import GaussianRational
-from .jets import EXACT_FIELD, JetRing
+from .jets import EXACT_FIELD
 from .relations import (
     MOD_T9_SAFE_DEGREE,
     all_octic_indices,
@@ -197,8 +197,7 @@ def check_jet_vanishing(
 
 def _tree_assembly(alkane: Alkane, rng):
     tc = random_tree_config(alkane, rng)
-    ring = JetRing(tc.variables, 1)
-    return tc, tree_period_first_order(tc, ring)
+    return tc, tree_period_first_order(tc)
 
 
 def check_branch_patterns(seed: int = 0, *, genera: Sequence[int] = range(2, 7)) -> CheckResult:
@@ -246,7 +245,7 @@ def check_rank_one(
         rng = substream(seed, f"check:pair:{trial}")
         ca = _random_marked_curve(rng)
         cb = _random_marked_curve(rng)
-        m = pair_period_first_order(PairPlumbing(ca, cb, "t"), JetRing(("t",), 1))
+        m = pair_period_first_order(PairPlumbing(ca, cb, "t"))
         if not derivative_rank_one_check(m, "t"):
             ok = False
     tested = 0

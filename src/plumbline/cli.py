@@ -9,7 +9,8 @@ else is a bug.  All randomness is derived from --seed through labelled
 substreams, so reports are byte-for-byte reproducible.
 
 ``plumbline.config`` reads config numbers exactly in either mode; --exact
-and --numeric pick only the jet ring's coefficient field.  Each
+and --numeric parse straight to the coefficient field, and each statement
+builds its own jet ring at the truncation order it fixes.  Each
 subcommand returns its report body and whether every check passed;
 ``main`` adds the command and version, writes the report and maps the
 outcome to the exit code.
@@ -31,7 +32,7 @@ from typing import Callable, List, Optional
 from . import __version__
 from .alkanes import GENUS_CAP, alkane_codes, count_alkanes, enumerate_alkanes
 from .errors import ConfigError, PlumblineError
-from .jets import EXACT_FIELD, FLOAT_FIELD, CoefficientField, JetRing
+from .jets import EXACT_FIELD, FLOAT_FIELD
 from .relations import OCTIC_MIN_GENUS, verify_asymptotic_vanishing
 from .sampling import STAR_POINTS, random_star_config, random_surface_sides, substream
 from .surfaces import dim_K, dim_V_Gamma, dim_W, dim_period_domain, span_dimension_E_Gamma
@@ -39,10 +40,6 @@ from .surfaces import dim_K, dim_V_Gamma, dim_W, dim_period_domain, span_dimensi
 
 class InvalidInput(Exception):
     """A library check refused a config's data: exit 2, not a bug."""
-
-
-def _field(exact: bool) -> CoefficientField:
-    return EXACT_FIELD if exact else FLOAT_FIELD
 
 
 def _int_range(low: int, high: float = math.inf) -> Callable[[str], int]:
@@ -105,23 +102,20 @@ def cmd_periods(args):
     # only periods reads a config or assembles a matrix; other commands skip the import
     from .config import PERIODS, read_config
 
-    parse, variables, order, assemble = PERIODS[args.subcommand]
+    parse, assemble = PERIODS[args.subcommand]
     try:
-        config = read_config(args.config, parse)
-        matrix = assemble(config, JetRing(variables(config), order, _field(args.mode_exact)))
-        report = matrix.to_json_dict()
+        report = assemble(read_config(args.config, parse), args.field).to_json_dict()
     except PlumblineError as e:  # the library refused the config's data
         raise InvalidInput(e) from e
     return report, True
 
 
 def cmd_relations_verify(args):
-    field = _field(args.mode_exact)
     trials = []
     for trial in range(args.trials):
         s = random_star_config(args.genus, substream(args.seed, f"relations:config:{trial}"))
         seed = f"{args.seed}:relations:perturb:{trial}"
-        trials.append(verify_asymptotic_vanishing(s, seed=seed, field=field))
+        trials.append(verify_asymptotic_vanishing(s, seed=seed, field=args.field))
     all_pass = all(rep.passed for rep in trials)
     _say(f"relations verify: {'PASS' if all_pass else 'FAIL'} ({len(trials)} trials)")
     body = {
@@ -201,8 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
     seed.add_argument("--seed", type=int, default=0)
     mode = argparse.ArgumentParser(add_help=False)
     group = mode.add_mutually_exclusive_group()
-    group.add_argument("--exact", dest="mode_exact", action="store_true", default=True)
-    group.add_argument("--numeric", dest="mode_exact", action="store_false")
+    group.add_argument("--exact", dest="field", action="store_const", const=EXACT_FIELD)
+    group.add_argument("--numeric", dest="field", action="store_const", const=FLOAT_FIELD)
+    mode.set_defaults(field=EXACT_FIELD)
     sub = parser.add_subparsers(dest="command", required=True)
 
     alk = sub.add_parser("alkanes", help="enumerate or count alkanes")

@@ -1,8 +1,8 @@
 """The ``periods`` config reader: JSON config files to assembly inputs.
 
 Config numbers are read exactly in either mode: ints, "p/q" strings, or
-finite JSON numbers taken as the decimal they print as.  The ring's
-coefficient field rounds each value once, when an assembly coerces it.
+finite JSON numbers taken as the decimal they print as.  The coefficient
+field rounds each value once, when an assembly coerces it.
 Each malformed field raises a ``ConfigError`` that names its JSON path.
 Only ``plumbline periods`` imports this module, and with it the
 assemblies of ``curve_periods``.
@@ -199,10 +199,10 @@ def read_config(path: str, parse: Callable[[dict], T]) -> T:
     return parse(cfg)
 
 
-# periods subcommand -> (config parser, the ring's variables, truncation order,
-# assembly); pair and tree matrices are first order, star entries bidegree (1,1)
+# periods subcommand -> (config parser, assembly); each assembly builds its
+# own ring at the truncation order its statement fixes
 PERIODS = {
-    "pair": (_parse_pair, lambda p: (p.t,), 1, pair_period_first_order),
-    "star": (_parse_star, lambda s: s.variables, 2, star_period_leading),
-    "tree": (_parse_tree, lambda c: c.variables, 1, tree_period_first_order),
+    "pair": (_parse_pair, pair_period_first_order),
+    "star": (_parse_star, star_period_leading),
+    "tree": (_parse_tree, tree_period_first_order),
 }

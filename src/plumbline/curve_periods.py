@@ -10,12 +10,13 @@ Three assemblies are provided:
 * tree of elliptic curves along an alkane: one rank-1 pairwise contribution
   per edge, diagonal corrections kept.
 
-The ring's coefficient field alone picks the units: over the exact field
-the transcendental factor 2*pi*i is divided out (lambda = 1/4, kappa =
-1/16), over the float field it is kept.
-
-Pair and tree matrices are first order, modulo the square of the parameter
-ideal; star off-diagonals have bidegree (1,1), so a star needs order 2.
+Each assembly takes a configuration and a coefficient field and builds
+its own jet ring in the configuration's variables: pair and tree matrices
+are first order, modulo the square of the parameter ideal, so their rings
+have order 1; star off-diagonals have bidegree (1,1), so a star's has
+order 2.  The field alone picks the units: over the exact field the
+transcendental factor 2*pi*i is divided out (lambda = 1/4, kappa = 1/16),
+over the float field it is kept.
 ``StarConfig`` and the star's leading coefficients kappabar_ij live in
 ``relations``, which every command loads; this module loads only with
 ``periods`` and ``selftest``.
@@ -29,7 +30,7 @@ from .alkanes import canonical_code
 from .elliptic import MarkedEllipticCurve, TwoTorsionLabel
 from .errors import DegenerateDataError, RangeError, StructureError
 from .frozen import Frozen
-from .jets import Jet, JetRing
+from .jets import EXACT_FIELD, Jet, JetRing
 from .relations import StarConfig, _finite, _two_pi_i, star_leading_coefficients
 from .surfaces import matrix_rank_exact
 
@@ -170,7 +171,7 @@ def _block_diagonal(ring: JetRing, blocks: Sequence[Sequence[Sequence[object]]])
     for block in blocks:
         for a, row in enumerate(block):
             for b in range(a, len(block)):
-                entries[(start + a + 1, start + b + 1)] = ring.constant(ring.field.coerce(row[b]))
+                entries[(start + a + 1, start + b + 1)] = ring.constant(row[b])
         start += len(block)
     return entries
 
@@ -185,27 +186,27 @@ def _outer_contribution(entries, lam, t_jet: Jet, slots: Sequence[int], values: 
             entries[(a, b)] = entries[(a, b)] + t_jet * coeff
 
 
-def pair_period_first_order(p: PairPlumbing, ring: JetRing) -> PeriodMatrixJet:
-    """diag(tau_a, tau_b) + lambda * t * u tensor u, u = [omega_a(a), -omega_b(b)]."""
-    if ring.order < 1:
-        raise RangeError("pair plumbing needs truncation order >= 1")
+def pair_period_first_order(p: PairPlumbing, field=EXACT_FIELD) -> PeriodMatrixJet:
+    """diag(tau_a, tau_b) + lambda * t * u tensor u, u = [omega_a(a), -omega_b(b)],
+    in the order-1 ring of t."""
+    ring = JetRing((p.t,), 1, field)
     block_a = _as_block(p.curve_a, p.mark_a)
     block_b = _as_block(p.curve_b, p.mark_b)
-    coerce = ring.field.coerce
+    coerce = field.coerce
     entries = _block_diagonal(ring, (block_a.tau_block, block_b.tau_block))
     u = [coerce(v) for v in block_a.omega_at_point] + [
         -coerce(v) for v in block_b.omega_at_point
     ]
-    lam = _two_pi_i(ring.field) / 4
+    lam = _two_pi_i(field) / 4
     _outer_contribution(entries, lam, ring.variable(p.t), range(1, len(u) + 1), u)
     return PeriodMatrixJet(entries, {"assembly": "pair"})
 
 
-def star_period_leading(s: StarConfig, ring: JetRing) -> PeriodMatrixJet:
-    """Leading off-diagonal products only; diagonal first-order terms are zero."""
-    if ring.order < 2:
-        raise RangeError("star off-diagonals are bidegree (1,1); need order >= 2")
-    kbar = star_leading_coefficients(s, ring.field)
+def star_period_leading(s: StarConfig, field=EXACT_FIELD) -> PeriodMatrixJet:
+    """Leading off-diagonal products only, in the order-2 ring of the star's
+    variables; diagonal first-order terms are zero."""
+    ring = JetRing(s.variables, 2, field)
+    kbar = star_leading_coefficients(s, field)
     t = [ring.variable(name) for name in s.variables]
     entries = _block_diagonal(ring, [((c.tau.value,),) for c in s.curves])
     for (i, j), coeff in kbar.items():
@@ -213,12 +214,12 @@ def star_period_leading(s: StarConfig, ring: JetRing) -> PeriodMatrixJet:
     return PeriodMatrixJet(entries, {"assembly": "star"})
 
 
-def tree_period_first_order(c: TreeConfig, ring: JetRing) -> PeriodMatrixJet:
-    """One pairwise rank-1 contribution per alkane edge, diagonal terms kept."""
-    if ring.order < 1:
-        raise RangeError("tree plumbing needs truncation order >= 1")
-    coerce = ring.field.coerce
-    lam = _two_pi_i(ring.field) / 4
+def tree_period_first_order(c: TreeConfig, field=EXACT_FIELD) -> PeriodMatrixJet:
+    """One pairwise rank-1 contribution per alkane edge, diagonal terms
+    kept, in the order-1 ring of the edge variables."""
+    ring = JetRing(c.variables, 1, field)
+    coerce = field.coerce
+    lam = _two_pi_i(field) / 4
     entries = _block_diagonal(ring, [((tau.value,),) for tau in c.taus])
     # iterate the mapping, not the sorted edge list: the result must not
     # depend on the order the plumbings are performed in

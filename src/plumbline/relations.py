@@ -212,17 +212,18 @@ class AsymptoticReport(Frozen):
 
 def perturbed_star_entries(
     s: StarConfig,
-    ring: JetRing,
     seed: int,
     corrupt_entry: Optional[Tuple[int, int]] = None,
+    field: CoefficientField = EXACT_FIELD,
 ) -> Dict[Tuple[int, int], Jet]:
     """Reduced off-diagonal jets kappabar_ij * (1 + l_ij), with l_ij random
-    rational linear forms in the ring variables: the star entries
-    tau_ij = kappabar_ij t_i t_j (1 + l_ij) with t_i t_j divided out, which
-    ``octic_eval`` puts back.  Optionally double one kappabar, which moves
-    that entry off the cone, as a negative control."""
+    rational linear forms in the star's variables, in their order-1 ring:
+    the star entries tau_ij = kappabar_ij t_i t_j (1 + l_ij) with t_i t_j
+    divided out, which ``octic_eval`` puts back.  Optionally double one
+    kappabar, which moves that entry off the cone, as a negative control."""
     rng = random.Random(seed)
-    kbar = star_leading_coefficients(s, ring.field)
+    ring = JetRing(s.variables, 1, field)
+    kbar = star_leading_coefficients(s, field)
     out: Dict[Tuple[int, int], Jet] = {}
     for pair, coeff in kbar.items():
         coeffs = {
@@ -252,15 +253,14 @@ def verify_asymptotic_vanishing(
     g = s.genus
     if g < OCTIC_MIN_GENUS:
         raise RangeError(f"octic relations need genus >= {OCTIC_MIN_GENUS}")
-    variables = tuple(s.variables)
-    ring = JetRing(variables, ORDER, field)
-    entries = perturbed_star_entries(s, JetRing(variables, 1, field), seed, corrupt_entry)
+    ring = JetRing(s.variables, ORDER, field)
+    entries = perturbed_star_entries(s, seed, corrupt_entry, field)
     octics = all_octic_indices(g)
     degrees = [octic_eval(entries, idx, ring=ring).min_nonzero_degree() for idx in octics]
     min_surviving = min((d for d in degrees if d is not None), default=None)
     return AsymptoticReport(
         genus=g,
-        mode=ring.field.mode,
+        mode=field.mode,
         octics_checked=len(octics),
         passed=min_surviving is None or min_surviving > MOD_T9_SAFE_DEGREE,
         min_surviving_degree=min_surviving,

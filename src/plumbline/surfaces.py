@@ -82,11 +82,11 @@ def _outer(rows: Dict[int, int], cols: Dict[int, int]) -> Dict[Tuple[int, int], 
 # exact linear algebra on sparse rational rows
 
 
-def _cleared(row: Mapping[object, object]) -> Tuple[int, Dict[object, int]]:
-    """The lcm d > 0 of the denominators of a sparse int or Fraction row,
-    and d times its nonzero entries, as ints."""
+def _cleared(row: Mapping[object, object]) -> Dict[object, int]:
+    """The nonzero entries of a sparse int or Fraction row times the lcm of
+    their denominators, as ints."""
     d = math.lcm(*[v.denominator for v in row.values()])
-    return d, {k: n * (d // v.denominator) for k, v in row.items() if (n := v.numerator)}
+    return {k: n * (d // v.denominator) for k, v in row.items() if (n := v.numerator)}
 
 
 def _primitive(row: Dict[object, int]) -> Dict[object, int]:
@@ -102,7 +102,7 @@ def matrix_rank_exact(rows: Sequence[Mapping[object, object]]) -> int:
     Each row is cleared to integers once and inserted by its largest key
     (``_primitive_rank``); the elimination is then fraction-free.
     """
-    return _primitive_rank(row for row in (_cleared(r)[1] for r in rows) if row)
+    return _primitive_rank(row for row in map(_cleared, rows) if row)
 
 
 def _primitive_rank(rows: Iterable) -> int:

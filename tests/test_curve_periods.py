@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from plumbline.alkanes import Alkane, canonical_code, enumerate_alkanes
@@ -24,12 +25,12 @@ from plumbline.curve_periods import (
     tree_period_first_order,
 )
 from plumbline.elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
-from plumbline.errors import DegenerateDataError, RangeError, StructureError
+from plumbline.errors import DegenerateDataError, StructureError
 from plumbline.gaussian import GaussianRational
 from plumbline.jets import EXACT_FIELD, FLOAT_FIELD, JetRing
 from plumbline.sampling import random_star_config, random_tree_config, substream
 
-from oracles import rank_one_by_minors
+from oracles import jet_of, rank_one_by_minors
 
 I = GaussianRational(0, 1)
 
@@ -38,15 +39,12 @@ def _unit_curve(tau):
     return MarkedEllipticCurve(TauPoint(tau), (Mark(TwoTorsionLabel.O, GaussianRational(1)),))
 
 
-def _ring_for(config):
-    return JetRing(config.variables, 1)
-
-
 def test_pair_frozen_example():
-    ring = JetRing(("t",), 1)
     m = pair_period_first_order(
-        PairPlumbing(_unit_curve(I), _unit_curve(GaussianRational(0, 2)), "t"), ring
+        PairPlumbing(_unit_curve(I), _unit_curve(GaussianRational(0, 2)), "t")
     )
+    ring = m.ring
+    assert ring == JetRing(("t",), 1)
     q = Fraction(1, 4)
     assert m.entry(1, 1) == ring.constant(I) + ring.variable("t") * q
     assert m.entry(1, 2) == ring.variable("t") * (-q)
@@ -55,21 +53,19 @@ def test_pair_frozen_example():
 
 
 def test_pair_rank_one():
-    ring = JetRing(("t",), 1)
     m = pair_period_first_order(
-        PairPlumbing(_unit_curve(I), _unit_curve(GaussianRational(0, 3)), "t"), ring
+        PairPlumbing(_unit_curve(I), _unit_curve(GaussianRational(0, 3)), "t")
     )
     assert derivative_rank_one_check(m, "t")
 
 
 def test_pair_off_diagonal_value():
-    ring = JetRing(("t",), 1)
     ca = MarkedEllipticCurve(TauPoint(I), (Mark(TwoTorsionLabel.O, GaussianRational(Fraction(1, 2))),))
     cb = MarkedEllipticCurve(
         TauPoint(GaussianRational(0, 2)), (Mark(TwoTorsionLabel.O, GaussianRational(Fraction(1, 3))),)
     )
     # v_a = 2, v_b = 3 -> off-diagonal t-coefficient -(1/4)*2*3 = -3/2
-    m = pair_period_first_order(PairPlumbing(ca, cb, "t"), ring)
+    m = pair_period_first_order(PairPlumbing(ca, cb, "t"))
     assert m.entry(1, 2).coefficient_of_var("t") == GaussianRational(Fraction(-3, 2))
 
 
@@ -79,8 +75,7 @@ def test_pair_general_blocks():
         ((I, GaussianRational(Fraction(1, 5))), (GaussianRational(Fraction(1, 5)), GaussianRational(0, 3))),
         (GaussianRational(2), GaussianRational(-1)),
     )
-    ring = JetRing(("t",), 1)
-    m = pair_period_first_order(PairPlumbing(block, _unit_curve(I), "t"), ring)
+    m = pair_period_first_order(PairPlumbing(block, _unit_curve(I), "t"))
     assert m.genus == 3
     assert m.entry(1, 2).coefficient((0,)) == GaussianRational(Fraction(1, 5))
     assert derivative_rank_one_check(m, "t")
@@ -89,11 +84,11 @@ def test_pair_general_blocks():
 
 
 def test_pair_numeric_mode():
-    # the curves stay exact; the float ring rounds their values as it takes them
-    ring = JetRing(("t",), 1, FLOAT_FIELD)
+    # the curves stay exact; the float field rounds their values as it takes them
     ca = _unit_curve(I)
     cb = _unit_curve(GaussianRational(0, 2))
-    m = pair_period_first_order(PairPlumbing(ca, cb, "t"), ring)
+    m = pair_period_first_order(PairPlumbing(ca, cb, "t"), FLOAT_FIELD)
+    assert m.ring == JetRing(("t",), 1, FLOAT_FIELD)
     assert m.to_json_dict()["mode"] == "numeric"
     lam = complex(0, math.pi / 2)
     assert abs(m.entry(1, 2).coefficient_of_var("t") + lam) < 1e-12
@@ -113,8 +108,9 @@ def _star(taus, bs, cs=None):
 
 def test_star_frozen_example():
     s = _star([I, GaussianRational(0, 2)], [GaussianRational(0), GaussianRational(1)])
-    ring = JetRing(("t1", "t2"), 2)
-    m = star_period_leading(s, ring)
+    m = star_period_leading(s)
+    ring = m.ring
+    assert ring == JetRing(("t1", "t2"), 2)
     assert m.entry(1, 2).coefficient((1, 1)) == GaussianRational(Fraction(1, 16))
     # diagonal first-order corrections are zero in this leading model
     assert m.entry(1, 1) == ring.constant(I)
@@ -123,8 +119,7 @@ def test_star_frozen_example():
 def test_star_spacing_example():
     taus = [I, GaussianRational(0, 2), GaussianRational(0, 3), GaussianRational(0, 4)]
     bs = [GaussianRational(k) for k in range(4)]
-    ring = JetRing(("t1", "t2", "t3", "t4"), 2)
-    m = star_period_leading(_star(taus, bs), ring)
+    m = star_period_leading(_star(taus, bs))
     # (b_1-b_3)^2 = 4 -> coefficient (1/16)/4 = 1/64
     assert m.entry(1, 3).coefficient((1, 0, 1, 0)) == GaussianRational(Fraction(1, 64))
 
@@ -134,8 +129,7 @@ def test_star_quadratic_scaling():
         [I, GaussianRational(0, 2), GaussianRational(0, 3)],
         [GaussianRational(0), GaussianRational(1), GaussianRational(3)],
     )
-    ring = JetRing(("t1", "t2", "t3"), 2)
-    m = star_period_leading(s, ring)
+    m = star_period_leading(s)
     # homogeneous of degree 2: scaling every t by s scales the entry by s^2
     for i in range(1, 4):
         for j in range(i + 1, 4):
@@ -146,18 +140,6 @@ def test_star_quadratic_scaling():
 def test_star_coincident_points_rejected():
     with pytest.raises(DegenerateDataError):
         _star([I, GaussianRational(0, 2)], [GaussianRational(1), GaussianRational(1)])
-
-
-def test_star_needs_order_two():
-    s = _star([I, GaussianRational(0, 2)], [GaussianRational(0), GaussianRational(1)])
-    with pytest.raises(RangeError):
-        star_period_leading(s, JetRing(("t1", "t2"), 1))
-
-
-def test_pair_needs_order_one():
-    p = PairPlumbing(_unit_curve(I), _unit_curve(GaussianRational(0, 2)), "t")
-    with pytest.raises(RangeError, match="pair plumbing needs truncation order >= 1"):
-        pair_period_first_order(p, JetRing(("t",), 0))
 
 
 def _chain3_unit_config():
@@ -173,28 +155,30 @@ def _chain3_unit_config():
 
 def test_tree_chain_pattern():
     tc = _chain3_unit_config()
-    ring = JetRing(("t1", "t2"), 1)
-    m = tree_period_first_order(tc, ring)
+    m = tree_period_first_order(tc)
+    ring = m.ring
+    assert ring == JetRing(("t1", "t2"), 1)
     assert offdiag_support(m) == frozenset({(1, 2), (2, 3)})
     assert m.entry(1, 3).vanishes_through_degree(1)
     assert m.entry(1, 2) == ring.variable("t1") * GaussianRational(Fraction(-1, 4))
 
 
-def test_tree_needs_order_one():
-    tc = _chain3_unit_config()
-    with pytest.raises(RangeError, match="tree plumbing needs truncation order >= 1"):
-        tree_period_first_order(tc, JetRing(tc.variables, 0))
-
-
 def test_tree_order_independence():
     tc = _chain3_unit_config()
-    ring = JetRing(("t1", "t2"), 1)
-    m = tree_period_first_order(tc, ring)
-    # same configuration with the edges supplied in the opposite order
+    m = tree_period_first_order(tc)
+    ring = m.ring
+    # same configuration with the edges supplied in the opposite order: its
+    # ring lists the edge variables in that order too, so each first-order
+    # entry is compared by its constant and its coefficient of each name
     reversed_config = TreeConfig(
         tc.alkane, tc.taus, dict(reversed(list(tc.edge_data.items())))
     )
-    assert tree_period_first_order(reversed_config, ring) == m
+    r = tree_period_first_order(reversed_config)
+    assert r.ring == JetRing(("t2", "t1"), 1)
+    for pair, jet in m.entries.items():
+        assert r.entries[pair].coefficient((0, 0)) == jet.coefficient((0, 0))
+        for var in ring.variables:
+            assert r.entries[pair].coefficient_of_var(var) == jet.coefficient_of_var(var)
     # and against a test-side assembly processing edges in reverse
     lam = GaussianRational(Fraction(1, 4))
     entries = {(a, b): ring.zero() for a in range(1, 4) for b in range(a, 4)}
@@ -215,7 +199,7 @@ def test_tree_star_alkane_pattern():
     alkane = Alkane(5, [(1, 2), (1, 3), (1, 4), (1, 5)])
     rng = substream(3, "test:star5")
     tc = random_tree_config(alkane, rng)
-    m = tree_period_first_order(tc, _ring_for(tc))
+    m = tree_period_first_order(tc)
     support = offdiag_support(m)
     assert support == frozenset({(1, j) for j in range(2, 6)})
     assert not is_banded(support, 2)
@@ -226,7 +210,7 @@ def test_support_equals_edges_random_data():
         for a in enumerate_alkanes(g):
             rng = substream(11, f"test:support:{g}:{canonical_code(a)}")
             tc = random_tree_config(a, rng)
-            m = tree_period_first_order(tc, _ring_for(tc))
+            m = tree_period_first_order(tc)
             assert offdiag_support(m) == frozenset(a.edges)
 
 
@@ -234,7 +218,7 @@ def test_symmetry_exact():
     for g in (3, 5):
         a = enumerate_alkanes(g)[-1]
         tc = random_tree_config(a, substream(13, f"test:sym:{g}"))
-        m = tree_period_first_order(tc, _ring_for(tc))
+        m = tree_period_first_order(tc)
         for i in range(1, g + 1):
             for j in range(1, g + 1):
                 assert m.entry(i, j) == m.entry(j, i)
@@ -242,13 +226,12 @@ def test_symmetry_exact():
 
 def test_scaling_covariance():
     base = _chain3_unit_config()
-    ring = JetRing(("t1", "t2"), 1)
-    m0 = tree_period_first_order(base, ring)
+    m0 = tree_period_first_order(base)
     s = GaussianRational(Fraction(7, 2))
     scaled_data = dict(base.edge_data)
     d = scaled_data[(1, 2)]
     scaled_data[(1, 2)] = TreeEdgeData(d.var, d.label_low, d.coeff_low * s, d.label_high, d.coeff_high)
-    m1 = tree_period_first_order(TreeConfig(base.alkane, base.taus, scaled_data), ring)
+    m1 = tree_period_first_order(TreeConfig(base.alkane, base.taus, scaled_data))
     c0 = m0.entry(1, 2).coefficient_of_var("t1")
     c1 = m1.entry(1, 2).coefficient_of_var("t1")
     assert c1 * s == c0
@@ -260,7 +243,7 @@ def test_tree_rank_one_all_edges():
     for g in range(2, 7):
         for a in enumerate_alkanes(g):
             tc = random_tree_config(a, substream(17, f"test:rank1:{g}:{canonical_code(a)}"))
-            m = tree_period_first_order(tc, _ring_for(tc))
+            m = tree_period_first_order(tc)
             for d in tc.edge_data.values():
                 assert derivative_rank_one_check(m, d.var)
 
@@ -276,10 +259,17 @@ def test_rank_one_rejects_identity_pattern():
 @pytest.mark.parametrize("field", [EXACT_FIELD, FLOAT_FIELD], ids=["exact", "numeric"])
 def test_rank_one_rejects_a_variable_that_moves_nothing(field):
     # every 2x2 minor of a zero matrix vanishes, but its rank is 0, not 1;
-    # float jets are refused, as no command ranks them
+    # float jets are refused, as no command ranks them.  The tree's matrix
+    # is copied into a ring with one more variable, z, that no entry holds
     tc = random_tree_config(Alkane.chain(4), substream(17, "test:rank0"))
     ring = JetRing((*tc.variables, "z"), 1, field)
-    m = tree_period_first_order(tc, ring)
+    tree = tree_period_first_order(tc, field)
+    m = PeriodMatrixJet(
+        {
+            pair: jet_of(ring, {(*e, 0): c for e, c in jet.terms.items()})
+            for pair, jet in tree.entries.items()
+        }
+    )
     if not field.is_exact:
         for var in (*tc.variables, "z"):
             with pytest.raises(StructureError, match="exact field"):
@@ -350,7 +340,6 @@ def test_rank_one_check_matches_minors_oracle(c):
 
 def _sympy_gaussian_rank(c):
     """The exact rank over Q(i) of sympy's domain matrix of ``c``."""
-    sympy = pytest.importorskip("sympy")
     entries = [[sympy.Rational(x.re) + sympy.I * sympy.Rational(x.im) for x in row] for row in c]
     return sympy.Matrix(entries).to_DM().rank()
 
@@ -412,13 +401,13 @@ def test_chain_is_banded_iff_chain_labeling():
     rng = substream(23, "test:banded")
     for g in range(2, 8):
         tc = random_tree_config(Alkane.chain(g), rng)
-        m = tree_period_first_order(tc, _ring_for(tc))
+        m = tree_period_first_order(tc)
         assert is_banded(offdiag_support(m), 2)
 
 
 def test_matrix_json_report():
     tc = _chain3_unit_config()
-    m = tree_period_first_order(tc, JetRing(("t1", "t2"), 1))
+    m = tree_period_first_order(tc)
     d = m.to_json_dict()
     assert d["genus"] == 3
     assert d["mode"] == "exact"
@@ -452,12 +441,10 @@ def _field_pairs(draw):
     rng = random.Random(draw(st.integers(0, 2**32)))
     if draw(st.booleans()):
         alkane = draw(st.sampled_from(enumerate_alkanes(draw(st.integers(2, 7)))))
-        config, order, assemble = random_tree_config(alkane, rng), 1, tree_period_first_order
+        config, assemble = random_tree_config(alkane, rng), tree_period_first_order
     else:
-        config = random_star_config(draw(st.integers(2, 9)), rng)
-        order, assemble = 2, star_period_leading
-    fields = (EXACT_FIELD, FLOAT_FIELD)
-    return [assemble(config, JetRing(config.variables, order, f)) for f in fields]
+        config, assemble = random_star_config(draw(st.integers(2, 9)), rng), star_period_leading
+    return [assemble(config, f) for f in (EXACT_FIELD, FLOAT_FIELD)]
 
 
 @settings(max_examples=60, deadline=None)

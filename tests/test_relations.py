@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+import sympy
+from sympy.polys.domains import QQ_I
 
 from plumbline import checks, relations
 from plumbline.curve_periods import star_period_leading
@@ -65,7 +67,7 @@ def _star_entries(g, field, seed, corrupt_entry=None):
     17."""
     s = random_star_config(g, substream(seed, f"test:plain:{g}"))
     names = tuple(s.variables)
-    reduced = perturbed_star_entries(s, JetRing(names, 1, field), seed, corrupt_entry)
+    reduced = perturbed_star_entries(s, seed, corrupt_entry, field)
     ring = JetRing(names, 17, field)
     full = {
         (a, b): ring.variable(names[a - 1]) * ring.variable(names[b - 1]) * jet_of(ring, e.terms)
@@ -292,11 +294,18 @@ def test_octic_index_validation():
 
 
 def test_octic_on_star_jet_entries_identically_zero():
-    # with no perturbation units the octic jet vanishes coefficientwise
+    # with no perturbation units the octic jet vanishes coefficientwise: the
+    # star entries t_a t_b kappabar_ab are built in an order-17 ring, where
+    # no octic term is truncated away, and match the order-2 star assembly
     s = random_star_config(4, substream(53, "test:staroct"))
     ring = JetRing(tuple(s.variables), 17, EXACT_FIELD)
-    m = star_period_leading(s, ring)
-    entries = {(i, j): m.entry(i, j) for i, j in combinations(range(1, 5), 2)}
+    t = [ring.variable(name) for name in s.variables]
+    kbar = relations.star_leading_coefficients(s, EXACT_FIELD)
+    entries = {(i, j): t[i - 1] * t[j - 1] * c for (i, j), c in kbar.items()}
+    star = star_period_leading(s)
+    for (i, j), e in entries.items():
+        assert e.min_nonzero_degree() == 2
+        assert e == jet_of(ring, star.entry(i, j).terms)
     assert octic_eval(entries, (1, 2, 3, 4)) == ring.zero()
 
 
@@ -367,9 +376,6 @@ def test_star_leading_coefficients_match_sympy(g):
     # kappabar_ij = kappa v_i v_j / (b_i - b_j)^2, recomputed over sympy's
     # Q(i): exactly with kappa = 1/16, and with kappa = 2*pi*i/16 to 30
     # digits for the float field
-    sympy = pytest.importorskip("sympy")
-    from sympy.polys.domains import QQ_I
-
     def gaussian(x):
         return QQ_I.from_sympy(sympy.Rational(x.re) + sympy.I * sympy.Rational(x.im))
 
