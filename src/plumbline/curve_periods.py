@@ -31,7 +31,7 @@ from .elliptic import MarkedEllipticCurve, TwoTorsionLabel
 from .errors import DegenerateDataError, RangeError, StructureError
 from .frozen import Frozen
 from .jets import EXACT_FIELD, Jet, JetRing
-from .relations import StarConfig, _finite, _two_pi_i, star_leading_coefficients
+from .relations import StarConfig, star_leading_coefficients
 from .surfaces import matrix_rank_exact
 
 
@@ -92,9 +92,12 @@ class TreeConfig(Frozen):
         if len(self.taus) != g:
             raise StructureError(f"{len(self.taus)} curves for a genus-{g} alkane")
         edge_data = dict(self.edge_data)
-        object.__setattr__(self, "edge_data", edge_data)
         if set(edge_data) != set(self.alkane.edges):
             raise StructureError("edge data keys do not match the alkane's edge set")
+        # in the alkane's sorted edge order, so that the ring, and with it the
+        # report, does not depend on the order the edges were given in
+        edge_data = {e: edge_data[e] for e in self.alkane.edges}
+        object.__setattr__(self, "edge_data", edge_data)
         per_vertex: Dict[int, List[TwoTorsionLabel]] = {}
         for (i, j), data in edge_data.items():
             per_vertex.setdefault(i, []).append(data.label_low)
@@ -182,7 +185,7 @@ def _outer_contribution(entries, lam, t_jet: Jet, slots: Sequence[int], values: 
     pairs = list(zip(slots, values))
     for n, (a, va) in enumerate(pairs):
         for b, vb in pairs[n:]:
-            coeff = _finite(t_jet.ring.field, lam * va * vb, f"entry ({a},{b})")
+            coeff = t_jet.ring.field.finite(lam * va * vb, f"entry ({a},{b})")
             entries[(a, b)] = entries[(a, b)] + t_jet * coeff
 
 
@@ -197,7 +200,7 @@ def pair_period_first_order(p: PairPlumbing, field=EXACT_FIELD) -> PeriodMatrixJ
     u = [coerce(v) for v in block_a.omega_at_point] + [
         -coerce(v) for v in block_b.omega_at_point
     ]
-    lam = _two_pi_i(field) / 4
+    lam = field.two_pi_i / 4
     _outer_contribution(entries, lam, ring.variable(p.t), range(1, len(u) + 1), u)
     return PeriodMatrixJet(entries, {"assembly": "pair"})
 
@@ -219,10 +222,8 @@ def tree_period_first_order(c: TreeConfig, field=EXACT_FIELD) -> PeriodMatrixJet
     kept, in the order-1 ring of the edge variables."""
     ring = JetRing(c.variables, 1, field)
     coerce = field.coerce
-    lam = _two_pi_i(field) / 4
+    lam = field.two_pi_i / 4
     entries = _block_diagonal(ring, [((tau.value,),) for tau in c.taus])
-    # iterate the mapping, not the sorted edge list: the result must not
-    # depend on the order the plumbings are performed in
     for (i, j), data in c.edge_data.items():
         v_i = coerce(1 / data.coeff_low)
         v_j = coerce(1 / data.coeff_high)

@@ -47,6 +47,7 @@ can be shared freely across threads.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import sys
 from fractions import Fraction
@@ -124,11 +125,19 @@ class CoefficientField(Frozen):
             return GaussianRational(Fraction(re, den), Fraction(im, den))
         return complex(re, im)
 
+    @property
+    def two_pi_i(self):
+        """The transcendental factor 2*pi*i, or 1 in exact units, which divide it out."""
+        return GaussianRational(1) if self.is_exact else complex(0.0, 2.0 * cmath.pi)
+
+    def finite(self, x, what: str):
+        """``x``, refused when a float product has left the float field's range."""
+        if not (self.is_exact or cmath.isfinite(x)):
+            raise RangeError(f"value beyond the float field's range: {what} overflows")
+        return x
+
     def zero(self):
         return GaussianRational(0) if self.is_exact else 0j
-
-    def one(self):
-        return GaussianRational(1) if self.is_exact else complex(1)
 
 
 EXACT_FIELD = CoefficientField(FieldKind.EXACT_GAUSSIAN_RATIONAL)

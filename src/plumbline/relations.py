@@ -20,8 +20,6 @@ checked coefficient-by-coefficient through a given total degree.
 
 from __future__ import annotations
 
-import cmath
-import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -124,18 +122,6 @@ def plucker_to_cone(y: Entries) -> Dict[Tuple[int, int], object]:
 # to check the octics.
 
 
-def _two_pi_i(field: CoefficientField):
-    """The transcendental factor 2*pi*i, or 1 in exact units, which divide it out."""
-    return field.one() if field.is_exact else complex(0.0, 2.0 * math.pi)
-
-
-def _finite(field: CoefficientField, x, what: str):
-    """``x``, refused when a float product has left the float field's range."""
-    if not (field.is_exact or cmath.isfinite(x)):
-        raise RangeError(f"value beyond the float field's range: {what} overflows")
-    return x
-
-
 class StarConfig(Frozen):
     """g elliptic tails attached to a projective line at b_1..b_g."""
 
@@ -166,7 +152,7 @@ def star_leading_coefficients(s: StarConfig, field: CoefficientField) -> dict:
     """kappabar_ij = kappa v_i v_j / (b_i - b_j)^2 for 1-based i < j: the
     star entry (i, j) is kappabar_ij t_i t_j."""
     coerce = field.coerce
-    kappa = _two_pi_i(field) / 16
+    kappa = field.two_pi_i / 16
     v = [coerce(c.mark_value(0)) for c in s.curves]
     b = [coerce(x) for x in s.attach_points]
     out = {}
@@ -178,7 +164,7 @@ def star_leading_coefficients(s: StarConfig, field: CoefficientField) -> dict:
                     f"value beyond the float field's range: (b{i + 1} - b{j + 1})^2 underflows to 0"
                 )
             coeff = kappa * v[i] * v[j] / (d * d)
-            out[(i + 1, j + 1)] = _finite(field, coeff, f"star entry ({i + 1},{j + 1})")
+            out[(i + 1, j + 1)] = field.finite(coeff, f"star entry ({i + 1},{j + 1})")
     return out
 
 

@@ -10,20 +10,20 @@ verifiable content is linear-algebraic -- ranks, spans and zero patterns
 one surface format: the omega side keyed by ambient row and the I side
 keyed by ambient column, integer vectors of any content, as
 ``sampling.random_surface_sides`` draws them.  Pi_e is proportional to
-their outer product, and one fraction-free elimination core, behind
-``matrix_rank_exact`` and ``span_dimension_E_Gamma``, ranks on Python ints
-by leading-key insertion: each row looks up the basis row at its largest
-key, joins the basis if there is none, and is reduced by it otherwise.
-The span hands it each edge as the factored pair of its sides; a pair is
-multiplied out only when its lead collides, which an alkane's own edges,
-whose leads are distinct, never do.  Only the rows that a reduction forms
-are divided by their content.
+their outer product, whose lead (largest key) is (largest row, largest
+column).  An alkane's edges have distinct leads, so their rows are
+independent and the span counts them; only when two leads collide does
+it multiply the rows out and rank them with ``matrix_rank_exact``, the
+one elimination: fraction-free leading-key insertion on Python ints,
+where each row looks up the basis row at its lead, joins the basis if
+there is none, and is reduced by it otherwise.  Only the rows that a
+reduction forms are divided by their content.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from .alkanes import Alkane
 from .errors import RangeError, StructureError
@@ -97,47 +97,23 @@ def _primitive(row: Dict[object, int]) -> Dict[object, int]:
 
 def matrix_rank_exact(rows: Sequence[Mapping[object, object]]) -> int:
     """Rank of the span of sparse int or Fraction vectors keyed by arbitrary
-    hashable, mutually comparable positions.
+    hashable, mutually comparable positions, by leading-key insertion.
 
-    Each row is cleared to integers once and inserted by its largest key
-    (``_primitive_rank``); the elimination is then fraction-free.
+    Each row is cleared to integers once; the elimination is then
+    fraction-free.  The basis holds at most one row per lead (largest key),
+    so its rows are independent.  A row whose lead has no basis row joins
+    the basis; otherwise, with p the lead entry of that pivot and b its own,
+    it becomes p * row - b * pivot, whose lead is smaller, divided by its
+    content if nonzero, and is tried again.  The rank is the size of the
+    basis; no input row is changed.
     """
-    return _primitive_rank(row for row in map(_cleared, rows) if row)
-
-
-def _primitive_rank(rows: Iterable) -> int:
-    """Rank of nonzero integer rows with no zero entries, of any content,
-    by leading-key insertion.  The basis holds at most one row per lead
-    (largest key), so its rows are independent.  A row whose lead has no
-    basis row joins the basis; otherwise, with p the lead entry of that
-    pivot and b its own, it becomes p * row - b * pivot, whose lead is
-    smaller, divided by its content if nonzero, and is tried again.
-    The rank is the size of the basis; no input row is changed.
-
-    A row is a dict, or a pair (w, c) of nonzero sides that stands for the
-    row ``_outer(w, c)``, keyed by (r, k), whose lead is (max(w), max(c))
-    since keys order lexicographically.  A pair is multiplied out only when
-    its lead collides; a pivot so multiplied out replaces its pair in the
-    basis.  The edge rows of an alkane labelled with each parent below its
-    children, as ``enumerate_alkanes`` gives them, have distinct leads: an
-    edge's lead row is its child vertex, which has one parent edge.  So
-    each edge costs one lookup and is never multiplied out.
-    """
-    basis: Dict[object, object] = {}
-    for row in rows:
+    basis: Dict[object, Dict[object, int]] = {}
+    for row in map(_cleared, rows):
         while row:
-            if type(row) is tuple:
-                w, c = row
-                lead = max(w), max(c)
-            else:
-                lead = max(row)
+            lead = max(row)
             pivot = basis.setdefault(lead, row)
             if pivot is row:
                 break
-            if type(pivot) is tuple:
-                pivot = basis[lead] = _outer(*pivot)
-            if type(row) is tuple:
-                row = _outer(*row)
             p, b = pivot[lead], row[lead]
             new = {k: p * v for k, v in row.items()}
             for k, v in pivot.items():
@@ -151,10 +127,21 @@ def _primitive_rank(rows: Iterable) -> int:
 def span_dimension_E_Gamma(sides: Sequence[Tuple[Dict[int, int], Dict[int, int]]]) -> int:
     """Exact dimension of the span of the edge matrices Pi_e, from their
     integer sides (``sampling.random_surface_sides``), which need not be
-    primitive: each edge with nonzero sides w, c is the row w tensor c, a
-    nonzero multiple of Pi_e, and is inserted by its lead as the pair
-    (w, c), which an alkane's own edges never multiply out."""
-    return _primitive_rank((rows, cols) for rows, cols in sides if rows and cols)
+    primitive: each edge with nonzero sides w, c gives the row w tensor c,
+    a nonzero multiple of Pi_e keyed by (r, k), whose lead is
+    (max(w), max(c)) since keys order lexicographically.
+
+    Rows with distinct leads are independent, so when the leads are
+    distinct the span is their number.  The edge rows of an alkane labelled
+    with each parent below its children, as ``enumerate_alkanes`` gives
+    them, have distinct leads: an edge's lead row is its child vertex,
+    which has one parent edge.  Only when two leads collide are the rows
+    multiplied out and ranked by ``matrix_rank_exact``.
+    """
+    edges = [(w, c) for w, c in sides if w and c]
+    if len({(max(w), max(c)) for w, c in edges}) == len(edges):
+        return len(edges)
+    return matrix_rank_exact([_outer(w, c) for w, c in edges])
 
 
 def skew_block_rank_one_vanishing(

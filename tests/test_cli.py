@@ -394,6 +394,19 @@ def test_periods_tree_numeric(tmp_path, capsys):
     assert abs(term["im"] + 1.5707963267948966) < 1e-12  # -2*pi/4
 
 
+def test_tree_edges_may_come_in_any_order(tmp_path, capsys):
+    # edge_data read backwards prints the README config's bytes in both modes
+    backwards = {**TREE_CONFIG, "edge_data": TREE_CONFIG["edge_data"][::-1]}
+    for name, config in (("tree", TREE_CONFIG), ("backwards", backwards)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
+    for mode in ("--exact", "--numeric"):
+        outs = []
+        for name in ("tree", "backwards"):
+            assert main(["periods", "tree", "--config", str(tmp_path / f"{name}.json"), mode]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1], mode
+
+
 def test_missing_config_is_usage_error(tmp_path, capsys):
     code, _ = _run(capsys, ["periods", "tree", "--config", "missing.json"])
     assert code == 2

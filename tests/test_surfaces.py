@@ -1,11 +1,9 @@
 """Surface-side dimensions, rank-1 edge matrices, spans, skew blocks."""
 
-import itertools
 import json
 import math
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 import sympy
@@ -29,12 +27,7 @@ from plumbline.surfaces import (
     span_dimension_E_Gamma,
 )
 from plumbline.sampling import rand_fraction, random_surface_sides, substream
-from plumbline.surfaces import (
-    BLOCK_COLS,
-    _outer,
-    _primitive,
-    matrix_rank_exact,
-)
+from plumbline.surfaces import BLOCK_COLS, _outer, _primitive
 
 from oracles import oracle_pi, oracle_sides, surface_oracle
 
@@ -134,60 +127,14 @@ def _pi(model, edge):
     return pi
 
 
-# every elimination these tests run goes through these bounds, so a reduction
-# that never lowers its row's lead fails a test instead of hanging it
-
-
-def _row_keys(row):
-    """The keys of a dict row, or of the row w tensor c of a pair (w, c)."""
-    if type(row) is tuple:
-        w, c = row
-        return {(r, col) for r in w for col in c}
-    return row.keys()
-
-
-def _bounded(rank, rows):
-    """``rank(rows)``, failing once the elimination has reduced more rows
-    than it can: each reduction lowers a row's lead, so each row reduces at
-    most once per key."""
-    rows = list(rows)
-    bound = len(rows) * len(set().union(*map(_row_keys, rows)))
-    calls = itertools.count()
-    primitive = surfaces._primitive
-
-    def counted(row):
-        assert next(calls) < bound, "a reduction did not lower the lead"
-        return primitive(row)
-
-    with mock.patch.object(surfaces, "_primitive", counted):
-        return rank(rows)
-
-
-def _bounded_rank(rows):
-    return _bounded(matrix_rank_exact, rows)
-
-
-def _bounded_span(sides):
-    return _bounded(span_dimension_E_Gamma, sides)
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _bounded_inner_calls():
-    """Bound the eliminations that the skew-block check and ``checks`` run."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(surfaces, "matrix_rank_exact", _bounded_rank)
-        patch.setattr(checks, "span_dimension_E_Gamma", _bounded_span)
-        yield
-
-
 def test_build_pi_rank_at_most_one():
     model = _two_vertex_model((Fraction(2, 3), Fraction(-5, 4)), Fraction(7, 6))
     pi = _pi(model, (1, 2))
     assert len(pi) == 2 * 28  # two omega entries times 14 nonzero I entries per side
-    assert _bounded_rank(_sparse(_dense_outer(model, (1, 2)))) == 1
+    assert surfaces.matrix_rank_exact(_sparse(_dense_outer(model, (1, 2)))) == 1
     rows = [{c: v for (r, c), v in pi.items() if r == row} for row in range(2)]
-    assert _bounded_rank(rows) == 1
-    assert _bounded_span(oracle_sides(model)) == 1
+    assert surfaces.matrix_rank_exact(rows) == 1
+    assert span_dimension_E_Gamma(oracle_sides(model)) == 1
 
 
 def test_build_pi_zero_omega_gives_zero_matrix():
@@ -195,8 +142,8 @@ def test_build_pi_zero_omega_gives_zero_matrix():
     assert _pi(model, (1, 2)) == {}
     [(rows, cols)] = oracle_sides(model)
     assert rows == {} and cols and _outer(rows, cols) == {}
-    assert _bounded_rank([_outer(rows, cols)]) == 0
-    assert _bounded_span(oracle_sides(model)) == 0
+    assert surfaces.matrix_rank_exact([_outer(rows, cols)]) == 0
+    assert span_dimension_E_Gamma(oracle_sides(model)) == 0
 
 
 def test_build_pi_scales_linearly():
@@ -217,7 +164,7 @@ def test_span_dimension_generic():
     for h in range(1, 8):
         for a in enumerate_alkanes(h):
             sides = random_surface_sides(a, substream(83, f"test:span:{h}:{canonical_code(a)}"))
-            assert _bounded_span(sides) == h - 1
+            assert span_dimension_E_Gamma(sides) == h - 1
 
 
 def _duplicated(model):
@@ -230,7 +177,7 @@ def _duplicated(model):
 
 def test_span_dimension_degenerate_duplicate():
     model = surface_oracle(Alkane.chain(3), substream(87, "test:span:dup"))
-    assert _bounded_span(oracle_sides(_duplicated(model))) == 1 < 2
+    assert span_dimension_E_Gamma(oracle_sides(_duplicated(model))) == 1 < 2
 
 
 def test_egamma_span_control_is_the_fraction_duplicate(monkeypatch):
@@ -253,7 +200,7 @@ def test_egamma_span_control_is_the_fraction_duplicate(monkeypatch):
 
 def test_span_h1_is_zero():
     sides = random_surface_sides(Alkane(1, []), substream(89, "test:span:h1"))
-    assert sides == [] and _bounded_span(sides) == 0
+    assert sides == [] and span_dimension_E_Gamma(sides) == 0
 
 
 def test_skew_block_on_constructed_pi():
@@ -297,13 +244,13 @@ def test_skew_block_detects_violation_in_principle():
         [Fraction(0), Fraction(1)],
         [Fraction(-1), Fraction(0)],
     ]
-    assert _bounded_rank(_sparse(m)) == 2
+    assert surfaces.matrix_rank_exact(_sparse(m)) == 2
     assert skew_block_rank_one_vanishing(m, [0, 1], [0, 1])
     # and a hand-made matrix that *claims* rank 1 with nonzero skew block is
     # impossible; forcing one (rank 2) is correctly reported as no violation,
     # while a genuinely rank-1 skew block must be zero:
     rank1 = [[Fraction(2), Fraction(4)], [Fraction(1), Fraction(2)]]
-    assert _bounded_rank(_sparse(rank1)) == 1
+    assert surfaces.matrix_rank_exact(_sparse(rank1)) == 1
     assert skew_block_rank_one_vanishing(rank1, [0, 1], [0, 1])  # block not skew
 
 
@@ -313,14 +260,14 @@ def test_rank_helpers():
         {0: Fraction(2), 1: Fraction(4)},
         {2: Fraction(5)},
     ]
-    assert _bounded_rank(rows) == 2
+    assert surfaces.matrix_rank_exact(rows) == 2
     # positions may be any hashable key, such as the (row, col) of an edge matrix
     matrices = [
         {(0, 0): Fraction(1), (1, 2): Fraction(1)},
         {(0, 1): Fraction(1), (1, 2): Fraction(1)},
         {(0, 0): Fraction(1), (0, 1): Fraction(1), (1, 2): Fraction(2)},
     ]
-    assert _bounded_rank(matrices) == 2
+    assert surfaces.matrix_rank_exact(matrices) == 2
 
 
 def _rank_fraction_oracle(rows):
@@ -390,7 +337,7 @@ def _rational_rows(draw):
 @given(_rational_rows())
 def test_rank_matches_fraction_oracle(rows):
     before = [dict(r) for r in rows]
-    assert _bounded_rank(rows) == _rank_fraction_oracle(rows)
+    assert surfaces.matrix_rank_exact(rows) == _rank_fraction_oracle(rows)
     assert rows == before  # the input rows are left as they were
 
 
@@ -441,7 +388,7 @@ def test_span_matches_fraction_oracle_on_degenerate_models(alkane, seed, degener
         if alkane.edges:
             model = _degenerate(model, kind, alkane.edges[k % len(alkane.edges)])
     rows = [oracle_pi(model, e) for e in alkane.edges]
-    assert _bounded_span(oracle_sides(model)) == _rank_fraction_oracle(rows)
+    assert span_dimension_E_Gamma(oracle_sides(model)) == _rank_fraction_oracle(rows)
 
 
 _int_vectors = st.lists(st.integers(-(2**70), 2**70), max_size=6)
@@ -490,12 +437,13 @@ _FACTORED_EXAMPLE = ([({0: 1}, {1: 2, 3: 1}), ({}, {0: 1}), ({2: 1}, {})], [("du
 @example(*_FACTORED_EXAMPLE)
 @example([({0: 2}, {0: 1})], [("negated", 0, {})])  # leads 2 and -2: scale both rows
 def test_span_on_factored_rows_matches_multiplied_out_rank(pairs, copies):
-    # span_dimension_E_Gamma ranks each edge as its factored pair (w, c);
-    # rows whose pivots collide must be multiplied out and reduced exactly
+    # span_dimension_E_Gamma counts the edges while their leads
+    # (max(w), max(c)) are distinct; once two collide, the rows must be
+    # multiplied out and reduced exactly
     sides = _factored_sides(pairs, copies)
     before = [(dict(w), dict(c)) for w, c in sides]
-    expected = _bounded_rank([_outer(w, c) for w, c in sides])
-    assert _bounded_span(sides) == expected
+    expected = surfaces.matrix_rank_exact([_outer(w, c) for w, c in sides])
+    assert span_dimension_E_Gamma(sides) == expected
     assert sides == before
 
 
@@ -510,7 +458,7 @@ def _sympy_rank(rows):
 @settings(max_examples=100, deadline=None)
 @given(_rational_rows())
 def test_rank_matches_sympy(rows):
-    assert _bounded_rank(rows) == _sympy_rank(rows)
+    assert surfaces.matrix_rank_exact(rows) == _sympy_rank(rows)
 
 
 # rows that collide on purpose: three sharing one lead, the third reducing
@@ -526,13 +474,11 @@ _CONTENT = [({0: 1, 1: 1}, {1: 1, 2: 2}), ({0: 3, 1: 1}, {1: 1, 2: 2})]
 @example([({1: 1}, {0: 1})], [], _CHAIN)
 @example([({1: 1}, {0: 1})], [], _CONTENT)
 def test_span_matches_sympy(pairs, copies, colliding):
-    # the span as the edges come (factored pairs), and with every other
-    # edge row multiplied out into a dict row
+    # the span of the sides as the edges come, against sympy's rank of the
+    # edge rows multiplied out
     sides = [(w, c) for w, c in _factored_sides(pairs, copies) + colliding if w and c]
     expected = _sympy_rank([_outer(w, c) for w, c in sides])
-    assert _bounded_span(sides) == expected
-    mixed = [_outer(w, c) if n % 2 else (w, c) for n, (w, c) in enumerate(sides)]
-    assert _bounded(surfaces._primitive_rank, mixed) == expected
+    assert span_dimension_E_Gamma(sides) == expected
 
 
 def test_colliding_rows_reduce_in_a_chain_and_by_their_content(monkeypatch):
@@ -543,10 +489,10 @@ def test_colliding_rows_reduce_in_a_chain_and_by_their_content(monkeypatch):
     )
     # the second row's reduced row joins the basis; the third's, of content
     # 4, collides with it and vanishes
-    assert _bounded_span(_CHAIN) == 2
+    assert span_dimension_E_Gamma(_CHAIN) == 2
     assert contents == [1, 4]
     contents.clear()
-    assert _bounded_span(_CONTENT) == 2
+    assert span_dimension_E_Gamma(_CONTENT) == 2
     assert contents == [4]
 
 
@@ -618,7 +564,7 @@ def test_span_is_unchanged_by_scaling_a_side(sides, scalings):
             w, c = scaled[k % len(scaled)]
             side = {r: s * x for r, x in (w if omega else c).items()}
             scaled[k % len(scaled)] = (side, c) if omega else (w, side)
-    assert _bounded_span(scaled) == _bounded_span(sides)
+    assert span_dimension_E_Gamma(scaled) == span_dimension_E_Gamma(sides)
 
 
 # the 4-vertex star's draw, read backwards, with its second edge given twice
@@ -634,7 +580,7 @@ def test_span_is_unchanged_by_shuffling_the_edges(sides_and_shuffled):
     # The example fails a reduced row put in the basis under a fresh key
     # without a lookup of its new lead, or dropped when that lead collides
     sides, shuffled = sides_and_shuffled
-    assert _bounded_span(shuffled) == _bounded_span(sides)
+    assert span_dimension_E_Gamma(shuffled) == span_dimension_E_Gamma(sides)
 
 
 @settings(max_examples=200, deadline=None)
@@ -647,9 +593,9 @@ def test_span_is_unchanged_by_relabelling_the_vertices(relabelling, seed):
     alkane, perm, k = relabelling
     sides = random_surface_sides(alkane, substream(seed, "test:span:relabel"))
     relabelled = _relabelled(sides, perm)
-    span = _bounded_span(sides)
-    assert _bounded_span(relabelled) == span
-    assert _bounded_span(relabelled + relabelled[k : k + 1]) == span
+    span = span_dimension_E_Gamma(sides)
+    assert span_dimension_E_Gamma(relabelled) == span
+    assert span_dimension_E_Gamma(relabelled + relabelled[k : k + 1]) == span
 
 
 def test_relabelled_spans_reduce_and_divide_by_content(monkeypatch):
@@ -671,19 +617,19 @@ def test_relabelled_spans_reduce_and_divide_by_content(monkeypatch):
     backwards = list(range(8, 0, -1))
     for code, a in zip(alkane_codes(8), enumerate_alkanes(8)):
         sides = random_surface_sides(a, substream(0, f"test:span:backwards:{code}"))
-        assert _bounded_span(_relabelled(sides, backwards)) == 7
+        assert span_dimension_E_Gamma(_relabelled(sides, backwards)) == 7
     assert calls["outer"] > 0 and calls["content"] > 0
 
 
 def test_generic_spans_multiply_out_no_edge_row(monkeypatch):
-    # an alkane's edge leads never collide, so the generic spans rank every
-    # edge as a factored pair; the degenerate control multiplies out its two
+    # an alkane's edge leads never collide, so the generic spans count their
+    # edges and multiply none out; the degenerate control multiplies out its two
     calls = []
     outer = surfaces._outer
     monkeypatch.setattr(surfaces, "_outer", lambda w, c: calls.append(1) or outer(w, c))
     for code, a in zip(alkane_codes(11), enumerate_alkanes(11)):
         sides = random_surface_sides(a, substream(0, f"egamma:{code}:0"))
-        assert _bounded_span(sides) == 10
+        assert span_dimension_E_Gamma(sides) == 10
     assert len(calls) == 0
     ok, detail = checks.check_egamma_span(0, genera=())
     assert ok and detail["degenerate_span"] == 1
@@ -700,7 +646,7 @@ def test_surface_models_and_spans_build_no_fraction(monkeypatch, capsys):
 
     monkeypatch.setattr(Fraction, "__new__", forbidden)
     spans = [
-        _bounded_span(random_surface_sides(a, substream(97, f"test:nofrac:{k}")))
+        span_dimension_E_Gamma(random_surface_sides(a, substream(97, f"test:nofrac:{k}")))
         for k, a in enumerate(alkanes)
     ]
     argv = ["surfaces", "egamma", "--genus", "6", "--trials", "2", "--seed", "97"]
@@ -767,7 +713,7 @@ def test_all_zero_I_side_gives_no_row(dead, dropped):
     assert model[a.edges[dead]][1] == ((Fraction(0),) * BLOCK_COLS,) * 2
     assert sides == oracle_sides(model)
     assert sides[dead][1] == {} and all(cols for k, (_, cols) in enumerate(sides) if k != dead)
-    assert _bounded_span(sides) == a.genus - 2
+    assert span_dimension_E_Gamma(sides) == a.genus - 2
 
 
 def test_egamma_span_check_fails_when_its_control_does_not(monkeypatch):
