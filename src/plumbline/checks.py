@@ -29,6 +29,7 @@ from .alkanes import (
 from .curve_periods import (
     PairPlumbing,
     banded_locus_dimension,
+    curve_block,
     derivative_rank_one_check,
     is_banded,
     offdiag_support,
@@ -245,7 +246,7 @@ def check_rank_one(
         rng = substream(seed, f"check:pair:{trial}")
         ca = _random_marked_curve(rng)
         cb = _random_marked_curve(rng)
-        m = pair_period_first_order(PairPlumbing(ca, cb, "t"))
+        m = pair_period_first_order(PairPlumbing(curve_block(ca, 0), curve_block(cb, 0), "t"))
         if not derivative_rank_one_check(m, "t"):
             ok = False
     tested = 0

@@ -21,6 +21,7 @@ from .curve_periods import (
     PairPlumbing,
     TreeConfig,
     TreeEdgeData,
+    curve_block,
     pair_period_first_order,
     star_period_leading,
     tree_period_first_order,
@@ -62,10 +63,11 @@ def _parse_label(name, path: str) -> TwoTorsionLabel:
         raise ConfigError(f"{path}: unknown 2-torsion label {name!r}") from None
 
 
-def _parse_list(v, path: str, what: str) -> list:
+def _parse_list(v, path: str, what: str, parse: Callable[[object, str], T]) -> Tuple[T, ...]:
+    """Each item of the list ``v`` read by ``parse``, with its path ``path[k]``."""
     if not isinstance(v, list):
         raise ConfigError(f"{path} must be a list of {what}, got {v!r}")
-    return v
+    return tuple(parse(item, f"{path}[{k}]") for k, item in enumerate(v))
 
 
 def _parse_object(v, path: str, keys: Tuple[str, ...]) -> dict:
@@ -104,33 +106,28 @@ def _parse_mark(d, path: str) -> Mark:
 def _parse_curve(d, path: str) -> MarkedEllipticCurve:
     d = _parse_object(d, path, ("tau",))
     tau = TauPoint(_parse_value(d["tau"], f"{path}.tau"))
-    marks = _parse_list(d.get("marks", []), f"{path}.marks", "marks")
-    marks = tuple(_parse_mark(m, f"{path}.marks[{k}]") for k, m in enumerate(marks))
+    marks = _parse_list(d.get("marks", []), f"{path}.marks", "marks", _parse_mark)
     return MarkedEllipticCurve(tau, marks)
 
 
-def _parse_pair_side(d, path: str, mark, mark_key: str):
+def _parse_numbers(v, path: str) -> Tuple[GaussianRational, ...]:
+    return _parse_list(v, path, "numbers", _parse_value)
+
+
+def _parse_pair_side(d, path: str, mark, mark_key: str) -> CurveBlock:
+    """A pair side as its block: a curve side is the 1x1 block of its mark ``mark``."""
     if isinstance(d, dict) and ("block" in d or "omega" in d):
         d = _parse_object(d, path, ("block", "omega"))
         if type(mark) is not int or mark != 0:
             raise ConfigError(f"{mark_key}: mark index {mark!r} on a block, which has no marks")
-        rows = _parse_list(d["block"], f"{path}.block", "rows")
-        block = tuple(
-            tuple(
-                _parse_value(v, f"{path}.block[{r}][{c}]")
-                for c, v in enumerate(_parse_list(row, f"{path}.block[{r}]", "numbers"))
-            )
-            for r, row in enumerate(rows)
-        )
-        omega = _parse_list(d["omega"], f"{path}.omega", "numbers")
-        omega = tuple(_parse_value(v, f"{path}.omega[{k}]") for k, v in enumerate(omega))
-        return CurveBlock(block, omega)
+        block = _parse_list(d["block"], f"{path}.block", "rows", _parse_numbers)
+        return CurveBlock(block, _parse_numbers(d["omega"], f"{path}.omega"))
     curve = _parse_curve(d, path)
     if type(mark) is not int or not 0 <= mark < len(curve.marks):
         raise ConfigError(
             f"{mark_key}: mark index {mark!r} outside {path}.marks, which has {len(curve.marks)}"
         )
-    return curve
+    return curve_block(curve, mark)
 
 
 def _parse_pair(cfg: dict) -> PairPlumbing:
@@ -138,47 +135,45 @@ def _parse_pair(cfg: dict) -> PairPlumbing:
     mark_a, mark_b = cfg.get("mark_a", 0), cfg.get("mark_b", 0)
     side_a = _parse_pair_side(cfg["curve_a"], "curve_a", mark_a, "mark_a")
     side_b = _parse_pair_side(cfg["curve_b"], "curve_b", mark_b, "mark_b")
-    return PairPlumbing(side_a, side_b, _parse_name(cfg.get("t", "t"), "t"), mark_a, mark_b)
+    return PairPlumbing(side_a, side_b, _parse_name(cfg.get("t", "t"), "t"))
 
 
 def _parse_star(cfg: dict) -> StarConfig:
     _parse_object(cfg, "", ("curves", "b", "vars"))
-    curves = _parse_list(cfg["curves"], "curves", "curves")
-    curves = tuple(_parse_curve(c, f"curves[{k}]") for k, c in enumerate(curves))
-    points = _parse_list(cfg["b"], "b", "numbers")
-    points = tuple(_parse_value(b, f"b[{k}]") for k, b in enumerate(points))
-    names = _parse_list(cfg["vars"], "vars", "variable names")
-    names = tuple(_parse_name(v, f"vars[{k}]") for k, v in enumerate(names))
+    curves = _parse_list(cfg["curves"], "curves", "curves", _parse_curve)
+    points = _parse_numbers(cfg["b"], "b")
+    names = _parse_list(cfg["vars"], "vars", "variable names", _parse_name)
     return StarConfig(curves, points, names)
 
 
 def _parse_tree(cfg: dict) -> TreeConfig:
     _parse_object(cfg, "", ("genus", "edges", "taus", "edge_data"))
-    edges = _parse_list(cfg["edges"], "edges", "vertex pairs")
-    edges = [_parse_edge(e, f"edges[{k}]") for k, e in enumerate(edges)]
+    edges = _parse_list(cfg["edges"], "edges", "vertex pairs", _parse_edge)
     genus = cfg["genus"]
     if type(genus) is not int:
         raise ConfigError(f"genus must be a whole number, got {genus!r}")
     alkane = Alkane(genus, edges)
-    taus = _parse_list(cfg["taus"], "taus", "numbers")
-    taus = tuple(TauPoint(_parse_value(t, f"taus[{k}]")) for k, t in enumerate(taus))
-    edge_data = {}
-    for k, item in enumerate(_parse_list(cfg["edge_data"], "edge_data", "edge objects")):
-        path = f"edge_data[{k}]"
+    taus = _parse_list(cfg["taus"], "taus", "numbers", lambda t, p: TauPoint(_parse_value(t, p)))
+    seen = set()
+
+    def parse_edge_data(item, path: str):
         item = _parse_object(item, path, ("edge", "var", "low", "high"))
         i, j = sorted(_parse_edge(item["edge"], f"{path}.edge"))
-        if (i, j) in edge_data:
+        if (i, j) in seen:
             raise ConfigError(f"{path}.edge: edge {[i, j]} is listed twice in edge_data")
+        seen.add((i, j))
         low = _parse_object(item["low"], f"{path}.low", ("label", "c"))
         high = _parse_object(item["high"], f"{path}.high", ("label", "c"))
-        edge_data[(i, j)] = TreeEdgeData(
+        return (i, j), TreeEdgeData(
             var=_parse_name(item["var"], f"{path}.var"),
             label_low=_parse_label(low["label"], f"{path}.low.label"),
             coeff_low=_parse_value(low["c"], f"{path}.low.c"),
             label_high=_parse_label(high["label"], f"{path}.high.label"),
             coeff_high=_parse_value(high["c"], f"{path}.high.c"),
         )
-    return TreeConfig(alkane, taus, edge_data)
+
+    edge_data = _parse_list(cfg["edge_data"], "edge_data", "edge objects", parse_edge_data)
+    return TreeConfig(alkane, taus, dict(edge_data))
 
 
 def read_config(path: str, parse: Callable[[dict], T]) -> T:

@@ -24,7 +24,7 @@ over the float field it is kept.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .alkanes import canonical_code
 from .elliptic import MarkedEllipticCurve, TwoTorsionLabel
@@ -58,18 +58,15 @@ class CurveBlock(Frozen):
                     raise StructureError("tau block must be symmetric")
 
 
-PairSide = Union[CurveBlock, MarkedEllipticCurve]
-
-
-def _as_block(side: PairSide, mark_index: int) -> CurveBlock:
-    if isinstance(side, CurveBlock):
-        return side
-    return CurveBlock(((side.tau.value,),), (side.mark_value(mark_index),))
+def curve_block(curve: MarkedEllipticCurve, mark_index: int) -> CurveBlock:
+    """The 1x1 block of ``curve`` attached at its mark ``mark_index``."""
+    return CurveBlock(((curve.tau.value,),), (curve.mark_value(mark_index),))
 
 
 class PairPlumbing(Frozen):
-    __slots__ = _fields = ("curve_a", "curve_b", "t", "mark_a", "mark_b")
-    _defaults = {"mark_a": 0, "mark_b": 0}
+    """Two blocks plumbed at their attachment points, in the variable ``t``."""
+
+    __slots__ = _fields = ("block_a", "block_b", "t")
 
 
 class TreeEdgeData(Frozen):
@@ -193,13 +190,10 @@ def pair_period_first_order(p: PairPlumbing, field=EXACT_FIELD) -> PeriodMatrixJ
     """diag(tau_a, tau_b) + lambda * t * u tensor u, u = [omega_a(a), -omega_b(b)],
     in the order-1 ring of t."""
     ring = JetRing((p.t,), 1, field)
-    block_a = _as_block(p.curve_a, p.mark_a)
-    block_b = _as_block(p.curve_b, p.mark_b)
     coerce = field.coerce
-    entries = _block_diagonal(ring, (block_a.tau_block, block_b.tau_block))
-    u = [coerce(v) for v in block_a.omega_at_point] + [
-        -coerce(v) for v in block_b.omega_at_point
-    ]
+    entries = _block_diagonal(ring, (p.block_a.tau_block, p.block_b.tau_block))
+    u = [coerce(v) for v in p.block_a.omega_at_point]
+    u += [-coerce(v) for v in p.block_b.omega_at_point]
     lam = field.two_pi_i / 4
     _outer_contribution(entries, lam, ring.variable(p.t), range(1, len(u) + 1), u)
     return PeriodMatrixJet(entries, {"assembly": "pair"})

@@ -23,6 +23,20 @@ from plumbline.elliptic import MarkedEllipticCurve
 from plumbline.errors import StructureError
 from plumbline.jets import FLOAT_FIELD, CoefficientField, FieldKind, Jet, JetRing
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(*args, env=None, timeout=30, **kwargs):
+    """``python *args`` in a fresh process that imports this checkout's
+    package, ``env`` added to its environment.  Every test that starts one
+    goes through here, so each is bounded: a run that hangs, say on an
+    elimination that never lowers its lead, fails after ``timeout`` seconds."""
+    env = {**os.environ, **(env or {}), "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, env=env, timeout=timeout, check=False, **kwargs
+    )
+
+
 PAIR_CONFIG = {
     "t": "t",
     "curve_a": {"tau": ["0", "1"], "marks": [{"point": "O", "c": ["1", "0"]}]},
@@ -838,10 +852,9 @@ def test_star_genus_beyond_its_points_is_usage_error():
     # a star draws distinct attachment points from 93 values, so argparse
     # refuses genus 94 before any draw; the timeout turns a draw loop into a
     # failure
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    argv = [sys.executable, "-m", "plumbline.cli", "relations", "verify", "--genus", "94"]
+    argv = ["-m", "plumbline.cli", "relations", "verify", "--genus", "94"]
     start = time.perf_counter()
-    run = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=10, check=False)
+    run = run_python(*argv, text=True, timeout=10)
     assert time.perf_counter() - start < 1
     assert (run.returncode, run.stdout) == (2, "")
     assert "argument --genus:" in run.stderr and "93" in run.stderr
@@ -1054,9 +1067,6 @@ def test_mutated_argv_keeps_the_exit_contract(argv, tmp_path, monkeypatch):
     assert "Traceback" not in err.getvalue()
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
 def _config_cases():
     command, text, fragment = next(row for row in MALFORMED_CONFIGS if row[2])
     bad_tau = json.dumps(_with(PAIR_CONFIG, ["curve_a", "tau"], ["1", "-2"]))
@@ -1076,23 +1086,15 @@ def test_config_errors_exit_2_under_python_m(command, text, message, tmp_path):
     path = tmp_path / "config.json"
     if text is not None:
         path.write_text(text)
-    run = subprocess.run(
-        [sys.executable, "-m", "plumbline.cli", "periods", command, "--config", str(path)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
-        timeout=60, check=False,
-    )
+    run = run_python("-m", "plumbline.cli", "periods", command, "--config", str(path), text=True)
     assert (run.returncode, run.stdout) == (2, ""), run.stderr
     assert run.stderr.startswith(message) and "Traceback" not in run.stderr, run.stderr
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "1"])
 def test_reports_do_not_depend_on_the_hash_seed(hash_seed):
-    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(SRC)}
     for argv, digest in PINNED_REPORTS[:2]:
-        run = subprocess.run(
-            [sys.executable, "-m", "plumbline.cli", *argv],
-            capture_output=True, env=env, timeout=120, check=False,
-        )
+        run = run_python("-m", "plumbline.cli", *argv, env={"PYTHONHASHSEED": hash_seed})
         assert run.returncode == 0, run.stderr
         assert hashlib.sha256(run.stdout).hexdigest() == digest, argv
 
@@ -1101,13 +1103,9 @@ def test_reports_do_not_depend_on_the_hash_seed(hash_seed):
 def test_reports_ignore_the_tolerance_variable(value):
     # the float tolerance is fixed at 1e-10; a PLUMBLINE_TOL left in the
     # environment by an older release neither passes nor fails a check
-    env = {**os.environ, "PLUMBLINE_TOL": value, "PYTHONPATH": str(SRC)}
     argv = ["relations", "verify", "--genus", "7", "--trials", "3", "--seed", "5", "--numeric"]
     digest = {tuple(a): d for a, d in PINNED_REPORTS}[tuple(argv)]
-    run = subprocess.run(
-        [sys.executable, "-m", "plumbline.cli", *argv],
-        capture_output=True, env=env, timeout=120, check=False,
-    )
+    run = run_python("-m", "plumbline.cli", *argv, env={"PLUMBLINE_TOL": value})
     assert run.returncode == 0, run.stderr
     assert hashlib.sha256(run.stdout).hexdigest() == digest
 

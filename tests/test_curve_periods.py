@@ -17,6 +17,7 @@ from plumbline.curve_periods import (
     TreeConfig,
     TreeEdgeData,
     banded_locus_dimension,
+    curve_block,
     derivative_rank_one_check,
     is_banded,
     offdiag_support,
@@ -39,10 +40,13 @@ def _unit_curve(tau):
     return MarkedEllipticCurve(TauPoint(tau), (Mark(TwoTorsionLabel.O, GaussianRational(1)),))
 
 
+def _pair(curve_a, curve_b):
+    """The pair of two curves, each attached at its mark 0."""
+    return PairPlumbing(curve_block(curve_a, 0), curve_block(curve_b, 0), "t")
+
+
 def test_pair_frozen_example():
-    m = pair_period_first_order(
-        PairPlumbing(_unit_curve(I), _unit_curve(GaussianRational(0, 2)), "t")
-    )
+    m = pair_period_first_order(_pair(_unit_curve(I), _unit_curve(GaussianRational(0, 2))))
     ring = m.ring
     assert ring == JetRing(("t",), 1)
     q = Fraction(1, 4)
@@ -53,9 +57,7 @@ def test_pair_frozen_example():
 
 
 def test_pair_rank_one():
-    m = pair_period_first_order(
-        PairPlumbing(_unit_curve(I), _unit_curve(GaussianRational(0, 3)), "t")
-    )
+    m = pair_period_first_order(_pair(_unit_curve(I), _unit_curve(GaussianRational(0, 3))))
     assert derivative_rank_one_check(m, "t")
 
 
@@ -65,7 +67,7 @@ def test_pair_off_diagonal_value():
         TauPoint(GaussianRational(0, 2)), (Mark(TwoTorsionLabel.O, GaussianRational(Fraction(1, 3))),)
     )
     # v_a = 2, v_b = 3 -> off-diagonal t-coefficient -(1/4)*2*3 = -3/2
-    m = pair_period_first_order(PairPlumbing(ca, cb, "t"))
+    m = pair_period_first_order(_pair(ca, cb))
     assert m.entry(1, 2).coefficient_of_var("t") == GaussianRational(Fraction(-3, 2))
 
 
@@ -75,7 +77,7 @@ def test_pair_general_blocks():
         ((I, GaussianRational(Fraction(1, 5))), (GaussianRational(Fraction(1, 5)), GaussianRational(0, 3))),
         (GaussianRational(2), GaussianRational(-1)),
     )
-    m = pair_period_first_order(PairPlumbing(block, _unit_curve(I), "t"))
+    m = pair_period_first_order(PairPlumbing(block, curve_block(_unit_curve(I), 0), "t"))
     assert m.genus == 3
     assert m.entry(1, 2).coefficient((0,)) == GaussianRational(Fraction(1, 5))
     assert derivative_rank_one_check(m, "t")
@@ -87,7 +89,7 @@ def test_pair_numeric_mode():
     # the curves stay exact; the float field rounds their values as it takes them
     ca = _unit_curve(I)
     cb = _unit_curve(GaussianRational(0, 2))
-    m = pair_period_first_order(PairPlumbing(ca, cb, "t"), FLOAT_FIELD)
+    m = pair_period_first_order(_pair(ca, cb), FLOAT_FIELD)
     assert m.ring == JetRing(("t",), 1, FLOAT_FIELD)
     assert m.to_json_dict()["mode"] == "numeric"
     lam = complex(0, math.pi / 2)

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import QQ_I
 
 from plumbline import checks, relations
@@ -14,6 +15,7 @@ from plumbline.errors import DegenerateDataError
 from plumbline.gaussian import GaussianRational
 from plumbline.jets import EXACT_FIELD, FLOAT_FIELD, JetRing
 from plumbline.relations import (
+    OCTIC_MIN_GENUS,
     OCTIC_VARIANTS,
     all_octic_indices,
     octic_eval,
@@ -212,6 +214,58 @@ def test_homogeneity_degree_eight():
         c = GaussianRational(rand_nonzero_fraction(rng))
         scaled = {p: c * v for p, v in m.items()}
         assert octic_eval(scaled, idx) == math.prod([c] * 8) * octic_eval(m, idx)
+
+
+def _gaussian(re, im):
+    """Exact values (a + b i) / d: a drawn by ``re``, b by ``im``, d in 1..4."""
+    return st.builds(
+        lambda a, b, d: GaussianRational(Fraction(a, d), Fraction(b, d)), re, im, st.integers(1, 4)
+    )
+
+
+_values = _gaussian(st.integers(-6, 6), st.integers(-6, 6))
+
+
+_UNITS = tuple(GaussianRational(*p) for p in ((1, 0), (0, 1), (-1, 0), (0, -1)))
+# every nonzero Gaussian rational is a unit times one with re > 0 and im >= 0
+_nonzero = st.builds(
+    lambda u, z: u * z, st.sampled_from(_UNITS), _gaussian(st.integers(1, 6), st.integers(0, 6))
+)
+
+
+@st.composite
+def _exact_points(draw):
+    """A genus g <= 7 and exact values tau_ab for every pair a < b."""
+    g = draw(st.integers(OCTIC_MIN_GENUS, 7))
+    pairs = list(combinations(range(1, g + 1), 2))
+    return g, dict(zip(pairs, draw(st.lists(_values, min_size=len(pairs), max_size=len(pairs)))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exact_points(), st.data())
+def test_octic_moves_with_a_relabelling(point, data):
+    # the octic is symmetric in its three pair products, which a permutation
+    # of i, j, k, l only permutes: the octic of sigma.tau at the sorted
+    # sigma(idx) is the octic of tau at idx
+    g, tau = point
+    sigma = dict(zip(range(1, g + 1), data.draw(st.permutations(range(1, g + 1)))))
+    moved = {tuple(sorted((sigma[a], sigma[b]))): v for (a, b), v in tau.items()}
+    for idx in all_octic_indices(g):
+        assert octic_eval(moved, tuple(sorted(sigma[a] for a in idx))) == octic_eval(tau, idx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exact_points(), st.lists(_nonzero, min_size=7, max_size=7))
+def test_octic_scales_under_the_torus(point, scales):
+    # tau_ab -> s_a s_b tau_ab multiplies each pair product, and so each
+    # octic monomial, by s_i s_j s_k s_l: every monomial holds each index
+    # of the quadruple four times
+    g, tau = point
+    s = dict(zip(range(1, g + 1), scales))
+    scaled = {(a, b): s[a] * s[b] * v for (a, b), v in tau.items()}
+    for idx in all_octic_indices(g):
+        factor = math.prod(s[a] for a in idx)
+        assert octic_eval(scaled, idx) == math.prod([factor] * 4) * octic_eval(tau, idx)
 
 
 def test_symbolic_degree_count():

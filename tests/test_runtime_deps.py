@@ -8,12 +8,10 @@ code built at run time."""
 
 import ast
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
-from test_cli import PAIR_CONFIG
+from test_cli import PAIR_CONFIG, run_python
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "plumbline"
 
@@ -89,14 +87,8 @@ def test_cli_import_leaves_unused_modules_unloaded():
         "import sys, plumbline.cli; "
         f"print(' '.join(m for m in {NOT_AT_STARTUP!r} if m in sys.modules))"
     )
-    run = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
-    )
+    run = run_python("-c", probe, text=True)
+    assert run.returncode == 0, run.stderr
     assert run.stdout.split() == []
 
 
@@ -111,14 +103,7 @@ runpy.run_module("plumbline.cli", run_name="__main__", alter_sys=True)
 
 
 def _loaded_by(argv, cwd):
-    run = subprocess.run(
-        [sys.executable, "-c", _LOADED_PROBE, *argv],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        cwd=cwd,
-        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
-    )
+    run = run_python("-c", _LOADED_PROBE, *argv, text=True, cwd=cwd)
     assert run.returncode == 0, (argv, run.stderr)
     return set(run.stderr.splitlines()[-1].split())
 

@@ -21,6 +21,7 @@ from plumbline.curve_periods import (
     StarConfig,
     TreeConfig,
     TreeEdgeData,
+    curve_block,
 )
 from plumbline.elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
 from plumbline.errors import DegenerateDataError, RangeError, StructureError
@@ -62,11 +63,9 @@ VALID = {
         "omega_at_point": (ONE, GaussianRational(2)),
     },
     PairPlumbing: lambda: {
-        "curve_a": _curve(1),
-        "curve_b": _curve(2),
+        "block_a": curve_block(_curve(1), 0),
+        "block_b": curve_block(_curve(2), 0),
         "t": "t",
-        "mark_a": 0,
-        "mark_b": 0,
     },
     StarConfig: lambda: {
         "curves": (_curve(1), _curve(2)),
@@ -179,9 +178,6 @@ def test_defaults():
     assert MarkedEllipticCurve(TauPoint(I)).marks == ()
     assert JetRing(("t",), 2).field is EXACT_FIELD
     assert CoefficientField(FieldKind.COMPLEX_FLOAT).tolerance == DEFAULT_TOLERANCE
-    pair = PairPlumbing(_curve(1), _curve(2), "t")
-    assert (pair.mark_a, pair.mark_b) == (0, 0)
-    assert pair == PairPlumbing(_curve(1), _curve(2), "t", 0, 0)
 
 
 def test_constructors_normalise_their_fields():
