@@ -29,14 +29,12 @@ from .alkanes import (
 from .curve_periods import (
     PairPlumbing,
     banded_locus_dimension,
-    curve_block,
     derivative_rank_one_check,
     is_banded,
     offdiag_support,
     pair_period_first_order,
     tree_period_first_order,
 )
-from .elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
 from .gaussian import GaussianRational
 from .jets import EXACT_FIELD
 from .relations import (
@@ -53,6 +51,7 @@ from .sampling import (
     random_grass_frame_minors,
     random_star_config,
     random_surface_sides,
+    random_tail,
     random_tree_config,
     substream,
 )
@@ -228,15 +227,6 @@ def check_branch_patterns(seed: int = 0, *, genera: Sequence[int] = range(2, 7))
     }
 
 
-def _random_marked_curve(rng) -> MarkedEllipticCurve:
-    tau = TauPoint(
-        GaussianRational(rand_fraction(rng, -2, 2, 3), rand_nonzero_fraction(rng, 1, 3, 2))
-    )
-    return MarkedEllipticCurve(
-        tau, (Mark(TwoTorsionLabel.O, GaussianRational(rand_nonzero_fraction(rng))),)
-    )
-
-
 def check_rank_one(
     seed: int = 0, *, pair_trials: int = 5, genera: Sequence[int] = range(2, 6), trials: int = 5
 ) -> CheckResult:
@@ -244,9 +234,7 @@ def check_rank_one(
     ok = True
     for trial in range(pair_trials):
         rng = substream(seed, f"check:pair:{trial}")
-        ca = _random_marked_curve(rng)
-        cb = _random_marked_curve(rng)
-        m = pair_period_first_order(PairPlumbing(curve_block(ca, 0), curve_block(cb, 0), "t"))
+        m = pair_period_first_order(PairPlumbing(random_tail(rng), random_tail(rng), "t"))
         if not derivative_rank_one_check(m, "t"):
             ok = False
     tested = 0

@@ -12,33 +12,41 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
 from fractions import Fraction
 from typing import Callable, Tuple, TypeVar
 
 from .alkanes import Alkane
 from .curve_periods import (
-    CurveBlock,
     PairPlumbing,
     TreeConfig,
     TreeEdgeData,
-    curve_block,
     pair_period_first_order,
     star_period_leading,
     tree_period_first_order,
 )
-from .elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
+from .elliptic import CurveBlock, Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel, curve_block
 from .errors import ConfigError
 from .gaussian import GaussianRational
 from .relations import StarConfig
 
 T = TypeVar("T")
 
+# a string's decimal exponent, which Fraction expands into an int of that many digits
+_EXPONENT = re.compile(r"e([-+]?\d+)\s*\Z", re.IGNORECASE)
+
 
 def _parse_part(x) -> Fraction:
     if isinstance(x, float) and math.isfinite(x):
         return Fraction(str(x))  # the decimal the JSON number prints as
-    if isinstance(x, str) and "_" in x:
-        raise ValueError("no underscores in a number")  # Fraction takes them from 3.11 on
+    if isinstance(x, str):
+        if "_" in x:
+            raise ValueError("no underscores in a number")  # Fraction takes them from 3.11 on
+        exponent = _EXPONENT.search(x)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none, before 3.10.7
+        if exponent and limit and abs(int(exponent[1])) > limit:
+            raise ValueError(f"a decimal exponent beyond the {limit}-digit limit")
     if isinstance(x, (int, str)) and not isinstance(x, bool):
         return Fraction(x)
     raise ValueError("expected an int, a 'p/q' string or a finite number")
@@ -138,12 +146,20 @@ def _parse_pair(cfg: dict) -> PairPlumbing:
     return PairPlumbing(side_a, side_b, _parse_name(cfg.get("t", "t"), "t"))
 
 
+def _parse_tail(d, path: str) -> CurveBlock:
+    """A star tail: the 1x1 block of its curve at its first mark."""
+    curve = _parse_curve(d, path)
+    if not curve.marks:
+        raise ConfigError(f"{path}.marks: a star tail attaches at its first mark, and it has none")
+    return curve_block(curve, 0)
+
+
 def _parse_star(cfg: dict) -> StarConfig:
     _parse_object(cfg, "", ("curves", "b", "vars"))
-    curves = _parse_list(cfg["curves"], "curves", "curves", _parse_curve)
+    tails = _parse_list(cfg["curves"], "curves", "curves", _parse_tail)
     points = _parse_numbers(cfg["b"], "b")
     names = _parse_list(cfg["vars"], "vars", "variable names", _parse_name)
-    return StarConfig(curves, points, names)
+    return StarConfig(tails, points, names)
 
 
 def _parse_tree(cfg: dict) -> TreeConfig:

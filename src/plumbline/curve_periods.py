@@ -16,10 +16,11 @@ are first order, modulo the square of the parameter ideal, so their rings
 have order 1; star off-diagonals have bidegree (1,1), so a star's has
 order 2.  The field alone picks the units: over the exact field the
 transcendental factor 2*pi*i is divided out (lambda = 1/4, kappa = 1/16),
-over the float field it is kept.
-``StarConfig`` and the star's leading coefficients kappabar_ij live in
-``relations``, which every command loads; this module loads only with
-``periods`` and ``selftest``.
+over the float field it is kept, and an entry product that overflows or
+underflows to 0 there is refused, since it would change the support.
+Pair sides and star tails are ``elliptic.CurveBlock``s.  ``StarConfig``
+and its leading coefficients kappabar_ij live in ``relations``, which
+every command loads; this module loads only with ``periods`` and ``selftest``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .alkanes import canonical_code
-from .elliptic import MarkedEllipticCurve, TwoTorsionLabel
+from .elliptic import TwoTorsionLabel
 from .errors import DegenerateDataError, RangeError, StructureError
 from .frozen import Frozen
 from .jets import EXACT_FIELD, Jet, JetRing
@@ -37,30 +38,6 @@ from .surfaces import matrix_rank_exact
 
 # ---------------------------------------------------------------------------
 # configurations
-
-
-class CurveBlock(Frozen):
-    """A constant symmetric period block with the form values at the
-    attachment point.  An elliptic curve is the 1x1 case."""
-
-    __slots__ = _fields = ("tau_block", "omega_at_point")
-
-    def _check(self):
-        tau_block = self.tau_block
-        g = len(tau_block)
-        if g == 0 or any(len(row) != g for row in tau_block):
-            raise StructureError("tau block must be square and nonempty")
-        if len(self.omega_at_point) != g:
-            raise StructureError("omega vector length must match block size")
-        for i in range(g):
-            for j in range(g):
-                if tau_block[i][j] != tau_block[j][i]:
-                    raise StructureError("tau block must be symmetric")
-
-
-def curve_block(curve: MarkedEllipticCurve, mark_index: int) -> CurveBlock:
-    """The 1x1 block of ``curve`` attached at its mark ``mark_index``."""
-    return CurveBlock(((curve.tau.value,),), (curve.mark_value(mark_index),))
 
 
 class PairPlumbing(Frozen):
@@ -178,11 +155,11 @@ def _block_diagonal(ring: JetRing, blocks: Sequence[Sequence[Sequence[object]]])
 
 def _outer_contribution(entries, lam, t_jet: Jet, slots: Sequence[int], values: Sequence[object]):
     """Add lam * t * (u tensor u) where u has ``values`` in the increasing
-    1-based ``slots``: one product per pair (a, b), a <= b."""
-    pairs = list(zip(slots, values))
+    1-based ``slots``: one product per pair (a, b), a <= b, of nonzero values."""
+    pairs = [(a, v) for a, v in zip(slots, values) if v]
     for n, (a, va) in enumerate(pairs):
         for b, vb in pairs[n:]:
-            coeff = t_jet.ring.field.finite(lam * va * vb, f"entry ({a},{b})")
+            coeff = t_jet.ring.field.in_range(lam * va * vb, f"entry ({a},{b})")
             entries[(a, b)] = entries[(a, b)] + t_jet * coeff
 
 
@@ -205,7 +182,7 @@ def star_period_leading(s: StarConfig, field=EXACT_FIELD) -> PeriodMatrixJet:
     ring = JetRing(s.variables, 2, field)
     kbar = star_leading_coefficients(s, field)
     t = [ring.variable(name) for name in s.variables]
-    entries = _block_diagonal(ring, [((c.tau.value,),) for c in s.curves])
+    entries = _block_diagonal(ring, [tail.tau_block for tail in s.tails])
     for (i, j), coeff in kbar.items():
         entries[(i, j)] = t[i - 1] * t[j - 1] * coeff
     return PeriodMatrixJet(entries, {"assembly": "star"})

@@ -1,12 +1,14 @@
-"""Elliptic curves as upper-half-plane points with marked points.
+"""Elliptic curves as upper-half-plane points with marked points, and the
+period blocks of plumbed tails.
 
 The curve E_tau = C/(Z.tau + Z) is represented purely by tau, an exact
 Gaussian rational with Im > 0.  A mark is a point (either a 2-torsion
 label or a generic representative in the fundamental cell) together with
 the leading coefficient c of the chosen local coordinate
-w = c*(z - a) + O((z - a)^2); the plumbing formulas consume the mark only
-through the normalized-form value 1/c.  Every value here is exact; a
-float is made only where a jet ring's coefficient field coerces one.
+w = c*(z - a) + O((z - a)^2).  The plumbing formulas read a marked curve
+only as its ``CurveBlock``, the 1x1 block (tau) with the normalized-form
+value 1/c, which is built as a config is read.  Every value here is exact;
+a float is made only where a jet ring's coefficient field coerces one.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
-from .errors import DegenerateDataError, RangeError
+from .errors import DegenerateDataError, RangeError, StructureError
 from .frozen import Frozen
 from .gaussian import GaussianRational
 
@@ -80,3 +82,27 @@ class MarkedEllipticCurve(Frozen):
 
     def mark_value(self, index: int) -> GaussianRational:
         return normalized_form_value(self.marks[index])
+
+
+class CurveBlock(Frozen):
+    """A constant symmetric period block with the form values at the
+    attachment point.  An elliptic curve is the 1x1 case."""
+
+    __slots__ = _fields = ("tau_block", "omega_at_point")
+
+    def _check(self):
+        tau_block = self.tau_block
+        g = len(tau_block)
+        if g == 0 or any(len(row) != g for row in tau_block):
+            raise StructureError("tau block must be square and nonempty")
+        if len(self.omega_at_point) != g:
+            raise StructureError("omega vector length must match block size")
+        for i in range(g):
+            for j in range(g):
+                if tau_block[i][j] != tau_block[j][i]:
+                    raise StructureError("tau block must be symmetric")
+
+
+def curve_block(curve: MarkedEllipticCurve, mark_index: int) -> CurveBlock:
+    """The 1x1 block of ``curve`` attached at its mark ``mark_index``."""
+    return CurveBlock(((curve.tau.value,),), (curve.mark_value(mark_index),))

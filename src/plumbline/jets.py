@@ -35,7 +35,8 @@ product keeps a pair of terms only if its degree is at most the order, so
 every exponent of the sum is at most the order too and fits its field.  A
 key of lower degree is the smaller int, so the least key of a jet has its
 lowest degree.  Exponent tuples appear only at the boundary:
-``coefficient`` encodes, and ``terms`` and ``to_json_dict`` decode.
+``coefficient`` encodes, ``terms`` and ``to_json_dict`` decode, and
+``times_monomial`` does both to move a jet into another ring.
 
 ``Jet.min_nonzero_degree`` holds the one float zero test; the exact one is
 literal, as a jet stores no zero pair.  Every exact/numeric decision
@@ -84,7 +85,8 @@ class CoefficientField(Frozen):
 
     def coerce(self, x):
         """Force ``x`` into the field: the exact field refuses floats, the
-        float field rounds once and refuses a value beyond float range."""
+        float field rounds once and refuses a value beyond float range, one
+        that overflows or has a nonzero part that rounds to 0."""
         if self.is_exact:
             if isinstance(x, GaussianRational):
                 return x
@@ -96,12 +98,16 @@ class CoefficientField(Frozen):
             )
         try:
             if isinstance(x, GaussianRational):
-                return x.to_complex()
-            if isinstance(x, (int, float, complex, Fraction)):
-                return complex(x)
+                z, re, im = x.to_complex(), x.re, x.im
+            elif isinstance(x, (int, float, complex, Fraction)):
+                z, re, im = complex(x), x.real, x.imag
+            else:
+                raise TypeError(f"cannot coerce {type(x).__name__} into the float field")
         except OverflowError as e:
             raise RangeError(f"value beyond the float field's range: {e}") from None
-        raise TypeError(f"cannot coerce {type(x).__name__} into the float field")
+        if (re and not z.real) or (im and not z.imag):
+            raise RangeError("value beyond the float field's range: a nonzero part underflows to 0")
+        return z
 
     def pack(self, x) -> Tuple[Pair, int]:
         """``x`` forced into the field, as a jet stores it: an (re, im) pair
@@ -130,10 +136,14 @@ class CoefficientField(Frozen):
         """The transcendental factor 2*pi*i, or 1 in exact units, which divide it out."""
         return GaussianRational(1) if self.is_exact else complex(0.0, 2.0 * cmath.pi)
 
-    def finite(self, x, what: str):
-        """``x``, refused when a float product has left the float field's range."""
-        if not (self.is_exact or cmath.isfinite(x)):
-            raise RangeError(f"value beyond the float field's range: {what} overflows")
+    def in_range(self, x, what: str):
+        """``x``, a product of nonzero factors, refused when it has left the
+        float field's range: it overflows, or it underflows to 0."""
+        if not self.is_exact:
+            if not cmath.isfinite(x):
+                raise RangeError(f"value beyond the float field's range: {what} overflows")
+            if not x:
+                raise RangeError(f"value beyond the float field's range: {what} underflows to 0")
         return x
 
     def zero(self):
@@ -378,6 +388,18 @@ class Jet(Frozen):
                 elif s is not None:
                     del out[key]
         return Jet(self.ring, out, self._den * other._den)
+
+    def times_monomial(self, ring: JetRing, exponents: Exponents) -> "Jet":
+        """This jet times the monomial of ``exponents``, in ``ring``: a ring of
+        the same variables and field, whose order drops the terms above it."""
+        own, shift = self.ring, ring._key(exponents)
+        room = ring.order - (shift >> ring.shift)
+        terms = {
+            ring._key(own._exponents(key)) + shift: c
+            for key, c in self._terms.items()
+            if key >> own.shift <= room
+        }
+        return Jet(ring, terms, self._den)
 
     def __eq__(self, other):
         if not isinstance(other, Jet):

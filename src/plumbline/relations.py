@@ -77,15 +77,8 @@ def octic_eval(
     f = positive - negative
     if ring is None:
         return f
-    # the packed key of (t_i t_j t_k t_l)^4 in ``ring`` (jets module docstring)
-    lift = (16 << ring.shift) + sum(4 << (ring.width * (a - 1)) for a in idx)
-    reduced = f.ring
-    terms = {
-        ring._key(reduced._exponents(key)) + lift: c
-        for key, c in f._terms.items()
-        if (key >> reduced.shift) + 16 <= ring.order
-    }
-    return Jet(ring, terms, f._den)
+    exponents = tuple(4 * (a in idx) for a in range(1, len(ring.variables) + 1))
+    return f.times_monomial(ring, exponents)
 
 
 def plucker_coordinates(r0: Sequence, r1: Sequence) -> Dict[Tuple[int, int], object]:
@@ -123,20 +116,20 @@ def plucker_to_cone(y: Entries) -> Dict[Tuple[int, int], object]:
 
 
 class StarConfig(Frozen):
-    """g elliptic tails attached to a projective line at b_1..b_g."""
+    """g elliptic tails, 1x1 ``CurveBlock``s, attached to a projective line at b_1..b_g."""
 
-    __slots__ = _fields = ("curves", "attach_points", "variables")
+    __slots__ = _fields = ("tails", "attach_points", "variables")
 
     def _check(self):
-        curves, attach_points = self.curves, self.attach_points
-        g = len(curves)
+        tails, attach_points = self.tails, self.attach_points
+        g = len(tails)
         if len(attach_points) != g or len(self.variables) != g:
-            raise StructureError("curves, attach points and variables must align")
+            raise StructureError("tails, attach points and variables must align")
         if g < 2:
             raise RangeError("a star needs at least two tails")
         for i in range(g):
-            if not curves[i].marks:
-                raise StructureError(f"curve {i + 1} carries no mark")
+            if len(tails[i].tau_block) != 1:
+                raise StructureError(f"tail {i + 1} is not a 1x1 block")
             for j in range(i + 1, g):
                 if attach_points[i] == attach_points[j]:
                     raise DegenerateDataError(
@@ -145,7 +138,7 @@ class StarConfig(Frozen):
 
     @property
     def genus(self) -> int:
-        return len(self.curves)
+        return len(self.tails)
 
 
 def star_leading_coefficients(s: StarConfig, field: CoefficientField) -> dict:
@@ -153,18 +146,15 @@ def star_leading_coefficients(s: StarConfig, field: CoefficientField) -> dict:
     star entry (i, j) is kappabar_ij t_i t_j."""
     coerce = field.coerce
     kappa = field.two_pi_i / 16
-    v = [coerce(c.mark_value(0)) for c in s.curves]
+    v = [coerce(tail.omega_at_point[0]) for tail in s.tails]
     b = [coerce(x) for x in s.attach_points]
     out = {}
     for i in range(s.genus):
         for j in range(i + 1, s.genus):
             d = b[i] - b[j]
-            if not d * d:  # distinct float points whose squared distance underflows
-                raise RangeError(
-                    f"value beyond the float field's range: (b{i + 1} - b{j + 1})^2 underflows to 0"
-                )
-            coeff = kappa * v[i] * v[j] / (d * d)
-            out[(i + 1, j + 1)] = field.finite(coeff, f"star entry ({i + 1},{j + 1})")
+            d2 = field.in_range(d * d, f"(b{i + 1} - b{j + 1})^2")
+            coeff = kappa * v[i] * v[j] / d2
+            out[(i + 1, j + 1)] = field.in_range(coeff, f"star entry ({i + 1},{j + 1})")
     return out
 
 

@@ -5,11 +5,12 @@ substreams of one master seed, so adding a new check never shifts the
 draws of an existing one and reports are byte-for-byte reproducible.
 
 Star, tree and frame draws are ``randint``'s: each rational is
-``Fraction(randint(lo, hi), randint(1, max_den))``.  Surface sides are
-drawn from two ``randbytes`` calls per model: each kept byte is a uniform
-slot of a table of the values 12 n/d, and ``bytes.translate`` does the
-rejection and the lookup with no Python bytecode per entry, so the sides
-are ints and no Fraction is built.
+``Fraction(randint(lo, hi), randint(1, max_den))``, and every random tail,
+a star's or a rank-one pair's side, is ``random_tail``'s 1x1 ``CurveBlock``.
+Surface sides are drawn from two ``randbytes`` calls per model: each kept
+byte is a uniform slot of a table of the values 12 n/d, and
+``bytes.translate`` does the rejection and the lookup with no Python
+bytecode per entry, so the sides are ints and no Fraction is built.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, Tuple
 
 from .alkanes import GENUS_CAP, Alkane
-from .elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
+from .elliptic import CurveBlock, TauPoint, TwoTorsionLabel
 from .errors import RangeError
 from .gaussian import GaussianRational
 from .relations import StarConfig, plucker_coordinates
@@ -60,22 +61,23 @@ def rand_tau(rng: random.Random) -> TauPoint:
 STAR_POINTS = sum(math.gcd(n, d) == 1 for n in range(-12, 13) for d in range(1, 7))
 
 
+def random_tail(rng: random.Random) -> CurveBlock:
+    """A random 1x1 tail: it draws c, then tau, and holds tau and 1/c."""
+    c = rand_nonzero_fraction(rng, -6, 6, 6)
+    return CurveBlock(((rand_tau(rng).value,),), (GaussianRational(1 / c),))
+
+
 def random_star_config(g: int, rng: random.Random) -> StarConfig:
     if g > STAR_POINTS:
         raise RangeError(f"genus {g} needs {g} distinct star points; there are {STAR_POINTS}")
-    curves = []
-    for _ in range(g):
-        c = rand_nonzero_fraction(rng, -6, 6, 6)
-        curves.append(
-            MarkedEllipticCurve(rand_tau(rng), (Mark(TwoTorsionLabel.O, GaussianRational(c)),))
-        )
+    tails = tuple(random_tail(rng) for _ in range(g))
     points: list = []
     while len(points) < g:
         b = rand_fraction(rng, -12, 12, 6)
         if all(b != p for p in points):
             points.append(b)
     variables = tuple(f"t{i}" for i in range(1, g + 1))
-    return StarConfig(tuple(curves), tuple(GaussianRational(b) for b in points), variables)
+    return StarConfig(tails, tuple(GaussianRational(b) for b in points), variables)
 
 
 def random_tree_config(alkane: Alkane, rng: random.Random) -> TreeConfig:

@@ -154,6 +154,8 @@ MALFORMED_CONFIGS = [
         json.dumps(_with(PAIR_CONFIG, ["curve_b", "tau"], ["0", "2_0"])),
         "curve_b.tau: bad numeric value",
     ),
+    # a decimal exponent past the interpreter's digit limit, which Fraction would expand
+    ("pair", json.dumps(_with(PAIR_CONFIG, PAIR_C, "1e4301")), "curve_a.marks[0].c: bad numeric"),
     (
         "star",
         json.dumps(_with(STAR_CONFIG, ["curves", 1, "marks", 0, "c"], [1])),
@@ -511,6 +513,24 @@ def test_marks_that_coincide_modulo_the_lattice_are_invalid_input(label, point, 
     assert "invalid input: marks 0 and 1 sit at the same point" in captured.err
 
 
+def _set_all(config, paths, value):
+    for path in paths:
+        config = _with(config, path, value)
+    return config
+
+
+# each assembly with its attachment coefficients c = 1e200, and the key paths
+# set: every form value 1/c is 1e-200, so a float entry product is 1e-400
+TINY_FORMS = [
+    (command, _set_all(config, paths, "1e200"), paths)
+    for command, config, paths in (
+        ("pair", PAIR_CONFIG, [PAIR_C, ["curve_b", "marks", 0, "c"]]),
+        ("star", STAR_CONFIG, [["curves", k, "marks", 0, "c"] for k in (0, 1)]),
+        ("tree", TREE_CONFIG, [["edge_data", 0, side, "c"] for side in ("low", "high")]),
+    )
+]
+
+
 def _paths(node, path=()):
     """Every key path below the root of a JSON value, with the value there."""
     if isinstance(node, dict):
@@ -523,13 +543,16 @@ def _paths(node, path=()):
 
 
 # values a number or a name may be replaced with: a 4,000-digit int and
-# p/q string, whose exact jets are too long to print, and subnormal floats
+# p/q string, whose exact jets are too long to print, subnormal floats, and
+# values whose float products overflow or underflow
 _VALUES = {
     "bool": True,
     "digits": 10**4000,
     "long ratio": "1/1" + "0" * 4000,
     "subnormal": 5e-324,
     "subnormal string": "-4e-320",
+    "1e200": "1e200",
+    "1e-200": "1e-200",
 }
 
 
@@ -579,33 +602,56 @@ _FUZZ_CONFIGS = [
 ]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(_FUZZ_CONFIGS), st.sampled_from(["--exact", "--numeric"]), st.data())
-def test_mutated_configs_keep_the_exit_contract(tmp_path_factory, command_config, mode, data):
-    command, config = command_config
+@st.composite
+def _mutated_configs(draw):
+    """A fuzz config after one to three mutations, with the key paths mutated."""
+    command, config = draw(st.sampled_from(_FUZZ_CONFIGS))
     paths = []
-    for _ in range(data.draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, 3))):
         mutations = list(_mutations(config))
         if not mutations:
             break
-        key_path, kind = data.draw(st.sampled_from(mutations))
+        key_path, kind = draw(st.sampled_from(mutations))
         paths.append(key_path)
         config = _mutate(config, key_path, kind)
+    return command, config, paths
+
+
+def _term_exponents(report):
+    """Per entry, the exponent vectors of its printed terms."""
+    return [[[term["exp"] for term in entry["terms"]] for entry in row] for row in report["entries"]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_configs())
+@example(TINY_FORMS[0])
+@example(TINY_FORMS[1])
+@example(TINY_FORMS[2])
+def test_mutated_configs_keep_the_exit_contract(tmp_path_factory, case):
+    command, config, paths = case
     path = tmp_path_factory.mktemp("fuzz") / "config.json"
     path.write_text(json.dumps(config))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["periods", command, "--config", str(path), mode])
-    # 3 marks an internal error; 1 needs a report, so a check did run
-    assert code in (0, 1, 2), err.getvalue()
-    assert "Traceback" not in err.getvalue()
-    assert (code == 2) == (out.getvalue() == "")
-    if code != 2:
-        json.loads(out.getvalue())
-    else:  # a config error names a mutated key or one above it
-        named = {_json_path(p[:n]) for p in paths for n in range(1, len(p) + 1)}
-        message = err.getvalue()
-        assert message.startswith("invalid input:") or any(n in message for n in named), message
+    reports = []
+    for mode in ("--exact", "--numeric"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["periods", command, "--config", str(path), mode])
+        # 3 marks an internal error; 1 needs a report, so a check did run
+        assert code in (0, 1, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert (code == 2) == (out.getvalue() == "")
+        if code != 2:
+            reports.append(json.loads(out.getvalue()))
+        else:  # a config error names a mutated key or one above it
+            named = {_json_path(p[:n]) for p in paths for n in range(1, len(p) + 1)}
+            message = err.getvalue()
+            assert message.startswith("invalid input:") or any(n in message for n in named), message
+    # every monomial of an entry is one product, so float arithmetic loses a
+    # term only by underflow, which the float field refuses
+    if len(reports) == 2:
+        exact, numeric = reports
+        assert _term_exponents(exact) == _term_exponents(numeric)
+        assert exact["support"] == numeric["support"]
 
 
 def test_coefficient_too_long_to_print_is_invalid_input(tmp_path, capsys):
@@ -643,7 +689,10 @@ def test_each_dropped_key_is_named(command, config, path, tmp_path, capsys):
         return
     assert (code, captured.out) == (2, ""), captured.err
     if path[-1] == "marks" and command == "star":  # optional; a star tail needs a mark
-        assert captured.err.startswith("invalid input: curve") and "carries no mark" in captured.err
+        assert captured.err == (
+            f"config error: {_json_path(path)}: a star tail attaches at its first mark, "
+            "and it has none\n"
+        )
     elif path[-1] == "marks":  # optional; mark_a and mark_b default to mark 0
         assert f"outside {_json_path(path)}, which has 0" in captured.err
     else:
@@ -695,6 +744,36 @@ def test_value_beyond_float_range_is_usage_error(tmp_path, capsys):
         assert fragment in captured.err, b
         code, _ = _run(capsys, ["periods", "star", "--config", str(path)])
         assert code == 0, b
+
+
+@pytest.mark.parametrize(
+    "command, config, fragment",
+    [
+        *(
+            (command, config, f"{entry} underflows to 0")
+            for (command, config, _), entry in zip(
+                TINY_FORMS, ["entry (1,1)", "star entry (1,2)", "entry (1,1)"]
+            )
+        ),
+        ("pair", _with(PAIR_CONFIG, PAIR_C, "1e400"), "a nonzero part underflows to 0"),
+        ("pair", _with(PAIR_CONFIG, ["curve_a", "tau"], ["0", "1e-400"]), "underflows to 0"),
+    ],
+    ids=["pair", "star", "tree", "mark", "tau"],
+)
+def test_value_that_underflows_the_float_field_is_usage_error(
+    command, config, fragment, tmp_path, capsys
+):
+    # a nonzero value, or a product of nonzero values, that the float field
+    # rounds to 0 would drop a term from the report; exact mode prints it
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = main(["periods", command, "--config", str(path), "--numeric"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("invalid input: value beyond the float field's range: ")
+    assert captured.err.endswith(f"{fragment}\n")
+    code, report = _run(capsys, ["periods", command, "--config", str(path), "--exact"])
+    assert code == 0 and [1, 2] in report["support"]
 
 
 @pytest.mark.parametrize(
@@ -858,6 +937,19 @@ def test_star_genus_beyond_its_points_is_usage_error():
     assert time.perf_counter() - start < 1
     assert (run.returncode, run.stdout) == (2, "")
     assert "argument --genus:" in run.stderr and "93" in run.stderr
+
+
+def test_a_huge_decimal_exponent_is_refused_at_once(tmp_path):
+    # Fraction would expand 1e99999999 into a 10^8-digit int; the reader
+    # refuses an exponent past the digit limit first
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(_with(PAIR_CONFIG, PAIR_C, "1e99999999")))
+    argv = ["-m", "plumbline.cli", "periods", "pair", "--config", str(path)]
+    start = time.perf_counter()
+    run = run_python(*argv, text=True, timeout=10)
+    assert time.perf_counter() - start < 1
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr.startswith("config error: curve_a.marks[0].c: bad numeric value '1e99999999'")
 
 
 def test_surfaces_dims(capsys):

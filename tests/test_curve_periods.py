@@ -10,14 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from plumbline.alkanes import Alkane, canonical_code, enumerate_alkanes
 from plumbline.curve_periods import (
-    CurveBlock,
     PairPlumbing,
     PeriodMatrixJet,
     StarConfig,
     TreeConfig,
     TreeEdgeData,
     banded_locus_dimension,
-    curve_block,
     derivative_rank_one_check,
     is_banded,
     offdiag_support,
@@ -25,7 +23,14 @@ from plumbline.curve_periods import (
     star_period_leading,
     tree_period_first_order,
 )
-from plumbline.elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
+from plumbline.elliptic import (
+    CurveBlock,
+    Mark,
+    MarkedEllipticCurve,
+    TauPoint,
+    TwoTorsionLabel,
+    curve_block,
+)
 from plumbline.errors import DegenerateDataError, StructureError
 from plumbline.gaussian import GaussianRational
 from plumbline.jets import EXACT_FIELD, FLOAT_FIELD, JetRing
@@ -101,11 +106,8 @@ def test_pair_numeric_mode():
 def _star(taus, bs, cs=None):
     g = len(taus)
     cs = cs or [GaussianRational(1)] * g
-    curves = tuple(
-        MarkedEllipticCurve(TauPoint(t), (Mark(TwoTorsionLabel.O, c),))
-        for t, c in zip(taus, cs)
-    )
-    return StarConfig(curves, tuple(bs), tuple(f"t{i}" for i in range(1, g + 1)))
+    tails = tuple(CurveBlock(((t,),), (1 / c,)) for t, c in zip(taus, cs))
+    return StarConfig(tails, tuple(bs), tuple(f"t{i}" for i in range(1, g + 1)))
 
 
 def test_star_frozen_example():

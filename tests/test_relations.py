@@ -436,7 +436,7 @@ def test_star_leading_coefficients_match_sympy(g):
     kappa = 2 * sympy.pi * sympy.I / 16
     for trial in range(4):
         s = random_star_config(g, substream(trial, f"test:kappabar:{g}"))
-        v = [gaussian(c.mark_value(0)) for c in s.curves]
+        v = [gaussian(tail.omega_at_point[0]) for tail in s.tails]
         b = [gaussian(x) for x in s.attach_points]
         exact = relations.star_leading_coefficients(s, EXACT_FIELD)
         numeric = relations.star_leading_coefficients(s, FLOAT_FIELD)

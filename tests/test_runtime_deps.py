@@ -124,6 +124,39 @@ def test_commands_load_the_same_modules_as_the_start_up_probe(tmp_path):
     assert periods == start_up | {"plumbline.config", "plumbline.curve_periods"}
 
 
+def _private_reads(path: Path):
+    """The ``_``-prefixed attributes, dunders aside, that ``path`` reads but
+    does not define: a module defines the names its defs, classes and
+    assignments bind, and the fields its ``__slots__`` and ``_fields`` name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = {
+                getattr(t, "id", None) or getattr(t, "attr", None)
+                for target in targets
+                for t in ast.walk(target)
+            }
+            defined |= bound
+            if bound & {"__slots__", "_fields"}:
+                defined |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+            if name.startswith("_") and not name.endswith("__") and name not in defined:
+                yield f"{path.name}:{node.lineno}: {name}"
+
+
+def test_modules_read_only_their_own_private_attributes():
+    # a module that reads another's private layout (the jets' packed keys,
+    # say) breaks when that module changes it
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _private_reads(path)]
+    assert not found, found
+
+
 def _dynamic_code_calls(path: Path):
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         # the builtins, called by name (``re.compile`` is no such call)

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from plumbline import sampling
 from plumbline.alkanes import Alkane, enumerate_alkanes
 from plumbline.curve_periods import StarConfig, TreeConfig, TreeEdgeData
-from plumbline.elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
+from plumbline.elliptic import CurveBlock, TauPoint, TwoTorsionLabel
 from plumbline.gaussian import GaussianRational
 from plumbline.relations import plucker_coordinates
 from plumbline.sampling import (
@@ -46,19 +46,17 @@ def _tau_oracle(rng):
 
 
 def _star_oracle(g, rng):
-    curves = []
+    tails = []
     for _ in range(g):
         c = nonzero_oracle(rng, -6, 6, 6)
-        curves.append(
-            MarkedEllipticCurve(_tau_oracle(rng), (Mark(TwoTorsionLabel.O, GaussianRational(c)),))
-        )
+        tails.append(CurveBlock(((_tau_oracle(rng).value,),), (1 / GaussianRational(c),)))
     points = []
     while len(points) < g:
         b = fraction_oracle(rng, -12, 12, 6)
         if all(b != p for p in points):
             points.append(b)
     variables = tuple(f"t{i}" for i in range(1, g + 1))
-    return StarConfig(tuple(curves), tuple(GaussianRational(b) for b in points), variables)
+    return StarConfig(tuple(tails), tuple(GaussianRational(b) for b in points), variables)
 
 
 def _tree_oracle(alkane, rng):

@@ -15,15 +15,20 @@ import pytest
 import plumbline
 from plumbline.alkanes import Alkane
 from plumbline.curve_periods import (
-    CurveBlock,
     PairPlumbing,
     PeriodMatrixJet,
     StarConfig,
     TreeConfig,
     TreeEdgeData,
+)
+from plumbline.elliptic import (
+    CurveBlock,
+    Mark,
+    MarkedEllipticCurve,
+    TauPoint,
+    TwoTorsionLabel,
     curve_block,
 )
-from plumbline.elliptic import Mark, MarkedEllipticCurve, TauPoint, TwoTorsionLabel
 from plumbline.errors import DegenerateDataError, RangeError, StructureError
 from plumbline.frozen import Frozen
 from plumbline.gaussian import GaussianRational
@@ -51,6 +56,10 @@ def _curve(im=1):
     return MarkedEllipticCurve(TauPoint(GaussianRational(0, im)), (_mark(),))
 
 
+def _tail(im=1):
+    return curve_block(_curve(im), 0)
+
+
 def _tree_edge(var, label=O):
     return TreeEdgeData(var, label, GaussianRational(1), label, GaussianRational(2))
 
@@ -68,7 +77,7 @@ VALID = {
         "t": "t",
     },
     StarConfig: lambda: {
-        "curves": (_curve(1), _curve(2)),
+        "tails": (_tail(1), _tail(2)),
         "attach_points": (GaussianRational(0), GaussianRational(1)),
         "variables": ("t1", "t2"),
     },
@@ -244,11 +253,11 @@ INVALID = [
     ("StarConfig-10",
      StarConfig, _replaced(StarConfig, variables=("t1",)), StructureError, "must align"),
     ("StarConfig-11",
-     StarConfig, _replaced(StarConfig, curves=(_curve(1),), attach_points=(ONE,),
+     StarConfig, _replaced(StarConfig, tails=(_tail(),), attach_points=(ONE,),
                            variables=("t1",)), RangeError, "at least two tails"),
     ("StarConfig-12",
-     StarConfig, _replaced(StarConfig, curves=(_curve(1), MarkedEllipticCurve(TauPoint(I)))),
-     StructureError, "curve 2 carries no mark"),
+     StarConfig, _replaced(StarConfig, tails=(_tail(), CurveBlock(**VALID[CurveBlock]()))),
+     StructureError, "tail 2 is not a 1x1 block"),
     ("StarConfig-13",
      StarConfig, _replaced(StarConfig, attach_points=(ONE, ONE)),
      DegenerateDataError, "attachment points 1 and 2 coincide"),
