@@ -4,6 +4,8 @@ Config numbers are read exactly in either mode: ints, "p/q" strings, or
 finite JSON numbers taken as the decimal they print as.  The coefficient
 field rounds each value once, when an assembly coerces it.
 Each malformed field raises a ``ConfigError`` that names its JSON path.
+A tree's 2-torsion attachment labels are read and checked here only: a
+label repeated at one vertex is a ``ConfigError`` naming both ends' paths.
 Only ``plumbline periods`` imports this module, and with it the
 assemblies of ``curve_periods``.
 """
@@ -171,6 +173,18 @@ def _parse_tree(cfg: dict) -> TreeConfig:
     alkane = Alkane(genus, edges)
     taus = _parse_list(cfg["taus"], "taus", "numbers", lambda t, p: TauPoint(_parse_value(t, p)))
     seen = set()
+    attached = {}  # (vertex, label) -> the path of the first end attached there
+
+    def parse_end(d, path: str, vertex: int):
+        """An edge end's c, once its label is known to be new at ``vertex``."""
+        d = _parse_object(d, path, ("label", "c"))
+        label = _parse_label(d["label"], f"{path}.label")
+        first = attached.setdefault((vertex, label), f"{path}.label")
+        if first != f"{path}.label":
+            raise ConfigError(
+                f"{path}.label: vertex {vertex} already attaches at {label.value} ({first})"
+            )
+        return _parse_value(d["c"], f"{path}.c")
 
     def parse_edge_data(item, path: str):
         item = _parse_object(item, path, ("edge", "var", "low", "high"))
@@ -178,15 +192,9 @@ def _parse_tree(cfg: dict) -> TreeConfig:
         if (i, j) in seen:
             raise ConfigError(f"{path}.edge: edge {[i, j]} is listed twice in edge_data")
         seen.add((i, j))
-        low = _parse_object(item["low"], f"{path}.low", ("label", "c"))
-        high = _parse_object(item["high"], f"{path}.high", ("label", "c"))
-        return (i, j), TreeEdgeData(
-            var=_parse_name(item["var"], f"{path}.var"),
-            label_low=_parse_label(low["label"], f"{path}.low.label"),
-            coeff_low=_parse_value(low["c"], f"{path}.low.c"),
-            label_high=_parse_label(high["label"], f"{path}.high.label"),
-            coeff_high=_parse_value(high["c"], f"{path}.high.c"),
-        )
+        var = _parse_name(item["var"], f"{path}.var")
+        low = parse_end(item["low"], f"{path}.low", i)
+        return (i, j), TreeEdgeData(var, low, parse_end(item["high"], f"{path}.high", j))
 
     edge_data = _parse_list(cfg["edge_data"], "edge_data", "edge objects", parse_edge_data)
     return TreeConfig(alkane, taus, dict(edge_data))

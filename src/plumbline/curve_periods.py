@@ -18,17 +18,19 @@ order 2.  The field alone picks the units: over the exact field the
 transcendental factor 2*pi*i is divided out (lambda = 1/4, kappa = 1/16),
 over the float field it is kept, and an entry product that overflows or
 underflows to 0 there is refused, since it would change the support.
-Pair sides and star tails are ``elliptic.CurveBlock``s.  ``StarConfig``
-and its leading coefficients kappabar_ij live in ``relations``, which
-every command loads; this module loads only with ``periods`` and ``selftest``.
+Pair sides and star tails are ``elliptic.CurveBlock``s.  A tree keeps
+each vertex's tau and each edge end's leading coefficient c: the config
+reader checks a tree's 2-torsion attachment labels and drops them.
+``StarConfig`` and its leading coefficients kappabar_ij live in
+``relations``, which every command loads; this module loads only with
+``periods`` and ``selftest``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
 from .alkanes import canonical_code
-from .elliptic import TwoTorsionLabel
 from .errors import DegenerateDataError, RangeError, StructureError
 from .frozen import Frozen
 from .jets import EXACT_FIELD, Jet, JetRing
@@ -48,10 +50,9 @@ class PairPlumbing(Frozen):
 
 class TreeEdgeData(Frozen):
     """Plumbing data of one alkane edge {i,j} with i < j: the jet variable
-    and, per endpoint, the 2-torsion attachment label and the local
-    coordinate's leading coefficient."""
+    and, per endpoint, the local coordinate's leading coefficient."""
 
-    __slots__ = _fields = ("var", "label_low", "coeff_low", "label_high", "coeff_high")
+    __slots__ = _fields = ("var", "coeff_low", "coeff_high")
 
     def _check(self):
         if not self.coeff_low or not self.coeff_high:
@@ -72,13 +73,6 @@ class TreeConfig(Frozen):
         # report, does not depend on the order the edges were given in
         edge_data = {e: edge_data[e] for e in self.alkane.edges}
         object.__setattr__(self, "edge_data", edge_data)
-        per_vertex: Dict[int, List[TwoTorsionLabel]] = {}
-        for (i, j), data in edge_data.items():
-            per_vertex.setdefault(i, []).append(data.label_low)
-            per_vertex.setdefault(j, []).append(data.label_high)
-        for v, labels in per_vertex.items():
-            if len(set(labels)) != len(labels):
-                raise StructureError(f"repeated 2-torsion attachment label at vertex {v}")
 
     @property
     def variables(self) -> Tuple[str, ...]:

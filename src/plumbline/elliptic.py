@@ -85,8 +85,9 @@ class MarkedEllipticCurve(Frozen):
 
 
 class CurveBlock(Frozen):
-    """A constant symmetric period block with the form values at the
-    attachment point.  An elliptic curve is the 1x1 case."""
+    """A constant period block with the form values at the attachment
+    point.  The block is symmetric and its imaginary part is positive
+    definite, as a period matrix's is; an elliptic curve is the 1x1 case."""
 
     __slots__ = _fields = ("tau_block", "omega_at_point")
 
@@ -101,6 +102,14 @@ class CurveBlock(Frozen):
             for j in range(g):
                 if tau_block[i][j] != tau_block[j][i]:
                     raise StructureError("tau block must be symmetric")
+        im = [[x.im for x in row] for row in tau_block]
+        for k in range(g):  # exact symmetric elimination: positive definite iff every pivot > 0
+            if im[k][k] <= 0:
+                raise RangeError("tau block's imaginary part must be positive definite")
+            for i in range(k + 1, g):
+                ratio = im[i][k] / im[k][k]
+                for j in range(k + 1, g):
+                    im[i][j] -= ratio * im[k][j]
 
 
 def curve_block(curve: MarkedEllipticCurve, mark_index: int) -> CurveBlock:

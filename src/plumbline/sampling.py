@@ -6,7 +6,8 @@ draws of an existing one and reports are byte-for-byte reproducible.
 
 Star, tree and frame draws are ``randint``'s: each rational is
 ``Fraction(randint(lo, hi), randint(1, max_den))``, and every random tail,
-a star's or a rank-one pair's side, is ``random_tail``'s 1x1 ``CurveBlock``.
+a star's or a rank-one pair's side, is ``random_tail``'s 1x1 ``CurveBlock``;
+a random tree draws no attachment labels, which no assembly reads.
 Surface sides are drawn from two ``randbytes`` calls per model: each kept
 byte is a uniform slot of a table of the values 12 n/d, and
 ``bytes.translate`` does the rejection and the lookup with no Python
@@ -21,7 +22,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, Tuple
 
 from .alkanes import GENUS_CAP, Alkane
-from .elliptic import CurveBlock, TauPoint, TwoTorsionLabel
+from .elliptic import CurveBlock, TauPoint
 from .errors import RangeError
 from .gaussian import GaussianRational
 from .relations import StarConfig, plucker_coordinates
@@ -29,8 +30,6 @@ from .surfaces import BLOCK_COLS
 
 if TYPE_CHECKING:
     from .curve_periods import TreeConfig
-
-_LABELS = list(TwoTorsionLabel)
 
 
 def substream(seed: int, label: str) -> random.Random:
@@ -85,20 +84,14 @@ def random_tree_config(alkane: Alkane, rng: random.Random) -> TreeConfig:
     from .curve_periods import TreeConfig, TreeEdgeData
 
     taus = tuple(rand_tau(rng) for _ in range(alkane.genus))
-    used: Dict[int, int] = {v: 0 for v in range(1, alkane.genus + 1)}
-    edge_data = {}
-    for (i, j) in alkane.edges:
-        label_i = _LABELS[used[i]]
-        label_j = _LABELS[used[j]]
-        used[i] += 1
-        used[j] += 1
-        edge_data[(i, j)] = TreeEdgeData(
-            var=f"t{i}_{j}",
-            label_low=label_i,
-            coeff_low=GaussianRational(rand_nonzero_fraction(rng, -6, 6, 6)),
-            label_high=label_j,
-            coeff_high=GaussianRational(rand_nonzero_fraction(rng, -6, 6, 6)),
+    edge_data = {
+        (i, j): TreeEdgeData(
+            f"t{i}_{j}",
+            GaussianRational(rand_nonzero_fraction(rng, -6, 6, 6)),
+            GaussianRational(rand_nonzero_fraction(rng, -6, 6, 6)),
         )
+        for i, j in alkane.edges
+    }
     return TreeConfig(alkane, taus, edge_data)
 
 

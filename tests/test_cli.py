@@ -100,9 +100,13 @@ def _with(config, path, value):
 PAIR_C = ["curve_a", "marks", 0, "c"]  # the key path of curve_a's mark value
 
 BLOCK_PAIR_CONFIG = {
-    "curve_a": {"block": [["1"]], "omega": ["1"]},
-    "curve_b": {"block": [["2"]], "omega": ["1"]},
+    "curve_a": {"block": [[["0", "1"]]], "omega": ["1"]},
+    "curve_b": {"block": [[["0", "2"]]], "omega": ["1"]},
 }
+
+# the label O repeated at vertex 2, and a block side whose tau is -i
+REPEATED_LABEL = _with(TREE_CONFIG, ["edge_data", 1, "low", "label"], "O")
+NEGATIVE_BLOCK = _with(BLOCK_PAIR_CONFIG, ["curve_a", "block"], [[["0", "-1"]]])
 
 # (periods subcommand, config file text, stderr fragment after "config error:");
 # each must exit 2 with that config error in both modes
@@ -121,6 +125,16 @@ MALFORMED_CONFIGS = [
          f"edge_data[0].{side}.label: unknown 2-torsion label")
         for side in ("low", "high")
         for label in ("Bogus", [1], 5, None)
+    ),
+    # a 2-torsion label repeated at one vertex, named at both ends; the low
+    # end is at the edge's smaller vertex in either orientation
+    *(
+        (
+            "tree",
+            json.dumps(_with(REPEATED_LABEL, ["edge_data", 1, "edge"], edge)),
+            "edge_data[1].low.label: vertex 2 already attaches at O (edge_data[0].high.label)",
+        )
+        for edge in ([2, 3], [3, 2])
     ),
     (
         "star",
@@ -489,6 +503,19 @@ def test_block_sides_take_the_default_mark_index(tmp_path, capsys):
     assert _run(capsys, ["periods", "pair", "--config", str(path)]) == (0, report)
 
 
+def test_block_off_the_upper_half_space_is_invalid_input(tmp_path, capsys):
+    # a block's imaginary part is positive definite, as a curve's tau's is positive
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(NEGATIVE_BLOCK))
+    for mode in ("--exact", "--numeric"):
+        code = main(["periods", "pair", "--config", str(path), mode])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), mode
+        assert captured.err == (
+            "invalid input: tau block's imaginary part must be positive definite\n"
+        ), mode
+
+
 def test_tree_vertex_outside_the_genus_is_invalid_input(tmp_path, capsys):
     path = tmp_path / "tree.json"
     path.write_text(json.dumps({**TREE_CONFIG, "edges": [[1, 2], [2, 4]]}))
@@ -627,6 +654,8 @@ def _term_exponents(report):
 @example(TINY_FORMS[0])
 @example(TINY_FORMS[1])
 @example(TINY_FORMS[2])
+@example(("tree", REPEATED_LABEL, [("edge_data", 1, "low", "label")]))
+@example(("pair", NEGATIVE_BLOCK, [("curve_a", "block")]))
 def test_mutated_configs_keep_the_exit_contract(tmp_path_factory, case):
     command, config, paths = case
     path = tmp_path_factory.mktemp("fuzz") / "config.json"

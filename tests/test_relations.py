@@ -268,6 +268,28 @@ def test_octic_scales_under_the_torus(point, scales):
         assert octic_eval(scaled, idx) == math.prod([factor] * 4) * octic_eval(tau, idx)
 
 
+def _heron_factors(variant):
+    """sympy's factors of a^4 b^4 c^4 times the octic at t_ab = y_ab^-2, with
+    a = y_12 y_34, b = y_13 y_24 and c = y_14 y_23, and Heron's form of a, b, c."""
+    y = {p: sympy.Symbol(f"y{p[0]}{p[1]}") for p in combinations(range(1, 5), 2)}
+    a, b, c = y[(1, 2)] * y[(3, 4)], y[(1, 3)] * y[(2, 4)], y[(1, 4)] * y[(2, 3)]
+    f = octic_eval({p: v**-2 for p, v in y.items()}, (1, 2, 3, 4), variant)
+    heron = -(a - b - c) * (a - b + c) * (a + b - c) * (a + b + c)
+    return sympy.factor_list(sympy.expand(a**4 * b**4 * c**4 * f)), heron, _quadric(y, (1, 2, 3, 4))
+
+
+def test_octic_is_herons_form_with_the_pluecker_factor():
+    # sympy's own factorisation: each of Heron's four linear factors, among
+    # them the Pluecker relation a - b + c, and no other
+    factors, heron, quadric = _heron_factors("corrected")
+    assert factors == sympy.factor_list(heron)
+    assert (quadric, 1) in factors[1] or (-quadric, 1) in factors[1]
+    assert len(factors[1]) == 4 and all(sympy.Poly(p).total_degree() == 2 for p, _ in factors[1])
+    printed, _, _ = _heron_factors("printed")
+    assert printed != factors
+    assert all(sympy.expand(p - s * quadric) != 0 for p, _ in printed[1] for s in (1, -1))
+
+
 def test_symbolic_degree_count():
     # every monomial of the octic has degree exactly 8 in the entries:
     # evaluate on entries tau_ij = c_ij * x and inspect the jet

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from plumbline import sampling
 from plumbline.alkanes import Alkane, enumerate_alkanes
 from plumbline.curve_periods import StarConfig, TreeConfig, TreeEdgeData
-from plumbline.elliptic import CurveBlock, TauPoint, TwoTorsionLabel
+from plumbline.elliptic import CurveBlock, TauPoint
 from plumbline.gaussian import GaussianRational
 from plumbline.relations import plucker_coordinates
 from plumbline.sampling import (
@@ -60,19 +60,12 @@ def _star_oracle(g, rng):
 
 
 def _tree_oracle(alkane, rng):
-    labels = list(TwoTorsionLabel)
     taus = tuple(_tau_oracle(rng) for _ in range(alkane.genus))
-    used = {v: 0 for v in range(1, alkane.genus + 1)}
     edge_data = {}
     for (i, j) in alkane.edges:
-        label_i, label_j = labels[used[i]], labels[used[j]]
-        used[i] += 1
-        used[j] += 1
         edge_data[(i, j)] = TreeEdgeData(
             var=f"t{i}_{j}",
-            label_low=label_i,
             coeff_low=GaussianRational(nonzero_oracle(rng, -6, 6, 6)),
-            label_high=label_j,
             coeff_high=GaussianRational(nonzero_oracle(rng, -6, 6, 6)),
         )
     return TreeConfig(alkane, taus, edge_data)

@@ -60,8 +60,8 @@ def _tail(im=1):
     return curve_block(_curve(im), 0)
 
 
-def _tree_edge(var, label=O):
-    return TreeEdgeData(var, label, GaussianRational(1), label, GaussianRational(2))
+def _tree_edge(var):
+    return TreeEdgeData(var, GaussianRational(1), GaussianRational(2))
 
 
 # class -> a fresh valid instance's fields, in declaration order
@@ -83,15 +83,13 @@ VALID = {
     },
     TreeEdgeData: lambda: {
         "var": "t1",
-        "label_low": O,
         "coeff_low": GaussianRational(1),
-        "label_high": HALF,
         "coeff_high": GaussianRational(2, 1),
     },
     TreeConfig: lambda: {
         "alkane": Alkane(3, ((1, 2), (2, 3))),
         "taus": (TauPoint(I), TauPoint(GaussianRational(0, 2)), TauPoint(GaussianRational(1, 3))),
-        "edge_data": {(1, 2): _tree_edge("t1"), (2, 3): _tree_edge("t2", HALF)},
+        "edge_data": {(1, 2): _tree_edge("t1"), (2, 3): _tree_edge("t2")},
     },
     TauPoint: lambda: {"value": GaussianRational(Fraction(1, 2), 1)},
     Mark: lambda: {"point": GaussianRational(Fraction(1, 3)), "coord_leading_coeff": I},
@@ -250,6 +248,15 @@ INVALID = [
     ("CurveBlock-9",
      CurveBlock, _replaced(CurveBlock, tau_block=((I, ONE), (I, I))),
      StructureError, "symmetric"),
+    ("CurveBlock-positive definite",
+     CurveBlock,
+     _replaced(CurveBlock, tau_block=((GaussianRational(1, -1),),), omega_at_point=(ONE,)),
+     RangeError, "imaginary part must be positive definite"),
+    # Im [[1, 2], [2, 1]] has a positive diagonal and determinant -3
+    ("CurveBlock-positive definite, indefinite",
+     CurveBlock, _replaced(CurveBlock, tau_block=((I, GaussianRational(0, 2)),
+                                                  (GaussianRational(0, 2), I))),
+     RangeError, "imaginary part must be positive definite"),
     ("StarConfig-10",
      StarConfig, _replaced(StarConfig, variables=("t1",)), StructureError, "must align"),
     ("StarConfig-11",
@@ -273,10 +280,6 @@ INVALID = [
     ("TreeConfig-17",
      TreeConfig, _replaced(TreeConfig, edge_data={(1, 2): _tree_edge("t1")}),
      StructureError, "edge data keys"),
-    ("TreeConfig-18",
-     TreeConfig, _replaced(TreeConfig, edge_data={(1, 2): _tree_edge("t1"),
-                                                  (2, 3): _tree_edge("t2")}),
-     StructureError, "repeated 2-torsion attachment label at vertex 2"),
     ("TauPoint-19",
      TauPoint, {"value": GaussianRational(1)}, RangeError, "positive imaginary part"),
     ("TauPoint-20",
@@ -316,6 +319,22 @@ def test_constructor_checks(cls, fields, error, fragment):
     with pytest.raises(error) as info:
         cls(**fields)
     assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize("im", [((2, 1), (1, 2)), ((1, 0), (0, 3)), ((1, -1), (-1, 2))])
+def test_curve_block_takes_a_positive_definite_imaginary_part(im):
+    block = tuple(tuple(GaussianRational(Fraction(1, 2), x) for x in row) for row in im)
+    assert CurveBlock(block, (ONE, ONE)).tau_block == block
+
+
+@pytest.mark.parametrize(
+    "tau", [GaussianRational(0, -1), GaussianRational(-1), GaussianRational(0)], ids=str
+)
+def test_a_tail_off_the_upper_half_plane_is_refused(tau):
+    # TauPoint refuses such a tau, and so does the 1x1 block a tail is
+    with pytest.raises(RangeError, match="imaginary part must be positive definite"):
+        tail = CurveBlock(((tau,),), (ONE,))
+        StarConfig((tail, _tail()), (ONE, GaussianRational(2)), ("t1", "t2"))
 
 
 def test_constructor_check_ids_are_unique_and_name_the_class():
