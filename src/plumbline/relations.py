@@ -3,19 +3,25 @@
 For each quadruple i<j<k<l the quadratic identity
 y_ij*y_kl - y_ik*y_jl + y_il*y_jk = 0 between 2x2 minors of a rank-2
 frame, double-squared after substituting y^2 = 1/t, clears denominators to
-the degree-8 polynomial
+the degree-8 polynomial in the pair products P = t_ij*t_kl, Q = t_il*t_jk
+and R = t_ik*t_jl,
+
+    f = 2*P*Q*R*(P + Q + R) - (P^2*Q^2 + Q^2*R^2 + R^2*P^2),
+
+Heron's form, which the paper prints expanded in the entries:
 
     f = 2*t_ij*t_kl*t_il*t_jk*t_ik*t_jl*(t_ik*t_jl + t_il*t_jk + t_ij*t_kl)
         - ((t_ik*t_jl*t_il*t_jk)^2 + (t_ij*t_kl*t_ik*t_jl)^2
            + (t_ij*t_kl*t_il*t_jk)^2)
 
-whose negative part runs over the three splittings of {i,j,k,l} into
+Its negative part runs over the three splittings of {i,j,k,l} into
 complementary pairs.  This "corrected" form vanishes identically on points
-t_ab = y_ab^-2; a variant whose first negative monomial drops the pair
-{ij,kl} instead ("printed") does not, and is kept purely as a corruption
-control.  Entries are mappings keyed by 1-based pairs (a, b) with a < b,
-whose values may be numbers or jets: with jet entries the vanishing can be
-checked coefficient-by-coefficient through a given total degree.
+t_ab = y_ab^-2; a variant that swaps P^2*Q^2 for (t_ij*t_il*t_jk*t_jl)^2,
+a monomial without the pair {ij,kl} ("printed"), does not, and is kept
+purely as a corruption control.  Entries are mappings keyed by 1-based
+pairs (a, b) with a < b, whose values may be numbers or jets: with jet
+entries the vanishing can be checked coefficient-by-coefficient through a
+given total degree.
 """
 
 from __future__ import annotations
@@ -41,21 +47,14 @@ def all_octic_indices(g: int) -> List[Tuple[int, int, int, int]]:
 Entries = Mapping[Tuple[int, int], object]
 
 
-def _square(pair, c, d):
-    """The square of pair*c*d, where ``pair`` is the product of the first
-    two factors, shared with the other terms of the octic."""
-    base = pair * c * d
-    return base * base
-
-
 def octic_eval(
     entries: Entries, idx: Tuple[int, int, int, int], variant: str = "corrected", *, ring=None
 ):
     """Evaluate the degree-8 relation on the six off-diagonal entries of idx.
 
     variant "corrected" is the form that vanishes on the cone; "printed"
-    keeps the defective first negative monomial and serves as a negative
-    control only.  With ``ring``, the entries are reduced star entries, t_a
+    swaps the square of P*Q for the defective monomial and serves as a
+    negative control only.  With ``ring``, the entries are reduced star entries, t_a
     t_b divided out, and the octic is lifted back by (t_i t_j t_k t_l)^4
     into ``ring``, a ring of the same variables: every octic monomial holds
     each of t_i, t_j, t_k and t_l four times.
@@ -65,16 +64,10 @@ def octic_eval(
     i, j, k, l = idx
     tij, tik, til = entries[(i, j)], entries[(i, k)], entries[(i, l)]
     tjk, tjl, tkl = entries[(j, k)], entries[(j, l)], entries[(k, l)]
-    ij_kl, il_jk, ik_jl = tij * tkl, til * tjk, tik * tjl
-    positive = 2 * ij_kl * il_jk * ik_jl * (ik_jl + il_jk + ij_kl)
-    sq_ik_jl__il_jk = _square(ik_jl, til, tjk)
-    sq_ij_kl__ik_jl = _square(ij_kl, tik, tjl)
-    sq_ij_kl__il_jk = _square(ij_kl, til, tjk)
-    if variant == "corrected":
-        negative = sq_ik_jl__il_jk + sq_ij_kl__ik_jl + sq_ij_kl__il_jk
-    else:
-        negative = _square(tij * til, tjk, tjl) + sq_ik_jl__il_jk + sq_ij_kl__ik_jl
-    f = positive - negative
+    p, q, r = tij * tkl, til * tjk, tik * tjl
+    qr, rp, pq = q * r, r * p, p * q
+    last = pq if variant == "corrected" else tij * til * tjk * tjl
+    f = 2 * pq * r * (p + q + r) - (qr * qr + rp * rp + last * last)
     if ring is None:
         return f
     exponents = tuple(4 * (a in idx) for a in range(1, len(ring.variables) + 1))

@@ -108,12 +108,15 @@ BLOCK_PAIR_CONFIG = {
 REPEATED_LABEL = _with(TREE_CONFIG, ["edge_data", 1, "low", "label"], "O")
 NEGATIVE_BLOCK = _with(BLOCK_PAIR_CONFIG, ["curve_a", "block"], [[["0", "-1"]]])
 
+# a tree whose first edge has three ends: the malformed config run under -m
+THREE_ENDED_EDGE = ("tree", json.dumps({**TREE_CONFIG, "edges": [[1, 2, 3], [2, 3]]}), "edges[0]")
+
 # (periods subcommand, config file text, stderr fragment after "config error:");
 # each must exit 2 with that config error in both modes
 MALFORMED_CONFIGS = [
     ("pair", "{not json", ""),
     ("pair", json.dumps({"curve_a": PAIR_CONFIG["curve_a"]}), ""),
-    ("tree", json.dumps({**TREE_CONFIG, "edges": [[1, 2, 3], [2, 3]]}), "edges[0]"),
+    THREE_ENDED_EDGE,
     (
         "tree",
         json.dumps(_with(TREE_CONFIG, ["edge_data", 1, "edge"], [2, "3"])),
@@ -1189,7 +1192,7 @@ def test_mutated_argv_keeps_the_exit_contract(argv, tmp_path, monkeypatch):
 
 
 def _config_cases():
-    command, text, fragment = next(row for row in MALFORMED_CONFIGS if row[2])
+    command, text, fragment = THREE_ENDED_EDGE
     bad_tau = json.dumps(_with(PAIR_CONFIG, ["curve_a", "tau"], ["1", "-2"]))
     return [
         ("pair", None, "config error: cannot read config"),

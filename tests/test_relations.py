@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import QQ_I
 
 from plumbline import checks, relations
+from plumbline.cli import main
 from plumbline.curve_periods import star_period_leading
 from plumbline.errors import DegenerateDataError
 from plumbline.gaussian import GaussianRational
@@ -45,22 +46,15 @@ def _sq(x):
 
 
 def _octic_plain(entries, idx, variant="corrected"):
-    """The octic with plain operators: every product kept up to the ring
-    order, the oracle for the truncated products of ``octic_eval``."""
+    """Heron's form of the octic with plain operators: every product kept up
+    to the ring order, the oracle for the truncated products of
+    ``octic_eval``, in its association so that float sums match bit for bit."""
     i, j, k, l = idx
     tij, tik, til = entries[(i, j)], entries[(i, k)], entries[(i, l)]
     tjk, tjl, tkl = entries[(j, k)], entries[(j, l)], entries[(k, l)]
-    positive = (
-        2 * (tij * tkl) * (til * tjk) * (tik * tjl) * (tik * tjl + til * tjk + tij * tkl)
-    )
-    sq_ik_jl__il_jk = _sq(tik * tjl * til * tjk)
-    sq_ij_kl__ik_jl = _sq(tij * tkl * tik * tjl)
-    sq_ij_kl__il_jk = _sq(tij * tkl * til * tjk)
-    if variant == "corrected":
-        negative = sq_ik_jl__il_jk + sq_ij_kl__ik_jl + sq_ij_kl__il_jk
-    else:
-        negative = _sq(tij * til * tjk * tjl) + sq_ik_jl__il_jk + sq_ij_kl__ik_jl
-    return positive - negative
+    p, q, r = tij * tkl, til * tjk, tik * tjl
+    last = p * q if variant == "corrected" else tij * til * tjk * tjl
+    return 2 * (p * q) * r * (p + q + r) - (_sq(q * r) + _sq(r * p) + _sq(last))
 
 
 def _star_entries(g, field, seed, corrupt_entry=None):
@@ -290,6 +284,50 @@ def test_octic_is_herons_form_with_the_pluecker_factor():
     assert all(sympy.expand(p - s * quadric) != 0 for p, _ in printed[1] for s in (1, -1))
 
 
+def _paper_octic(t, variant):
+    """The octic monomial by monomial, as the paper prints it; "printed"
+    swaps the square of t_ij t_kl t_il t_jk for that of t_ij t_il t_jk t_jl."""
+    tij, tik, til, tjk, tjl, tkl = (t[p] for p in combinations(range(1, 5), 2))
+    positive = 2 * tij * tkl * til * tjk * tik * tjl * (tik * tjl + til * tjk + tij * tkl)
+    swapped = (tij * til * tjk * tjl) ** 2 if variant == "printed" else (tij * tkl * til * tjk) ** 2
+    return positive - ((tik * tjl * til * tjk) ** 2 + (tij * tkl * tik * tjl) ** 2 + swapped)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_octic_matches_sympys_expansion_of_the_paper_form(seed):
+    # the full star entries t_a t_b kappabar_ab (1 + l_ab) as sympy
+    # polynomials over Q(i); sympy expands the monomial octic on them, and
+    # its terms through degree 17 are the order-17 jet, term by term: the
+    # octic of the full entries, and for "corrected" the lifted octic of the
+    # reduced ones, which is what ``relations verify`` reads ("printed"'s
+    # swapped monomial holds t_j six times and t_k twice, so it has no lift)
+    reduced, full = _star_entries(4, EXACT_FIELD, seed)
+    idx, ring = (1, 2, 3, 4), full[(1, 2)].ring
+    t = sympy.symbols(ring.variables)
+    polys = {
+        (a, b): sympy.Poly(
+            t[a - 1] * t[b - 1] * sum(
+                (sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)) * sympy.Mul(*map(pow, t, e))
+                for e, c in e_ab.terms.items()
+            ),
+            *t,
+            domain=QQ_I,
+        )
+        for (a, b), e_ab in reduced.items()
+    }
+    for variant in OCTIC_VARIANTS:
+        want = {
+            e: GaussianRational(Fraction(str(c.x)), Fraction(str(c.y)))
+            for e, c in _paper_octic(polys, variant).rep.terms()
+            if sum(e) <= 17
+        }
+        # not vacuous: degree 17 survives, and degree 16 only in "printed"
+        assert {sum(e) for e in want} == ({17} if variant == "corrected" else {16, 17})
+        assert octic_eval(full, idx, variant).terms == want
+        if variant == "corrected":
+            assert octic_eval(reduced, idx, ring=ring).terms == want
+
+
 def test_symbolic_degree_count():
     # every monomial of the octic has degree exactly 8 in the entries:
     # evaluate on entries tau_ij = c_ij * x and inspect the jet
@@ -423,6 +461,32 @@ def test_verify_genus_five():
     rep = verify_asymptotic_vanishing(s, seed=7)
     assert rep.passed
     assert rep.octics_checked == 5
+
+
+def test_numeric_octics_stay_three_decades_inside_the_tolerance(monkeypatch, tmp_path):
+    # every octic jet of `relations verify --numeric --genus 7 --trials 3` at
+    # seeds 0..9, read as the benchmark's numeric margin reads it: the
+    # largest coefficient at degree <= 16 over the largest coefficient is at
+    # most 1e-13, three decades inside the 1e-10 tolerance
+    kept = []
+    original = relations.octic_eval
+
+    def keep(*args, **kwargs):
+        kept.append(original(*args, **kwargs))
+        return kept[-1]
+
+    monkeypatch.setattr(relations, "octic_eval", keep)
+    out = str(tmp_path / "report.json")
+    for seed in range(10):
+        argv = ["relations", "verify", "--genus", "7", "--numeric", "--trials", "3"]
+        assert main([*argv, "--seed", str(seed), "--out", out]) == 0
+    assert len(kept) == 10 * 3 * 35
+    for f in kept:
+        assert f.ring.field.tolerance == 1e-10
+        terms = f.terms
+        scale = max(abs(c) for c in terms.values())
+        low = max((abs(c) for e, c in terms.items() if sum(e) <= 16), default=0.0)
+        assert low <= 1e-13 * scale
 
 
 def test_octic_loop_runs_without_gaussian_rational_arithmetic(monkeypatch):
